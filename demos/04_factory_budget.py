@@ -12,8 +12,8 @@ from loopfold import ccz_factory_spec, factory_runtime, table1, verify_factory
 for variant in ("folded", "rotated"):
     circuit = ccz_factory_spec(variant)
     ver = verify_factory(circuit)
-    print(f"{variant}: {circuit.logical_qubits} logical qubits, "
-          f"{circuit.count('CNOT')} CNOTs, {circuit.num_slices} slices")
+    print(f"{variant}: {circuit.num_qubits} logical qubits, "
+          f"{circuit.gate_count('CNOT')} CNOTs, {len(circuit.slots())} slices")
     print(f"  verified {len(ver.branches)} measurement branches, "
           f"min fidelity with |CCZ>: {ver.min_fidelity:.12f}")
 

@@ -11,9 +11,8 @@ from .circuits import CircuitEvent, ScheduledCircuit, run_on_state
 from .costs import (CostReport, cnot_time, cycle_time_n2, effective_cycle_time,
                     gate_time, pipeline_steady_state, rearrange_worst,
                     swap_worst_shuttle, table1)
-from .factory import (FactoryCircuit, FactoryReport, ccz_factory_spec,
-                      cultivation_cycles, factory_runtime, output_error,
-                      verify_factory)
+from .factory import (FactoryReport, ccz_factory_spec, cultivation_cycles,
+                      factory_runtime, output_error, verify_factory)
 from .layout import (LayerStackLayout, MergeRequest, PatchCell, RoutingResult,
                      SwapPlan, fig10a_fixture, fig10b_fixture, generate_layout,
                      plan_with_swaps, routable)
@@ -36,7 +35,7 @@ __all__ = [
     "CostReport", "cnot_time", "cycle_time_n2", "effective_cycle_time",
     "gate_time", "pipeline_steady_state", "rearrange_worst",
     "swap_worst_shuttle", "table1",
-    "FactoryCircuit", "FactoryReport", "ccz_factory_spec", "cultivation_cycles",
+    "FactoryReport", "ccz_factory_spec", "cultivation_cycles",
     "factory_runtime", "output_error", "verify_factory",
     "LayerStackLayout", "MergeRequest", "PatchCell", "RoutingResult", "SwapPlan",
     "fig10a_fixture", "fig10b_fixture", "generate_layout", "plan_with_swaps",

@@ -18,7 +18,7 @@ class CircuitEvent:
     targets: tuple[int, ...]
     basis: str = "Z"                 # for MEASURE
     key: Optional[str] = None        # record label for measurements
-    condition: Optional[str] = None  # record key gating the event; "!key" fires on 0
+    condition: Optional[str] = None  # "key" / "!key" literals joined by &; see run_on_state
 
 
 @dataclass
@@ -27,7 +27,6 @@ class ScheduledCircuit:
 
     num_qubits: int
     events: list[CircuitEvent] = field(default_factory=list)
-    qubit_names: Optional[dict[int, str]] = None
     meta: dict = field(default_factory=dict)
 
     def add(self, slot: int, action: str, targets: Sequence[int],
@@ -46,7 +45,7 @@ class ScheduledCircuit:
         return sorted({e.slot for e in self.events})
 
     def extended(self, other: "ScheduledCircuit", slot_offset: int) -> "ScheduledCircuit":
-        out = ScheduledCircuit(self.num_qubits, list(self.events), self.qubit_names, dict(self.meta))
+        out = ScheduledCircuit(self.num_qubits, list(self.events), dict(self.meta))
         for e in other.events:
             out.events.append(CircuitEvent(e.slot + slot_offset, e.action, e.targets,
                                            e.basis, e.key, e.condition))
@@ -67,6 +66,12 @@ class ScheduledCircuit:
         return "\n".join(lines) + "\n"
 
 
+def _condition_holds(condition: str, record: dict[str, int]) -> bool:
+    """A conjunction of `key` (bit is 1) and `!key` (bit is 0) literals joined by &."""
+    return all(record.get(lit[1:], 0) == 0 if lit.startswith("!") else record.get(lit, 0) == 1
+               for lit in condition.split("&"))
+
+
 def run_on_state(
     circuit: ScheduledCircuit,
     state,
@@ -75,16 +80,15 @@ def run_on_state(
 ) -> dict[str, int]:
     """Replay a circuit on a tableau or dense state; returns the record.
 
-    Conditioned events fire when the referenced record bit is 1.  Measurement
-    outcomes land in the record under their key (or m<index> if unnamed).
+    Conditioned events fire when their condition holds on the record so far
+    (unrecorded bits read 0).  Measurement outcomes land in the record under
+    their key; an unnamed measurement records m<qubit>, and a keyed one on
+    several targets records <key><qubit>.
     """
     record: dict[str, int] = {}
-    unnamed = 0
     for e in circuit.sorted_events():
-        if e.condition is not None:
-            key, want = (e.condition[1:], 0) if e.condition.startswith("!") else (e.condition, 1)
-            if record.get(key, 0) != want:
-                continue
+        if e.condition is not None and not _condition_holds(e.condition, record):
+            continue
         if e.action == "MEASURE":
             for q in e.targets:
                 key = e.key if e.key and len(e.targets) == 1 else f"{e.key or 'm'}{q}"
@@ -93,7 +97,6 @@ def run_on_state(
                     force = forced_outcomes[key]
                 out, _ = state.measure(q, e.basis, rng=rng, force=force)
                 record[key] = out
-                unnamed += 1
         elif e.action == "RESET":
             continue  # states start in |0>; explicit resets are layout markers
         else:

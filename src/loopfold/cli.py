@@ -23,20 +23,19 @@ from .layout import (MergeRequest, fig10a_fixture, fig10b_fixture,
 from .loopsim import (LoopState, TimingParams, pipeline_model, rearrange,
                       simulate_cycle, swap_protocol, worst_case_search)
 from .patches import build_patch, embed_stack
-from .verify import (verify_s_teleport, verify_transversal_h,
-                     verify_transversal_s, verify_two_qubit)
+from .verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
 
 SCHEMA_VERSION = 1
 
 CONFIG_KEYS = ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns", "t_int_ns",
-               "meas_devices", "slack_us", "seed")
+               "meas_devices", "slack_us")
 
 
 class ConfigError(ValueError):
     pass
 
 
-def load_config(path: str | None) -> tuple[TimingParams, int]:
+def load_config(path: str | None) -> TimingParams:
     """Flat key = value text config; silicon defaults when absent."""
     values = {}
     if path is not None:
@@ -64,7 +63,7 @@ def load_config(path: str | None) -> tuple[TimingParams, int]:
     for key in ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns"):
         if key in values and values[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    params = TimingParams(
+    return TimingParams(
         t_loop=t_loop,
         t_1q=get("t_1q_ns", 200),
         t_2q=get("t_2q_ns", 100),
@@ -73,12 +72,6 @@ def load_config(path: str | None) -> tuple[TimingParams, int]:
         t_int=t_int,
         slack_ns=get("slack_us", Fraction(1, 2)) * 1000,
     )
-    seed = int(get("seed", 0))
-    return params, seed
-
-
-def _frac_str(x: Fraction) -> str:
-    return str(x)
 
 
 def _emit(doc: dict, as_json: bool, human: str) -> None:
@@ -91,14 +84,13 @@ def _emit(doc: dict, as_json: bool, human: str) -> None:
 
 # -- subcommands ----------------------------------------------------------------
 
-def cmd_verify(args, params, seed) -> int:
+def cmd_verify(args, params) -> int:
     checks = []
     d_values = [args.d] if args.d else [3, 5]
     for d in d_values:
-        if args.gate in ("S", "all"):
-            checks += verify_transversal_s(d)
-        if args.gate in ("H", "all"):
-            checks += verify_transversal_h(d)
+        for gate in ("S", "H"):
+            if args.gate in (gate, "all"):
+                checks += verify_single_qubit(d, gate)
         if args.gate in ("CNOT", "all"):
             checks += verify_two_qubit(d, "CNOT")
         if args.gate == "all":
@@ -112,28 +104,28 @@ def cmd_verify(args, params, seed) -> int:
     return 0 if ok else 1
 
 
-def cmd_cycle_time(args, params, seed) -> int:
+def cmd_cycle_time(args, params) -> int:
     n = args.n
     t2 = cycle_time_n2(params)
     doc = {
         "t_cyc_n2": {"expr": "27/8*t_loop + 2*t_1q + 4*t_2q + t_meas",
                      "terms": {"t_loop": "27/8", "t_1q": "2", "t_2q": "4", "t_meas": "1"},
-                     "value_ns": _frac_str(t2)},
+                     "value_ns": str(t2)},
     }
     human = (f"T_cyc(n=2) = 27/8*T_loop + 2*T_1q + 4*T_2q + T_meas = {t2} ns\n")
     if n >= 2:
         steady = pipeline_steady_state(n, params)
         star = effective_cycle_time(n, params)
         doc["steady_state"] = {"expr": "max(t_cyc(2), n/m*t_meas)", "n": n,
-                               "value_ns": _frac_str(steady)}
-        doc["t_cyc_star"] = {"expr": "ceil_us(steady + slack)", "value_ns": _frac_str(star)}
+                               "value_ns": str(steady)}
+        doc["t_cyc_star"] = {"expr": "ceil_us(steady + slack)", "value_ns": str(star)}
         human += (f"steady state (n={n}, m={params.meas_devices}) = {steady} ns\n"
                   f"T*_cyc({n}) = {star} ns\n")
     _emit(doc, args.json, human)
     return 0
 
 
-def cmd_gate_times(args, params, seed) -> int:
+def cmd_gate_times(args, params) -> int:
     d = args.d
     rows = []
     doc = {"d": d, "gates": {}}
@@ -141,18 +133,18 @@ def cmd_gate_times(args, params, seed) -> int:
         for gate in ("S", "H", "CNOT"):
             t = gate_time(gate, arch, n, d, params)
             rows.append((gate, arch, n, t))
-            doc["gates"][f"{gate}/{arch}"] = {"n": n, "value_ns": _frac_str(t)}
+            doc["gates"][f"{gate}/{arch}"] = {"n": n, "value_ns": str(t)}
     for gate, expr in (("H", "(d-1)*t_int"), ("SWAP", "d*t_int"), ("CNOT", "2d*t_int")):
         t = gate_time(gate, "interloop", 2, d, params)
         rows.append((gate, "interloop", "-", t))
-        doc["gates"][f"{gate}/interloop"] = {"expr": expr, "value_ns": _frac_str(t)}
+        doc["gates"][f"{gate}/interloop"] = {"expr": expr, "value_ns": str(t)}
     width = max(len(a) for _, a, _, _ in rows)
     human = "".join(f"{g:<5} {a:<{width}} n={str(n):<3} {t} ns\n" for g, a, n, t in rows)
     _emit(doc, args.json, human)
     return 0
 
 
-def cmd_simulate(args, params, seed) -> int:
+def cmd_simulate(args, params) -> int:
     if args.protocol == "cycle":
         patch = build_patch(args.d, "folded")
         sched = simulate_cycle(embed_stack([patch]), params)
@@ -175,7 +167,7 @@ def cmd_simulate(args, params, seed) -> int:
         return 0
     else:
         raise ConfigError(f"unknown protocol {args.protocol}")
-    doc = {"protocol": args.protocol, "makespan_ns": _frac_str(sched.makespan),
+    doc = {"protocol": args.protocol, "makespan_ns": str(sched.makespan),
            "events": [{"start": str(e.start), "duration": str(e.duration),
                        "action": e.action, "loop": e.loop,
                        "tokens": list(e.tokens)} for e in sched.events]}
@@ -183,17 +175,17 @@ def cmd_simulate(args, params, seed) -> int:
     return 0
 
 
-def cmd_worst_case(args, params, seed) -> int:
+def cmd_worst_case(args, params) -> int:
     gamma = Fraction(args.granularity) if args.granularity else Fraction(1, 8 * args.n)
     res = worst_case_search(args.protocol, args.n, gamma, params)
     doc = {"protocol": res.protocol, "n": res.n, "granularity": str(res.granularity),
-           "max_ns": _frac_str(res.maximum), "max_shuttle_ns": _frac_str(res.shuttle_maximum),
+           "max_ns": str(res.maximum), "max_shuttle_ns": str(res.shuttle_maximum),
            "witness": res.witness}
     _emit(doc, args.json, str(res) + "\n")
     return 0
 
 
-def cmd_factory(args, params, seed) -> int:
+def cmd_factory(args, params) -> int:
     report = factory_runtime(args.variant, params, args.d)
     ok = True
     lines = [f"8T-to-CCZ factory, {args.variant} architecture, d={args.d}"]
@@ -212,13 +204,13 @@ def cmd_factory(args, params, seed) -> int:
     return 0 if ok else 1
 
 
-def cmd_table1(args, params, seed) -> int:
+def cmd_table1(args, params) -> int:
     report = table1(params, args.d)
     _emit(report.to_doc(), args.json, report.to_text())
     return 0
 
 
-def cmd_layout(args, params, seed) -> int:
+def cmd_layout(args, params) -> int:
     if args.fixture in ("fig10a", "fig10b"):
         layout, requests = (fig10a_fixture if args.fixture == "fig10a" else fig10b_fixture)()
     else:
@@ -309,11 +301,11 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        params, seed = load_config(args.config)
+        params = load_config(args.config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 4
-    return args.func(args, params, seed)
+    return args.func(args, params)
 
 
 if __name__ == "__main__":

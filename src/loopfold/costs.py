@@ -13,8 +13,6 @@ from typing import Optional
 
 from .loopsim import SILICON, TimingParams
 
-Frac = Fraction
-
 NS_PER_US = Fraction(1000)
 
 
@@ -219,6 +217,36 @@ def factory_cell_us(variant: str, params: TimingParams = SILICON, d: int = 25) -
     raise ValueError(f"unknown factory variant {variant!r}")
 
 
+def _closed_form(gate: str, arch: str, n: int):
+    return lambda params, d: gate_time(gate, arch, n, d, params)
+
+
+# (gate, arch) -> (runtime expression, runtime in ns as a function of (params, d))
+_TABLE1_RUNTIMES = {
+    ("H", "standard"): ("3d*T_cyc", _closed_form("H", "standard", 2)),
+    ("S", "standard"): ("1.5d*T_cyc", _closed_form("S", "standard", 2)),
+    ("CNOT", "standard"): ("2d*T_cyc", _closed_form("CNOT", "standard", 2)),
+    ("FACTORY", "standard"): (
+        "5d*T_cyc", lambda params, d: 5 * d * gate_time("CYCLE", "standard", 2, d, params)),
+    ("H", "pipelined_rotated"): ("3d*T_cyc*(12)", _closed_form("H", "pipelined_rotated", 12)),
+    ("S", "pipelined_rotated"): ("1.5d*T_cyc*(12)", _closed_form("S", "pipelined_rotated", 12)),
+    ("CNOT", "pipelined_rotated"): (
+        "(9/4-7/2n)T_loop+2T_2q", _closed_form("CNOT", "pipelined_rotated", 12)),
+    ("FACTORY", "pipelined_rotated"): (
+        "(d+27)*T_cyc*(12)+19us",
+        lambda params, d: factory_cell_us("rotated", params, d) * NS_PER_US),
+    ("H", "pipelined_folded"): (
+        "T_cyc*(16)+5/4T_loop+T_1q+T_2q", _closed_form("H", "pipelined_folded", 16)),
+    ("S", "pipelined_folded"): (
+        "T_cyc*(16)+5/4T_loop+T_2q", _closed_form("S", "pipelined_folded", 16)),
+    ("CNOT", "pipelined_folded"): (
+        "(9/4-7/2n)T_loop+2T_2q", _closed_form("CNOT", "pipelined_folded", 16)),
+    ("FACTORY", "pipelined_folded"): (
+        "33*T_cyc*(16)+18us",
+        lambda params, d: factory_cell_us("folded", params, d) * NS_PER_US),
+}
+
+
 def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     """Reproduce the overhead table and its savings rows from first principles.
 
@@ -232,44 +260,8 @@ def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     if d % 2 == 0:
         raise ValueError("d must be odd")
 
-    t_std = gate_time("CYCLE", "standard", 2, d, params)
-    n_folded, n_rot = 16, 12
-
-    cells: dict[tuple[str, str], TableCell] = {}
-    cells[("H", "standard")] = TableCell("3d*T_cyc", gate_time("H", "standard", 2, d, params),
-                                         SPACE["standard"]["H"])
-    cells[("S", "standard")] = TableCell("1.5d*T_cyc", gate_time("S", "standard", 2, d, params),
-                                         SPACE["standard"]["S"])
-    cells[("CNOT", "standard")] = TableCell("2d*T_cyc", gate_time("CNOT", "standard", 2, d, params),
-                                            SPACE["standard"]["CNOT"])
-    cells[("FACTORY", "standard")] = TableCell("5d*T_cyc", 5 * d * t_std,
-                                               SPACE["standard"]["FACTORY"])
-
-    cells[("H", "pipelined_rotated")] = TableCell(
-        "3d*T_cyc*(12)", gate_time("H", "pipelined_rotated", n_rot, d, params),
-        SPACE["pipelined_rotated"]["H"])
-    cells[("S", "pipelined_rotated")] = TableCell(
-        "1.5d*T_cyc*(12)", gate_time("S", "pipelined_rotated", n_rot, d, params),
-        SPACE["pipelined_rotated"]["S"])
-    cells[("CNOT", "pipelined_rotated")] = TableCell(
-        "(9/4-7/2n)T_loop+2T_2q", gate_time("CNOT", "pipelined_rotated", n_rot, d, params),
-        SPACE["pipelined_rotated"]["CNOT"])
-    cells[("FACTORY", "pipelined_rotated")] = TableCell(
-        "(d+27)*T_cyc*(12)+19us", factory_cell_us("rotated", params, d) * NS_PER_US,
-        SPACE["pipelined_rotated"]["FACTORY"])
-
-    cells[("H", "pipelined_folded")] = TableCell(
-        "T_cyc*(16)+5/4T_loop+T_1q+T_2q", gate_time("H", "pipelined_folded", n_folded, d, params),
-        SPACE["pipelined_folded"]["H"])
-    cells[("S", "pipelined_folded")] = TableCell(
-        "T_cyc*(16)+5/4T_loop+T_2q", gate_time("S", "pipelined_folded", n_folded, d, params),
-        SPACE["pipelined_folded"]["S"])
-    cells[("CNOT", "pipelined_folded")] = TableCell(
-        "(9/4-7/2n)T_loop+2T_2q", gate_time("CNOT", "pipelined_folded", n_folded, d, params),
-        SPACE["pipelined_folded"]["CNOT"])
-    cells[("FACTORY", "pipelined_folded")] = TableCell(
-        "33*T_cyc*(16)+18us", factory_cell_us("folded", params, d) * NS_PER_US,
-        SPACE["pipelined_folded"]["FACTORY"])
+    cells = {(g, a): TableCell(expr, runtime(params, d), SPACE[a][g])
+             for (g, a), (expr, runtime) in _TABLE1_RUNTIMES.items()}
 
     sp = SPACE
     one_us = Fraction(1000)

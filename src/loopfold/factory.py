@@ -1,12 +1,12 @@
 """The two 8T-to-CCZ factory circuits: logical verification and runtime costs.
 
 The folded-architecture factory uses transversal CNOTs and transversal S
-corrections on 8 logical qubits over 7 stabilizer-round slices; the rotated
+corrections on 8 logical qubits over 7 stabilizer-round slots; the rotated
 variant replaces each conditional S with a measurement gadget (CNOT onto a
 fresh ancilla, Y measurement, conditional Z), growing to 12 logical qubits
-and 8 slices.  verify_factory brute-forces every measurement branch at the
+and 8 slots.  verify_factory brute-forces every measurement branch at the
 logical level (one dense qubit per logical qubit) and demands the |CCZ>
-output exactly.
+output exactly; factory_runtime counts its cost terms from the same circuit.
 """
 
 from __future__ import annotations
@@ -18,81 +18,70 @@ from typing import Optional
 
 import numpy as np
 
+from .circuits import ScheduledCircuit, run_on_state
 from .costs import NS_PER_US, cnot_time, effective_cycle_time, gate_time
 from .loopsim import SILICON, TimedSchedule, TimingParams
 
 OMEGA = np.exp(1j * np.pi / 4)
 
+T_INPUTS = 8                      # T states consumed per CCZ, on q0..q7
 CULTIVATION_VOLUME = 30000        # expected qubit-rounds per cultivated T state
 CULTIVATION_TARGET = 1e-7         # the tabulated cultivation output error rate
 CCZ_ERROR_PREFACTOR = 28          # output error = 28 p_T^2 to leading order
 
-
-@dataclass(frozen=True)
-class FactoryOp:
-    kind: str                     # CNOT, MZ, MY, S, Z, X, INIT_T, INIT_0
-    qubits: tuple[int, ...]
-    key: Optional[str] = None     # measurement record label
-    condition: Optional[str] = None
-
-
-@dataclass
-class FactoryCircuit:
-    variant: str
-    logical_qubits: int
-    time_slices: list[list[FactoryOp]]
-    outputs: tuple[int, ...] = (0, 1, 2)
-    postselect_plus: int = 3
-
-    def count(self, kind: str) -> int:
-        return sum(1 for sl in self.time_slices for op in sl if op.kind == kind)
-
-    @property
-    def num_slices(self) -> int:
-        return len(self.time_slices)
+# the four rounds of CNOTs before the check-qubit measurements, both variants
+_ENCODING_SLOTS = (
+    ((1, 0), (2, 3)),
+    ((0, 2), (3, 1)),
+    ((1, 0), (2, 3)),
+    ((0, 4), (1, 5), (2, 6), (3, 7)),
+)
 
 
-def ccz_factory_spec(variant: str) -> FactoryCircuit:
-    """The 8T-to-CCZ circuit, sliced one stabilizer round per slice."""
-    if variant == "folded":
-        slices = [
-            [FactoryOp("CNOT", (1, 0)), FactoryOp("CNOT", (2, 3))],
-            [FactoryOp("CNOT", (0, 2)), FactoryOp("CNOT", (3, 1))],
-            [FactoryOp("CNOT", (1, 0)), FactoryOp("CNOT", (2, 3))],
-            [FactoryOp("CNOT", (0, 4)), FactoryOp("CNOT", (1, 5)),
-             FactoryOp("CNOT", (2, 6)), FactoryOp("CNOT", (3, 7))],
-            [FactoryOp("MZ", (4,), key="m0"), FactoryOp("MZ", (5,), key="m1"),
-             FactoryOp("MZ", (6,), key="m2"), FactoryOp("MZ", (7,), key="m3"),
-             FactoryOp("S", (0,), condition="m0"), FactoryOp("S", (1,), condition="m1"),
-             FactoryOp("S", (2,), condition="m2"), FactoryOp("S", (3,), condition="m3")],
-            [FactoryOp("CNOT", (1, 0)), FactoryOp("CNOT", (3, 2))],
-            [FactoryOp("CNOT", (3, 1)),
-             FactoryOp("X", (0,)), FactoryOp("X", (1,)), FactoryOp("X", (2,))],
-        ]
-        return FactoryCircuit("folded", 8, slices)
-    if variant == "rotated":
-        slices = [
-            [FactoryOp("CNOT", (1, 0)), FactoryOp("CNOT", (2, 3))],
-            [FactoryOp("CNOT", (0, 2)), FactoryOp("CNOT", (3, 1))],
-            [FactoryOp("CNOT", (1, 0)), FactoryOp("CNOT", (2, 3))],
-            [FactoryOp("CNOT", (0, 4)), FactoryOp("CNOT", (1, 5)),
-             FactoryOp("CNOT", (2, 6)), FactoryOp("CNOT", (3, 7))],
-            [FactoryOp("MZ", (4,), key="m0"), FactoryOp("MZ", (5,), key="m1"),
-             FactoryOp("MZ", (6,), key="m2"), FactoryOp("MZ", (7,), key="m3"),
-             FactoryOp("CNOT", (0, 8), condition="m0"),
-             FactoryOp("CNOT", (1, 9), condition="m1"),
-             FactoryOp("CNOT", (2, 10), condition="m2"),
-             FactoryOp("CNOT", (3, 11), condition="m3")],
-            [FactoryOp("MY", (8,), key="y0"), FactoryOp("MY", (9,), key="y1"),
-             FactoryOp("MY", (10,), key="y2"), FactoryOp("MY", (11,), key="y3"),
-             FactoryOp("Z", (0,), condition="m0&!y0"), FactoryOp("Z", (1,), condition="m1&!y1"),
-             FactoryOp("Z", (2,), condition="m2&!y2"), FactoryOp("Z", (3,), condition="m3&!y3")],
-            [FactoryOp("CNOT", (1, 0)), FactoryOp("CNOT", (3, 2))],
-            [FactoryOp("CNOT", (3, 1)),
-             FactoryOp("X", (0,)), FactoryOp("X", (1,)), FactoryOp("X", (2,))],
-        ]
-        return FactoryCircuit("rotated", 12, slices)
-    raise ValueError(f"unknown factory variant {variant!r}")
+def ccz_factory_spec(variant: str) -> ScheduledCircuit:
+    """The 8T-to-CCZ circuit, one stabilizer round per slot.
+
+    folded: 8 qubits, 7 slots, 13 CNOTs, 4 Z measurements, 4 S corrections.
+    rotated: 12 qubits, 8 slots, 17 CNOTs, 4 Z and 4 Y measurements.
+
+    Slot 4 measures the check qubits q4..q7 in Z (keys m0..m3); each outcome
+    1 triggers an S on q0..q3 (folded) or a CNOT onto a fresh ancilla
+    q8..q11 (rotated), whose Y measurement (keys y0..y3) in the next slot
+    leaves a Z correction when it reads 0.  meta carries the variant, the
+    output qubits and the qubit postselected on |+>.
+    """
+    if variant not in ("folded", "rotated"):
+        raise ValueError(f"unknown factory variant {variant!r}")
+    rotated = variant == "rotated"
+    circ = ScheduledCircuit(12 if rotated else 8, meta={
+        "variant": variant, "outputs": (0, 1, 2), "postselect_plus": 3})
+    for slot, pairs in enumerate(_ENCODING_SLOTS):
+        for pair in pairs:
+            circ.add(slot, "CNOT", pair)
+    slot = len(_ENCODING_SLOTS)
+    for q in range(4):
+        circ.add(slot, "MEASURE", (q + 4,), key=f"m{q}")
+    for q in range(4):
+        if rotated:
+            circ.add(slot, "CNOT", (q, q + 8), condition=f"m{q}")
+        else:
+            circ.add(slot, "S", (q,), condition=f"m{q}")
+    if rotated:
+        slot += 1
+        for q in range(4):
+            circ.add(slot, "MEASURE", (q + 8,), basis="Y", key=f"y{q}")
+        for q in range(4):
+            circ.add(slot, "Z", (q,), condition=f"m{q}&!y{q}")
+    circ.add(slot + 1, "CNOT", (1, 0))
+    circ.add(slot + 1, "CNOT", (3, 2))
+    circ.add(slot + 2, "CNOT", (3, 1))
+    for q in range(3):
+        circ.add(slot + 2, "X", (q,))
+    return circ
+
+
+def _measure_count(circuit: ScheduledCircuit, basis: str) -> int:
+    return sum(1 for e in circuit.events if e.action == "MEASURE" and e.basis == basis)
 
 
 # -- logical-level dense verification ----------------------------------------------
@@ -107,23 +96,9 @@ def _ccz_state() -> np.ndarray:
     return v / np.sqrt(8)
 
 
-def _condition_met(cond: Optional[str], record: dict[str, int]) -> bool:
-    if cond is None:
-        return True
-    for term in cond.split("&"):
-        term = term.strip()
-        if term.startswith("!"):
-            if record.get(term[1:], 0) != 0:
-                return False
-        elif record.get(term, 0) != 1:
-            return False
-    return True
-
-
 @dataclass
 class BranchResult:
     record: dict[str, int]
-    probability: float
     fidelity: float
 
 
@@ -136,82 +111,52 @@ class FactoryVerification:
     failing: Optional[BranchResult] = None
 
 
-def verify_factory(circuit: FactoryCircuit, inputs: str = "T",
+def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
                    tol: float = 1e-9) -> FactoryVerification:
     """Run every measurement branch and compare the output with |CCZ>.
 
     One dense qubit per logical qubit; T inputs on q0..q7 (zero ancillae
-    beyond); conditional corrections follow the recorded outcomes; q3 is
+    beyond); each branch replays the circuit with its outcomes forced, and
+    a branch whose forced outcome has zero probability is dropped.  q3 is
     postselected on <+| before comparing (q0, q1, q2) against CCZ|+++>.
     Passing `inputs="0"` exercises the failure path: computational-basis
     resources cannot distill a CCZ state.
     """
-    from .tableau import DenseState
+    from .tableau import DenseState, ImpossibleOutcomeError
 
-    n = circuit.logical_qubits
-    meas_keys: list[str] = [op.key for sl in circuit.time_slices for op in sl
-                            if op.kind in ("MZ", "MY")]
+    n = circuit.num_qubits
+    keys = [e.key for e in circuit.sorted_events() if e.action == "MEASURE"]
+    zero = np.array([1.0, 0.0], dtype=complex)
+    resource = _t_state() if inputs == "T" else zero
+    start = np.array([1.0], dtype=complex)
+    for q in range(n):
+        start = np.kron(start, resource if q < T_INPUTS else zero)
+    plus = circuit.meta["postselect_plus"]
     want = _ccz_state()
     branches: list[BranchResult] = []
-    for mask in range(1 << len(meas_keys)):
-        forced = {k: (mask >> i) & 1 for i, k in enumerate(meas_keys)}
+    for mask in range(1 << len(keys)):
         st = DenseState(n)
-        vec = np.array([1.0], dtype=complex)
-        single_t = _t_state() if inputs == "T" else np.array([1.0, 0.0], dtype=complex)
-        for q in range(n):
-            vec = np.kron(vec, single_t if q < 8 else np.array([1.0, 0.0], dtype=complex))
-        st.vec = vec
-        record: dict[str, int] = {}
-        prob = 1.0
-        dead = False
-        for sl in circuit.time_slices:
-            for op in sl:
-                if not _condition_met(op.condition, record):
-                    continue
-                if op.kind == "CNOT":
-                    st.apply_gate("CNOT", op.qubits)
-                elif op.kind in ("S", "SDG", "Z", "X"):
-                    st.apply_gate(op.kind, op.qubits)
-                elif op.kind in ("MZ", "MY"):
-                    basis = "Z" if op.kind == "MZ" else "Y"
-                    p_branch = _branch_prob(st, op.qubits[0], basis, forced[op.key])
-                    if p_branch < 1e-15:
-                        dead = True
-                        break
-                    st.measure(op.qubits[0], basis, force=forced[op.key])
-                    record[op.key] = forced[op.key]
-                    prob *= p_branch
-                else:
-                    raise ValueError(f"unknown factory op {op.kind}")
-            if dead:
-                break
-        if dead:
+        st.vec = start.copy()
+        forced = {k: (mask >> i) & 1 for i, k in enumerate(keys)}
+        try:
+            record = run_on_state(circuit, st, forced_outcomes=forced)
+        except ImpossibleOutcomeError:
             continue
-        # postselect q3 on |+>
-        st.apply_gate("H", (circuit.postselect_plus,))
-        p_plus = st.branch_probability(circuit.postselect_plus, 0)
-        if p_plus < 1e-15:
-            branches.append(BranchResult(record, prob, 0.0))
+        st.apply_gate("H", (plus,))
+        if st.branch_probability(plus, 0) < 1e-15:
+            branches.append(BranchResult(record, 0.0))
             continue
-        st.measure(circuit.postselect_plus, "Z", force=0)
-        out = _reduced_triple(st, circuit.outputs, record, circuit)
+        st.measure(plus, "Z", force=0)
+        out = _reduced_triple(st, circuit.meta["outputs"])
         fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
-        branches.append(BranchResult(record, prob * p_plus, fid))
+        branches.append(BranchResult(record, fid))
     min_fid = min((b.fidelity for b in branches), default=0.0)
     failing = next((b for b in branches if b.fidelity < 1 - tol), None)
-    return FactoryVerification(circuit.variant, branches, min_fid,
+    return FactoryVerification(circuit.meta["variant"], branches, min_fid,
                                failing is None, failing)
 
 
-def _branch_prob(st, qubit: int, basis: str, outcome: int) -> float:
-    probe = st.copy()
-    if basis == "Y":
-        probe.apply_gate("SDG", (qubit,))
-        probe.apply_gate("H", (qubit,))
-    return probe.branch_probability(qubit, outcome)
-
-
-def _reduced_triple(st, outputs, record, circuit) -> Optional[np.ndarray]:
+def _reduced_triple(st, outputs) -> Optional[np.ndarray]:
     """Amplitudes on the three output qubits; None if they are entangled
     with anything left over."""
     n = st.n
@@ -283,68 +228,70 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
                     d: int = 25) -> FactoryReport:
     """Runtime, footprint, and error of one factory run.
 
-    folded: T_cul + 13 T_CNOT(16) + 7 T*_cyc(16) + 2 T_meas + 4 T_S, on half
-    a patch footprint.  rotated: T'_cul + 8 T*_cyc(12) + 2 T_meas +
-    17 T_CNOT(12) + 2 (0.5 d + 2) T*_cyc(12), on one patch footprint.  The
-    four same-loop S gates (or Y-basis measurements) are serialized through
-    the single port, and the four output measurements batch as ceil(4/3) = 2
-    rounds on three devices.  Classical decode time is not charged.
+    folded: T_cul + #CNOT T_CNOT(16) + #slots T*_cyc(16)
+    + ceil(#MZ/m) T_meas + #S T_S, on half a patch footprint.
+    rotated: T'_cul + #slots T*_cyc(12) + ceil(#MZ/m) T_meas
+    + #CNOT T_CNOT(12) + 2 (0.5 d + 2) T*_cyc(12), on one patch footprint.
+    Every count is read off ccz_factory_spec: the same-loop S gates (or
+    Y-basis measurements) are serialized through the single port, and the
+    output Z measurements batch into rounds on the m measurement devices.
+    Classical decode time is not charged.
     """
     if d % 2 == 0 or d < 3:
         raise ValueError("d must be an odd integer >= 3")
     circ = ccz_factory_spec(variant)
+    cnots = circ.gate_count("CNOT")
+    check_rounds = len(circ.slots())
+    rounds = -(-_measure_count(circ, "Z") // params.meas_devices)
+    n = 16 if variant == "folded" else 12
+    t_star = effective_cycle_time(n, params)
+    cul = cultivation_cycles(CULTIVATION_TARGET, d, T_INPUTS, circ.num_qubits)
     if variant == "folded":
-        n = 16
-        t_star = effective_cycle_time(n, params)
-        cul = cultivation_cycles(CULTIVATION_TARGET, d, 8, 8)
         t_s = gate_time("S", "pipelined_folded", n, d, params)
         terms = {
             "cultivation": cul * t_star,
-            "cnots": 13 * cnot_time(n, params),
-            "check_rounds": 7 * t_star,
-            "measurements": 2 * params.t_meas,
-            "s_gates": 4 * t_s,
+            "cnots": cnots * cnot_time(n, params),
+            "check_rounds": check_rounds * t_star,
+            "measurements": rounds * params.t_meas,
+            "s_gates": circ.gate_count("S") * t_s,
         }
         space = Fraction(1, 2)
-    elif variant == "rotated":
-        n = 12
-        t_star = effective_cycle_time(n, params)
-        cul = cultivation_cycles(CULTIVATION_TARGET, d, 8, 12)
+    else:
         terms = {
             "cultivation": cul * t_star,
-            "check_rounds": 8 * t_star,
-            "measurements": 2 * params.t_meas,
-            "cnots": 17 * cnot_time(n, params),
+            "check_rounds": check_rounds * t_star,
+            "measurements": rounds * params.t_meas,
+            "cnots": cnots * cnot_time(n, params),
+            # the published coefficient; not derived from the Y-measurement count
             "y_basis_measurements": 2 * (Fraction(d, 2) + 2) * t_star,
         }
         space = Fraction(1)
-    else:
-        raise ValueError(f"unknown factory variant {variant!r}")
 
-    timeline = _serial_timeline(variant, terms, params)
+    timeline = _serial_timeline(circ, terms, rounds)
     runtime = sum(terms.values(), Fraction(0))
     return FactoryReport(variant, d, runtime, terms, space, cul,
                          output_error(), timeline)
 
 
-def _serial_timeline(variant: str, terms: dict[str, Fraction],
-                     params: TimingParams) -> TimedSchedule:
+def _serial_timeline(circ: ScheduledCircuit, terms: dict[str, Fraction],
+                     measurement_rounds: int) -> TimedSchedule:
     """Serial port-usage timeline matching the runtime terms.
 
     Operations that share the single port of a loop (the transversal CNOTs
     and the four S corrections or Y-measure gadgets) never overlap.
     """
-    sched = TimedSchedule(meta={"variant": variant})
+    sched = TimedSchedule(meta={"variant": circ.meta["variant"]})
     t = Fraction(0)
+    pieces = {"cnots": circ.gate_count("CNOT"), "s_gates": circ.gate_count("S"),
+              "y_basis_measurements": _measure_count(circ, "Y"),
+              "measurements": measurement_rounds}
     order = ["cultivation", "check_rounds", "cnots", "measurements"]
-    order.append("s_gates" if variant == "folded" else "y_basis_measurements")
-    counts = {"cnots": 13 if variant == "folded" else 17,
-              "s_gates": 4, "y_basis_measurements": 4, "measurements": 2}
+    order.append("s_gates" if "s_gates" in terms else "y_basis_measurements")
     for name in order:
         total = terms[name]
-        pieces = counts.get(name, 1)
-        piece = total / pieces
-        for i in range(pieces):
-            sched.append(t, piece, f"{name}[{i}]" if pieces > 1 else name, ())
+        count = pieces.get(name, 1)
+        piece = total / count
+        for i in range(count):
+            sched.append(t, piece, f"{name}[{i}]" if count > 1 else name, ())
             t += piece
     return sched

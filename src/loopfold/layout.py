@@ -17,8 +17,6 @@ from typing import Iterable, Optional, Sequence
 
 Cell = tuple[int, int]
 
-LAYER_ROLES = ("memory", "short_range", "mid_range", "long_range")
-
 
 @dataclass(frozen=True)
 class PatchCell:

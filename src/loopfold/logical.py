@@ -166,7 +166,6 @@ def logical_action(circuit: ScheduledCircuit,
     if k == 1:
         probes = {"Z": ["Z"], "X": ["X"]}
     elif k == 2:
-        probes = {"Z0": ["Z", "Z"], "X0": ["X", "X"], "Z1": ["Z", "Z"], "X1": ["X", "X"]}
         # inputs chosen so each generator is pinned in two runs with the other
         # generator varying; see below.
         probes = {

@@ -25,8 +25,6 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Optional, Sequence
 
-Frac = Fraction
-
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
@@ -490,7 +488,6 @@ def worst_case_search(protocol: str, n: int, granularity: Fraction,
     gamma = _frac(granularity)
     if gamma <= 0 or 1 % gamma != 0 or 1 / gamma < 4 * n:
         raise ValueError("granularity must divide the circle into at least 4n points")
-    points = int(1 / gamma)
     if protocol == "swap":
         return _search_swap(n, gamma, params)
     if protocol == "rearrange":

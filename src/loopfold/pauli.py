@@ -54,15 +54,6 @@ class PauliString:
     def weight(self) -> int:
         return int(np.count_nonzero(self.x | self.z))
 
-    @property
-    def sign(self) -> int:
-        """+1 or -1 for Hermitian Paulis; raises on odd i-powers."""
-        if self.phase == 0:
-            return 1
-        if self.phase == 2:
-            return -1
-        raise ValueError("non-Hermitian Pauli (odd power of i)")
-
     def commutes(self, other: "PauliString") -> bool:
         alt = int(np.sum(self.x & other.z) + np.sum(self.z & other.x)) % 2
         return alt == 0
@@ -135,9 +126,6 @@ class PauliString:
             and bool(np.array_equal(self.z, other.z))
         )
 
-    def equal_up_to_phase(self, other: "PauliString") -> bool:
-        return bool(np.array_equal(self.x, other.x) and np.array_equal(self.z, other.z))
-
     def symplectic(self) -> np.ndarray:
         return np.concatenate([self.x, self.z])
 
@@ -172,15 +160,6 @@ def gf2_rank(rows: np.ndarray) -> int:
         if rank == m.shape[0]:
             break
     return rank
-
-
-def span_equal(rows_a: np.ndarray, rows_b: np.ndarray) -> bool:
-    """Whether two GF(2) row spaces coincide."""
-    ra = gf2_rank(rows_a)
-    rb = gf2_rank(rows_b)
-    if ra != rb:
-        return False
-    return gf2_rank(np.vstack([rows_a, rows_b])) == ra
 
 
 def reduce_mod_group(p: PauliString, generators: Sequence[PauliString]) -> PauliString:

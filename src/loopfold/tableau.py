@@ -21,6 +21,10 @@ class UnsupportedGateError(ValueError):
     """Raised when a gate cannot act on the given engine (e.g. T on a tableau)."""
 
 
+class ImpossibleOutcomeError(ValueError):
+    """Raised when a forced measurement outcome has zero probability."""
+
+
 class StabilizerState:
     """n-qubit stabilizer state, initialized to |0...0>."""
 
@@ -172,7 +176,7 @@ class StabilizerState:
                 sz ^= self.z[j]
         outcome = (two_r % 4) // 2
         if force is not None and int(force) != outcome:
-            raise ValueError("forced branch contradicts deterministic outcome")
+            raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
         return outcome, True
 
     def measure_pauli(
@@ -287,32 +291,27 @@ class DenseState:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
         return self
 
-    def _axes(self, q: int) -> int:
-        # qubit 0 is the most significant axis so bitstrings read left to right
-        return q
-
     def _apply_1q(self, u: np.ndarray, q: int) -> None:
+        # qubit 0 is the most significant axis so bitstrings read left to right
         v = self.vec.reshape([2] * self.n)
-        v = np.tensordot(u, v, axes=([1], [self._axes(q)]))
-        v = np.moveaxis(v, 0, self._axes(q))
+        v = np.tensordot(u, v, axes=([1], [q]))
+        v = np.moveaxis(v, 0, q)
         self.vec = np.ascontiguousarray(v).reshape(-1)
 
     def _apply_cnot(self, c: int, t: int) -> None:
         v = self.vec.reshape([2] * self.n)
-        idx_c = self._axes(c)
-        idx_t = self._axes(t)
         sl1 = [slice(None)] * self.n
-        sl1[idx_c] = 1
+        sl1[c] = 1
         block = v[tuple(sl1)]
-        t_after = idx_t if idx_t < idx_c else idx_t - 1
+        t_after = t if t < c else t - 1
         v[tuple(sl1)] = np.flip(block, axis=t_after).copy()
         self.vec = v.reshape(-1)
 
     def _apply_cz(self, c: int, t: int) -> None:
         v = self.vec.reshape([2] * self.n)
         sl = [slice(None)] * self.n
-        sl[self._axes(c)] = 1
-        sl[self._axes(t)] = 1
+        sl[c] = 1
+        sl[t] = 1
         v[tuple(sl)] *= -1
         self.vec = v.reshape(-1)
 
@@ -339,7 +338,7 @@ class DenseState:
             raise ValueError(f"unsupported measurement basis {basis!r}")
         v = self.vec.reshape([2] * self.n)
         sl0 = [slice(None)] * self.n
-        sl0[self._axes(qubit)] = 0
+        sl0[qubit] = 0
         p0 = float(np.sum(np.abs(v[tuple(sl0)]) ** 2))
         deterministic = p0 < 1e-12 or p0 > 1 - 1e-12
         if force is not None:
@@ -352,9 +351,9 @@ class DenseState:
             raise ValueError("random measurement needs an rng or forced branch")
         prob = p0 if outcome == 0 else 1.0 - p0
         if prob < 1e-12:
-            raise ValueError("forced branch has zero amplitude")
+            raise ImpossibleOutcomeError("forced branch has zero amplitude")
         sl = [slice(None)] * self.n
-        sl[self._axes(qubit)] = 1 - outcome
+        sl[qubit] = 1 - outcome
         v[tuple(sl)] = 0.0
         self.vec = v.reshape(-1) / np.sqrt(prob)
         return outcome, deterministic
@@ -362,7 +361,7 @@ class DenseState:
     def branch_probability(self, qubit: int, outcome: int) -> float:
         v = self.vec.reshape([2] * self.n)
         sl = [slice(None)] * self.n
-        sl[self._axes(qubit)] = outcome
+        sl[qubit] = outcome
         return float(np.sum(np.abs(v[tuple(sl)]) ** 2))
 
     def fidelity(self, other: "DenseState") -> float:

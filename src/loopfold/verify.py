@@ -104,47 +104,43 @@ _TEST_STATES = [
 ]
 
 
-def verify_transversal_s(d: int, dense: bool | None = None, tol: float = 1e-9) -> list[CheckResult]:
-    """Canonical pattern -> logical S, inverted -> S-dagger; dense at d=3."""
+def _twice(circ: ScheduledCircuit) -> ScheduledCircuit:
+    return circ.extended(circ, slot_offset=max(circ.slots()) + 1)
+
+
+# gate -> (protocol circuit, second check's label, its expected action, its circuit)
+_SINGLE_QUBIT_CHECKS = {
+    "S": (transversal_s_circuit, "inverted pattern", "SDG",
+          lambda patch, d: transversal_s_circuit(patch, inverted_alternation(d))),
+    "H": (transversal_h_circuit, "applied twice", "I",
+          lambda patch, d: _twice(transversal_h_circuit(patch))),
+}
+
+
+def verify_single_qubit(d: int, gate: str, dense: bool | None = None,
+                        tol: float = 1e-9) -> list[CheckResult]:
+    """Transversal S or H on the tableau, one more tableau check, dense at d=3.
+
+    S: the canonical pattern gives logical S and the inverted one S-dagger.
+    H: the circuit gives logical H and applied twice the identity.
+    """
+    build, label, want, second = _SINGLE_QUBIT_CHECKS[gate]
     patch = build_patch(d, "folded")
     if dense is None:
         dense = d == 3
-    results = []
-    act = logical_action(transversal_s_circuit(patch), patch)
-    results.append(CheckResult(f"transversal-S d={d} tableau", act.name == "S",
-                               f"logical action = {act.name}"))
-    act_inv = logical_action(transversal_s_circuit(patch, inverted_alternation(d)), patch)
-    results.append(CheckResult(f"transversal-S d={d} inverted pattern", act_inv.name == "SDG",
-                               f"logical action = {act_inv.name}"))
+    circ = build(patch)
+    act = logical_action(circ, patch)
+    act2 = logical_action(second(patch, d), patch)
+    results = [
+        CheckResult(f"transversal-{gate} d={d} tableau", act.name == gate,
+                    f"logical action = {act.name}"),
+        CheckResult(f"transversal-{gate} d={d} {label}", act2.name == want,
+                    f"logical action = {act2.name}"),
+    ]
     if dense:
-        worst = 1.0
-        for alpha, beta in _TEST_STATES:
-            f = dense_protocol_fidelity(patch, transversal_s_circuit(patch), "S", alpha, beta)
-            worst = min(worst, f)
-        results.append(CheckResult(f"transversal-S d={d} dense oracle", 1 - worst < tol,
-                                   f"min fidelity {worst:.12f}"))
-    return results
-
-
-def verify_transversal_h(d: int, dense: bool | None = None, tol: float = 1e-9) -> list[CheckResult]:
-    patch = build_patch(d, "folded")
-    if dense is None:
-        dense = d == 3
-    results = []
-    act = logical_action(transversal_h_circuit(patch), patch)
-    results.append(CheckResult(f"transversal-H d={d} tableau", act.name == "H",
-                               f"logical action = {act.name}"))
-    circ = transversal_h_circuit(patch)
-    twice = circ.extended(transversal_h_circuit(patch), slot_offset=max(circ.slots()) + 1)
-    act2 = logical_action(twice, patch)
-    results.append(CheckResult(f"transversal-H d={d} applied twice", act2.name == "I",
-                               f"logical action = {act2.name}"))
-    if dense:
-        worst = 1.0
-        for alpha, beta in _TEST_STATES:
-            f = dense_protocol_fidelity(patch, transversal_h_circuit(patch), "H", alpha, beta)
-            worst = min(worst, f)
-        results.append(CheckResult(f"transversal-H d={d} dense oracle", 1 - worst < tol,
+        worst = min(dense_protocol_fidelity(patch, circ, gate, alpha, beta)
+                    for alpha, beta in _TEST_STATES)
+        results.append(CheckResult(f"transversal-{gate} d={d} dense oracle", 1 - worst < tol,
                                    f"min fidelity {worst:.12f}"))
     return results
 
@@ -158,8 +154,7 @@ def verify_two_qubit(d: int, gate: str) -> list[CheckResult]:
     results = [CheckResult(f"transversal-{gate} d={d}", act.name == gate.upper(),
                            f"logical action = {act.name}")]
     if gate.upper() == "SWAP":
-        twice = circ.extended(circ, slot_offset=max(circ.slots()) + 1)
-        act2 = logical_action(twice, [a, b])
+        act2 = logical_action(_twice(circ), [a, b])
         results.append(CheckResult(f"transversal-SWAP d={d} applied twice", act2.name == "I",
                                    f"logical action = {act2.name}"))
     return results
@@ -197,13 +192,3 @@ def verify_s_teleport(seeds: Sequence[int] = range(50), tol: float = 1e-9) -> li
         CheckResult("s-teleport i_state dense", 1 - worst_i < tol, f"min fidelity {worst_i:.12f}"),
     ]
 
-
-def verify_all(d_values: Sequence[int] = (3, 5)) -> list[CheckResult]:
-    out: list[CheckResult] = []
-    for d in d_values:
-        out += verify_transversal_s(d)
-        out += verify_transversal_h(d)
-        out += verify_two_qubit(d, "CNOT")
-        out += verify_two_qubit(d, "SWAP")
-    out += verify_s_teleport()
-    return out

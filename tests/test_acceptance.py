@@ -23,8 +23,7 @@ from loopfold.patches import build_patch, embed_stack, first_half_circuit, \
 from loopfold.pauli import gf2_rank, in_group_up_to_sign
 from loopfold.tableau import StabilizerState
 from loopfold.circuits import run_on_state
-from loopfold.verify import (verify_s_teleport, verify_transversal_h,
-                             verify_transversal_s, verify_two_qubit)
+from loopfold.verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
 
 P = SILICON
 
@@ -40,10 +39,10 @@ def test_criterion_1_logical_action_verification():
     d=3,5 all identified as the claimed logical Cliffords; < 60 s."""
     t0 = time.time()
     checks = []
-    checks += verify_transversal_s(3, dense=True)
-    checks += verify_transversal_h(3, dense=True)
-    checks += verify_transversal_s(5, dense=False)
-    checks += verify_transversal_h(5, dense=False)
+    checks += verify_single_qubit(3, "S", dense=True)
+    checks += verify_single_qubit(3, "H", dense=True)
+    checks += verify_single_qubit(5, "S", dense=False)
+    checks += verify_single_qubit(5, "H", dense=False)
     for d in (3, 5):
         checks += verify_two_qubit(d, "CNOT")
         checks += verify_two_qubit(d, "SWAP")

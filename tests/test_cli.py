@@ -112,6 +112,14 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert run_cli("--config", str(cfg), "cycle-time", capsys=capsys)[0] == 4
 
 
+def test_seed_is_not_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text("seed = 1\n")
+    code, _, err = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
+    assert code == 4
+    assert "unknown key 'seed'" in err
+
+
 def test_unknown_command_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,9 +1,11 @@
 """Factory circuits: logical verification, cultivation, and runtime accounting."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
 
+from loopfold.costs import cnot_time, effective_cycle_time, gate_time
 from loopfold.factory import (ccz_factory_spec, cultivation_cycles, factory_runtime,
                               output_error, verify_factory)
 from loopfold.loopsim import SILICON
@@ -11,26 +13,30 @@ from loopfold.loopsim import SILICON
 P = SILICON
 
 
+def measure_count(circuit, basis):
+    return sum(1 for e in circuit.events if e.action == "MEASURE" and e.basis == basis)
+
+
 def test_folded_circuit_structure():
     c = ccz_factory_spec("folded")
-    assert c.logical_qubits == 8
-    assert c.count("CNOT") == 13
-    assert c.count("MZ") == 4
-    assert c.count("S") == 4
-    assert c.num_slices == 7
-    # the slice coupling the check qubits has exactly four abstractly
+    assert c.num_qubits == 8
+    assert c.gate_count("CNOT") == 13
+    assert measure_count(c, "Z") == 4
+    assert c.gate_count("S") == 4
+    assert len(c.slots()) == 7
+    # the slot coupling the check qubits has exactly four abstractly
     # parallel CNOTs targeting q4..q7
-    slice4 = c.time_slices[3]
-    assert [op.qubits for op in slice4] == [(0, 4), (1, 5), (2, 6), (3, 7)]
+    slot3 = [e for e in c.events if e.slot == 3]
+    assert [e.targets for e in slot3] == [(0, 4), (1, 5), (2, 6), (3, 7)]
 
 
 def test_rotated_circuit_structure():
     c = ccz_factory_spec("rotated")
-    assert c.logical_qubits == 12
-    assert c.count("CNOT") == 17
-    assert c.count("MZ") == 4
-    assert c.count("MY") == 4
-    assert c.num_slices == 8
+    assert c.num_qubits == 12
+    assert c.gate_count("CNOT") == 17
+    assert measure_count(c, "Z") == 4
+    assert measure_count(c, "Y") == 4
+    assert len(c.slots()) == 8
 
 
 def test_folded_verification_all_16_branches():
@@ -48,10 +54,13 @@ def test_rotated_verification_all_256_branches():
 
 
 def test_wrong_resource_states_cannot_distill():
-    ver = verify_factory(ccz_factory_spec("folded"), inputs="0")
-    assert not ver.passed
-    assert ver.failing is not None
-    assert ver.min_fidelity < 0.5
+    # |0> inputs fix every Z outcome, so the zero-probability branches drop
+    for variant, live_branches in (("folded", 1), ("rotated", 16)):
+        ver = verify_factory(ccz_factory_spec(variant), inputs="0")
+        assert not ver.passed
+        assert ver.failing is not None
+        assert ver.min_fidelity < 0.5
+        assert len(ver.branches) == live_branches
 
 
 def test_cultivation_cycles():
@@ -105,6 +114,25 @@ def test_runtime_matches_table_expression_within_1us():
         exact_us = factory_runtime(variant, P, 25).runtime_ns / 1000
         cell_us = factory_cell_us(variant, P, 25)
         assert abs(exact_us - cell_us) <= 1
+
+
+@pytest.mark.parametrize("variant", ["folded", "rotated"])
+@pytest.mark.parametrize("m, meas_ns", [(1, 4000), (2, 2000), (3, 2000), (4, 1000), (6, 1000)])
+def test_measurement_rounds_follow_meas_devices(variant, m, meas_ns):
+    """The four output Z measurements take ceil(4/m) rounds; no other term moves."""
+    params = dataclasses.replace(P, meas_devices=m)
+    terms = dict(factory_runtime(variant, params, 25).runtime_terms)
+    assert terms.pop("measurements") == meas_ns == -(-4 // m) * params.t_meas
+    if variant == "folded":
+        t_star = effective_cycle_time(16, params)
+        assert terms == {"cultivation": 22 * t_star, "cnots": 13 * cnot_time(16, params),
+                         "check_rounds": 7 * t_star,
+                         "s_gates": 4 * gate_time("S", "pipelined_folded", 16, 25, params)}
+    else:
+        t_star = effective_cycle_time(12, params)
+        assert terms == {"cultivation": 15 * t_star, "check_rounds": 8 * t_star,
+                         "cnots": 17 * cnot_time(12, params),
+                         "y_basis_measurements": 2 * (F(25, 2) + 2) * t_star}
 
 
 def test_port_serialization_in_timeline():

@@ -14,8 +14,7 @@ from loopfold.patches import (build_patch, embed_stack, first_half_circuit,
 from loopfold.protocols import (canonical_alternation, inverted_alternation,
                                 transversal_h_circuit, transversal_s_circuit,
                                 transversal_two_qubit)
-from loopfold.verify import (verify_s_teleport, verify_transversal_h,
-                             verify_transversal_s, verify_two_qubit)
+from loopfold.verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -26,7 +25,7 @@ def test_transversal_s_canonical_and_inverted(d):
 
 
 def test_transversal_s_dense_oracle_d3():
-    for r in verify_transversal_s(3, dense=True):
+    for r in verify_single_qubit(3, "S", dense=True):
         assert r.passed, str(r)
 
 
@@ -92,7 +91,7 @@ def test_transversal_h(d):
 
 
 def test_transversal_h_dense_oracle_and_involution():
-    for r in verify_transversal_h(3, dense=True):
+    for r in verify_single_qubit(3, "H", dense=True):
         assert r.passed, str(r)
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from loopfold.circuits import ScheduledCircuit, run_on_state
 from loopfold.pauli import PauliString, gf2_rank
 from loopfold.tableau import DenseState, StabilizerState, UnsupportedGateError
 
@@ -141,3 +142,17 @@ def test_measure_pauli_bell_pair():
     assert tab.expectation_sign(PauliString.from_label("ZZ", 2, [0, 1])) == 1
     assert tab.expectation_sign(PauliString.from_label("YY", 2, [0, 1])) == -1
     assert tab.expectation_sign(PauliString.from_label("ZI", 2, [0, 1])) is None
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+@pytest.mark.parametrize("a, b", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_conjunctive_condition_on_both_engines(engine, a, b):
+    circ = ScheduledCircuit(3)
+    circ.add(0, "H", (0,))
+    circ.add(0, "H", (1,))
+    circ.add(1, "MEASURE", (0,), key="a")
+    circ.add(1, "MEASURE", (1,), key="b")
+    circ.add(2, "X", (2,), condition="a&!b")
+    circ.add(3, "MEASURE", (2,), key="c")
+    record = run_on_state(circ, engine(3), forced_outcomes={"a": a, "b": b})
+    assert record == {"a": a, "b": b, "c": int(a == 1 and b == 0)}
