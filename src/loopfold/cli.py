@@ -21,7 +21,8 @@ from .factory import ccz_factory_spec, factory_runtime, verify_factory
 from .layout import (MergeRequest, fig10a_fixture, fig10b_fixture,
                      layout_from_doc, plan_with_swaps, routable)
 from .loopsim import (LoopState, TimingParams, pipeline_model, rearrange,
-                      simulate_cycle, swap_protocol, worst_case_search)
+                      search_lattice, simulate_cycle, swap_protocol,
+                      worst_case_search)
 from .patches import build_patch, embed_stack
 from .verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
 
@@ -80,6 +81,11 @@ def _emit(doc: dict, as_json: bool, human: str) -> None:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(human, end="")
+
+
+def _argument_error(message: str) -> int:
+    print(f"argument error: {message}", file=sys.stderr)
+    return 2
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -176,7 +182,14 @@ def cmd_simulate(args, params) -> int:
 
 
 def cmd_worst_case(args, params) -> int:
-    gamma = Fraction(args.granularity) if args.granularity else Fraction(1, 8 * args.n)
+    try:
+        granularity = None if args.granularity is None else Fraction(args.granularity)
+    except (ValueError, ZeroDivisionError):
+        return _argument_error(f"--granularity {args.granularity!r} is not a fraction")
+    try:
+        gamma = search_lattice(args.protocol, args.n, granularity)
+    except ValueError as exc:
+        return _argument_error(str(exc))
     res = worst_case_search(args.protocol, args.n, gamma, params)
     doc = {"protocol": res.protocol, "n": res.n, "granularity": str(res.granularity),
            "max_ns": str(res.maximum), "max_shuttle_ns": str(res.shuttle_maximum),

@@ -3,7 +3,9 @@
 Positions live on the unit circle as Fractions (fractions of the loop
 perimeter); the port junction sits at position 0 and a token's position is
 its forward distance to the junction.  Times are Fractions of a nanosecond.
-All closed-form comparisons in the tests are exact equalities.
+All closed-form comparisons in the tests are exact equalities.  The
+rearrangement cost is evaluated on integer lattice positions instead
+(`_lattice_cost`); its event trace, `rearrange`, is the cross-check.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from typing import Optional, Sequence
 
 
@@ -335,27 +338,66 @@ def rearrange_makespan(n: int, target: Sequence[int], phase: Fraction,
 def _rearrange_cost(n: int, target: Sequence[int], phase: Fraction) -> Fraction:
     """Makespan of the rearrangement scheme in laps, without building events.
 
-    Relative gaps are rotation-invariant, so every leg reduces to short-arc
-    arithmetic on the original even-ring positions.  Cross-checked against
-    the full event simulation in the tests.
+    Puts the ring on the integer lattice of lcm(denominator, n) points and
+    evaluates `_lattice_cost`, the kernel of the worst-case search.
+    Cross-checked against the full event simulation in the tests.
     """
-    pos = [(phase + Fraction(k, n)) % 1 for k in range(n)]
-    if list(target) == sorted(range(n), key=lambda t: pos[t]):
+    phase = _frac(phase)
+    points = lcm(phase.denominator, n)
+    p0 = phase.numerator * (points // phase.denominator)
+    pos = [(p0 + t * (points // n)) % points for t in range(n)]
+    if list(target) == sorted(range(n), key=pos.__getitem__):
         return Fraction(0)
-    lead_idx = min(range(n), key=lambda i: (min(pos[target[i]], 1 - pos[target[i]]),
-                                            pos[target[i]]))
-    order = list(target[lead_idx:]) + list(target[:lead_idx])
-    total = min(pos[order[0]], 1 - pos[order[0]])
-    for prev, cur in zip(order[:-2], order[1:-1]):
-        gap = (pos[cur] - pos[prev]) % 1
-        total += min(gap, 1 - gap)
-    rel = (pos[order[-1]] - pos[order[-2]]) % 1
-    spacing = Fraction(1, n)
-    before = (rel - spacing) % 1
-    past = (rel + spacing) % 1
-    total += min(before, 1 - before, past, 1 - past)
-    total += Fraction(n - 2, n)
-    return total
+    lead, base = _lead_in(pos, points)
+    step, park = _arc_tables(n, points)
+    return Fraction(_lattice_cost(tuple(target), lead, base, step, park), points)
+
+
+def _lead_in(pos: list[int], points: int) -> tuple[int, int]:
+    """The lead token and the part of the cost that no target changes.
+
+    The lead is the token nearest the junction (ties prefer the one ahead in
+    the shuttling direction); the fixed part is its arc to the junction plus
+    the n - 2 one-slot rotations between pops.
+    """
+    n = len(pos)
+    lead = min(range(n), key=lambda t: (min(pos[t], points - pos[t]), pos[t]))
+    return lead, min(pos[lead], points - pos[lead]) + (n - 2) * (points // n)
+
+
+def _arc_tables(n: int, points: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Short arcs between tokens of an evenly spaced ring, in lattice units.
+
+    step[a][b] is the rotation that brings b to the junction after a entered
+    the port; park[a][b] the rotation that parks b one slot from the junction
+    (either side) after a entered.  Relative gaps are rotation-invariant, so
+    both depend only on the slot difference and serve every phase.
+    """
+    slot = points // n
+
+    def arc(g: int) -> int:
+        g %= points
+        return min(g, points - g)
+
+    step = [[arc((b - a) * slot) for b in range(n)] for a in range(n)]
+    park = [[min(arc((b - a - 1) * slot), arc((b - a + 1) * slot)) for b in range(n)]
+            for a in range(n)]
+    return step, park
+
+
+def _lattice_cost(target: tuple[int, ...], lead: int, base: int,
+                  step: list[list[int]], park: list[list[int]]) -> int:
+    """Rearrangement makespan in lattice units for a target other than the ring.
+
+    The target is cyclically normalized to start at the lead, so its cost
+    depends only on its cyclic order.  Each token but the last enters the
+    port after the short arc from its predecessor; the last parks one slot
+    from the junction.
+    """
+    i = target.index(lead)
+    order = target[i:] + target[:i]
+    return (base + sum(step[a][b] for a, b in zip(order, order[1:-1]))
+            + park[order[-2]][order[-1]])
 
 
 # -- one full stabilizer round for a single folded patch (n = 2) -----------------
@@ -482,19 +524,30 @@ class SearchResult:
                 f"(shuttle {self.shuttle_maximum} ns), witness {self.witness}")
 
 
+def search_lattice(protocol: str, n: int, granularity=None) -> Fraction:
+    """Check a worst-case search's arguments; returns its lattice step.
+
+    The step defaults to 1/(8n).  Raises ValueError for an unknown protocol,
+    n < 2, odd n for the stack protocol, or a step that does not divide the
+    circle into at least 4n points.
+    """
+    if protocol not in _SEARCHES:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    if n < 2:
+        raise ValueError(f"need n >= 2 tokens, got {n}")
+    if protocol == "cnot_stack" and n % 2:
+        raise ValueError(f"stack protocol needs even n, got {n}")
+    gamma = Fraction(1, 8 * n) if granularity is None else _frac(granularity)
+    if gamma <= 0 or 1 % gamma != 0 or 1 / gamma < 4 * n:
+        raise ValueError("granularity must divide the circle into at least 4n points")
+    return gamma
+
+
 def worst_case_search(protocol: str, n: int, granularity: Fraction,
                       params: TimingParams = SILICON) -> SearchResult:
     """Exhaustive maximum over initial configurations on the position lattice."""
-    gamma = _frac(granularity)
-    if gamma <= 0 or 1 % gamma != 0 or 1 / gamma < 4 * n:
-        raise ValueError("granularity must divide the circle into at least 4n points")
-    if protocol == "swap":
-        return _search_swap(n, gamma, params)
-    if protocol == "rearrange":
-        return _search_rearrange(n, gamma, params)
-    if protocol == "cnot_stack":
-        return _search_cnot_stack(n, gamma, params)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    gamma = search_lattice(protocol, n, granularity)
+    return _SEARCHES[protocol](n, gamma, params)
 
 
 def _search_swap(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
@@ -513,17 +566,37 @@ def _search_swap(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
 
 
 def _search_rearrange(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
-    phases = [k * gamma for k in range(int(Fraction(1, n) / gamma))]
+    """Maximum rearrangement makespan over phases and targets.
+
+    Positions are integers on the lattice of lcm(1/gamma, n) points.  Since a
+    target's cost depends only on its cyclic order, each phase scores one
+    target per rotation class: (0,) + tail for every tail in lexicographic
+    order, then (1, ..., n-1, 0) for the class of the identity, which itself
+    costs nothing.  These are the lexicographically first members of each
+    class that carry its cost, so the strict maximum and its witness are
+    those of scoring all n! targets in lexicographic order.
+    """
+    points = gamma.denominator
+    lattice = lcm(points, n)
+    step, park = _arc_tables(n, lattice)
+    identity = tuple(range(n))
+    rotated = identity[1:] + identity[:1]
     best = None
-    for phase in phases:
-        for perm in permutations(range(n)):
-            laps = _rearrange_cost(n, perm, phase)
-            if best is None or laps > best[0]:
-                best = (laps, perm, phase)
-    mx, perm, phase = best
-    mk = mx * params.t_loop
+    for k in range(points // n):
+        pos = [k * (lattice // points) + t * (lattice // n) for t in range(n)]
+        lead, base = _lead_in(pos, lattice)
+        for tail in permutations(range(1, n)):
+            target = (0,) + tail
+            cost = 0 if target == identity else _lattice_cost(target, lead, base, step, park)
+            if best is None or cost > best[0]:
+                best = (cost, target, k)
+        cost = _lattice_cost(rotated, lead, base, step, park)
+        if cost > best[0]:
+            best = (cost, rotated, k)
+    cost, target, k = best
+    mk = Fraction(cost, lattice) * params.t_loop
     return SearchResult("rearrange", n, gamma, mk, mk,
-                        {"target": perm, "phase": str(phase)})
+                        {"target": target, "phase": str(k * gamma)})
 
 
 def _search_cnot_stack(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
@@ -535,8 +608,6 @@ def _search_cnot_stack(n: int, gamma: Fraction, params: TimingParams) -> SearchR
     the pair separation (the pre-alignment rotation of the synchronized
     pipeline removes larger offsets, modulo the pair pattern).
     """
-    if n % 2 or n < 2:
-        raise ValueError("stack protocol needs even n >= 2")
     k = n // 2
     slot = Fraction(1, n)
     if k == 1:
@@ -565,6 +636,10 @@ def _search_cnot_stack(n: int, gamma: Fraction, params: TimingParams) -> SearchR
                         sched.shuttle_time())
     mx, witness, shuttle = best
     return SearchResult("cnot_stack", n, gamma, mx, shuttle, witness)
+
+
+_SEARCHES = {"swap": _search_swap, "rearrange": _search_rearrange,
+             "cnot_stack": _search_cnot_stack}
 
 
 def _fig13_config(n: int, d_i: Fraction, g: Fraction) -> LoopState:

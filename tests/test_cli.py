@@ -45,6 +45,25 @@ def test_worst_case_swap(capsys):
     assert "500" in out and "1/4" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("--protocol", "rearrange", "--n", "0"),
+    ("--protocol", "rearrange", "--n", "-2"),
+    ("--protocol", "swap", "--n", "1"),
+    ("--protocol", "cnot_stack", "--n", "3"),
+    ("--protocol", "swap", "--n", "4", "--granularity", "abc"),
+    ("--protocol", "swap", "--n", "4", "--granularity", "0"),
+    ("--protocol", "swap", "--n", "4", "--granularity", "1/0"),
+    ("--protocol", "rearrange", "--n", "8", "--granularity", "1/16"),
+])
+def test_worst_case_argument_errors(argv, capsys, monkeypatch):
+    def no_search(*args, **kwargs):
+        raise AssertionError("arguments must be rejected before the search runs")
+    monkeypatch.setattr("loopfold.cli.worst_case_search", no_search)
+    code, out, err = run_cli("worst-case", *argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("argument error: ") and err.count("\n") == 1
+
+
 def test_factory_report(capsys):
     code, out, _ = run_cli("factory", "--variant", "folded", capsys=capsys)
     assert code == 0

@@ -2,8 +2,10 @@
 
 import random
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
 from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError, TimingParams,
@@ -125,10 +127,29 @@ def test_rearrange_fast_cost_matches_event_simulation():
             rearrange_makespan(n, perm, phase, P)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
 def test_rearrange_worst_case_matches_formula(n):
     res = worst_case_search("rearrange", n, F(1, 8 * n), P)
     assert res.maximum == rearrange_worst(n, P)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("per_token, extra", [(4, 0), (4, 1), (8, 0)])
+def test_rearrange_search_matches_brute_force(n, per_token, extra):
+    # every phase x n! targets through the event path, lexicographic order,
+    # strict > : the maximum and witness the rotation-class search must find
+    points = per_token * n + extra
+    gamma = F(1, points)
+    best = None
+    for k in range(points // n):
+        phase = k * gamma
+        for target in permutations(range(n)):
+            mk = rearrange_makespan(n, target, phase, P)
+            if best is None or mk > best[0]:
+                best = (mk, target, phase)
+    res = worst_case_search("rearrange", n, gamma, P)
+    assert (res.maximum, res.witness) == \
+        (best[0], {"target": best[1], "phase": str(best[2])})
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8, 12, 16])
@@ -147,6 +168,11 @@ def test_granularity_validation():
         worst_case_search("swap", 8, F(1, 16), P)   # fewer than 4n points
     with pytest.raises(ValueError):
         worst_case_search("nonsense", 4, F(1, 32), P)
+    for protocol in ("swap", "rearrange", "cnot_stack"):
+        with pytest.raises(ValueError):
+            worst_case_search(protocol, 1, F(1, 8), P)
+    with pytest.raises(ValueError):
+        worst_case_search("cnot_stack", 3, F(1, 24), P)
 
 
 def test_simulate_cycle_exact_makespan():
@@ -205,3 +231,42 @@ def test_no_simultaneous_same_position():
     sched = rearrange(loop, [3, 1, 4, 0, 5, 2], P)
     final = sched.meta["final"]
     assert len(set(final.positions.values())) == len(final.positions)
+
+
+# -- properties over random rational instances -------------------------------------
+
+rationals = st.fractions(min_value=-1, max_value=2, max_denominator=48)
+
+
+@st.composite
+def rearrangements(draw):
+    n = draw(st.integers(min_value=2, max_value=10))
+    return n, draw(st.permutations(range(n))), draw(rationals)
+
+
+@given(rearrangements())
+@settings(max_examples=80, deadline=None)
+def test_rearrange_cost_equals_event_makespan(instance):
+    n, target, phase = instance
+    assert _rearrange_cost(n, target, phase) * P.t_loop == \
+        rearrange_makespan(n, target, phase, P)
+
+
+@given(rearrangements())
+@settings(max_examples=80, deadline=None)
+def test_rearrange_final_ring_realizes_target(instance):
+    n, target, phase = instance
+    sched = rearrange(LoopState.evenly_spaced(n, phase), target, P)
+    pos = sched.meta["final"].positions
+    ring = [t for t, _ in sorted(pos.items(), key=lambda kv: kv[1])]
+    if sched.meta.get("traversal_reversed"):
+        ring = ring[::-1]
+    k = ring.index(target[0])
+    assert ring[k:] + ring[:k] == list(target)
+
+
+@given(st.lists(rationals, min_size=2, max_size=2, unique_by=lambda x: x % 1))
+@settings(max_examples=100, deadline=None)
+def test_pair_episode_shuttles_at_most_five_quarter_laps(positions):
+    sched = swap_protocol(LoopState({0: positions[0], 1: positions[1]}), 0, 1, P)
+    assert sched.meta["shuttle"] <= F(5, 4) * P.t_loop
