@@ -5,8 +5,10 @@ lattice surgery.  CNOT and SWAP between stacked patches are transversal
 outright; S and H act at the mid-cycle point of a stabilizer round, where
 the patch momentarily unfolds into a larger code whose mirror symmetry the
 fold exposes.  This script builds the circuits and identifies their logical
-action two independent ways: by Pauli conjugation on a stabilizer tableau,
-and (at distance 3) by brute-force statevector simulation.
+action two independent ways: by one stabilizer-tableau run in which each
+logical qubit starts maximally entangled with a bare reference qubit, so the
+signed image of every logical generator can be read off the output
+stabilizer group, and (at distance 3) by brute-force statevector simulation.
 """
 
 from loopfold import (build_patch, embed_stack, logical_action,

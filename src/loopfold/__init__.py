@@ -26,7 +26,7 @@ from .pauli import PauliString
 from .protocols import (canonical_alternation, inverted_alternation,
                         s_teleport_circuit, transversal_h_circuit,
                         transversal_s_circuit, transversal_two_qubit)
-from .tableau import DenseState, StabilizerState, UnsupportedGateError, apply_gate
+from .tableau import DenseState, StabilizerState, UnsupportedGateError
 
 __version__ = "0.1.0"
 
@@ -49,6 +49,6 @@ __all__ = [
     "PauliString",
     "canonical_alternation", "inverted_alternation", "s_teleport_circuit",
     "transversal_h_circuit", "transversal_s_circuit", "transversal_two_qubit",
-    "DenseState", "StabilizerState", "UnsupportedGateError", "apply_gate",
+    "DenseState", "StabilizerState", "UnsupportedGateError",
     "__version__",
 ]

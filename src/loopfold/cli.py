@@ -59,20 +59,24 @@ def load_config(path: str | None) -> TimingParams:
                 raise ConfigError(f"line {lineno}: bad value {raw!r}") from exc
     def get(key, default):
         return values.get(key, Fraction(default))
-    t_loop = get("t_loop_ns", 400)
-    t_int = values.get("t_int_ns")
-    for key in ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns"):
+    for key in ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns", "t_int_ns"):
         if key in values and values[key] <= 0:
             raise ConfigError(f"{key} must be positive")
-    return TimingParams(
-        t_loop=t_loop,
-        t_1q=get("t_1q_ns", 200),
-        t_2q=get("t_2q_ns", 100),
-        t_meas=get("t_meas_ns", 1000),
-        meas_devices=int(get("meas_devices", 3)),
-        t_int=t_int,
-        slack_ns=get("slack_us", Fraction(1, 2)) * 1000,
-    )
+    meas_devices = get("meas_devices", 3)
+    if meas_devices.denominator != 1:
+        raise ConfigError(f"meas_devices must be an integer, got {meas_devices}")
+    try:
+        return TimingParams(
+            t_loop=get("t_loop_ns", 400),
+            t_1q=get("t_1q_ns", 200),
+            t_2q=get("t_2q_ns", 100),
+            t_meas=get("t_meas_ns", 1000),
+            meas_devices=int(meas_devices),
+            t_int=values.get("t_int_ns"),
+            slack_ns=get("slack_us", Fraction(1, 2)) * 1000,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _emit(doc: dict, as_json: bool, human: str) -> None:
@@ -81,6 +85,25 @@ def _emit(doc: dict, as_json: bool, human: str) -> None:
         print(json.dumps(doc, indent=2, sort_keys=True))
     else:
         print(human, end="")
+
+
+def _integer(lo: int, hi: int | None = None, odd: bool = False):
+    """argparse type: an integer in [lo, hi] (odd if asked); anything else exits 2."""
+    what = (("an odd integer" if odd else "an integer")
+            + (f" >= {lo}" if hi is None else f" in {lo}..{hi}"))
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < lo or (hi is not None and value > hi) or (odd and value % 2 == 0):
+            raise argparse.ArgumentTypeError(f"{value} is not {what}")
+        return value
+    return convert
+
+
+DISTANCE = _integer(3, odd=True)
 
 
 def _argument_error(message: str) -> int:
@@ -118,15 +141,14 @@ def cmd_cycle_time(args, params) -> int:
                      "terms": {"t_loop": "27/8", "t_1q": "2", "t_2q": "4", "t_meas": "1"},
                      "value_ns": str(t2)},
     }
-    human = (f"T_cyc(n=2) = 27/8*T_loop + 2*T_1q + 4*T_2q + T_meas = {t2} ns\n")
-    if n >= 2:
-        steady = pipeline_steady_state(n, params)
-        star = effective_cycle_time(n, params)
-        doc["steady_state"] = {"expr": "max(t_cyc(2), n/m*t_meas)", "n": n,
-                               "value_ns": str(steady)}
-        doc["t_cyc_star"] = {"expr": "ceil_us(steady + slack)", "value_ns": str(star)}
-        human += (f"steady state (n={n}, m={params.meas_devices}) = {steady} ns\n"
-                  f"T*_cyc({n}) = {star} ns\n")
+    steady = pipeline_steady_state(n, params)
+    star = effective_cycle_time(n, params)
+    doc["steady_state"] = {"expr": "max(t_cyc(2), n/m*t_meas)", "n": n,
+                           "value_ns": str(steady)}
+    doc["t_cyc_star"] = {"expr": "ceil_us(steady + slack)", "value_ns": str(star)}
+    human = (f"T_cyc(n=2) = 27/8*T_loop + 2*T_1q + 4*T_2q + T_meas = {t2} ns\n"
+             f"steady state (n={n}, m={params.meas_devices}) = {steady} ns\n"
+             f"T*_cyc({n}) = {star} ns\n")
     _emit(doc, args.json, human)
     return 0
 
@@ -158,12 +180,12 @@ def cmd_simulate(args, params) -> int:
         loop = LoopState({0: Fraction(1, 4), 1: Fraction(3, 4)})
         sched = swap_protocol(loop, 0, 1, params)
     elif args.protocol == "rearrange":
-        n = args.n if args.n >= 2 else 8
+        n = args.n or 8
         loop = LoopState.evenly_spaced(n, Fraction(1, 2 * n))
         target = list(range(1, n)) + [0]
         sched = rearrange(loop, target, params)
     elif args.protocol == "pipeline":
-        n = args.n if args.n >= 2 else 16
+        n = args.n or 16
         avgs = pipeline_model(n, params, args.rounds)
         human = "".join(f"round {i+1:3d}  avg cycle {float(a):10.3f} ns  ({a})\n"
                         for i, a in enumerate(avgs))
@@ -268,19 +290,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("cycle-time", help="stabilizer cycle times")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=_integer(2), default=2)
     p.set_defaults(func=cmd_cycle_time)
 
     p = sub.add_parser("gate-times", help="closed-form logical gate times")
-    p.add_argument("--d", type=int, default=25)
+    p.add_argument("--d", type=DISTANCE, default=25)
     p.set_defaults(func=cmd_gate_times)
 
     p = sub.add_parser("simulate", help="emit a timed event trace")
     p.add_argument("--protocol", default="cycle",
                    choices=("cycle", "swap", "rearrange", "pipeline"))
-    p.add_argument("--d", type=int, default=3)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=50)
+    p.add_argument("--d", type=DISTANCE, default=3)
+    p.add_argument("--n", type=_integer(2),
+                   help="tokens (default 8 for rearrange, 16 for pipeline)")
+    p.add_argument("--rounds", type=_integer(1), default=50)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("worst-case", help="exhaustive worst-case search")
@@ -292,20 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factory", help="8T-to-CCZ factory report")
     p.add_argument("--variant", required=True, choices=("folded", "rotated"))
-    p.add_argument("--d", type=int, default=25)
+    p.add_argument("--d", type=DISTANCE, default=25)
     p.add_argument("--check", action="store_true",
                    help="run the dense logical verification too")
     p.set_defaults(func=cmd_factory)
 
     p = sub.add_parser("table1", help="spacetime-overhead table reproduction")
-    p.add_argument("--d", type=int, default=25)
+    p.add_argument("--d", type=DISTANCE, default=25)
     p.set_defaults(func=cmd_table1)
 
     p = sub.add_parser("layout", help="routability verdicts for a layout fixture")
     p.add_argument("--fixture", default="fig10a",
                    help="fig10a, fig10b, or a fixture JSON path")
     p.add_argument("--plan", action="store_true", help="search for a swap plan")
-    p.add_argument("--max-swaps", type=int, default=4)
+    p.add_argument("--max-swaps", type=_integer(0, 8), default=4)
     p.set_defaults(func=cmd_layout)
     return ap
 

@@ -1,16 +1,18 @@
 """Identify the logical Clifford a physical circuit induces on encoded patches.
 
-The engine prepares logical basis eigenstates on a tableau, replays the
-circuit (measurements must come out deterministic on the codespace, or a
-CodespaceViolationError is raised), and reads off the signed image of each
-logical generator modulo the output stabilizer group.  The signed images name
-the logical Clifford together with its Pauli frame.
+The engine prepares one codespace tableau in which each logical qubit is
+maximally entangled with a bare reference qubit, replays the circuit once
+(measurements must come out deterministic on the codespace, or a
+CodespaceViolationError is raised), and reads the image of each logical
+generator G of patch i as the signed logical Pauli P for which P (x) G on
+reference i lies in the output stabilizer group.  The signed images name the
+logical Clifford together with its Pauli frame.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .circuits import ScheduledCircuit, run_on_state
 from .pauli import PauliString
@@ -36,16 +38,28 @@ class LogicalAction:
 
 @dataclass
 class EncodedStack:
-    """One or more patches encoded side by side in a single tableau."""
+    """One or more patches encoded side by side in a single tableau.
+
+    Qubits from the end of the last patch up to `num_qubits` belong to no
+    patch (logical_action keeps its reference qubits there).
+    """
 
     patches: list[PatchSpec]
     offsets: list[int]
     num_qubits: int
 
     def logical_pauli(self, patch_idx: int, kind: str) -> PauliString:
+        """Logical X, Z or Y = i X Z of one patch, on the stack's qubits."""
+        if kind == "Y":
+            y = self.logical_pauli(patch_idx, "X") * self.logical_pauli(patch_idx, "Z")
+            y.phase = (y.phase + 1) % 4
+            return y
         patch = self.patches[patch_idx]
-        base = patch.logical_x_pauli() if kind == "X" else patch.logical_z_pauli()
-        return self._lift(base, patch_idx)
+        if kind == "X":
+            return self._lift(patch.logical_x_pauli(), patch_idx)
+        if kind == "Z":
+            return self._lift(patch.logical_z_pauli(), patch_idx)
+        raise ValueError(f"bad logical Pauli {kind!r}")
 
     def _lift(self, p: PauliString, patch_idx: int) -> PauliString:
         out = PauliString(self.num_qubits)
@@ -72,27 +86,21 @@ def encode_stack(patches: Sequence[PatchSpec]) -> EncodedStack:
     return EncodedStack(list(patches), offsets, total)
 
 
+def _project(stack: EncodedStack, pins: Sequence[PauliString]) -> StabilizerState:
+    """Tableau projected onto the +1 eigenspace of every stabilizer, then of each pin."""
+    st = StabilizerState(stack.num_qubits)
+    for g in stack.all_stabilizers() + list(pins):
+        st.measure_pauli(g, force=0)
+    return st
+
+
 def prepare_logical_state(stack: EncodedStack, bases: Sequence[str]) -> StabilizerState:
     """Codespace tableau with each patch pinned to a +1 logical eigenstate.
 
     `bases[i]` in {"Z", "X", "Y"} selects which logical operator of patch i is
     fixed to +1 (logical |0>, |+>, |+i> respectively).
     """
-    st = StabilizerState(stack.num_qubits)
-    for g in stack.all_stabilizers():
-        st.measure_pauli(g, force=0)
-    for idx, basis in enumerate(bases):
-        if basis == "Z":
-            op = stack.logical_pauli(idx, "Z")
-        elif basis == "X":
-            op = stack.logical_pauli(idx, "X")
-        elif basis == "Y":
-            op = stack.logical_pauli(idx, "X") * stack.logical_pauli(idx, "Z")
-            op.phase = (op.phase + 1) % 4    # Y_L = i X_L Z_L
-        else:
-            raise ValueError(f"bad basis {basis!r}")
-        st.measure_pauli(op, force=0)
-    return st
+    return _project(stack, [stack.logical_pauli(i, b) for i, b in enumerate(bases)])
 
 
 def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, int]:
@@ -103,33 +111,24 @@ def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, i
             "non-deterministic measurement on a codespace input") from exc
 
 
-def _find_image(st: StabilizerState, stack: EncodedStack) -> list[tuple[str, int]]:
-    """All signed logical Paulis stabilizing the state, as (label, sign)."""
+def _find_image(st: StabilizerState, stack: EncodedStack,
+                ref: Optional[PauliString] = None) -> list[tuple[str, int]]:
+    """All signed logical Paulis P with P * ref in the stabilizer group, as (label, sign).
+
+    Labels list one letter per patch, patch 0 first; without `ref` these are
+    the logical Paulis that stabilize the state themselves.
+    """
     k = len(stack.patches)
-    letters = "IXZY"
     found = []
     for mask in range(1, 4**k):
-        ops = []
-        label = []
-        m = mask
-        for i in range(k):
-            li = letters[m % 4]
-            m //= 4
-            label.append(li)
-            if li == "X":
-                ops.append(stack.logical_pauli(i, "X"))
-            elif li == "Z":
-                ops.append(stack.logical_pauli(i, "Z"))
-            elif li == "Y":
-                y = stack.logical_pauli(i, "X") * stack.logical_pauli(i, "Z")
-                y.phase = (y.phase + 1) % 4
-                ops.append(y)
-        acc = PauliString(stack.num_qubits)
-        for op in ops:
-            acc = acc * op
-        sign = st.expectation_sign(acc)
+        label = "".join("IXZY"[(mask >> 2 * i) & 3] for i in range(k))
+        op = PauliString(stack.num_qubits) if ref is None else ref
+        for i, letter in enumerate(label):
+            if letter != "I":
+                op = op * stack.logical_pauli(i, letter)
+        sign = st.expectation_sign(op)
         if sign is not None:
-            found.append(("".join(label), sign))
+            found.append((label, sign))
     return found
 
 
@@ -163,46 +162,26 @@ def logical_action(circuit: ScheduledCircuit,
     if stack.num_qubits != circuit.num_qubits:
         raise ValueError("circuit width does not match the encoded stack")
     k = len(patches)
-    if k == 1:
-        probes = {"Z": ["Z"], "X": ["X"]}
-    elif k == 2:
-        # inputs chosen so each generator is pinned in two runs with the other
-        # generator varying; see below.
-        probes = {
-            "ZZ": ["Z", "Z"], "ZX": ["Z", "X"],
-            "XZ": ["X", "Z"], "XX": ["X", "X"],
-        }
-    else:
+    if k not in (1, 2):
         raise ValueError("logical_action supports one or two patches")
 
-    results: dict[str, list[tuple[str, int]]] = {}
-    for name, bases in probes.items():
-        st = prepare_logical_state(stack, bases)
-        _run_protocol(circuit, st)
-        results[name] = _find_image(st, stack)
-
+    # reference qubit R_i of patch i follows the stack; each logical qubit
+    # starts maximally entangled with its reference (X_i X_Ri = Z_i Z_Ri = +1)
+    paired = replace(stack, num_qubits=stack.num_qubits + k)
+    gens = ({"X": (0, "X"), "Z": (0, "Z")} if k == 1 else
+            {f"{p}{i}": (i, p) for p in "ZX" for i in range(k)})
+    on_ref = {g: PauliString.from_label(p, paired.num_qubits, [stack.num_qubits + i])
+              for g, (i, p) in gens.items()}
+    st = _project(paired, [paired.logical_pauli(i, p) * on_ref[g]
+                           for g, (i, p) in gens.items()])
+    _run_protocol(circuit, st)
+    images = {g: _unique_image(_find_image(st, paired, ref)) for g, ref in on_ref.items()}
     if k == 1:
-        img_z = _unique_image(results["Z"])
-        img_x = _unique_image(results["X"])
-        key = ((img_x[0], img_x[1]), (img_z[0], img_z[1]))
-        name = _ONE_QUBIT_NAMES.get(key)
+        name = _ONE_QUBIT_NAMES.get((images["X"], images["Z"]))
         if name is None:
-            name = f"X->{_fmt(img_x)},Z->{_fmt(img_z)}"
-        return LogicalAction(name, {"X": img_x, "Z": img_z},
-                             frame=_frame_note({"X": img_x, "Z": img_z}))
-
-    # two patches: intersect stabilized sets to isolate each generator image
-    def common(run_a: str, run_b: str) -> list[tuple[str, int]]:
-        sa = set(results[run_a])
-        return [t for t in results[run_b] if t in sa]
-
-    images = {
-        "Z0": _pick_generator_image(common("ZZ", "ZX")),
-        "Z1": _pick_generator_image(common("ZZ", "XZ")),
-        "X0": _pick_generator_image(common("XZ", "XX")),
-        "X1": _pick_generator_image(common("ZX", "XX")),
-    }
-    name = _two_qubit_name(images)
+            name = f"X->{_fmt(images['X'])},Z->{_fmt(images['Z'])}"
+    else:
+        name = _two_qubit_name(images)
     return LogicalAction(name, images, frame=_frame_note(images))
 
 
@@ -210,17 +189,6 @@ def _unique_image(found: list[tuple[str, int]]) -> tuple[str, int]:
     if len(found) != 1:
         raise ValueError(f"logical image not a unique logical operator: {found}")
     return found[0]
-
-
-def _pick_generator_image(cands: list[tuple[str, int]]) -> tuple[str, int]:
-    # drop products that are implied by pairs (e.g. img(Z0)*img(Z1) in run ZZ):
-    # the generator image is the unique candidate whose label set is minimal
-    # and consistent across the two runs; with two runs the intersection is
-    # already a single generator plus possibly nothing else.
-    nontrivial = [c for c in cands if set(c[0]) != {"I"}]
-    if len(nontrivial) != 1:
-        raise ValueError(f"ambiguous or missing logical image: {cands}")
-    return nontrivial[0]
 
 
 def _two_qubit_name(images: dict[str, tuple[str, int]]) -> str:

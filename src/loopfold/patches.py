@@ -69,9 +69,6 @@ class PatchSpec:
     def num_qubits(self) -> int:
         return len(self.index)
 
-    def ancilla_coords(self) -> list[Coord]:
-        return [s.center for s in self.stabilizers]
-
     def x_stabilizers(self) -> list[Stabilizer]:
         return [s for s in self.stabilizers if s.kind == "X"]
 
@@ -353,9 +350,6 @@ class LoopEmbedding:
     num_patches: int
     patch_kind: str
     distance: int
-
-    def data_loops(self) -> list[LoopRecord]:
-        return [l for l in self.loops.values() if l.role == "data"]
 
     def to_doc(self) -> dict:
         return {

@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .circuits import ScheduledCircuit
+from .logical import encode_stack
 from .patches import (
     PatchSpec,
     LoopEmbedding,
@@ -115,19 +116,14 @@ def transversal_two_qubit(stack: LoopEmbedding, i: int, j: int, gate: str,
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError("patch index out of range")
 
-    total = sum(p.num_qubits for p in patches)
-    offsets = []
-    acc = 0
-    for p in patches:
-        offsets.append(acc)
-        acc += p.num_qubits
-    circ = ScheduledCircuit(total)
+    encoded = encode_stack(patches)
+    circ = ScheduledCircuit(encoded.num_qubits)
     circ.meta["kind"] = f"transversal-{gate}"
     pi, pj = patches[i], patches[j]
     for coord in pi.data_coords:
         _, layer = pi.loop_of(coord)
-        qi = offsets[i] + pi.index[coord]
-        qj = offsets[j] + pj.index[coord]
+        qi = encoded.offsets[i] + pi.index[coord]
+        qj = encoded.offsets[j] + pj.index[coord]
         circ.add(layer, gate, (qi, qj))
     return circ
 

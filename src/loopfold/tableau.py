@@ -208,9 +208,6 @@ class StabilizerState:
     def stabilizer_generators(self) -> list[PauliString]:
         return [self._row_pauli(i) for i in range(self.n, 2 * self.n)]
 
-    def destabilizer_generators(self) -> list[PauliString]:
-        return [self._row_pauli(i) for i in range(self.n)]
-
     def expectation_sign(self, pauli: PauliString) -> Optional[int]:
         """+1/-1 if `pauli` is (up to sign) in the stabilizer group, else None."""
         st = self.copy()
@@ -314,10 +311,6 @@ class DenseState:
         sl[t] = 1
         v[tuple(sl)] *= -1
         self.vec = v.reshape(-1)
-
-    def apply_pauli(self, pauli: PauliString) -> "DenseState":
-        self.vec = _apply_pauli_dense(self.vec, pauli, self.n)
-        return self
 
     def measure(
         self,
@@ -426,8 +419,3 @@ def _hermitian_sign(pauli: PauliString) -> int:
 
 def _inverse_gate(gate: str) -> str:
     return {"S": "SDG", "SDG": "S"}.get(gate, gate)
-
-
-def apply_gate(state, gate: str, targets: Sequence[int]):
-    """Module-level dispatcher; works on either engine."""
-    return state.apply_gate(gate, targets)

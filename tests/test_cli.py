@@ -64,6 +64,41 @@ def test_worst_case_argument_errors(argv, capsys, monkeypatch):
     assert err.startswith("argument error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("table1", "--d", "4"),
+    ("table1", "--d", "-3"),
+    ("factory", "--variant", "folded", "--d", "4"),
+    ("factory", "--variant", "folded", "--d", "1"),
+    ("gate-times", "--d", "2"),
+    ("cycle-time", "--n", "-3"),
+    ("simulate", "--d", "4"),
+    ("simulate", "--protocol", "pipeline", "--rounds", "0"),
+    ("simulate", "--protocol", "rearrange", "--n", "1"),
+    ("layout", "--plan", "--max-swaps", "9"),
+    ("layout", "--fixture", "fig10a", "--plan", "--max-swaps", "-1"),
+])
+def test_argument_errors_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == ""
+    assert "error: argument --" in err
+
+
+@pytest.mark.parametrize("line", [
+    "slack_us = -1",
+    "meas_devices = 0",
+    "meas_devices = 2.5",
+    "t_int_ns = -5",
+])
+def test_config_value_errors_exit_4(line, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("config error: ")
+
+
 def test_factory_report(capsys):
     code, out, _ = run_cli("factory", "--variant", "folded", capsys=capsys)
     assert code == 0

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from loopfold.circuits import run_on_state
+from loopfold.circuits import ScheduledCircuit, run_on_state
 from loopfold.logical import (CodespaceViolationError, encode_stack, logical_action,
                               prepare_logical_state)
 from loopfold.patches import (build_patch, embed_stack, first_half_circuit,
@@ -153,6 +153,60 @@ def test_s_teleport_logical_composition():
                 st.apply_gate("Z", (q,))
         found = _find_image(st, stack)
         assert want in found
+
+
+def _then_logical_pauli(circ, patches, idx, kind):
+    """The circuit followed, in the next slot, by physical `kind` on the
+    support of patch idx's logical `kind`."""
+    out = circ.extended(ScheduledCircuit(circ.num_qubits), slot_offset=0)
+    slot = max(circ.slots()) + 1
+    for q in encode_stack(patches).logical_pauli(idx, kind).support():
+        out.add(slot, kind, (q,))
+    return out
+
+
+@pytest.mark.parametrize("gate,idx,kind,name,images,frame", [
+    ("S", 0, "X", "X*SDG", {"X": ("Y", -1), "Z": ("Z", -1)}, "sign flips on X,Z"),
+    ("S", 0, "Z", "SDG", {"X": ("Y", -1), "Z": ("Z", 1)}, "sign flips on X"),
+    ("H", 0, "X", "X*H", {"X": ("Z", -1), "Z": ("X", 1)}, "sign flips on X"),
+    ("H", 0, "Z", "Z*H", {"X": ("Z", 1), "Z": ("X", -1)}, "sign flips on Z"),
+    ("CNOT", 1, "X", "CNOT+frame",
+     {"Z0": ("ZI", 1), "Z1": ("ZZ", -1), "X0": ("XX", 1), "X1": ("IX", 1)}, "sign flips on Z1"),
+    ("CNOT", 0, "Z", "CNOT+frame",
+     {"Z0": ("ZI", 1), "Z1": ("ZZ", 1), "X0": ("XX", -1), "X1": ("IX", 1)}, "sign flips on X0"),
+    ("SWAP", 1, "X", "SWAP+frame",
+     {"Z0": ("IZ", -1), "Z1": ("ZI", 1), "X0": ("IX", 1), "X1": ("XI", 1)}, "sign flips on Z0"),
+    ("SWAP", 0, "Z", "SWAP+frame",
+     {"Z0": ("IZ", 1), "Z1": ("ZI", 1), "X0": ("IX", 1), "X1": ("XI", -1)}, "sign flips on X1"),
+])
+def test_pauli_frame_after_protocol(gate, idx, kind, name, images, frame):
+    if gate in ("S", "H"):
+        p = build_patch(3, "folded")
+        patches = [p]
+        circ = (transversal_s_circuit if gate == "S" else transversal_h_circuit)(p)
+    else:
+        patches = [build_patch(3, "folded"), build_patch(3, "folded")]
+        circ = transversal_two_qubit(embed_stack(patches), 0, 1, gate, patches)
+    act = logical_action(_then_logical_pauli(circ, patches, idx, kind), patches)
+    assert act.name == name
+    assert act.images == images
+    assert act.frame == frame
+
+
+def test_logical_action_replays_the_circuit_once(monkeypatch):
+    replays = []
+
+    def counting_run(circuit, state, *args, **kwargs):
+        replays.append(circuit)
+        return run_on_state(circuit, state, *args, **kwargs)
+    monkeypatch.setattr("loopfold.logical.run_on_state", counting_run)
+    p = build_patch(3, "folded")
+    assert logical_action(transversal_s_circuit(p), p).name == "S"
+    assert len(replays) == 1
+    a, b = build_patch(3, "folded"), build_patch(3, "folded")
+    act = logical_action(transversal_two_qubit(embed_stack([a, b]), 0, 1, "SWAP", [a, b]), [a, b])
+    assert act.name == "SWAP"
+    assert len(replays) == 2
 
 
 def test_protocols_preserve_codespace_and_corrupted_circuit_fails():
