@@ -62,9 +62,11 @@ def load_config(path: str | None) -> TimingParams:
     for key in ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns", "t_int_ns"):
         if key in values and values[key] <= 0:
             raise ConfigError(f"{key} must be positive")
+    if values.get("slack_us", 0) < 0:
+        raise ConfigError("slack_us must be nonnegative")
     meas_devices = get("meas_devices", 3)
-    if meas_devices.denominator != 1:
-        raise ConfigError(f"meas_devices must be an integer, got {meas_devices}")
+    if meas_devices.denominator != 1 or meas_devices < 1:
+        raise ConfigError(f"meas_devices must be an integer >= 1, got {meas_devices}")
     try:
         return TimingParams(
             t_loop=get("t_loop_ns", 400),
@@ -126,11 +128,13 @@ def cmd_verify(args, params) -> int:
             checks += verify_two_qubit(d, "SWAP")
     if args.gate == "all":
         checks += verify_s_teleport()
-    for c in checks:
-        print(c)
-    ok = all(c.passed for c in checks)
-    print(f"{sum(c.passed for c in checks)}/{len(checks)} checks passed")
-    return 0 if ok else 1
+    passed = sum(c.passed for c in checks)
+    doc = {"checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
+                      for c in checks],
+           "passed": passed, "total": len(checks)}
+    human = "".join(f"{c}\n" for c in checks) + f"{passed}/{len(checks)} checks passed\n"
+    _emit(doc, args.json, human)
+    return 0 if passed == len(checks) else 1
 
 
 def cmd_cycle_time(args, params) -> int:
@@ -172,9 +176,16 @@ def cmd_gate_times(args, params) -> int:
     return 0
 
 
+# simulate options and the protocols that read them
+_SIMULATE_OPTIONS = {"n": ("rearrange", "pipeline"), "d": ("cycle",), "rounds": ("pipeline",)}
+
+
 def cmd_simulate(args, params) -> int:
+    for option, readers in _SIMULATE_OPTIONS.items():
+        if getattr(args, option) is not None and args.protocol not in readers:
+            return _argument_error(f"--{option} does not apply to --protocol {args.protocol}")
     if args.protocol == "cycle":
-        patch = build_patch(args.d, "folded")
+        patch = build_patch(args.d or 3, "folded")
         sched = simulate_cycle(embed_stack([patch]), params)
     elif args.protocol == "swap":
         loop = LoopState({0: Fraction(1, 4), 1: Fraction(3, 4)})
@@ -186,7 +197,7 @@ def cmd_simulate(args, params) -> int:
         sched = rearrange(loop, target, params)
     elif args.protocol == "pipeline":
         n = args.n or 16
-        avgs = pipeline_model(n, params, args.rounds)
+        avgs = pipeline_model(n, params, args.rounds or 50)
         human = "".join(f"round {i+1:3d}  avg cycle {float(a):10.3f} ns  ({a})\n"
                         for i, a in enumerate(avgs))
         doc = {"protocol": "pipeline", "n": n,
@@ -285,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="protocol logical-action checks")
-    p.add_argument("--d", type=int, choices=(3, 5))
+    p.add_argument("--d", type=DISTANCE, help="code distance (default: 3 and 5)")
     p.add_argument("--gate", default="all", choices=("S", "H", "CNOT", "all"))
     p.set_defaults(func=cmd_verify)
 
@@ -300,10 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="emit a timed event trace")
     p.add_argument("--protocol", default="cycle",
                    choices=("cycle", "swap", "rearrange", "pipeline"))
-    p.add_argument("--d", type=DISTANCE, default=3)
+    p.add_argument("--d", type=DISTANCE, help="code distance for cycle (default 3)")
     p.add_argument("--n", type=_integer(2),
                    help="tokens (default 8 for rearrange, 16 for pipeline)")
-    p.add_argument("--rounds", type=_integer(1), default=50)
+    p.add_argument("--rounds", type=_integer(1), help="rounds for pipeline (default 50)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("worst-case", help="exhaustive worst-case search")

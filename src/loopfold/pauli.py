@@ -66,57 +66,6 @@ class PauliString:
         phase = self.phase + other.phase + 2 * int(np.sum(self.z & other.x))
         return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase % 4)
 
-    def conjugate_by_gate(self, gate: str, targets: Sequence[int]) -> None:
-        """In-place image U P U^dagger for a Clifford gate U.
-
-        Supported: H, S, SDG, X, Y, Z, CNOT, CZ, SWAP.
-        """
-        g = gate.upper()
-        if g == "H":
-            (q,) = targets
-            xq, zq = int(self.x[q]), int(self.z[q])
-            # X->Z, Z->X, Y->-Y
-            if xq and zq:
-                self.phase = (self.phase + 2) % 4
-            self.x[q], self.z[q] = zq, xq
-        elif g in ("S", "SDG"):
-            (q,) = targets
-            if self.x[q]:
-                # S: X -> i XZ ; SDG: X -> -i XZ (phase is explicit here,
-                # unlike the Aaronson-Gottesman encoding where Y hides an i).
-                self.phase = (self.phase + (1 if g == "S" else 3)) % 4
-                self.z[q] ^= 1
-        elif g == "X":
-            (q,) = targets
-            if self.z[q]:
-                self.phase = (self.phase + 2) % 4
-        elif g == "Z":
-            (q,) = targets
-            if self.x[q]:
-                self.phase = (self.phase + 2) % 4
-        elif g == "Y":
-            (q,) = targets
-            if self.x[q] ^ self.z[q]:
-                self.phase = (self.phase + 2) % 4
-        elif g == "CNOT":
-            # X_c -> X_c X_t, Z_t -> Z_c Z_t; phase-free in the explicit-i
-            # convention (the image needs no canonical reordering).
-            c, t = targets
-            self.x[t] ^= self.x[c]
-            self.z[c] ^= self.z[t]
-        elif g == "CZ":
-            c, t = targets
-            if self.x[c] and self.x[t]:
-                self.phase = (self.phase + 2) % 4
-            self.z[t] ^= self.x[c]
-            self.z[c] ^= self.x[t]
-        elif g == "SWAP":
-            a, b = targets
-            self.x[a], self.x[b] = self.x[b], self.x[a]
-            self.z[a], self.z[b] = self.z[b], self.z[a]
-        else:
-            raise ValueError(f"cannot conjugate through gate {gate!r}")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PauliString)

@@ -2,6 +2,8 @@
 
 The tableau follows the Aaronson-Gottesman layout: 2n rows of (x | z) bits
 with a sign bit per row, rows 0..n-1 destabilizers, rows n..2n-1 stabilizers.
+Any Hermitian Pauli is measured directly on the rows, with the row phases
+taken in the explicit-i convention of `PauliString`.
 The dense engine is the independent brute-force reference used to certify
 protocol claims on small instances; it supports the non-Clifford T gate.
 """
@@ -32,33 +34,9 @@ class StabilizerState:
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         n = self.n = num_qubits
-        self.x = np.zeros((2 * n, n), dtype=np.uint8)
-        self.z = np.zeros((2 * n, n), dtype=np.uint8)
+        self.x = np.eye(2 * n, n, dtype=np.uint8)          # destabilizer X_i
+        self.z = np.eye(2 * n, n, k=-n, dtype=np.uint8)    # stabilizer Z_i
         self.r = np.zeros(2 * n, dtype=np.uint8)  # sign bit: 0 -> +, 1 -> -
-        for i in range(n):
-            self.x[i, i] = 1          # destabilizer X_i
-            self.z[n + i, i] = 1      # stabilizer Z_i
-
-    # -- row helpers ---------------------------------------------------------
-
-    def _g(self, x1, z1, x2, z2):
-        # exponent of i when multiplying single-qubit Paulis (AG convention)
-        if x1 == 0 and z1 == 0:
-            return 0
-        if x1 == 1 and z1 == 1:
-            return int(z2) - int(x2)
-        if x1 == 1 and z1 == 0:
-            return int(z2) * (2 * int(x2) - 1)
-        return int(x2) * (1 - 2 * int(z2))
-
-    def _rowsum(self, h: int, i: int) -> None:
-        """Row h := row i * row h with AG phase bookkeeping."""
-        two_r = 2 * int(self.r[h]) + 2 * int(self.r[i])
-        for j in range(self.n):
-            two_r += self._g(self.x[i, j], self.z[i, j], self.x[h, j], self.z[h, j])
-        self.r[h] = (two_r % 4) // 2
-        self.x[h] ^= self.x[i]
-        self.z[h] ^= self.z[i]
 
     # -- gates ----------------------------------------------------------------
 
@@ -119,65 +97,11 @@ class StabilizerState:
         rng: Optional[np.random.Generator] = None,
         force: Optional[int] = None,
     ) -> tuple[int, bool]:
-        """Measure a qubit in the Z or Y basis.
-
-        Returns (outcome, deterministic).  Y measurement is conjugation by
-        S-dagger, a Z measurement, and the inverse conjugation.  `force`
-        selects the branch of a random outcome (used for projective state
-        preparation); it must not disagree with a deterministic outcome.
-        """
+        """Measure a qubit in the Z or Y basis; see `measure_pauli`."""
         b = basis.upper()
-        if b == "Y":
-            # H * SDG maps Y to Z; measure, then undo
-            self.apply_gate("SDG", (qubit,))
-            self.apply_gate("H", (qubit,))
-            out = self.measure(qubit, "Z", rng, force)
-            self.apply_gate("H", (qubit,))
-            self.apply_gate("S", (qubit,))
-            return out
-        if b != "Z":
+        if b not in ("Z", "Y"):
             raise ValueError(f"unsupported measurement basis {basis!r}")
-        n = self.n
-        p = None
-        for i in range(n, 2 * n):
-            if self.x[i, qubit]:
-                p = i
-                break
-        if p is not None:
-            # random outcome
-            if force is not None:
-                outcome = int(force)
-            elif rng is not None:
-                outcome = int(rng.integers(2))
-            else:
-                raise ValueError("random measurement needs an rng or forced branch")
-            for i in range(2 * n):
-                if i != p and self.x[i, qubit]:
-                    self._rowsum(i, p)
-            self.x[p - n] = self.x[p]
-            self.z[p - n] = self.z[p]
-            self.r[p - n] = self.r[p]
-            self.x[p] = 0
-            self.z[p] = 0
-            self.r[p] = outcome
-            self.z[p, qubit] = 1
-            return outcome, False
-        # deterministic: accumulate into scratch row
-        sx = np.zeros(n, dtype=np.uint8)
-        sz = np.zeros(n, dtype=np.uint8)
-        two_r = 0
-        for i in range(n):
-            if self.x[i, qubit]:
-                j = i + n
-                two_r += 2 * int(self.r[j])
-                for q in range(n):
-                    two_r += self._g(self.x[j, q], self.z[j, q], sx[q], sz[q])
-                sx ^= self.x[j]
-                sz ^= self.z[j]
-        outcome = (two_r % 4) // 2
-        if force is not None and int(force) != outcome:
-            raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
-        return outcome, True
+        return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), rng, force)
 
     def measure_pauli(
         self,
@@ -185,39 +109,90 @@ class StabilizerState:
         rng: Optional[np.random.Generator] = None,
         force: Optional[int] = None,
     ) -> tuple[int, bool]:
-        """Measure an arbitrary Hermitian Pauli by basis change onto an anchor qubit."""
-        circ, anchor = _pauli_basis_change(pauli)
-        sign_pre = _hermitian_sign(pauli)
-        for gate, tgts in circ:
-            self.apply_gate(gate, tgts)
-        out, det = self.measure(anchor, "Z", rng, force if sign_pre == 1 or force is None else force ^ 1)
-        for gate, tgts in reversed(circ):
-            self.apply_gate(_inverse_gate(gate), tgts)
-        if sign_pre == -1:
-            out ^= 1
-        return out, det
+        """Measure a Hermitian Pauli P directly on the rows (Aaronson-Gottesman).
+
+        Returns (outcome, deterministic); outcome 0 is the +1 eigenvalue of P.
+        `force` selects the branch of a random outcome (used for projective
+        state preparation); it must not disagree with a deterministic outcome.
+        """
+        n = self.n
+        anti, sign = self._anticommuting(pauli)
+        stab = np.flatnonzero(anti[n:])
+        if stab.size == 0:
+            outcome = self._product_sign(anti[:n], pauli)
+            if force is not None and int(force) != outcome:
+                raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
+            return outcome, True
+        if force is not None:
+            outcome = int(force)
+        elif rng is not None:
+            outcome = int(rng.integers(2))
+        else:
+            raise ValueError("random measurement needs an rng or forced branch")
+        # multiply the first anticommuting stabilizer p into every other
+        # anticommuting row: in the explicit-i convention P_p * P_h has phase
+        # phase(p) + phase(h) + 2 z_p.x_h
+        p = n + stab[0]
+        rows = np.flatnonzero(anti)
+        rows = rows[rows != p]
+        x, z = self.x[rows], self.z[rows]
+        xp, zp = self.x[p], self.z[p]
+        phase = _phase(x, z, self.r[rows]) + _phase(xp, zp, self.r[p]) + 2 * (x @ zp)
+        x ^= xp
+        z ^= zp
+        self.x[rows], self.z[rows] = x, z
+        self.r[rows] = ((phase - _phase(x, z, 0)) & 3) >> 1
+        # row p becomes its own destabilizer and is replaced by +-P
+        for a in (self.x, self.z, self.r):
+            a[p - n] = a[p]
+        self.x[p], self.z[p], self.r[p] = pauli.x, pauli.z, outcome ^ sign
+        return outcome, False
+
+    def _anticommuting(self, pauli: PauliString) -> tuple[np.ndarray, int]:
+        """Which of the 2n rows anticommute with `pauli`, and its sign bit."""
+        support = np.flatnonzero(pauli.x | pauli.z)
+        if support.size == 0:
+            raise ValueError("cannot measure the identity")
+        sign = _sign_bit(pauli)
+        # uint8 products wrap mod 256, which keeps their parity
+        anti = (self.x[:, support] @ pauli.z[support]
+                + self.z[:, support] @ pauli.x[support]) & 1
+        return anti.astype(bool), sign
+
+    def _product_sign(self, destabilizers: np.ndarray, pauli: PauliString) -> int:
+        """Sign bit of +-P = product of the stabilizers paired with the marked destabilizers.
+
+        In row order, moving each row's X part left past the Z parts of the
+        earlier rows costs (-1)^(sum over a < b of z_a.x_b).
+        """
+        rows = self.n + np.flatnonzero(destabilizers)
+        x, z = self.x[rows], self.z[rows]
+        earlier_z = (np.cumsum(z, axis=0, dtype=np.uint8) - z) & 1
+        phase = int(np.sum(_phase(x, z, self.r[rows]))) + 2 * np.count_nonzero(x & earlier_z)
+        return (int(phase - pauli.phase) & 3) >> 1
 
     # -- inspection -------------------------------------------------------------
 
     def _row_pauli(self, i: int) -> PauliString:
-        # AG rows carry an implicit i per Y site; PauliString phases are explicit
-        y_count = int(np.sum(self.x[i] & self.z[i]))
-        phase = (2 * int(self.r[i]) + y_count) % 4
+        phase = int(_phase(self.x[i], self.z[i], self.r[i]))
         return PauliString(self.n, self.x[i].copy(), self.z[i].copy(), phase)
 
     def stabilizer_generators(self) -> list[PauliString]:
         return [self._row_pauli(i) for i in range(self.n, 2 * self.n)]
 
     def expectation_sign(self, pauli: PauliString) -> Optional[int]:
-        """+1/-1 if `pauli` is (up to sign) in the stabilizer group, else None."""
-        st = self.copy()
+        """+1/-1 if `pauli` is (up to sign) in the stabilizer group, else None.
+
+        Reads the tableau without changing it; the identity and non-Hermitian
+        Paulis give None.
+        """
         try:
-            out, det = st.measure_pauli(pauli, rng=None, force=None)
+            anti, _ = self._anticommuting(pauli)
         except ValueError:
             return None
-        if not det:
+        if anti[self.n:].any():
             return None
-        return 1 if out == 0 else -1
+        return 1 - 2 * self._product_sign(anti[:self.n], pauli)
 
     def copy(self) -> "StabilizerState":
         st = StabilizerState.__new__(StabilizerState)
@@ -387,35 +362,14 @@ def _apply_pauli_dense(vec: np.ndarray, pauli: PauliString, n: int) -> np.ndarra
     return (phase * out).reshape(-1)
 
 
-def _pauli_basis_change(pauli: PauliString) -> tuple[list[tuple[str, tuple[int, ...]]], int]:
-    """Clifford circuit C with C P C^dag = Z_anchor (phase ignored)."""
-    support = pauli.support()
-    if not support:
-        raise ValueError("cannot measure the identity")
-    circ: list[tuple[str, tuple[int, ...]]] = []
-    for q in support:
-        xq, zq = int(pauli.x[q]), int(pauli.z[q])
-        if xq and zq:      # Y -> Z
-            circ.append(("SDG", (q,)))
-            circ.append(("H", (q,)))
-        elif xq:           # X -> Z
-            circ.append(("H", (q,)))
-    anchor = support[0]
-    for q in support[1:]:
-        circ.append(("CNOT", (q, anchor)))
-    return circ, anchor
+def _phase(x: np.ndarray, z: np.ndarray, r) -> np.ndarray:
+    """Explicit-i phase exponent (mod 4) of AG rows: 2r plus one i per Y site."""
+    return (2 * r + np.count_nonzero(x & z, axis=-1)) & 3
 
 
-def _hermitian_sign(pauli: PauliString) -> int:
-    """Sign of a Hermitian Pauli relative to its letterwise I/X/Y/Z form."""
-    y_count = int(np.sum(pauli.x & pauli.z))
-    k = (pauli.phase - y_count) % 4
-    if k == 0:
-        return 1
-    if k == 2:
-        return -1
-    raise ValueError("Pauli is not Hermitian")
-
-
-def _inverse_gate(gate: str) -> str:
-    return {"S": "SDG", "SDG": "S"}.get(gate, gate)
+def _sign_bit(pauli: PauliString) -> int:
+    """Sign bit of a Hermitian Pauli relative to its letterwise I/X/Y/Z form."""
+    k = (pauli.phase - int(np.count_nonzero(pauli.x & pauli.z))) % 4
+    if k % 2:
+        raise ValueError("Pauli is not Hermitian")
+    return k >> 1

@@ -97,6 +97,7 @@ def test_config_value_errors_exit_4(line, tmp_path, capsys):
     code, out, err = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
     assert code == 4 and out == ""
     assert err.startswith("config error: ")
+    assert line.split("=")[0].strip() in err   # the key the config names
 
 
 def test_factory_report(capsys):
@@ -193,3 +194,34 @@ def test_verify_subcommand_small(capsys):
     code, out, _ = run_cli("verify", "--d", "3", "--gate", "S", capsys=capsys)
     assert code == 0
     assert "PASS" in out and "FAIL" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--protocol", "cycle", "--n", "4"),
+    ("--protocol", "swap", "--n", "5"),
+    ("--protocol", "pipeline", "--d", "5"),
+    ("--protocol", "rearrange", "--rounds", "7"),
+])
+def test_simulate_rejects_options_its_protocol_ignores(argv, capsys):
+    code, out, err = run_cli("simulate", *argv, capsys=capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("argument error: ") and err.count("\n") == 1
+
+
+def test_verify_json(capsys):
+    code, out, _ = run_cli("--json", "verify", "--gate", "S", "--d", "3", capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] == doc["total"] == len(doc["checks"]) == 3
+    assert doc["checks"][0] == {"name": "transversal-S d=3 tableau", "passed": True,
+                                "detail": "logical action = S"}
+
+
+def test_verify_takes_an_odd_distance_above_5(capsys):
+    code, out, _ = run_cli("verify", "--gate", "S", "--d", "7", capsys=capsys)
+    assert code == 0 and "2/2 checks passed" in out
+
+
+def test_verify_even_distance_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--d", "4"])
+    assert exc.value.code == 2 and capsys.readouterr().out == ""

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.circuits import ScheduledCircuit, run_on_state
 from loopfold.pauli import PauliString, gf2_rank
-from loopfold.tableau import DenseState, StabilizerState, UnsupportedGateError
+from loopfold.tableau import (DenseState, ImpossibleOutcomeError, StabilizerState,
+                              UnsupportedGateError, _apply_pauli_dense)
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 GATES_2Q = ["CNOT", "CZ", "SWAP"]
@@ -90,9 +91,67 @@ def test_h_involution_and_s_definition():
 
 def test_cnot_conjugates_x_to_xx():
     tab = StabilizerState(2)
-    p = PauliString.from_label("X", 2, [0])
-    p.conjugate_by_gate("CNOT", (0, 1))
-    assert repr(p) == "+XX"
+    tab.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1))   # CNOT |+0>
+    assert tab.expectation_sign(PauliString.from_label("XX", 2, [0, 1])) == 1
+
+
+@st.composite
+def paulis_after_circuits(draw):
+    """A random Clifford circuit and a random signed Hermitian Pauli on 2-6 qubits."""
+    n, depth, seed = draw(circuits())
+    x = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    z = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if not any(x) and not any(z):
+        z[0] = 1
+    minus = draw(st.integers(0, 1))
+    branch = draw(st.integers(0, 1))
+    phase = sum(a & b for a, b in zip(x, z)) + 2 * minus   # one i per Y, then the sign
+    in_group = draw(st.booleans())    # if set, P is rebuilt from the state's stabilizers
+    return n, depth, seed, PauliString(n, x, z, phase), branch, in_group
+
+
+@given(paulis_after_circuits())
+@settings(max_examples=80, deadline=None)
+def test_measure_pauli_agrees_with_dense_projector(params):
+    n, depth, seed, pauli, branch, in_group = params
+    rng = np.random.default_rng(seed)
+    tab = StabilizerState(n)
+    den = DenseState(n)
+    for g, tg in random_circuit(rng, n, depth):
+        tab.apply_gate(g, tg)
+        den.apply_gate(g, tg)
+        if rng.random() < 0.2:   # mid-circuit Z measurements mix the tableau rows
+            q = int(rng.integers(n))
+            den.measure(q, "Z", force=tab.measure(q, "Z", rng=rng)[0])
+    if in_group:   # a signed product of the stabilizers picked by pauli.z, never I
+        gens = tab.stabilizer_generators()
+        picked = [g for g, bit in zip(gens, pauli.z) if bit] or gens[:1]
+        product = PauliString(n, phase=2 * branch)
+        for g in picked:
+            product = product * g
+        pauli = product
+    pv = _apply_pauli_dense(den.vec, pauli, n)
+    projected = [(den.vec + pv) / 2, (den.vec - pv) / 2]    # (I + P)/2, (I - P)/2
+    probs = [float(np.vdot(v, v).real) for v in projected]
+    deterministic = min(probs) < 1e-9
+    outcome = int(probs[1] > probs[0]) if deterministic else branch
+    if deterministic and branch != outcome:
+        with pytest.raises(ImpossibleOutcomeError):
+            tab.measure_pauli(pauli, force=branch)
+    assert tab.measure_pauli(pauli, force=outcome) == (outcome, deterministic)
+    want = DenseState(n)
+    want.vec = projected[outcome] / np.sqrt(probs[outcome])
+    assert abs(tab.to_dense().fidelity(want) - 1) < 1e-9
+
+
+def test_expectation_sign_leaves_the_tableau_unchanged():
+    tab = StabilizerState(3)
+    tab.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("S", (2,))
+    before = (tab.x.copy(), tab.z.copy(), tab.r.copy())
+    cases = [("XXI", 1), ("YXI", None), ("III", None)]   # deterministic, random, identity
+    for label, sign in cases:
+        assert tab.expectation_sign(PauliString.from_label(label, 3, [0, 1, 2])) == sign
+        assert all(np.array_equal(a, b) for a, b in zip((tab.x, tab.z, tab.r), before))
 
 
 def test_t_gate_rejected_on_tableau_supported_on_dense():
