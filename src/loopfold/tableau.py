@@ -150,6 +150,8 @@ class StabilizerState:
 
     def _anticommuting(self, pauli: PauliString) -> tuple[np.ndarray, int]:
         """Which of the 2n rows anticommute with `pauli`, and its sign bit."""
+        if pauli.n != self.n:
+            raise ValueError(f"{pauli.n}-qubit Pauli on a {self.n}-qubit state")
         support = np.flatnonzero(pauli.x | pauli.z)
         if support.size == 0:
             raise ValueError("cannot measure the identity")

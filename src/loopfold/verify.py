@@ -32,6 +32,9 @@ class CheckResult:
     passed: bool
     detail: str
 
+    def __post_init__(self) -> None:
+        self.passed = bool(self.passed)   # fidelity comparisons give numpy.bool_
+
     def __str__(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"[{mark}] {self.name}: {self.detail}"

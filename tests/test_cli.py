@@ -216,6 +216,15 @@ def test_verify_json(capsys):
                                 "detail": "logical action = S"}
 
 
+def test_verify_json_all_gates(capsys):
+    # the dense-oracle and s-teleport checks compare numpy floats
+    code, out, _ = run_cli("--json", "verify", "--d", "3", capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] == doc["total"] == len(doc["checks"]) == 11
+    assert all(c["passed"] is True for c in doc["checks"])
+    assert doc["checks"][-1]["name"] == "s-teleport i_state dense"
+
+
 def test_verify_takes_an_odd_distance_above_5(capsys):
     code, out, _ = run_cli("verify", "--gate", "S", "--d", "7", capsys=capsys)
     assert code == 0 and "2/2 checks passed" in out

@@ -126,7 +126,8 @@ def test_measure_pauli_agrees_with_dense_projector(params):
     if in_group:   # a signed product of the stabilizers picked by pauli.z, never I
         gens = tab.stabilizer_generators()
         picked = [g for g, bit in zip(gens, pauli.z) if bit] or gens[:1]
-        product = PauliString(n, phase=2 * branch)
+        # outcome 1 - branch, so forcing `branch` must raise below
+        product = PauliString(n, phase=2 * (1 - branch))
         for g in picked:
             product = product * g
         pauli = product
@@ -152,6 +153,18 @@ def test_expectation_sign_leaves_the_tableau_unchanged():
     for label, sign in cases:
         assert tab.expectation_sign(PauliString.from_label(label, 3, [0, 1, 2])) == sign
         assert all(np.array_equal(a, b) for a, b in zip((tab.x, tab.z, tab.r), before))
+
+
+def test_pauli_of_another_width_rejected_before_the_tableau_changes():
+    tab = StabilizerState(3)
+    tab.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1))
+    before = (tab.x.copy(), tab.z.copy(), tab.r.copy())
+    assert tab.expectation_sign(PauliString.from_label("ZZZZ", 4, [0, 1, 2, 3])) is None
+    for pauli in (PauliString.from_label("ZZZZ", 4, [0, 1, 2, 3]),
+                  PauliString.from_label("X", 2, [0])):   # random outcome
+        with pytest.raises(ValueError):
+            tab.measure_pauli(pauli, force=1)
+    assert all(np.array_equal(a, b) for a, b in zip((tab.x, tab.z, tab.r), before))
 
 
 def test_t_gate_rejected_on_tableau_supported_on_dense():
