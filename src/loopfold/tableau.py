@@ -6,6 +6,10 @@ Any Hermitian Pauli is measured directly on the rows, with the row phases
 taken in the explicit-i convention of `PauliString`.
 The dense engine is the independent brute-force reference used to certify
 protocol claims on small instances; it supports the non-Clifford T gate.
+Its gates update the amplitude vector in place on the halves (or, for a
+pair, the quarter-blocks) that a qubit's bit splits it into, and a Z or Y
+measurement projects with (I +- P)/2 on those halves directly.  Both engines
+validate gate and measurement targets through one shared check.
 """
 
 from __future__ import annotations
@@ -46,11 +50,7 @@ class StabilizerState:
             raise UnsupportedGateError("T gate is not Clifford; use DenseState")
         if g not in CLIFFORD_GATES:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
-        if len(set(targets)) != len(targets):
-            raise ValueError("duplicate targets")
-        for q in targets:
-            if not 0 <= q < self.n:
-                raise ValueError(f"target {q} out of range")
+        _check_targets(self.n, targets, _ARITY[g])
         if g == "H":
             (q,) = targets
             self.r ^= self.x[:, q] & self.z[:, q]
@@ -98,9 +98,8 @@ class StabilizerState:
         force: Optional[int] = None,
     ) -> tuple[int, bool]:
         """Measure a qubit in the Z or Y basis; see `measure_pauli`."""
-        b = basis.upper()
-        if b not in ("Z", "Y"):
-            raise ValueError(f"unsupported measurement basis {basis!r}")
+        b = _check_basis(basis)
+        _check_targets(self.n, (qubit,))
         return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), rng, force)
 
     def measure_pauli(
@@ -226,68 +225,96 @@ class StabilizerState:
 
 
 class DenseState:
-    """Dense statevector on <= 20 qubits; the brute-force oracle engine."""
+    """Dense statevector on <= 20 qubits; the brute-force oracle engine.
+
+    Qubit 0 is the most significant bit of the amplitude index, so bitstrings
+    read left to right.  Every gate updates `vec` in place: a one-qubit gate
+    acts on the two halves `vec.reshape(1 << q, 2, -1)[:, 0]` and `[:, 1]`
+    of its qubit, a two-qubit gate on quarter-blocks of its pair.  `vec` is
+    always a contiguous complex array of 2^n amplitudes; assigning it copies
+    only when the value is not one already.
+    """
+
+    # diagonal gates scale the 1-half
+    _PHASES = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4)}
+    # X, Y: the new 0-half is the first phase times the old 1-half, and the
+    # new 1-half the second phase times the old 0-half
+    _EXCHANGES = {"X": (1.0, 1.0), "Y": (-1j, 1j)}
 
     def __init__(self, num_qubits: int):
         if not 1 <= num_qubits <= 20:
             raise ValueError("DenseState supports 1..20 qubits")
         self.n = num_qubits
         self.vec = np.zeros(2**num_qubits, dtype=complex)
-        self.vec[0] = 1.0
+        self._vec[0] = 1.0
 
-    _GATES_1Q = {
-        "H": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
-        "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-        "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-        "T": np.array([[1, 0], [0, np.exp(1j * np.pi / 4)]], dtype=complex),
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-        "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    }
+    @property
+    def vec(self) -> np.ndarray:
+        return self._vec
+
+    @vec.setter
+    def vec(self, value) -> None:
+        value = np.ascontiguousarray(value, dtype=complex).reshape(-1)
+        if value.size != 1 << self.n:
+            raise ValueError(f"{value.size} amplitudes for {self.n} qubits")
+        self._vec = value
 
     def apply_gate(self, gate: str, targets: Sequence[int]) -> "DenseState":
         g = gate.upper()
-        if g in self._GATES_1Q:
-            (q,) = targets
-            self._apply_1q(self._GATES_1Q[g], q)
-        elif g == "CNOT":
-            c, t = targets
-            self._apply_cnot(c, t)
-        elif g == "CZ":
-            c, t = targets
-            self._apply_cz(c, t)
-        elif g == "SWAP":
-            a, b = targets
-            self._apply_cnot(a, b)
-            self._apply_cnot(b, a)
-            self._apply_cnot(a, b)
-        else:
+        if g not in _ARITY:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
+        _check_targets(self.n, targets, _ARITY[g])
+        if g in self._PHASES:
+            _, one = self._halves(targets[0])
+            one *= self._PHASES[g]
+        elif g in self._EXCHANGES:
+            to_zero, to_one = self._EXCHANGES[g]
+            zero, one = self._halves(targets[0])
+            old_zero = zero.copy()
+            np.multiply(one, to_zero, out=zero)
+            np.multiply(old_zero, to_one, out=one)
+        elif g == "H":
+            zero, one = self._halves(targets[0])
+            total = zero + one
+            np.subtract(zero, one, out=one)
+            zero[...] = total
+            self._vec *= _SQRT1_2
+        elif g == "CNOT":
+            _exchange(self._quarter(targets, 1, 0), self._quarter(targets, 1, 1))
+        elif g == "CZ":
+            both = self._quarter(targets, 1, 1)
+            both *= -1.0
+        else:   # SWAP
+            _exchange(self._quarter(targets, 0, 1), self._quarter(targets, 1, 0))
         return self
 
-    def _apply_1q(self, u: np.ndarray, q: int) -> None:
-        # qubit 0 is the most significant axis so bitstrings read left to right
-        v = self.vec.reshape([2] * self.n)
-        v = np.tensordot(u, v, axes=([1], [q]))
-        v = np.moveaxis(v, 0, q)
-        self.vec = np.ascontiguousarray(v).reshape(-1)
+    def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the amplitudes with qubit q at 0 and at 1."""
+        v = self._vec.reshape(1 << q, 2, -1)
+        return v[:, 0], v[:, 1]
 
-    def _apply_cnot(self, c: int, t: int) -> None:
-        v = self.vec.reshape([2] * self.n)
-        sl1 = [slice(None)] * self.n
-        sl1[c] = 1
-        block = v[tuple(sl1)]
-        t_after = t if t < c else t - 1
-        v[tuple(sl1)] = np.flip(block, axis=t_after).copy()
-        self.vec = v.reshape(-1)
+    def _quarter(self, pair: Sequence[int], bit_a: int, bit_b: int) -> np.ndarray:
+        """View of the amplitudes with qubit pair[0] at bit_a and pair[1] at bit_b."""
+        a, b = pair
+        lo, hi = sorted(pair)
+        v = self._vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+        return v[:, bit_a, :, bit_b] if a < b else v[:, bit_b, :, bit_a]
 
-    def _apply_cz(self, c: int, t: int) -> None:
-        v = self.vec.reshape([2] * self.n)
-        sl = [slice(None)] * self.n
-        sl[c] = 1
-        sl[t] = 1
-        v[tuple(sl)] *= -1
-        self.vec = v.reshape(-1)
+    def _branch(self, qubit: int, basis: str, outcome: int) -> tuple[float, np.ndarray]:
+        """Probability of a measurement branch and its amplitudes c.
+
+        Z: c is the outcome's half (a view).  Y: (I +- Y)/2 maps the halves
+        (a, b) to (c, +-i c)/sqrt(2) with c = (a -+ i b)/sqrt(2), a new array.
+        In both cases the branch probability is |c|^2.
+        """
+        zero, one = self._halves(qubit)
+        if basis == "Z":
+            c = one if outcome else zero
+        else:
+            c = one * (1j if outcome else -1j)
+            c += zero
+            c *= _SQRT1_2
+        return float(np.linalg.norm(c) ** 2), c
 
     def measure(
         self,
@@ -296,20 +323,14 @@ class DenseState:
         rng: Optional[np.random.Generator] = None,
         force: Optional[int] = None,
     ) -> tuple[int, bool]:
-        b = basis.upper()
-        if b == "Y":
-            self.apply_gate("SDG", (qubit,))
-            self.apply_gate("H", (qubit,))
-            out = self.measure(qubit, "Z", rng, force)
-            self.apply_gate("H", (qubit,))
-            self.apply_gate("S", (qubit,))
-            return out
-        if b != "Z":
-            raise ValueError(f"unsupported measurement basis {basis!r}")
-        v = self.vec.reshape([2] * self.n)
-        sl0 = [slice(None)] * self.n
-        sl0[qubit] = 0
-        p0 = float(np.sum(np.abs(v[tuple(sl0)]) ** 2))
+        """Project `qubit` onto a Z or Y eigenstate; (outcome, deterministic).
+
+        Outcome 0 is the +1 eigenvalue.  A forced branch of zero probability
+        raises `ImpossibleOutcomeError` before the state is written.
+        """
+        b = _check_basis(basis)
+        _check_targets(self.n, (qubit,))
+        p0, c = self._branch(qubit, b, 0)
         deterministic = p0 < 1e-12 or p0 > 1 - 1e-12
         if force is not None:
             outcome = int(force)
@@ -319,49 +340,80 @@ class DenseState:
             outcome = int(rng.random() >= p0)
         else:
             raise ValueError("random measurement needs an rng or forced branch")
-        prob = p0 if outcome == 0 else 1.0 - p0
+        prob = p0
+        if outcome:
+            prob, c = self._branch(qubit, b, 1)
         if prob < 1e-12:
             raise ImpossibleOutcomeError("forced branch has zero amplitude")
-        sl = [slice(None)] * self.n
-        sl[qubit] = 1 - outcome
-        v[tuple(sl)] = 0.0
-        self.vec = v.reshape(-1) / np.sqrt(prob)
+        zero, one = self._halves(qubit)
+        if b == "Z":
+            (zero if outcome else one)[...] = 0.0
+            c /= np.sqrt(prob)
+        else:
+            np.multiply(c, _SQRT1_2 / np.sqrt(prob), out=zero)
+            np.multiply(zero, -1j if outcome else 1j, out=one)
         return outcome, deterministic
 
-    def branch_probability(self, qubit: int, outcome: int) -> float:
-        v = self.vec.reshape([2] * self.n)
-        sl = [slice(None)] * self.n
-        sl[qubit] = outcome
-        return float(np.sum(np.abs(v[tuple(sl)]) ** 2))
+    def branch_probability(self, qubit: int, outcome: int, basis: str = "Z") -> float:
+        """Probability that measuring `qubit` in `basis` gives `outcome`."""
+        _check_targets(self.n, (qubit,))
+        return self._branch(qubit, _check_basis(basis), outcome)[0]
 
     def fidelity(self, other: "DenseState") -> float:
         """|<self|other>|^2 — global phase quotiented out."""
-        return float(np.abs(np.vdot(self.vec, other.vec)) ** 2)
+        return float(np.abs(np.vdot(self._vec, other.vec)) ** 2)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vec))
+        return float(np.linalg.norm(self._vec))
 
     def copy(self) -> "DenseState":
         d = DenseState.__new__(DenseState)
         d.n = self.n
-        d.vec = self.vec.copy()
+        d.vec = self._vec.copy()
         return d
 
 
+_SQRT1_2 = 1 / np.sqrt(2)
+_ARITY = {g: 2 if g in ("CNOT", "CZ", "SWAP") else 1 for g in CLIFFORD_GATES + ("T",)}
+
+
+def _check_targets(n: int, targets: Sequence[int], arity: int = 1) -> None:
+    """Raise ValueError unless `targets` are `arity` distinct qubits of range(n)."""
+    if len(targets) != arity:
+        raise ValueError(f"expected {arity} target(s), got {len(targets)}")
+    if len(set(targets)) != arity:
+        raise ValueError("duplicate targets")
+    for q in targets:
+        if not 0 <= q < n:
+            raise ValueError(f"target {q} out of range for {n} qubits")
+
+
+def _check_basis(basis: str) -> str:
+    b = basis.upper()
+    if b not in ("Z", "Y"):
+        raise ValueError(f"unsupported measurement basis {basis!r}")
+    return b
+
+
+def _exchange(a: np.ndarray, b: np.ndarray) -> None:
+    """Swap the contents of two equal-shaped views."""
+    old_a = a.copy()
+    a[...] = b
+    b[...] = old_a
+
+
 def _apply_pauli_dense(vec: np.ndarray, pauli: PauliString, n: int) -> np.ndarray:
-    out = vec.copy().reshape([2] * n)
-    phase = (1j) ** pauli.phase
-    for q in range(n):
-        xq, zq = int(pauli.x[q]), int(pauli.z[q])
-        if xq == 0 and zq == 0:
-            continue
-        sl1 = [slice(None)] * n
-        sl1[q] = 1
-        if zq:
-            out[tuple(sl1)] *= -1
-        if xq:
-            out = np.flip(out, axis=q)
-    return (phase * out).reshape(-1)
+    """P|vec> as a new array, for P = i^phase X^x Z^z (qubit 0 the top index bit).
+
+    (P vec)[j] = i^phase (-1)^popcount(src & zmask) vec[src], src = j ^ xmask.
+    """
+    place = 1 << np.arange(n - 1, -1, -1)
+    xmask, zmask = int(pauli.x @ place), int(pauli.z @ place)
+    src = np.arange(1 << n) ^ xmask
+    out = vec[src]
+    np.negative(out, out=out, where=(np.bitwise_count(src & zmask) & 1).astype(bool))
+    out *= 1j ** pauli.phase
+    return out
 
 
 def _phase(x: np.ndarray, z: np.ndarray, r) -> np.ndarray:

@@ -1,9 +1,11 @@
 """End-to-end protocol verification: tableau identification plus dense oracles.
 
-The dense route is the independent brute-force check used at d=3: encode an
-arbitrary logical state as explicit amplitudes, run the protocol circuit on
-the full data+ancilla register, and demand fidelity 1 with the expected
-encoded output.  The tableau route scales to d=5 and names the logical gate.
+The dense route is the independent brute-force check used at d=3: build
+|0>_L and |1>_L as explicit amplitudes once, encode an arbitrary logical
+state from them, run the protocol circuit in place on the full data+ancilla
+register, and demand fidelity 1 with the expected output encoded from the
+same basis.  The tableau route scales to any odd d and names the logical
+gate.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .protocols import (
     transversal_s_circuit,
     transversal_two_qubit,
 )
-from .tableau import DenseState
+from .tableau import DenseState, _apply_pauli_dense
 
 
 @dataclass
@@ -42,35 +44,28 @@ class CheckResult:
 
 # -- dense encoding -------------------------------------------------------------
 
-def _project_stabilizer(vec: np.ndarray, patch: PatchSpec, stab, n: int) -> np.ndarray:
-    from .tableau import _apply_pauli_dense
-
-    p = patch.stabilizer_pauli(stab)
-    return 0.5 * (vec + _apply_pauli_dense(vec, p, n))
-
-
-def encode_dense(patch: PatchSpec, alpha: complex, beta: complex) -> DenseState:
-    """Amplitude encoding of alpha|0>_L + beta|1>_L with ancillas in |0>.
+def _logical_basis(patch: PatchSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes of |0>_L and |1>_L on the data + ancilla register.
 
     Data qubits occupy the low indices (patch.index order), ancillas follow,
     all initialized |0>; X-type projectors build |0>_L, logical X gives |1>_L.
     """
-    from .tableau import _apply_pauli_dense
-
     n = patch.num_qubits
     if n > 20:
         raise ValueError("patch too large for dense encoding")
     vec = np.zeros(2**n, dtype=complex)
     vec[0] = 1.0
     for s in patch.x_stabilizers():
-        vec = _project_stabilizer(vec, patch, s, n)
+        vec = 0.5 * (vec + _apply_pauli_dense(vec, patch.stabilizer_pauli(s), n))
     vec /= np.linalg.norm(vec)
-    zero_l = vec
-    one_l = _apply_pauli_dense(zero_l, patch.logical_x_pauli(), n)
-    out = alpha * zero_l + beta * one_l
-    st = DenseState(n)
-    st.vec = out / np.linalg.norm(out)
-    return st
+    return vec, _apply_pauli_dense(vec, patch.logical_x_pauli(), n)
+
+
+def _encode(basis: tuple[np.ndarray, np.ndarray], alpha: complex, beta: complex) -> np.ndarray:
+    out = alpha * basis[0]
+    out += beta * basis[1]
+    out /= np.linalg.norm(out)
+    return out
 
 
 _LOGICAL_1Q = {
@@ -86,15 +81,17 @@ def dense_protocol_fidelity(patch: PatchSpec, circuit: ScheduledCircuit,
                             expected_gate: str, alpha: complex, beta: complex) -> float:
     """Fidelity of the protocol output with the expected encoded state.
 
-    Runs the full circuit (including ancilla measurements, all deterministic
-    on the codespace) and compares against encode(expected_gate |psi>).
+    Builds |0>_L and |1>_L once, encodes alpha|0>_L + beta|1>_L in one
+    `DenseState`, runs the full circuit on it (including ancilla
+    measurements, all deterministic on the codespace) and compares against
+    the encoding of expected_gate |psi> from the same basis.
     """
-    st = encode_dense(patch, alpha, beta)
+    basis = _logical_basis(patch)
+    st = DenseState(patch.num_qubits)
+    st.vec = _encode(basis, alpha, beta)
     run_on_state(circuit, st, rng=None)
-    u = _LOGICAL_1Q[expected_gate.upper()]
-    a2, b2 = u @ np.array([alpha, beta])
-    want = encode_dense(patch, a2, b2)
-    return st.fidelity(want)
+    a2, b2 = _LOGICAL_1Q[expected_gate.upper()] @ np.array([alpha, beta])
+    return float(np.abs(np.vdot(st.vec, _encode(basis, a2, b2))) ** 2)
 
 
 # -- the protocol checks --------------------------------------------------------

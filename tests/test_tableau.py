@@ -228,3 +228,120 @@ def test_conjunctive_condition_on_both_engines(engine, a, b):
     circ.add(3, "MEASURE", (2,), key="c")
     record = run_on_state(circ, engine(3), forced_outcomes={"a": a, "b": b})
     assert record == {"a": a, "b": b, "c": int(a == 1 and b == 0)}
+
+
+PAULI_2X2 = {
+    "I": np.eye(2, dtype=complex),
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+
+def single_site(n, q, letter):
+    """The 2^n x 2^n matrix of a one-qubit operator on qubit q (qubit 0 the top bit)."""
+    out = np.eye(1, dtype=complex)
+    for k in range(n):
+        out = np.kron(out, PAULI_2X2[letter if k == q else "I"])
+    return out
+
+
+@st.composite
+def dense_vectors(draw, normalized=False):
+    n = draw(st.integers(min_value=1, max_value=6))
+    parts = st.floats(min_value=-1, max_value=1, allow_nan=False, allow_infinity=False)
+    re = np.array(draw(st.lists(parts, min_size=2**n, max_size=2**n)))
+    im = np.array(draw(st.lists(parts, min_size=2**n, max_size=2**n)))
+    vec = re + 1j * im
+    if normalized:
+        if np.linalg.norm(vec) < 1e-3:
+            vec[0] = 1.0
+        vec /= np.linalg.norm(vec)
+    return n, vec
+
+
+@given(dense_vectors(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_pauli_kernel_matches_kronecker_product(params, data):
+    n, vec = params
+    x = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    z = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    phase = data.draw(st.integers(0, 3))
+    op = np.eye(1, dtype=complex)
+    for xq, zq in zip(x, z):   # qubit 0 first, so it is the most significant bit
+        op = np.kron(op, np.linalg.matrix_power(PAULI_2X2["X"], xq)
+                     @ np.linalg.matrix_power(PAULI_2X2["Z"], zq))
+    want = (1j) ** phase * (op @ vec)
+    got = _apply_pauli_dense(vec, PauliString(n, x, z, phase), n)
+    assert np.allclose(got, want, atol=1e-12)
+
+
+@given(dense_vectors(normalized=True), st.sampled_from([None, 0, 1]))
+@settings(max_examples=80, deadline=None)
+def test_dense_measurement_matches_projector(params, eigen):
+    """Every qubit, Z and Y, both forced branches, against (I +- P)/2.
+
+    With `eigen` set, the state is first projected onto that eigenspace of
+    the measured Pauli, so the other branch has zero probability.
+    """
+    n, psi = params
+    for q in range(n):
+        for basis in ("Z", "Y"):
+            pauli = single_site(n, q, basis)
+            start = psi
+            if eigen is not None:
+                start = (psi + (1 - 2 * eigen) * (pauli @ psi)) / 2
+                if np.linalg.norm(start) < 1e-6:
+                    continue
+                start = start / np.linalg.norm(start)
+            projected = [(start + pauli @ start) / 2, (start - pauli @ start) / 2]
+            probs = [float(np.vdot(v, v).real) for v in projected]
+            deterministic = min(probs) < 1e-12
+            for branch in (0, 1):
+                den = DenseState(n)
+                den.vec = start.copy()
+                assert abs(den.branch_probability(q, branch, basis) - probs[branch]) < 1e-12
+                if probs[branch] < 1e-12:
+                    with pytest.raises(ImpossibleOutcomeError):
+                        den.measure(q, basis, force=branch)
+                    assert np.array_equal(den.vec, start)
+                    continue
+                assert den.measure(q, basis, force=branch) == (branch, deterministic)
+                assert np.allclose(den.vec, projected[branch] / np.sqrt(probs[branch]),
+                                   atol=1e-12)
+                assert abs(den.branch_probability(q, branch, basis) - 1) < 1e-12
+
+
+@pytest.mark.parametrize("basis, prepare", [("Z", []), ("Y", ["H", "S"])])
+def test_failed_forced_measurement_leaves_the_dense_state_unchanged(basis, prepare):
+    den = DenseState(1)
+    for g in prepare:   # |0> or |+i>, each the +1 eigenstate of the measured Pauli
+        den.apply_gate(g, (0,))
+    before = den.vec.copy()
+    with pytest.raises(ImpossibleOutcomeError):
+        den.measure(0, basis, force=1)
+    assert np.array_equal(den.vec, before)
+
+
+def engine_snapshot(state):
+    if isinstance(state, DenseState):
+        return (state.vec.copy(),)
+    return (state.x.copy(), state.z.copy(), state.r.copy())
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+@pytest.mark.parametrize("call", [
+    lambda s: s.apply_gate("CNOT", (1, 1)),
+    lambda s: s.apply_gate("SWAP", (0, 0)),
+    lambda s: s.apply_gate("CZ", (2, 2)),
+    lambda s: s.apply_gate("H", (-1,)),
+    lambda s: s.measure(3, force=0),
+    lambda s: s.measure(-1, force=0),
+], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1"])
+def test_bad_targets_rejected_before_the_state_changes(engine, call):
+    state = engine(3)
+    state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("CNOT", (1, 2))
+    before = engine_snapshot(state)
+    with pytest.raises(ValueError):
+        call(state)
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
