@@ -266,7 +266,10 @@ def cmd_layout(args, params) -> int:
             requests = [MergeRequest(r["patch_a"], r["operator_a"],
                                      r["patch_b"], r["operator_b"], r.get("layer"))
                         for r in doc.get("requests", [])]
-        except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+            for req in requests:
+                for pid in (req.patch_a, req.patch_b):
+                    layout.find(pid)    # KeyError on an unknown patch
+        except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             print(f"fixture error: {exc}", file=sys.stderr)
             return 5
     res = routable(layout, requests)

@@ -120,10 +120,13 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
     a branch whose forced outcome has zero probability is dropped.  q3 is
     postselected on <+| before comparing (q0, q1, q2) against CCZ|+++>.
     Passing `inputs="0"` exercises the failure path: computational-basis
-    resources cannot distill a CCZ state.
+    resources cannot distill a CCZ state.  Any other `inputs` raises
+    `ValueError`.
     """
     from .tableau import DenseState, ImpossibleOutcomeError
 
+    if inputs not in ("T", "0"):
+        raise ValueError(f"inputs must be 'T' or '0', not {inputs!r}")
     n = circuit.num_qubits
     keys = [e.key for e in circuit.sorted_events() if e.action == "MEASURE"]
     zero = np.array([1.0, 0.0], dtype=complex)

@@ -13,9 +13,14 @@ searches over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Cell = tuple[int, int]
+
+
+def _check_operator(operator: str) -> None:
+    if operator not in ("X", "Z"):
+        raise ValueError(f"boundary operator must be 'X' or 'Z', not {operator!r}")
 
 
 @dataclass(frozen=True)
@@ -25,12 +30,8 @@ class PatchCell:
     # the other type (rotated patches expose opposite types on opposite sides)
     ns: str = "Z"
 
-    @property
-    def ew(self) -> str:
-        return "X" if self.ns == "Z" else "Z"
-
-    def side_type(self, direction: str) -> str:
-        return self.ns if direction in ("N", "S") else self.ew
+    def __post_init__(self):
+        _check_operator(self.ns)
 
 
 @dataclass
@@ -43,6 +44,8 @@ class LayerStackLayout:
     def __post_init__(self):
         if not self.layer_roles:
             self.layer_roles = ["mid_range"] * len(self.layers)
+        if len(self.layer_roles) != len(self.layers):
+            raise ValueError(f"{len(self.layer_roles)} layer roles for {len(self.layers)} layers")
         seen: dict[str, int] = {}
         for li, layer in enumerate(self.layers):
             for cell, patch in layer.items():
@@ -70,27 +73,16 @@ class LayerStackLayout:
 
     def access_cells(self, layer: int, patch_id: str, operator: str) -> list[Cell]:
         """Free cells adjacent to a boundary side exposing `operator`."""
-        li, (r, c) = self.find(patch_id)
+        li, cell = self.find(patch_id)
         if li != layer:
             return []
-        patch = self.layers[layer][(r, c)]
-        out = []
-        for direction, (dr, dc) in (("N", (-1, 0)), ("S", (1, 0)),
-                                    ("W", (0, -1)), ("E", (0, 1))):
-            if patch.side_type(direction) != operator:
-                continue
-            cell = (r + dr, c + dc)
-            if self.free(layer, cell):
-                out.append(cell)
-        return sorted(out)
+        occupied = self.layers[layer]
+        return _access_cells(occupied, _grid(self.rows, self.cols) - occupied.keys(),
+                             cell, operator)
 
     def copy(self) -> "LayerStackLayout":
         return LayerStackLayout(self.rows, self.cols,
                                 [dict(l) for l in self.layers], list(self.layer_roles))
-
-    def occupancy_key(self) -> tuple:
-        return tuple(tuple(sorted((cell, p.patch_id) for cell, p in layer.items()))
-                     for layer in self.layers)
 
     def to_text(self) -> str:
         lines = [f"dims {self.rows}x{self.cols} layers {self.num_layers}"]
@@ -114,6 +106,12 @@ class MergeRequest:
     operator_b: str
     layer: Optional[int] = None     # None: evaluated wherever both patches sit
 
+    def __post_init__(self):
+        _check_operator(self.operator_a)
+        _check_operator(self.operator_b)
+        if self.layer is not None and type(self.layer) is not int:
+            raise ValueError(f"a request's layer must be an integer, not {self.layer!r}")
+
     def __str__(self) -> str:
         return f"{self.operator_a}({self.patch_a})*{self.operator_b}({self.patch_b})"
 
@@ -132,35 +130,19 @@ class RoutingResult:
 def generate_layout(kind: str, num_patches: int, rows: int, cols: int,
                     num_layers: int = 1, ids: Optional[Sequence[str]] = None,
                     ns: str = "Z") -> LayerStackLayout:
-    """Hallway / checkerboard / empty layer generators.
+    """The hallway layer generator (the only `kind`).
 
     hallway: a row of patch stacks along the top with one-cell gaps and a
     corridor row beneath (num_patches per layer, every layer identical up to
-    priming of the ids).  checkerboard: patches on alternating cells, row
-    major.  empty: all-free layers.
+    priming of the ids).
     """
+    if kind != "hallway":
+        raise ValueError(f"unknown layout kind {kind!r}")
+    if cols < 2 * num_patches + 1 or rows < 2:
+        raise ValueError("hallway needs cols >= 2k+1 and a corridor row")
     ids = list(ids) if ids is not None else [str(i + 1) for i in range(num_patches)]
-    layers: list[dict[Cell, PatchCell]] = []
-    if kind == "empty":
-        return LayerStackLayout(rows, cols, [{} for _ in range(num_layers)],
-                                ["long_range"] * num_layers)
-    for li in range(num_layers):
-        suffix = "'" * li
-        layer: dict[Cell, PatchCell] = {}
-        if kind == "hallway":
-            if cols < 2 * num_patches + 1 or rows < 2:
-                raise ValueError("hallway needs cols >= 2k+1 and a corridor row")
-            for i in range(num_patches):
-                layer[(0, 2 * i + 1)] = PatchCell(ids[i] + suffix, ns)
-        elif kind == "checkerboard":
-            cells = [(r, c) for r in range(rows) for c in range(cols) if (r + c) % 2 == 1]
-            if len(cells) < num_patches:
-                raise ValueError("checkerboard overflow")
-            for i in range(num_patches):
-                layer[cells[i]] = PatchCell(ids[i] + suffix, ns)
-        else:
-            raise ValueError(f"unknown layout kind {kind!r}")
-        layers.append(layer)
+    layers = [{(0, 2 * i + 1): PatchCell(ids[i] + "'" * li, ns) for i in range(num_patches)}
+              for li in range(num_layers)]
     return LayerStackLayout(rows, cols, layers)
 
 
@@ -171,8 +153,24 @@ def _neighbors(cell: Cell) -> list[Cell]:
     return [(r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)]
 
 
-def _all_paths(layout: LayerStackLayout, layer: int, starts: list[Cell],
-               goals: set[Cell], blocked: set[Cell]) -> Iterable[tuple[Cell, ...]]:
+def _grid(rows: int, cols: int) -> set[Cell]:
+    return {(r, c) for r in range(rows) for c in range(cols)}
+
+
+def _access_cells(occupied: Mapping[Cell, PatchCell], free: set[Cell], cell: Cell,
+                  operator: str) -> list[Cell]:
+    """Free cells next to the sides of the patch at `cell` that expose `operator`.
+
+    North and south expose the patch's `ns` type, east and west the other one;
+    either pair of neighbours is listed in sorted order.
+    """
+    r, c = cell
+    steps = ((-1, 0), (1, 0)) if occupied[cell].ns == operator else ((0, -1), (0, 1))
+    return [(r + dr, c + dc) for dr, dc in steps if (r + dr, c + dc) in free]
+
+
+def _all_paths(free: set[Cell], starts: list[Cell], goals: set[Cell],
+               blocked: set[Cell]) -> Iterable[tuple[Cell, ...]]:
     """Every simple path of free cells from an access cell to a goal cell."""
     for start in starts:
         if start in blocked:
@@ -186,43 +184,79 @@ def _all_paths(layout: LayerStackLayout, layer: int, starts: list[Cell],
                 # minimal service is enough for feasibility: stop here
                 continue
             for nb in _neighbors(cell):
-                if nb in used or nb in blocked or not layout.free(layer, nb):
+                if nb in used or nb in blocked or nb not in free:
                     continue
                 stack.append((nb, path + (nb,), used | {nb}))
 
 
-def _resolve_layer(layout: LayerStackLayout, req: MergeRequest) -> Optional[int]:
-    la, _ = layout.find(req.patch_a)
-    lb, _ = layout.find(req.patch_b)
-    if req.layer is not None:
-        return req.layer if la == lb == req.layer else None
-    return la if la == lb else None
+class _Placement:
+    """The patches of a layout indexed once, layer by layer.
+
+    A vertical swap never changes a patch's cell, so a state of the stack is
+    the tuple of every patch's layer.  Routing a state routes each layer on
+    its own; that depends only on the layer's index, the patches on it and
+    its requests, so each distinct layer is routed once per placement.
+    """
+
+    def __init__(self, layout: LayerStackLayout, requests: Sequence[MergeRequest]):
+        self.grid, self.num_layers = _grid(layout.rows, layout.cols), layout.num_layers
+        self.start = tuple(li for li, layer in enumerate(layout.layers) for _ in layer)
+        self.cells = [cell for layer in layout.layers for cell in layer]
+        self.patches = [patch for layer in layout.layers for patch in layer.values()]
+        index = {p.patch_id: i for i, p in enumerate(self.patches)}
+        for req in requests:
+            for pid in (req.patch_a, req.patch_b):
+                if pid not in index:
+                    raise KeyError(f"no patch {pid!r} in the layout")
+        self.ends = [(index[r.patch_a], index[r.patch_b], r) for r in requests]
+        self.routed: dict[tuple, RoutingResult] = {}
+
+    def route(self, state: tuple[int, ...]) -> RoutingResult:
+        """Route every request in `state`, layer by layer in order.
+
+        A request whose patches share no layer (or not its pinned one) fails
+        the state before any routing; otherwise the first layer that fails
+        ends the search, its path count included in `explored`.
+        """
+        by_layer: dict[int, list[MergeRequest]] = {}
+        for ia, ib, req in self.ends:
+            la = state[ia]
+            if la != state[ib] or req.layer not in (None, la):
+                return RoutingResult(False, explored=0)
+            by_layer.setdefault(la, []).append(req)
+        result = RoutingResult(True)
+        for li, reqs in sorted(by_layer.items()):
+            on_layer = tuple(i for i, l in enumerate(state) if l == li)
+            key = (li, on_layer, tuple(reqs))
+            if key not in self.routed:
+                occupied = {self.cells[i]: self.patches[i] for i in on_layer}
+                self.routed[key] = _route_layer(self.grid - occupied.keys(), li, occupied, reqs)
+            sub = self.routed[key]
+            result.explored += sub.explored
+            if not sub.feasible:
+                return RoutingResult(False, explored=result.explored)
+            result.paths.update(sub.paths)
+            result.layers.update(sub.layers)
+        return result
 
 
 def routable(layout: LayerStackLayout, requests: Sequence[MergeRequest]) -> RoutingResult:
-    """Decide simultaneous feasibility by exhaustive disjoint-path search."""
-    by_layer: dict[int, list[MergeRequest]] = {}
-    for req in requests:
-        for pid in (req.patch_a, req.patch_b):
-            layout.find(pid)    # raises on unknown ids
-        layer = _resolve_layer(layout, req)
-        if layer is None:
-            return RoutingResult(False, explored=0)
-        by_layer.setdefault(layer, []).append(req)
+    """Decide simultaneous feasibility by exhaustive disjoint-path search.
 
-    result = RoutingResult(True)
-    for layer, reqs in sorted(by_layer.items()):
-        sub = _route_layer(layout, layer, reqs)
-        result.explored += sub.explored
-        if not sub.feasible:
-            return RoutingResult(False, explored=result.explored)
-        result.paths.update(sub.paths)
-        result.layers.update(sub.layers)
-    return result
+    Unknown patch ids raise `KeyError`.
+    """
+    placement = _Placement(layout, requests)
+    return placement.route(placement.start)
 
 
-def _route_layer(layout: LayerStackLayout, layer: int,
-                 reqs: list[MergeRequest]) -> RoutingResult:
+def _route_layer(free: set[Cell], layer: int, occupied: Mapping[Cell, PatchCell],
+                 reqs: Sequence[MergeRequest]) -> RoutingResult:
+    """Backtrack over every simple path of each request, disjoint from the
+    paths already chosen; `explored` counts the paths tried."""
+    where = {p.patch_id: cell for cell, p in occupied.items()}
+    ends = [(_access_cells(occupied, free, where[r.patch_a], r.operator_a),
+             set(_access_cells(occupied, free, where[r.patch_b], r.operator_b)))
+            for r in reqs]
     explored = 0
 
     def backtrack(idx: int, blocked: set[Cell],
@@ -231,11 +265,10 @@ def _route_layer(layout: LayerStackLayout, layer: int,
         if idx == len(reqs):
             return dict(acc)
         req = reqs[idx]
-        starts = layout.access_cells(layer, req.patch_a, req.operator_a)
-        goals = set(layout.access_cells(layer, req.patch_b, req.operator_b))
+        starts, goals = ends[idx]
         if not starts or not goals:
             return None
-        for path in _all_paths(layout, layer, starts, goals, blocked):
+        for path in _all_paths(free, starts, goals, blocked):
             explored += 1
             acc[req] = path
             out = backtrack(idx + 1, blocked | set(path), acc)
@@ -269,38 +302,43 @@ def plan_with_swaps(layout: LayerStackLayout, requests: Sequence[MergeRequest],
 
     A move swaps a patch with the free cell directly above or below it in an
     adjacent layer.  Returns the shortest plan whose end state routes every
-    request, or infeasible-within-budget with the exhaustion count.
+    request, or infeasible-within-budget with the exhaustion count
+    (`states_explored`, the states whose routing was decided).
+
+    A move never changes a patch's cell, so a search state is the tuple of
+    every patch's layer (see `_Placement`), and each distinct layer is routed
+    once per call.  Successors come in the expanded state's (layer, cell)
+    order, the move to layer - 1 before the move to layer + 1.  Unknown patch
+    ids raise `KeyError` before the search.
     """
     if max_swaps > 8:
         raise ValueError("swap budget capped at 8 (exhaustive search)")
-    start = layout.copy()
-    seen = {start.occupancy_key()}
-    frontier: list[tuple[LayerStackLayout, list[tuple[str, int, int]]]] = [(start, [])]
+    placement = _Placement(layout, requests)
+    cells = placement.cells
+    seen = {placement.start}
+    frontier: list[tuple[tuple[int, ...], list[tuple[str, int, int]]]] = [(placement.start, [])]
     explored = 0
     for depth in range(max_swaps + 1):
         next_frontier = []
         for state, plan in frontier:
             explored += 1
-            res = routable(state, requests)
+            res = placement.route(state)
             if res.feasible:
                 return SwapPlan(True, plan, res, explored)
             if depth == max_swaps:
                 continue
-            for li, layer in enumerate(state.layers):
-                for cell, patch in sorted(layer.items()):
-                    for lj in (li - 1, li + 1):
-                        if not 0 <= lj < state.num_layers:
-                            continue
-                        if not state.free(lj, cell):
-                            continue
-                        nxt = state.copy()
-                        del nxt.layers[li][cell]
-                        nxt.layers[lj][cell] = patch
-                        key = nxt.occupancy_key()
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                        next_frontier.append((nxt, plan + [(patch.patch_id, li, lj)]))
+            occupied = set(zip(state, cells))
+            for i in sorted(range(len(state)), key=lambda i: (state[i], cells[i])):
+                li = state[i]
+                for lj in (li - 1, li + 1):
+                    if not 0 <= lj < placement.num_layers or (lj, cells[i]) in occupied:
+                        continue
+                    nxt = state[:i] + (lj,) + state[i + 1:]
+                    if nxt in seen:
+                        continue
+                    seen.add(nxt)
+                    next_frontier.append(
+                        (nxt, plan + [(placement.patches[i].patch_id, li, lj)]))
         frontier = next_frontier
         if not frontier:
             break

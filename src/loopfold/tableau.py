@@ -111,9 +111,12 @@ class StabilizerState:
         """Measure a Hermitian Pauli P directly on the rows (Aaronson-Gottesman).
 
         Returns (outcome, deterministic); outcome 0 is the +1 eigenvalue of P.
-        `force` selects the branch of a random outcome (used for projective
-        state preparation); it must not disagree with a deterministic outcome.
+        `force` (0 or 1) selects the branch of a random outcome (used for
+        projective state preparation); it must not disagree with a
+        deterministic outcome.  Any other `force` raises `ValueError` before
+        the state is written.
         """
+        _check_force(force)
         n = self.n
         anti, sign = self._anticommuting(pauli)
         stab = np.flatnonzero(anti[n:])
@@ -326,10 +329,12 @@ class DenseState:
         """Project `qubit` onto a Z or Y eigenstate; (outcome, deterministic).
 
         Outcome 0 is the +1 eigenvalue.  A forced branch of zero probability
-        raises `ImpossibleOutcomeError` before the state is written.
+        raises `ImpossibleOutcomeError`, and a `force` other than 0 or 1
+        `ValueError`, before the state is written.
         """
         b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
+        _check_force(force)
         p0, c = self._branch(qubit, b, 0)
         deterministic = p0 < 1e-12 or p0 > 1 - 1e-12
         if force is not None:
@@ -393,6 +398,11 @@ def _check_basis(basis: str) -> str:
     if b not in ("Z", "Y"):
         raise ValueError(f"unsupported measurement basis {basis!r}")
     return b
+
+
+def _check_force(force: Optional[int]) -> None:
+    if force is not None and force not in (0, 1):
+        raise ValueError(f"forced outcome must be 0 or 1, not {force!r}")
 
 
 def _exchange(a: np.ndarray, b: np.ndarray) -> None:

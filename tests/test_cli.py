@@ -127,15 +127,19 @@ def test_layout_fixtures(capsys):
     assert "swap plan (4 swaps)" in out
 
 
-def test_layout_fixture_file_round_trip(tmp_path, capsys):
+def _fig10a_doc():
     from loopfold.layout import fig10a_fixture, layout_to_doc
     layout, requests = fig10a_fixture()
     doc = layout_to_doc(layout)
     doc["requests"] = [{"patch_a": r.patch_a, "operator_a": r.operator_a,
                         "patch_b": r.patch_b, "operator_b": r.operator_b}
                        for r in requests]
+    return doc
+
+
+def test_layout_fixture_file_round_trip(tmp_path, capsys):
     path = tmp_path / "fixture.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_fig10a_doc()))
     code, out, _ = run_cli("layout", "--fixture", str(path), capsys=capsys)
     assert code == 0
     assert "simultaneously routable: False" in out
@@ -146,6 +150,48 @@ def test_fixture_parse_failure_exit_code(tmp_path, capsys):
     bad.write_text("{not json")
     code, out, err = run_cli("layout", "--fixture", str(bad), capsys=capsys)
     assert code == 5
+
+
+def _unknown_patch(doc):
+    doc["requests"][1]["patch_b"] = "9"
+
+
+def _y_boundary(doc):
+    doc["layers"][0][0]["ns"] = "Y"
+
+
+def _y_operator(doc):
+    doc["requests"][0]["operator_a"] = "Y"
+
+
+def _scalar_cell(doc):
+    doc["layers"][1][0]["cell"] = 5
+
+
+def _missing_role(doc):
+    doc["layer_roles"].pop()
+
+
+def _text_layer(doc):
+    doc["requests"][0]["layer"] = "0"
+
+
+@pytest.mark.parametrize("spoil, names", [
+    (_unknown_patch, "'9'"), (_y_boundary, "'Y'"), (_y_operator, "'Y'"),
+    (_scalar_cell, "int"), (_missing_role, "1 layer roles for 2 layers"),
+    (_text_layer, "'0'"),
+], ids=["unknown-patch", "y-boundary", "y-operator", "scalar-cell", "missing-role",
+        "text-layer"])
+@pytest.mark.parametrize("plan", [(), ("--plan",)], ids=["route", "plan"])
+def test_bad_fixture_exits_5_without_traceback(spoil, names, plan, tmp_path, capsys):
+    doc = _fig10a_doc()
+    spoil(doc)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("layout", "--fixture", str(path), *plan, capsys=capsys)
+    assert code == 5 and out == ""
+    assert err.startswith("fixture error: ") and err.count("\n") == 1
+    assert names in err
 
 
 def test_config_file_applies(tmp_path, capsys):

@@ -63,6 +63,12 @@ def test_wrong_resource_states_cannot_distill():
         assert len(ver.branches) == live_branches
 
 
+@pytest.mark.parametrize("inputs", ["t", "plus", "", "1"])
+def test_unknown_resource_inputs_rejected(inputs):
+    with pytest.raises(ValueError, match="inputs"):
+        verify_factory(ccz_factory_spec("folded"), inputs=inputs)
+
+
 def test_cultivation_cycles():
     assert cultivation_cycles(1e-7, 25, 8, 8) == 22
     assert cultivation_cycles(1e-7, 25, 8, 12) == 15

@@ -345,3 +345,18 @@ def test_bad_targets_rejected_before_the_state_changes(engine, call):
     with pytest.raises(ValueError):
         call(state)
     assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+@pytest.mark.parametrize("prepare", [[], ["H"]], ids=["deterministic", "random"])
+@pytest.mark.parametrize("force", [2, -1, 0.5])
+def test_forced_outcome_other_than_0_or_1_rejected_before_the_state_changes(
+        engine, prepare, force):
+    state = engine(2)
+    for g in prepare:
+        state.apply_gate(g, (0,))
+    state.apply_gate("CNOT", (0, 1))
+    before = engine_snapshot(state)
+    with pytest.raises(ValueError, match="forced outcome"):
+        state.measure(0, "Z", force=force)
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
