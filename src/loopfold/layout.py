@@ -73,6 +73,7 @@ class LayerStackLayout:
 
     def access_cells(self, layer: int, patch_id: str, operator: str) -> list[Cell]:
         """Free cells adjacent to a boundary side exposing `operator`."""
+        _check_operator(operator)
         li, cell = self.find(patch_id)
         if li != layer:
             return []

@@ -113,7 +113,8 @@ def test_unknown_patch_rejected():
     lambda: PatchCell("1", "z"),
     lambda: MergeRequest("1", "Y", "2", "Z"),
     lambda: MergeRequest("1", "Z", "2", "x"),
-], ids=["patch-Y", "patch-lowercase", "request-Y", "request-lowercase"])
+    lambda: fig10a_fixture()[0].access_cells(0, "1", "Y"),
+], ids=["patch-Y", "patch-lowercase", "request-Y", "request-lowercase", "access-Y"])
 def test_boundary_operators_other_than_x_or_z_rejected(build):
     with pytest.raises(ValueError, match="boundary operator"):
         build()
