@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -223,11 +224,14 @@ def cmd_worst_case(args, params) -> int:
         gamma = search_lattice(args.protocol, args.n, granularity)
     except ValueError as exc:
         return _argument_error(str(exc))
+    start = time.perf_counter()
     res = worst_case_search(args.protocol, args.n, gamma, params)
+    search_s = time.perf_counter() - start
     doc = {"protocol": res.protocol, "n": res.n, "granularity": str(res.granularity),
            "max_ns": str(res.maximum), "max_shuttle_ns": str(res.shuttle_maximum),
-           "witness": res.witness}
-    _emit(doc, args.json, str(res) + "\n")
+           "witness": res.witness, "configurations": res.configurations,
+           "search_s": search_s}
+    _emit(doc, args.json, f"{res} in {search_s:.3f} s\n")
     return 0
 
 

@@ -31,6 +31,8 @@ class PatchCell:
     ns: str = "Z"
 
     def __post_init__(self):
+        if not isinstance(self.patch_id, str):
+            raise ValueError(f"patch id must be a string, not {self.patch_id!r}")
         _check_operator(self.ns)
 
 

@@ -3,9 +3,11 @@
 Positions live on the unit circle as Fractions (fractions of the loop
 perimeter); the port junction sits at position 0 and a token's position is
 its forward distance to the junction.  Times are Fractions of a nanosecond.
-All closed-form comparisons in the tests are exact equalities.  The
-rearrangement cost is evaluated on integer lattice positions instead
-(`_lattice_cost`); its event trace, `rearrange`, is the cross-check.
+All closed-form comparisons in the tests are exact equalities.  Costs are
+evaluated on integer lattice positions: one kernel, `_plan_lattice`, plans
+every pair-gate episode (for `plan_episode`, `run_episode` and the swap and
+CNOT-stack searches), and `_lattice_cost` scores the rearrangement search;
+the event paths convert back to Fractions for their traces.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -25,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from math import lcm
+from math import factorial, lcm
 from typing import Optional, Sequence
 
 
@@ -44,10 +46,9 @@ class TimingParams:
     meas_devices: int = 3
     t_int: Optional[Fraction] = None     # inter-loop hop; defaults to t_loop / 2
     slack_ns: Fraction = Fraction(500)   # additive slack in the effective cycle time
-    resync_ns: Fraction = Fraction(0)    # physical-SWAP variant re-sync penalty
 
     def __post_init__(self):
-        for name in ("t_loop", "t_1q", "t_2q", "t_meas", "slack_ns", "resync_ns"):
+        for name in ("t_loop", "t_1q", "t_2q", "t_meas", "slack_ns"):
             object.__setattr__(self, name, _frac(getattr(self, name)))
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
@@ -160,20 +161,49 @@ class EpisodePlan:
     shuttle: Fraction         # lead_in + gap + exit
 
 
+def _plan_lattice(pa: int, pb: int, points: int, a: int, b: int) -> tuple:
+    """The episode plan for tokens a, b at positions pa, pb of a `points` lattice.
+
+    Returns (first, second, direction, lead_in, gap, exit, shuttle), the last
+    four in lattice units.  Of the four entry orders and directions, the one
+    with the least shuttle wins; ties prefer "bwd", then the smaller first id.
+    """
+    ab, ba = (pb - pa) % points, (pa - pb) % points
+    exit_ = min(ab, ba)
+    first, second, direction, lead, gap = min(
+        ((a, b, "fwd", pa, ab), (b, a, "fwd", pb, ba),
+         (b, a, "bwd", (points - pb) % points, ab), (a, b, "bwd", (points - pa) % points, ba)),
+        key=lambda o: (o[3] + o[4], o[2], o[0]))
+    return first, second, direction, lead, gap, exit_, lead + gap + exit_
+
+
+def _apply_episode(positions: dict[int, int], port: list[int], first: int, second: int,
+                   direction: str, lead: int, points: int) -> None:
+    """One episode's net effect on lattice positions, in place.
+
+    `first` enters the port, `second` takes first's slot at the junction and
+    every other token ends rotated by the lead-in (the gap is swept in and
+    back out).
+    """
+    del positions[first], positions[second]
+    shift = -lead if direction == "fwd" else lead
+    for t in positions:
+        positions[t] = (positions[t] + shift) % points
+    port.append(first)
+    positions[second] = 0
+
+
+def _on_lattice(positions: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
+    """Positions as integers on the lattice of the lcm of their denominators."""
+    points = lcm(*(p.denominator for p in positions.values()))
+    return points, {t: p.numerator * (points // p.denominator) for t, p in positions.items()}
+
+
 def plan_episode(loop: LoopState, a: int, b: int) -> EpisodePlan:
     """Choose entry order and rotation direction minimizing the shuttle time."""
-    da, db = loop.positions[a], loop.positions[b]
-    options = []
-    for first, second, direction, lead, gap in (
-        (a, b, "fwd", da, (db - da) % 1),
-        (b, a, "fwd", db, (da - db) % 1),
-        (b, a, "bwd", (1 - db) % 1, (db - da) % 1),
-        (a, b, "bwd", (1 - da) % 1, (da - db) % 1),
-    ):
-        exit_ = min(gap, (1 - gap) % 1)
-        options.append(EpisodePlan(first, second, direction, lead, gap, exit_,
-                                   lead + gap + exit_))
-    return min(options, key=lambda p: (p.shuttle, p.direction, p.first))
+    points, pos = _on_lattice({a: loop.positions[a], b: loop.positions[b]})
+    first, second, direction, *units = _plan_lattice(pos[a], pos[b], points, a, b)
+    return EpisodePlan(first, second, direction, *(Fraction(u, points) for u in units))
 
 
 def _rotate(loop: LoopState, rho: Fraction, direction: str) -> None:
@@ -193,44 +223,31 @@ def run_episode(loop: LoopState, a: int, b: int, gate_time: Fraction,
     """
     lap = loop.lap_time(params)
     plan = plan_episode(loop, a, b)
+    ring = tuple(sorted(loop.positions))
     t = t0
-    spectators = tuple(sorted(loop.positions))
-    if plan.lead_in:
-        schedule.append(t, plan.lead_in * lap, "shuttle_in", spectators, loop_name)
-        t += plan.lead_in * lap
-    _rotate(loop, plan.lead_in, plan.direction)
-    loop.port.append(plan.first)
-    first_slot = loop.positions.pop(plan.first)  # == 0 now
-    if plan.gap:
-        schedule.append(t, plan.gap * lap, "shuttle_in",
-                        tuple(sorted(loop.positions)), loop_name)
-        t += plan.gap * lap
-    _rotate(loop, plan.gap, plan.direction)
-    loop.port.append(plan.second)
-    loop.positions.pop(plan.second)
-    if gate_time:
-        schedule.append(t, gate_time, gate_label, (a, b), loop_name)
-        t += gate_time
-    # exit: the ring sweeps first's emptied slot back onto the junction (the
-    # short way around) while `second` rides out into it
-    if plan.exit:
-        schedule.append(t, plan.exit * lap, "shuttle_out",
-                        tuple(sorted(loop.positions)) + (plan.second,), loop_name)
-        t += plan.exit * lap
-    rewind = "bwd" if plan.direction == "fwd" else "fwd"
-    _rotate(loop, plan.gap, rewind)   # rewinding gap == advancing 1-gap (mod 1)
-    loop.port.pop()
-    loop.positions[plan.second] = Fraction(0)
+    for duration, action, tokens in (
+            (plan.lead_in * lap, "shuttle_in", ring),
+            (plan.gap * lap, "shuttle_in", tuple(x for x in ring if x != plan.first)),
+            (gate_time, gate_label, (a, b)),
+            # exit: the ring sweeps first's emptied slot back onto the junction
+            # (the short way around) while `second` rides out into it
+            (plan.exit * lap, "shuttle_out",
+             tuple(x for x in ring if x not in (a, b)) + (plan.second,))):
+        if duration:
+            schedule.append(t, duration, action, tokens, loop_name)
+            t += duration
+    points, pos = _on_lattice(loop.positions)
+    _apply_episode(pos, loop.port, plan.first, plan.second, plan.direction,
+                   int(plan.lead_in * points), points)
+    loop.positions = {x: Fraction(p, points) for x, p in pos.items()}
     return t
 
 
 def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams,
-                  gate: str = "SWAP", physical_swap: bool = False) -> TimedSchedule:
+                  gate: str = "SWAP") -> TimedSchedule:
     """The 4-step intra-loop two-qubit protocol between tokens a and b.
 
     Returns the timed schedule; the final LoopState is in meta["final"].
-    With `physical_swap=True` the alternative protocol variant is charged an
-    extra re-synchronization dwell (params.resync_ns) after the gate.
     """
     if a == b or a not in loop.positions or b not in loop.positions:
         raise ValueError("need two distinct tokens present in the loop")
@@ -238,10 +255,7 @@ def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams,
         raise OccupiedPortError("port must be empty at the start of the protocol")
     work = loop.copy()
     sched = TimedSchedule(meta={"gate": gate})
-    t = run_episode(work, a, b, params.t_2q, params, sched, Fraction(0), gate_label=gate)
-    if physical_swap and params.resync_ns:
-        sched.append(t, params.resync_ns, "resync_dwell", (a, b))
-        t += params.resync_ns
+    run_episode(work, a, b, params.t_2q, params, sched, Fraction(0), gate_label=gate)
     sched.meta["final"] = work
     sched.meta["shuttle"] = sched.shuttle_time()
     sched.check_no_token_overlap()
@@ -518,10 +532,12 @@ class SearchResult:
     maximum: Fraction            # total time, gate times included
     shuttle_maximum: Fraction    # shuttle-only portion
     witness: dict
+    configurations: int          # lattice configurations scored
 
     def __str__(self) -> str:
         return (f"{self.protocol}(n={self.n}): max {self.maximum} ns "
-                f"(shuttle {self.shuttle_maximum} ns), witness {self.witness}")
+                f"(shuttle {self.shuttle_maximum} ns), witness {self.witness}; "
+                f"configurations scored: {self.configurations}")
 
 
 def search_lattice(protocol: str, n: int, granularity=None) -> Fraction:
@@ -551,18 +567,23 @@ def worst_case_search(protocol: str, n: int, granularity: Fraction,
 
 
 def _search_swap(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
-    points = int(1 / gamma)
+    """Maximum pair-gate episode over every pair of distinct lattice positions.
+
+    Token 0 sits below token 1 on the lattice of 1/gamma points; the first
+    pair in lexicographic order with the largest shuttle is the witness.
+    """
+    points = gamma.denominator
     best = None
     for ia in range(points):
         for ib in range(ia + 1, points):
-            da, db = ia * gamma, ib * gamma
-            loop = LoopState({0: da, 1: db})
-            sched = swap_protocol(loop, 0, 1, params)
-            if best is None or sched.makespan > best[0]:
-                best = (sched.makespan, (da, db), sched.shuttle_time())
-    mx, (da, db), shuttle = best
-    return SearchResult("swap", n, gamma, mx, shuttle,
-                        {"a": str(da), "b": str(db)})
+            shuttle = _plan_lattice(ia, ib, points, 0, 1)[-1]
+            if best is None or shuttle > best[0]:
+                best = (shuttle, ia, ib)
+    shuttle, ia, ib = best
+    shuttle_ns = Fraction(shuttle, points) * params.t_loop
+    return SearchResult("swap", n, gamma, shuttle_ns + params.t_2q, shuttle_ns,
+                        {"a": str(Fraction(ia, points)), "b": str(Fraction(ib, points))},
+                        points * (points - 1) // 2)
 
 
 def _search_rearrange(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
@@ -596,69 +617,53 @@ def _search_rearrange(n: int, gamma: Fraction, params: TimingParams) -> SearchRe
     cost, target, k = best
     mk = Fraction(cost, lattice) * params.t_loop
     return SearchResult("rearrange", n, gamma, mk, mk,
-                        {"target": target, "phase": str(k * gamma)})
+                        {"target": target, "phase": str(k * gamma)},
+                        points // n * (factorial(n - 1) + 1))
 
 
 def _search_cnot_stack(n: int, gamma: Fraction, params: TimingParams) -> SearchResult:
     """Worst case of the two-pass transversal-CNOT protocol.
 
-    Sweeps the published worst-case geometry: both layer pairs share the same
-    slot separation, the second pair trails the first by one slot, and the
-    junction offset of the leading qubit ranges over the lattice up to half
-    the pair separation (the pre-alignment rotation of the synchronized
-    pipeline removes larger offsets, modulo the pair pattern).
+    Tokens 0, 1 are a layer pair and 2, 3 their twins in the other layer,
+    which sit diametrically (the tops-then-bottoms slot order), so the second
+    pair trails the first by half a lap.  Sweeps the published worst-case
+    geometry on the lattice of lcm(1/gamma, n) points: both pairs share the
+    same slot separation g, and the junction offset of the leading qubit
+    ranges over the 1/gamma lattice up to g/2 (the pre-alignment rotation of
+    the synchronized pipeline removes larger offsets, modulo the pair
+    pattern).  The two episodes run back to back; only the lead-in of the
+    first moves the second pair.
     """
-    k = n // 2
-    slot = Fraction(1, n)
-    if k == 1:
+    gate_ns = 2 * params.t_2q
+    if n == 2:
         # degenerate single-patch stack: the two passes share the pair's
         # slots; the second pass begins one slot (= half a lap) behind
-        sched = TimedSchedule()
-        sched.append(0, params.t_2q, "cnot", (0, 1))
-        sched.append(params.t_2q, slot * params.t_loop, "shuttle_in", (0, 1))
-        sched.append(params.t_2q + slot * params.t_loop, params.t_2q, "cnot", (0, 1))
-        return SearchResult("cnot_stack", n, gamma, sched.makespan,
-                            sched.shuttle_time(), {"lead_offset": "0", "pair_gap": "0"})
+        half = params.t_loop / 2
+        return SearchResult("cnot_stack", n, gamma, half + gate_ns, half,
+                            {"lead_offset": "0", "pair_gap": "0"}, 1)
+    points = gamma.denominator
+    lattice = lcm(points, n)
+    unit, slot = lattice // points, lattice // n
     best = None
-    deltas = range(1, k)
-    for delta in deltas:
+    configurations = 0
+    for delta in range(1, n // 2):
         g = delta * slot
-        max_off = g / 2
-        offsets = [j * gamma for j in range(int(max_off / gamma) + 1)]
-        for d_i in offsets:
-            loop = _fig13_config(n, d_i, g)
-            sched = TimedSchedule()
-            t = run_episode(loop, 0, 1, params.t_2q, params, sched, Fraction(0),
-                            gate_label="cnot")
-            t = run_episode(loop, 2, 3, params.t_2q, params, sched, t, gate_label="cnot")
-            if best is None or t > best[0]:
-                best = (t, {"lead_offset": str(d_i), "pair_gap": str(g)},
-                        sched.shuttle_time())
-    mx, witness, shuttle = best
-    return SearchResult("cnot_stack", n, gamma, mx, shuttle, witness)
+        for j in range(g // (2 * unit) + 1):
+            d = j * unit
+            pos = {0: d, 1: d + g, 2: d + lattice // 2, 3: (d + lattice // 2 + g) % lattice}
+            first, second, direction, lead, *_, shuttle = _plan_lattice(
+                pos[0], pos[1], lattice, 0, 1)
+            _apply_episode(pos, [], first, second, direction, lead, lattice)
+            shuttle += _plan_lattice(pos[2], pos[3], lattice, 2, 3)[-1]
+            configurations += 1
+            if best is None or shuttle > best[0]:
+                best = (shuttle, j, delta)
+    shuttle, j, delta = best
+    shuttle_ns = Fraction(shuttle, lattice) * params.t_loop
+    return SearchResult("cnot_stack", n, gamma, shuttle_ns + gate_ns, shuttle_ns,
+                        {"lead_offset": str(Fraction(j, points)),
+                         "pair_gap": str(Fraction(delta, n))}, configurations)
 
 
 _SEARCHES = {"swap": _search_swap, "rearrange": _search_rearrange,
              "cnot_stack": _search_cnot_stack}
-
-
-def _fig13_config(n: int, d_i: Fraction, g: Fraction) -> LoopState:
-    """Tokens 0,1 (top-layer pair) and 2,3 (their bottom layers) on an even ring.
-
-    Layer twins sit diametrically (the tops-then-bottoms slot order), so the
-    second pass starts half a lap behind the first.
-    """
-    slot = Fraction(1, n)
-    positions = {0: d_i % 1, 1: (d_i + g) % 1}
-    if n > 2:
-        positions[2] = (d_i + Fraction(1, 2)) % 1
-        positions[3] = (d_i + Fraction(1, 2) + g) % 1
-    taken = set(positions.values())
-    nxt = 4
-    for j in range(n):
-        p = (d_i + j * slot) % 1
-        if p not in taken and len(positions) < n:
-            positions[nxt] = p
-            taken.add(p)
-            nxt += 1
-    return LoopState(positions)

@@ -43,6 +43,20 @@ def test_worst_case_swap(capsys):
                            "--granularity", "1/32", capsys=capsys)
     assert code == 0
     assert "500" in out and "1/4" in out
+    assert "configurations scored: 496 in " in out
+
+
+def test_worst_case_json_reports_configurations_and_search_time(capsys):
+    code, out, _ = run_cli("--json", "worst-case", "--protocol", "cnot_stack", "--n", "16",
+                           capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["configurations"] == 119
+    assert isinstance(doc["search_s"], float) and doc["search_s"] >= 0
+    del doc["configurations"], doc["search_s"]
+    assert doc == {"schema_version": 1, "protocol": "cnot_stack", "n": 16,
+                   "granularity": "1/128", "max_ns": "2025/2", "max_shuttle_ns": "1625/2",
+                   "witness": {"lead_offset": "7/32", "pair_gap": "7/16"}}
 
 
 @pytest.mark.parametrize("argv", [
@@ -176,12 +190,16 @@ def _text_layer(doc):
     doc["requests"][0]["layer"] = "0"
 
 
+def _integer_patch(doc):
+    doc["layers"][0][0]["patch"] = 7
+
+
 @pytest.mark.parametrize("spoil, names", [
     (_unknown_patch, "'9'"), (_y_boundary, "'Y'"), (_y_operator, "'Y'"),
     (_scalar_cell, "int"), (_missing_role, "1 layer roles for 2 layers"),
-    (_text_layer, "'0'"),
+    (_text_layer, "'0'"), (_integer_patch, "not 7"),
 ], ids=["unknown-patch", "y-boundary", "y-operator", "scalar-cell", "missing-role",
-        "text-layer"])
+        "text-layer", "integer-patch"])
 @pytest.mark.parametrize("plan", [(), ("--plan",)], ids=["route", "plan"])
 def test_bad_fixture_exits_5_without_traceback(spoil, names, plan, tmp_path, capsys):
     doc = _fig10a_doc()

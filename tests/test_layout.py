@@ -126,6 +126,9 @@ def test_malformed_layouts_and_requests_rejected():
     with pytest.raises(ValueError, match="integer"):
         MergeRequest("1", "Z", "2", "X", layer="0")
     assert MergeRequest("1", "Z", "2", "X", layer=1).layer == 1
+    for patch_id in (7, None, ("1",)):
+        with pytest.raises(ValueError, match="patch id must be a string"):
+            PatchCell(patch_id)
 
 
 def test_split_pair_is_unroutable():

@@ -3,15 +3,16 @@
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
-from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError, TimingParams,
-                              _rearrange_cost, pipeline_model, rearrange,
-                              rearrange_makespan, simulate_cycle, swap_protocol,
-                              worst_case_search)
+from loopfold.loopsim import (SILICON, EpisodePlan, LoopState, OccupiedPortError,
+                              TimedSchedule, TimingParams, _rearrange_cost, pipeline_model,
+                              plan_episode, rearrange, rearrange_makespan, run_episode,
+                              simulate_cycle, swap_protocol, worst_case_search)
 from loopfold.patches import build_patch, embed_stack
 
 P = SILICON
@@ -56,14 +57,6 @@ def test_swap_requires_empty_port():
     loop = LoopState({0: F(1, 8), 1: F(5, 8)}, port=[7])
     with pytest.raises(OccupiedPortError):
         swap_protocol(loop, 0, 1, P)
-
-
-def test_physical_swap_variant_charges_resync():
-    params = TimingParams(resync_ns=F(75))
-    loop = LoopState({0: F(1, 8), 1: F(5, 8)})
-    base = swap_protocol(loop.copy(), 0, 1, params)
-    resync = swap_protocol(loop.copy(), 0, 1, params, physical_swap=True)
-    assert resync.makespan == base.makespan + 75
 
 
 def test_swap_worst_case_search():
@@ -270,3 +263,200 @@ def test_rearrange_final_ring_realizes_target(instance):
 def test_pair_episode_shuttles_at_most_five_quarter_laps(positions):
     sched = swap_protocol(LoopState({0: positions[0], 1: positions[1]}), 0, 1, P)
     assert sched.meta["shuttle"] <= F(5, 4) * P.t_loop
+
+
+# -- the Fraction episode path and searches that the lattice kernel replaced -------
+#
+# Kept verbatim as oracles: every plan, trace, maximum and witness of the
+# integer kernel must equal theirs.
+
+def ref_plan_episode(loop: LoopState, a: int, b: int) -> EpisodePlan:
+    da, db = loop.positions[a], loop.positions[b]
+    options = []
+    for first, second, direction, lead, gap in (
+        (a, b, "fwd", da, (db - da) % 1),
+        (b, a, "fwd", db, (da - db) % 1),
+        (b, a, "bwd", (1 - db) % 1, (db - da) % 1),
+        (a, b, "bwd", (1 - da) % 1, (da - db) % 1),
+    ):
+        exit_ = min(gap, (1 - gap) % 1)
+        options.append(EpisodePlan(first, second, direction, lead, gap, exit_,
+                                   lead + gap + exit_))
+    return min(options, key=lambda p: (p.shuttle, p.direction, p.first))
+
+
+def ref_rotate(loop, rho, direction):
+    sgn = -1 if direction == "fwd" else 1
+    for t in loop.positions:
+        loop.positions[t] = (loop.positions[t] + sgn * rho) % 1
+
+
+def ref_run_episode(loop, a, b, gate_time, params, schedule, t0, loop_name="loop",
+                    gate_label="gate"):
+    lap = loop.lap_time(params)
+    plan = ref_plan_episode(loop, a, b)
+    t = t0
+    spectators = tuple(sorted(loop.positions))
+    if plan.lead_in:
+        schedule.append(t, plan.lead_in * lap, "shuttle_in", spectators, loop_name)
+        t += plan.lead_in * lap
+    ref_rotate(loop, plan.lead_in, plan.direction)
+    loop.port.append(plan.first)
+    loop.positions.pop(plan.first)
+    if plan.gap:
+        schedule.append(t, plan.gap * lap, "shuttle_in",
+                        tuple(sorted(loop.positions)), loop_name)
+        t += plan.gap * lap
+    ref_rotate(loop, plan.gap, plan.direction)
+    loop.port.append(plan.second)
+    loop.positions.pop(plan.second)
+    if gate_time:
+        schedule.append(t, gate_time, gate_label, (a, b), loop_name)
+        t += gate_time
+    if plan.exit:
+        schedule.append(t, plan.exit * lap, "shuttle_out",
+                        tuple(sorted(loop.positions)) + (plan.second,), loop_name)
+        t += plan.exit * lap
+    rewind = "bwd" if plan.direction == "fwd" else "fwd"
+    ref_rotate(loop, plan.gap, rewind)
+    loop.port.pop()
+    loop.positions[plan.second] = F(0)
+    return t
+
+
+def ref_swap_protocol(loop, a, b, params, gate="SWAP"):
+    work = loop.copy()
+    sched = TimedSchedule(meta={"gate": gate})
+    ref_run_episode(work, a, b, params.t_2q, params, sched, F(0), gate_label=gate)
+    sched.meta["final"] = work
+    sched.meta["shuttle"] = sched.shuttle_time()
+    sched.check_no_token_overlap()
+    return sched
+
+
+def ref_search_swap(n, gamma, params):
+    points = int(1 / gamma)
+    best = None
+    for ia in range(points):
+        for ib in range(ia + 1, points):
+            da, db = ia * gamma, ib * gamma
+            sched = ref_swap_protocol(LoopState({0: da, 1: db}), 0, 1, params)
+            if best is None or sched.makespan > best[0]:
+                best = (sched.makespan, (da, db), sched.shuttle_time())
+    mx, (da, db), shuttle = best
+    return mx, shuttle, {"a": str(da), "b": str(db)}
+
+
+def ref_fig13_config(n, d_i, g):
+    slot = F(1, n)
+    positions = {0: d_i % 1, 1: (d_i + g) % 1}
+    if n > 2:
+        positions[2] = (d_i + F(1, 2)) % 1
+        positions[3] = (d_i + F(1, 2) + g) % 1
+    taken = set(positions.values())
+    nxt = 4
+    for j in range(n):
+        p = (d_i + j * slot) % 1
+        if p not in taken and len(positions) < n:
+            positions[nxt] = p
+            taken.add(p)
+            nxt += 1
+    return LoopState(positions)
+
+
+def ref_search_cnot_stack(n, gamma, params):
+    k = n // 2
+    slot = F(1, n)
+    if k == 1:
+        sched = TimedSchedule()
+        sched.append(0, params.t_2q, "cnot", (0, 1))
+        sched.append(params.t_2q, slot * params.t_loop, "shuttle_in", (0, 1))
+        sched.append(params.t_2q + slot * params.t_loop, params.t_2q, "cnot", (0, 1))
+        return sched.makespan, sched.shuttle_time(), {"lead_offset": "0", "pair_gap": "0"}
+    best = None
+    for delta in range(1, k):
+        g = delta * slot
+        for d_i in [j * gamma for j in range(int(g / 2 / gamma) + 1)]:
+            loop = ref_fig13_config(n, d_i, g)
+            sched = TimedSchedule()
+            t = ref_run_episode(loop, 0, 1, params.t_2q, params, sched, F(0),
+                                gate_label="cnot")
+            t = ref_run_episode(loop, 2, 3, params.t_2q, params, sched, t, gate_label="cnot")
+            if best is None or t > best[0]:
+                best = (t, {"lead_offset": str(d_i), "pair_gap": str(g)},
+                        sched.shuttle_time())
+    mx, witness, shuttle = best
+    return mx, shuttle, witness
+
+
+OTHER = TimingParams(t_loop=1600, t_2q=F(7, 3))
+
+
+def _summary(res):
+    return res.maximum, res.shuttle_maximum, res.witness
+
+
+@pytest.mark.parametrize("params", [P, OTHER], ids=["silicon", "t_loop-1600"])
+@pytest.mark.parametrize("n", [2, 4, 8, 12, 16])
+def test_cnot_stack_search_matches_the_fraction_reference(n, params):
+    for points in (4 * n, 4 * n + 1, 8 * n):
+        gamma = F(1, points)
+        assert _summary(worst_case_search("cnot_stack", n, gamma, params)) == \
+            ref_search_cnot_stack(n, gamma, params)
+
+
+# the swap search depends on n only through the lattice: these are the
+# lattices 4n, 4n + 1 and 8n for n = 2, 4, 8 (the reference's event path
+# costs about 0.3 ms per configuration, so the lattices of n = 12 and 16,
+# 2,000 to 8,000 configurations each, are left to the property test below)
+@pytest.mark.parametrize("params", [P, OTHER], ids=["silicon", "t_loop-1600"])
+@pytest.mark.parametrize("points", [8, 9, 16, 17, 32, 33, 64])
+def test_swap_search_matches_the_fraction_reference(points, params):
+    gamma = F(1, points)
+    assert _summary(worst_case_search("swap", 2, gamma, params)) == \
+        ref_search_swap(2, gamma, params)
+
+
+@st.composite
+def episodes(draw):
+    positions = draw(st.lists(rationals, min_size=2, max_size=6, unique_by=lambda x: x % 1))
+    a, b = draw(st.lists(st.integers(0, len(positions) - 1), min_size=2, max_size=2,
+                         unique=True))
+    loop = LoopState(dict(enumerate(positions)),
+                     speed_class=draw(st.sampled_from(["normal", "double"])))
+    params = draw(st.sampled_from([P, OTHER, TimingParams(t_2q=0)]))
+    return loop, a, b, params
+
+
+@given(episodes())
+@settings(max_examples=60, deadline=None)
+def test_episode_matches_the_fraction_reference(episode):
+    loop, a, b, params = episode
+    assert plan_episode(loop, a, b) == ref_plan_episode(loop, a, b)
+    sched, ref = swap_protocol(loop, a, b, params), ref_swap_protocol(loop, a, b, params)
+    assert sched.events == ref.events
+    assert sched.makespan == ref.makespan
+    assert sched.meta["shuttle"] == ref.meta["shuttle"]
+    assert sched.meta["final"] == ref.meta["final"]
+    assert list(sched.meta["final"].positions) == list(ref.meta["final"].positions)
+
+
+@pytest.mark.parametrize("params", [P, OTHER], ids=["silicon", "t_loop-1600"])
+@pytest.mark.parametrize("n", [4, 8, 12, 16])
+def test_cnot_stack_witness_resimulates_to_the_maximum(n, params):
+    res = worst_case_search("cnot_stack", n, F(1, 8 * n), params)
+    loop = ref_fig13_config(n, F(res.witness["lead_offset"]), F(res.witness["pair_gap"]))
+    sched = TimedSchedule()
+    t = run_episode(loop, 0, 1, params.t_2q, params, sched, F(0), gate_label="cnot")
+    t = run_episode(loop, 2, 3, params.t_2q, params, sched, t, gate_label="cnot")
+    assert (t, sched.makespan, sched.shuttle_time()) == \
+        (res.maximum, res.maximum, res.shuttle_maximum)
+
+
+@pytest.mark.parametrize("protocol, n, points, expected", [
+    ("swap", 8, 32, 496), ("cnot_stack", 16, 128, 119), ("cnot_stack", 2, 16, 1),
+    ("cnot_stack", 4, 32, 5),
+] + [("rearrange", n, 8 * n, 8 * (factorial(n - 1) + 1)) for n in (2, 3, 5, 7)]
+  + [("rearrange", 4, 17, 4 * (factorial(3) + 1))])
+def test_search_reports_configurations_scored(protocol, n, points, expected):
+    assert worst_case_search(protocol, n, F(1, points), P).configurations == expected
