@@ -1,7 +1,8 @@
 """Time-slotted gate/measure event lists shared by the code and timing layers.
 
-A ScheduledCircuit is the common currency: the tableau engine replays its
-events in slot order, and the loop simulator attaches wall-clock times to the
+A ScheduledCircuit is the common currency: the tableau and dense engines
+replay its events in slot order, one layer of same-kind gates on disjoint
+qubits at a time, and the loop simulator attaches wall-clock times to the
 same structure.  The text dump is one line per event: slot, action, targets.
 """
 
@@ -83,10 +84,32 @@ def run_on_state(
     Conditioned events fire when their condition holds on the record so far
     (unrecorded bits read 0).  Measurement outcomes land in the record under
     their key; an unnamed measurement records m<qubit>, and a keyed one on
-    several targets records <key><qubit>.
+    several targets records <key><qubit>.  Each maximal run of consecutive
+    unconditioned gates of one kind on disjoint qubits goes to
+    `state.apply_layer` at once; a repeated qubit starts a new run, so the
+    layers apply the events in their order.
     """
     record: dict[str, int] = {}
+    layer: list[tuple[int, ...]] = []
+    gate, busy = "", set()
+
+    def flush() -> None:
+        if layer:
+            state.apply_layer(gate, layer)
+            layer.clear()
+            busy.clear()
+
     for e in circuit.sorted_events():
+        if e.action == "RESET":
+            continue  # states start in |0>; explicit resets are layout markers
+        if e.condition is None and e.action != "MEASURE":
+            if e.action != gate or not busy.isdisjoint(e.targets):
+                flush()
+                gate = e.action
+            layer.append(e.targets)
+            busy.update(e.targets)
+            continue
+        flush()
         if e.condition is not None and not _condition_holds(e.condition, record):
             continue
         if e.action == "MEASURE":
@@ -97,8 +120,7 @@ def run_on_state(
                     force = forced_outcomes[key]
                 out, _ = state.measure(q, e.basis, rng=rng, force=force)
                 record[key] = out
-        elif e.action == "RESET":
-            continue  # states start in |0>; explicit resets are layout markers
         else:
             state.apply_gate(e.action, e.targets)
+    flush()
     return record

@@ -5,17 +5,21 @@ maximally entangled with a bare reference qubit, replays the circuit once
 (measurements must come out deterministic on the codespace, or a
 CodespaceViolationError is raised), and reads the image of each logical
 generator G of patch i as the signed logical Pauli P for which P (x) G on
-reference i lies in the output stabilizer group.  The signed images name the
+reference i lies in the output stabilizer group.  The images come from one
+GF(2) row reduction on the 2k reference columns and one sign read-out per
+generator, so any number k of patches is cheap.  The signed images name the
 logical Clifford together with its Pauli frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .circuits import ScheduledCircuit, run_on_state
-from .pauli import PauliString
+from .pauli import PauliString, pack_rows, xor_basis, xor_reduce
 from .patches import PatchSpec
 from .tableau import StabilizerState
 
@@ -111,25 +115,39 @@ def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, i
             "non-deterministic measurement on a codespace input") from exc
 
 
-def _find_image(st: StabilizerState, stack: EncodedStack,
-                ref: Optional[PauliString] = None) -> list[tuple[str, int]]:
-    """All signed logical Paulis P with P * ref in the stabilizer group, as (label, sign).
+def _read_images(st: StabilizerState, paired: EncodedStack,
+                 on_ref: dict[str, PauliString]) -> dict[str, tuple[str, int]]:
+    """The signed logical image (label, sign) of each generator G_Ri in `on_ref`.
 
-    Labels list one letter per patch, patch 0 first; without `ref` these are
-    the logical Paulis that stabilize the state themselves.
+    The image is the logical Pauli P with P (x) G_Ri in the stabilizer group.
+    One GF(2) elimination of the stabilizer rows on their 2k reference bits
+    finds a group element with reference part G_Ri; each row is tagged with
+    its anticommutation with every X_j and Z_j, so the element's tag names P
+    one letter per patch (patch 0 first).  One `expectation_sign` reads the
+    sign and checks that P (x) G_Ri is in the group; a generator without such
+    an image raises ValueError.
     """
-    k = len(stack.patches)
-    found = []
-    for mask in range(1, 4**k):
-        label = "".join("IXZY"[(mask >> 2 * i) & 3] for i in range(k))
-        op = PauliString(stack.num_qubits) if ref is None else ref
-        for i, letter in enumerate(label):
+    k = len(paired.patches)
+    n = paired.num_qubits - k
+    sx, sz = st.x[st.n:], st.z[st.n:]
+    logicals = [paired.logical_pauli(j, p) for j in range(k) for p in "ZX"]
+    lx, lz = np.array([p.x for p in logicals]), np.array([p.z for p in logicals])
+    anti = (sx @ lz.T + sz @ lx.T) & 1     # uint8 sums wrap mod 256, keeping parity
+    ref = np.concatenate([sx[:, n:], sz[:, n:]], axis=1)
+    basis = xor_basis(zip(pack_rows(ref), pack_rows(anti)))
+    images = {}
+    for g, op in on_ref.items():
+        _, flips = xor_reduce(pack_rows([np.concatenate([op.x[n:], op.z[n:]])])[0], basis)
+        # patch j's two tag bits: anticommutes with Z_j (an X part), with X_j (a Z part)
+        label = "".join("IZXY"[flips >> 2 * (k - 1 - j) & 3] for j in range(k))
+        for j, letter in enumerate(label):
             if letter != "I":
-                op = op * stack.logical_pauli(i, letter)
-        sign = st.expectation_sign(op)
-        if sign is not None:
-            found.append((label, sign))
-    return found
+                op = op * paired.logical_pauli(j, letter)
+        sign = st.expectation_sign(op)   # None also when no row sum has G_Ri's part
+        if sign is None:
+            raise ValueError(f"logical image of {g} is not a logical operator")
+        images[g] = (label, sign)
+    return images
 
 
 _ONE_QUBIT_NAMES = {
@@ -152,7 +170,8 @@ def logical_action(circuit: ScheduledCircuit,
                    patches: PatchSpec | Sequence[PatchSpec]) -> LogicalAction:
     """Name the logical Clifford the circuit applies to the encoded patches.
 
-    Works for one or two patches.  Raises CodespaceViolationError if the
+    Works for any number of patches; one or two get a gate name, more are
+    named by their sorted signed images.  Raises CodespaceViolationError if the
     circuit does not preserve the codespace, and ValueError if some logical
     image is not a logical operator of the output code.
     """
@@ -162,8 +181,6 @@ def logical_action(circuit: ScheduledCircuit,
     if stack.num_qubits != circuit.num_qubits:
         raise ValueError("circuit width does not match the encoded stack")
     k = len(patches)
-    if k not in (1, 2):
-        raise ValueError("logical_action supports one or two patches")
 
     # reference qubit R_i of patch i follows the stack; each logical qubit
     # starts maximally entangled with its reference (X_i X_Ri = Z_i Z_Ri = +1)
@@ -175,20 +192,16 @@ def logical_action(circuit: ScheduledCircuit,
     st = _project(paired, [paired.logical_pauli(i, p) * on_ref[g]
                            for g, (i, p) in gens.items()])
     _run_protocol(circuit, st)
-    images = {g: _unique_image(_find_image(st, paired, ref)) for g, ref in on_ref.items()}
+    images = _read_images(st, paired, on_ref)
     if k == 1:
         name = _ONE_QUBIT_NAMES.get((images["X"], images["Z"]))
         if name is None:
             name = f"X->{_fmt(images['X'])},Z->{_fmt(images['Z'])}"
-    else:
+    elif k == 2:
         name = _two_qubit_name(images)
+    else:
+        name = _image_list(images)
     return LogicalAction(name, images, frame=_frame_note(images))
-
-
-def _unique_image(found: list[tuple[str, int]]) -> tuple[str, int]:
-    if len(found) != 1:
-        raise ValueError(f"logical image not a unique logical operator: {found}")
-    return found[0]
 
 
 def _two_qubit_name(images: dict[str, tuple[str, int]]) -> str:
@@ -202,6 +215,10 @@ def _two_qubit_name(images: dict[str, tuple[str, int]]) -> str:
         return "CZ" if all(s == 1 for s in signs) else "CZ+frame"
     if plain == {"Z0": "ZI", "Z1": "IZ", "X0": "XI", "X1": "IX"}:
         return "I" if all(s == 1 for s in signs) else "PAULI"
+    return _image_list(images)
+
+
+def _image_list(images: dict[str, tuple[str, int]]) -> str:
     return ",".join(f"{k}->{_fmt(v)}" for k, v in sorted(images.items()))
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
+from numbers import Integral
 from typing import Optional, Sequence
 
 
@@ -58,8 +59,11 @@ class TimingParams:
             object.__setattr__(self, "t_int", self.t_loop / 2)
         else:
             object.__setattr__(self, "t_int", _frac(self.t_int))
-        if self.meas_devices < 1:
-            raise ValueError("need at least one measurement device")
+            if self.t_int < 0:
+                raise ValueError("t_int must be nonnegative")
+        m = self.meas_devices
+        if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+            raise ValueError(f"meas_devices must be an integer >= 1, got {m!r}")
 
 
 SILICON = TimingParams()
@@ -166,14 +170,16 @@ def _plan_lattice(pa: int, pb: int, points: int, a: int, b: int) -> tuple:
 
     Returns (first, second, direction, lead_in, gap, exit, shuttle), the last
     four in lattice units.  Of the four entry orders and directions, the one
-    with the least shuttle wins; ties prefer "bwd", then the smaller first id.
+    with the least shuttle wins, and a tie prefers "bwd".  No tie is left
+    after that: the two options of one direction differ in lead-in + gap by
+    the a->b gap or by the lap minus it, never by 0.
     """
     ab, ba = (pb - pa) % points, (pa - pb) % points
     exit_ = min(ab, ba)
     first, second, direction, lead, gap = min(
         ((a, b, "fwd", pa, ab), (b, a, "fwd", pb, ba),
          (b, a, "bwd", (points - pb) % points, ab), (a, b, "bwd", (points - pa) % points, ba)),
-        key=lambda o: (o[3] + o[4], o[2], o[0]))
+        key=lambda o: (o[3] + o[4], o[2]))
     return first, second, direction, lead, gap, exit_, lead + gap + exit_
 
 

@@ -1,14 +1,15 @@
 """Pauli strings, symplectic arithmetic, and stabilizer-group linear algebra.
 
 Pauli operators are stored as a pair of GF(2) vectors (x, z) plus a phase
-exponent: P = i^phase * prod_q X_q^x[q] Z_q^z[q].  All group-level reasoning
-(membership, rank, quotients) reduces to GF(2) row operations on the
-symplectic vectors, with phases multiplied alongside.
+exponent: P = i^phase * prod_q X_q^x[q] Z_q^z[q].  Group membership and
+rank are one GF(2) elimination: the symplectic vectors are packed into
+Python ints and reduced to an XOR basis keyed by leading bit, and a tag per
+row records which rows each basis vector combines.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -88,68 +89,52 @@ class PauliString:
         return pre + "".join(letters)
 
 
+def pack_rows(rows: np.ndarray) -> list[int]:
+    """Each row of a 0/1 matrix as one int; column j is bit (columns - 1 - j)."""
+    bits = np.asarray(rows, dtype=np.uint8)
+    pad = -bits.shape[1] % 8
+    return [int.from_bytes(b, "big") >> pad for b in np.packbits(bits, axis=1).tolist()]
+
+
+def xor_basis(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
+    """Echelon basis of the span of GF(2) vectors packed as ints.
+
+    Each row is a (vector, tag) pair.  The basis maps the leading bit of each
+    reduced vector to that vector and the XOR of the tags of the rows it was
+    combined from.  Rows in the span of earlier rows are dropped.
+    """
+    basis: dict[int, tuple[int, int]] = {}
+    for vec, tag in rows:
+        vec, tag = xor_reduce(vec, basis, tag)
+        if vec:
+            basis[vec.bit_length() - 1] = (vec, tag)
+    return basis
+
+
+def xor_reduce(vec: int, basis: dict[int, tuple[int, int]], tag: int = 0) -> tuple[int, int]:
+    """Clear `vec`'s leading bits against the basis; (residue, tag).
+
+    The residue is 0 exactly when `vec` lies in the span; the tag then
+    accumulates the tags of the basis vectors that sum to `vec`.
+    """
+    while vec:
+        entry = basis.get(vec.bit_length() - 1)
+        if entry is None:
+            break
+        vec ^= entry[0]
+        tag ^= entry[1]
+    return vec, tag
+
+
 def gf2_rank(rows: np.ndarray) -> int:
     """Rank of a GF(2) matrix (rows are vectors)."""
-    m = rows.copy() % 2
-    rank = 0
-    ncols = m.shape[1] if m.ndim == 2 else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, m.shape[0]):
-            if m[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        for r in range(m.shape[0]):
-            if r != rank and m[r, col]:
-                m[r] ^= m[rank]
-        rank += 1
-        if rank == m.shape[0]:
-            break
-    return rank
-
-
-def reduce_mod_group(p: PauliString, generators: Sequence[PauliString]) -> PauliString:
-    """Reduce `p` by multiplying group generators, greedily clearing pivots.
-
-    Returns the residue Pauli; if the residue is the identity (up to phase),
-    `p` lies in the generated group up to sign.
-    """
-    if not generators:
-        return p.copy()
-    gens = [g.copy() for g in generators]
-    vecs = np.array([g.symplectic() for g in gens], dtype=np.uint8)
-    residue = p.copy()
-    used = np.zeros(len(gens), dtype=bool)
-    ncols = vecs.shape[1]
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, len(gens)):
-            if vecs[r, col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        vecs[[row, pivot]] = vecs[[pivot, row]]
-        gens[row], gens[pivot] = gens[pivot], gens[row]
-        for r in range(len(gens)):
-            if r != row and vecs[r, col]:
-                vecs[r] ^= vecs[row]
-                gens[r] = gens[r] * gens[row]
-        rvec = residue.symplectic()
-        if rvec[col]:
-            residue = residue * gens[row]
-        row += 1
-        if row == len(gens):
-            break
-    return residue
+    return len(xor_basis((v, 0) for v in pack_rows(np.asarray(rows) % 2)))
 
 
 def in_group_up_to_sign(p: PauliString, generators: Sequence[PauliString]) -> bool:
-    return reduce_mod_group(p, generators).weight() == 0
+    """Whether +-p (or +-i p) is a product of the generators."""
+    vecs = pack_rows(np.array([g.symplectic() for g in generators] + [p.symplectic()]))
+    return xor_reduce(vecs[-1], xor_basis((v, 0) for v in vecs[:-1]))[0] == 0
 
 
 def group_weight_enumerator(generators: Sequence[PauliString]) -> dict[int, int]:

@@ -10,6 +10,12 @@ Its gates update the amplitude vector in place on the halves (or, for a
 pair, the quarter-blocks) that a qubit's bit splits it into, and a Z or Y
 measurement projects with (I +- P)/2 on those halves directly.  Both engines
 validate gate and measurement targets through one shared check.
+
+Gates come in layers: `apply_layer` applies one gate kind to pairwise
+disjoint target tuples.  The tableau does a whole layer with one
+fancy-indexed update of each column array (a SWAP layer is a plain column
+exchange); the dense engine applies the layer's gates one by one.  A Z or Y
+measurement with a deterministic outcome is read from the qubit's columns.
 """
 
 from __future__ import annotations
@@ -45,47 +51,53 @@ class StabilizerState:
     # -- gates ----------------------------------------------------------------
 
     def apply_gate(self, gate: str, targets: Sequence[int]) -> "StabilizerState":
+        return self.apply_layer(gate, [targets])
+
+    def apply_layer(self, gate: str, targets: Sequence[Sequence[int]]) -> "StabilizerState":
+        """Apply `gate` to every target tuple at once; the tuples must be disjoint.
+
+        Gates on disjoint qubits commute, so the layer equals applying them one
+        by one.  Each array gets one fancy-indexed column update.
+        """
         g = gate.upper()
         if g == "T":
             raise UnsupportedGateError("T gate is not Clifford; use DenseState")
         if g not in CLIFFORD_GATES:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
-        _check_targets(self.n, targets, _ARITY[g])
+        cols = _check_layer(self.n, targets, _ARITY[g])
+        x, z = self.x, self.z
+        if g == "CZ":
+            self.apply_layer("H", [(t,) for _, t in targets])
+            self.apply_layer("CNOT", targets)
+            return self.apply_layer("H", [(t,) for _, t in targets])
+        if g == "SWAP":
+            ab, ba = cols.ravel(), cols[::-1].ravel()
+            x[:, ab], z[:, ab] = x[:, ba], z[:, ba]
+            return self
+        if g == "CNOT":
+            c, t = cols
+            xc, xt, zc, zt = x[:, c], x[:, t], z[:, c], z[:, t]
+            self.r ^= _parity(xc & zt & (xt ^ zc ^ 1))
+            x[:, t] = xt ^ xc
+            z[:, c] = zc ^ zt
+            return self
+        (q,) = cols
+        xq, zq = x[:, q], z[:, q]
         if g == "H":
-            (q,) = targets
-            self.r ^= self.x[:, q] & self.z[:, q]
-            self.x[:, q], self.z[:, q] = self.z[:, q].copy(), self.x[:, q].copy()
+            self.r ^= _parity(xq & zq)
+            x[:, q], z[:, q] = zq, xq
         elif g == "S":
-            (q,) = targets
-            self.r ^= self.x[:, q] & self.z[:, q]
-            self.z[:, q] ^= self.x[:, q]
+            self.r ^= _parity(xq & zq)
+            z[:, q] = zq ^ xq
         elif g == "SDG":
-            self.apply_gate("S", targets)
-            self.apply_gate("Z", targets)
+            self.r ^= _parity(xq & (zq ^ 1))
+            z[:, q] = zq ^ xq
         elif g == "X":
-            (q,) = targets
-            self.r ^= self.z[:, q]
+            self.r ^= _parity(zq)
         elif g == "Z":
-            (q,) = targets
-            self.r ^= self.x[:, q]
-        elif g == "Y":
-            (q,) = targets
-            self.r ^= self.x[:, q] ^ self.z[:, q]
-        elif g == "CNOT":
-            c, t = targets
-            self.r ^= self.x[:, c] & self.z[:, t] & (self.x[:, t] ^ self.z[:, c] ^ 1)
-            self.x[:, t] ^= self.x[:, c]
-            self.z[:, c] ^= self.z[:, t]
-        elif g == "CZ":
-            c, t = targets
-            self.apply_gate("H", (t,))
-            self.apply_gate("CNOT", (c, t))
-            self.apply_gate("H", (t,))
-        elif g == "SWAP":
-            a, b = targets
-            self.apply_gate("CNOT", (a, b))
-            self.apply_gate("CNOT", (b, a))
-            self.apply_gate("CNOT", (a, b))
+            self.r ^= _parity(xq)
+        else:   # Y
+            self.r ^= _parity(xq ^ zq)
         return self
 
     # -- measurement -----------------------------------------------------------
@@ -97,10 +109,18 @@ class StabilizerState:
         rng: Optional[np.random.Generator] = None,
         force: Optional[int] = None,
     ) -> tuple[int, bool]:
-        """Measure a qubit in the Z or Y basis; see `measure_pauli`."""
+        """Measure a qubit in the Z or Y basis; see `measure_pauli`.
+
+        A deterministic outcome is read from the qubit's columns; only a
+        random one builds the n-qubit Pauli.
+        """
         b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
-        return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), rng, force)
+        _check_force(force)
+        anti = self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
+        if anti[self.n:].any():
+            return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), rng, force)
+        return self._deterministic(anti[:self.n], 1 if b == "Y" else 0, force)
 
     def measure_pauli(
         self,
@@ -121,10 +141,7 @@ class StabilizerState:
         anti, sign = self._anticommuting(pauli)
         stab = np.flatnonzero(anti[n:])
         if stab.size == 0:
-            outcome = self._product_sign(anti[:n], pauli)
-            if force is not None and int(force) != outcome:
-                raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
-            return outcome, True
+            return self._deterministic(anti[:n], pauli.phase, force)
         if force is not None:
             outcome = int(force)
         elif rng is not None:
@@ -163,8 +180,18 @@ class StabilizerState:
                 + self.z[:, support] @ pauli.x[support]) & 1
         return anti.astype(bool), sign
 
-    def _product_sign(self, destabilizers: np.ndarray, pauli: PauliString) -> int:
+    def _deterministic(self, destabilizers: np.ndarray, phase: int,
+                       force: Optional[int]) -> tuple[int, bool]:
+        """(outcome, True) for a Pauli of explicit-i phase `phase` in the group."""
+        outcome = self._product_sign(destabilizers, phase)
+        if force is not None and int(force) != outcome:
+            raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
+        return outcome, True
+
+    def _product_sign(self, destabilizers: np.ndarray, phase: int) -> int:
         """Sign bit of +-P = product of the stabilizers paired with the marked destabilizers.
+
+        `phase` is P's explicit-i phase exponent.
 
         In row order, moving each row's X part left past the Z parts of the
         earlier rows costs (-1)^(sum over a < b of z_a.x_b).
@@ -172,8 +199,8 @@ class StabilizerState:
         rows = self.n + np.flatnonzero(destabilizers)
         x, z = self.x[rows], self.z[rows]
         earlier_z = (np.cumsum(z, axis=0, dtype=np.uint8) - z) & 1
-        phase = int(np.sum(_phase(x, z, self.r[rows]))) + 2 * np.count_nonzero(x & earlier_z)
-        return (int(phase - pauli.phase) & 3) >> 1
+        product = int(np.sum(_phase(x, z, self.r[rows]))) + 2 * np.count_nonzero(x & earlier_z)
+        return (int(product - phase) & 3) >> 1
 
     # -- inspection -------------------------------------------------------------
 
@@ -196,7 +223,7 @@ class StabilizerState:
             return None
         if anti[self.n:].any():
             return None
-        return 1 - 2 * self._product_sign(anti[:self.n], pauli)
+        return 1 - 2 * self._product_sign(anti[:self.n], pauli.phase)
 
     def copy(self) -> "StabilizerState":
         st = StabilizerState.__new__(StabilizerState)
@@ -289,6 +316,16 @@ class DenseState:
             both *= -1.0
         else:   # SWAP
             _exchange(self._quarter(targets, 0, 1), self._quarter(targets, 1, 0))
+        return self
+
+    def apply_layer(self, gate: str, targets: Sequence[Sequence[int]]) -> "DenseState":
+        """Apply `gate` to each of the disjoint target tuples in turn."""
+        g = gate.upper()
+        if g not in _ARITY:
+            raise UnsupportedGateError(f"unknown gate {gate!r}")
+        _check_layer(self.n, targets, _ARITY[g])
+        for t in targets:
+            self.apply_gate(g, t)
         return self
 
     def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,6 +428,26 @@ def _check_targets(n: int, targets: Sequence[int], arity: int = 1) -> None:
     for q in targets:
         if not 0 <= q < n:
             raise ValueError(f"target {q} out of range for {n} qubits")
+
+
+def _check_layer(n: int, targets: Sequence[Sequence[int]], arity: int) -> np.ndarray:
+    """The layer's targets as an (arity, gates) index array.
+
+    Raises ValueError unless each tuple passes `_check_targets` and no qubit
+    appears in two of them.
+    """
+    seen: set[int] = set()
+    for t in targets:
+        _check_targets(n, t, arity)
+        seen.update(t)
+    if len(seen) != arity * len(targets):
+        raise ValueError("targets of one layer overlap")
+    return np.array(targets, dtype=np.intp).reshape(-1, arity).T
+
+
+def _parity(bits: np.ndarray) -> np.ndarray:
+    """XOR of each row of a (rows, gates) bit array."""
+    return np.bitwise_xor.reduce(bits, axis=1)
 
 
 def _check_basis(basis: str) -> str:

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, config handling, report formats."""
 
 import json
+import os
 
 import pytest
 
@@ -292,6 +293,15 @@ def test_verify_json_all_gates(capsys):
 def test_verify_takes_an_odd_distance_above_5(capsys):
     code, out, _ = run_cli("verify", "--gate", "S", "--d", "7", capsys=capsys)
     assert code == 0 and "2/2 checks passed" in out
+
+
+@pytest.mark.skipif(os.environ.get("LOOPFOLD_SLOW") != "1",
+                    reason="slow (about 5 s); set LOOPFOLD_SLOW=1 to run")
+def test_verify_d25_passes_all_nine_checks(capsys):
+    code, out, _ = run_cli("--json", "verify", "--d", "25", capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0 and doc["passed"] == doc["total"] == len(doc["checks"]) == 9
+    assert all(c["passed"] is True for c in doc["checks"])
 
 
 def test_verify_even_distance_exit_2(capsys):

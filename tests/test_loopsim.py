@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
 from loopfold.loopsim import (SILICON, EpisodePlan, LoopState, OccupiedPortError,
-                              TimedSchedule, TimingParams, _rearrange_cost, pipeline_model,
+                              TimedSchedule, TimingParams, _plan_lattice, _rearrange_cost,
+                              pipeline_model,
                               plan_episode, rearrange, rearrange_makespan, run_episode,
                               simulate_cycle, swap_protocol, worst_case_search)
 from loopfold.patches import build_patch, embed_stack
@@ -21,6 +22,22 @@ P = SILICON
 def test_silicon_defaults():
     assert (P.t_loop, P.t_1q, P.t_2q, P.t_meas) == (400, 200, 100, 1000)
     assert P.meas_devices == 3 and P.t_int == 200
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"t_int": -5}, "t_int"),
+    ({"meas_devices": 2.5}, "meas_devices"),
+    ({"meas_devices": True}, "meas_devices"),
+    ({"meas_devices": 0}, "meas_devices"),
+], ids=["negative-t_int", "fractional-devices", "bool-devices", "zero-devices"])
+def test_timing_params_reject_bad_fields(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        TimingParams(**kwargs)
+
+
+def test_timing_params_accept_a_rational_t_int():
+    assert TimingParams(t_int=F(3, 2)).t_int == F(3, 2)
+    assert TimingParams(meas_devices=1).meas_devices == 1
 
 
 def test_episode_s_gate_instance():
@@ -460,3 +477,20 @@ def test_cnot_stack_witness_resimulates_to_the_maximum(n, params):
   + [("rearrange", 4, 17, 4 * (factorial(3) + 1))])
 def test_search_reports_configurations_scored(protocol, n, points, expected):
     assert worst_case_search(protocol, n, F(1, points), P).configurations == expected
+
+
+def test_plan_lattice_least_shuttle_and_direction_is_unique():
+    """(shuttle, direction) alone orders the four episode options on every
+    lattice of 2-64 points, so no token id is needed to break a tie."""
+    for points in range(2, 65):
+        for pa in range(points):
+            for pb in range(points):
+                if pa == pb:
+                    continue
+                ab, ba = (pb - pa) % points, (pa - pb) % points
+                keys = sorted([(pa + ab, "fwd"), (pb + ba, "fwd"),
+                               ((points - pb) % points + ab, "bwd"),
+                               ((points - pa) % points + ba, "bwd")])
+                assert keys[0] != keys[1]
+                _, _, direction, lead, gap, _, _ = _plan_lattice(pa, pb, points, 0, 1)
+                assert (lead + gap, direction) == keys[0]

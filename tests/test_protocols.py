@@ -1,13 +1,18 @@
 """Transversal protocol circuits and their verified logical actions."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as hst
 
 from loopfold.circuits import ScheduledCircuit, run_on_state
-from loopfold.logical import (CodespaceViolationError, encode_stack, logical_action,
-                              prepare_logical_state)
+from loopfold.logical import (_ONE_QUBIT_NAMES, CodespaceViolationError, LogicalAction,
+                              _fmt, _frame_note, _two_qubit_name, encode_stack,
+                              logical_action, prepare_logical_state)
+from loopfold.pauli import PauliString
+from loopfold.tableau import StabilizerState
 from loopfold.patches import (build_patch, embed_stack, first_half_circuit,
                               midcycle_diagonal, midcycle_fold_pairs,
                               second_half_circuit)
@@ -141,7 +146,6 @@ def test_s_teleport_logical_composition():
     a, b = build_patch(3, "folded"), build_patch(3, "folded")
     emb = embed_stack([a, b])
     stack = encode_stack([a, b])
-    from loopfold.logical import _find_image
     for basis, want in (("Z", ("ZI", 1)), ("X", ("YI", 1))):
         st = prepare_logical_state(stack, [basis, "Z"])
         run_on_state(transversal_two_qubit(emb, 0, 1, "CNOT", [a, b]), st)
@@ -151,7 +155,7 @@ def test_s_teleport_logical_composition():
         if out == 0:
             for q in stack.logical_pauli(0, "Z").support():
                 st.apply_gate("Z", (q,))
-        found = _find_image(st, stack)
+        found = ref_find_image(st, stack)
         assert want in found
 
 
@@ -218,3 +222,157 @@ def test_protocols_preserve_codespace_and_corrupted_circuit_fails():
     with pytest.raises(CodespaceViolationError):
         logical_action(bad, p)
     logical_action(circ, p)   # clean circuit passes
+
+
+# -- the row-reduced image read-out against the enumeration it replaced ------------
+
+def ref_find_image(st, stack, ref=None):
+    """Reference: every signed logical Pauli P with P * ref in the stabilizer group,
+    found by trying all 4^k - 1 labels."""
+    k = len(stack.patches)
+    found = []
+    for mask in range(1, 4**k):
+        label = "".join("IXZY"[(mask >> 2 * i) & 3] for i in range(k))
+        op = PauliString(stack.num_qubits) if ref is None else ref
+        for i, letter in enumerate(label):
+            if letter != "I":
+                op = op * stack.logical_pauli(i, letter)
+        sign = st.expectation_sign(op)
+        if sign is not None:
+            found.append((label, sign))
+    return found
+
+
+def ref_logical_action(circuit, patches):
+    """Reference: logical_action with the enumerated read-out, for one or two patches."""
+    stack = encode_stack(patches)
+    k = len(patches)
+    paired = replace(stack, num_qubits=stack.num_qubits + k)
+    gens = ({"X": (0, "X"), "Z": (0, "Z")} if k == 1 else
+            {f"{p}{i}": (i, p) for p in "ZX" for i in range(k)})
+    on_ref = {g: PauliString.from_label(p, paired.num_qubits, [stack.num_qubits + i])
+              for g, (i, p) in gens.items()}
+    st = StabilizerState(paired.num_qubits)
+    for g in paired.all_stabilizers() + [paired.logical_pauli(i, p) * on_ref[g]
+                                         for g, (i, p) in gens.items()]:
+        st.measure_pauli(g, force=0)
+    run_on_state(circuit, st)
+    images = {}
+    for g, ref in on_ref.items():
+        found = ref_find_image(st, paired, ref)
+        if len(found) != 1:
+            raise ValueError(f"logical image not a unique logical operator: {found}")
+        images[g] = found[0]
+    if k == 1:
+        name = _ONE_QUBIT_NAMES.get((images["X"], images["Z"]),
+                                    f"X->{_fmt(images['X'])},Z->{_fmt(images['Z'])}")
+    else:
+        name = _two_qubit_name(images)
+    return LogicalAction(name, images, frame=_frame_note(images))
+
+
+def _protocol_circuits(d):
+    """Every protocol circuit on folded patches at distance d, with its patches."""
+    p = build_patch(d, "folded")
+    pair = [build_patch(d, "folded"), build_patch(d, "folded")]
+    s, h = transversal_s_circuit(p), transversal_h_circuit(p)
+    cnot = transversal_two_qubit(embed_stack(pair), 0, 1, "CNOT", pair)
+    swap = transversal_two_qubit(embed_stack(pair), 0, 1, "SWAP", pair)
+    out = [(s, [p]), (transversal_s_circuit(p, inverted_alternation(d)), [p]),
+           (_then(s, s), [p]), (h, [p]), (_then(h, h), [p]), (cnot, pair), (swap, pair),
+           (_then(swap, swap), pair)]
+    for circ, ps in list(out):
+        for idx, kind in itertools.product(range(len(ps)), "XZ"):
+            out.append((_then_logical_pauli(circ, ps, idx, kind), ps))
+    return out
+
+
+def _then(first, second):
+    return first.extended(second, slot_offset=max(first.slots()) + 1)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_logical_action_matches_the_enumerated_read_out(d):
+    for circ, ps in _protocol_circuits(d):
+        act, want = logical_action(circ, ps), ref_logical_action(circ, ps)
+        assert (act.name, act.images, act.frame) == (want.name, want.images, want.frame)
+
+
+@hst.composite
+def stray_circuits(draw):
+    """A few physical Clifford gates on random qubits of one or two d = 3 patches."""
+    k = draw(hst.integers(1, 2))
+    ps = [build_patch(3, "folded") for _ in range(k)]
+    n = encode_stack(ps).num_qubits
+    circ = ScheduledCircuit(n)
+    for slot in range(draw(hst.integers(1, 4))):
+        gate = draw(hst.sampled_from(["H", "S", "X", "CNOT", "CZ", "SWAP"]))
+        arity = 2 if gate in ("CNOT", "CZ", "SWAP") else 1
+        circ.add(slot, gate, draw(hst.lists(hst.integers(0, n - 1), min_size=arity,
+                                            max_size=arity, unique=True)))
+    return circ, ps
+
+
+@given(stray_circuits())
+@settings(max_examples=40, deadline=None)
+def test_logical_action_on_stray_gates_matches_the_reference(params):
+    """Gates that may leave the code: both read-outs agree, or both raise ValueError."""
+    circ, ps = params
+    try:
+        want = ref_logical_action(circ, ps)
+    except ValueError:
+        with pytest.raises(ValueError):
+            logical_action(circ, ps)
+        return
+    act = logical_action(circ, ps)
+    assert (act.name, act.images, act.frame) == (want.name, want.images, want.frame)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_image_outside_the_logical_operators_raises(k):
+    ps = [build_patch(3, "folded") for _ in range(k)]
+    circ = ScheduledCircuit(encode_stack(ps).num_qubits)
+    circ.add(0, "H", (ps[0].logical_x_pauli().support()[0],))
+    with pytest.raises(ValueError):
+        ref_logical_action(circ, ps)
+    with pytest.raises(ValueError, match="not a logical operator"):
+        logical_action(circ, ps)
+
+
+def _stack_images(k, i, j, gate):
+    """Signed images of transversal `gate` between patches i and j of k."""
+    def letters(*pairs):
+        out = ["I"] * k
+        for idx, letter in pairs:
+            out[idx] = letter
+        return "".join(out)
+
+    images = {f"{p}{m}": (letters((m, p)), 1) for p in "XZ" for m in range(k)}
+    if gate == "CNOT":
+        images[f"X{i}"] = (letters((i, "X"), (j, "X")), 1)
+        images[f"Z{j}"] = (letters((i, "Z"), (j, "Z")), 1)
+    else:
+        for p in "XZ":
+            images[f"{p}{i}"], images[f"{p}{j}"] = (letters((j, p)), 1), (letters((i, p)), 1)
+    return images
+
+
+@pytest.mark.parametrize("k, i, j", [(8, 0, 7), (8, 3, 5), (3, 0, 2)])
+@pytest.mark.parametrize("gate", ["CNOT", "SWAP"])
+def test_transversal_gates_across_a_stack_of_many_patches(k, i, j, gate):
+    ps = [build_patch(3, "folded") for _ in range(k)]
+    act = logical_action(transversal_two_qubit(embed_stack(ps), i, j, gate, ps), ps)
+    want = _stack_images(k, i, j, gate)
+    assert act.images == want
+    assert act.frame == ""
+    assert act.name == ",".join(f"{g}->+{label}" for g, (label, _) in sorted(want.items()))
+
+
+def test_eight_patch_cnot_images_pinned():
+    ps = [build_patch(3, "folded") for _ in range(8)]
+    act = logical_action(transversal_two_qubit(embed_stack(ps), 0, 7, "CNOT", ps), ps)
+    assert act.images["Z7"] == ("ZIIIIIIZ", 1)
+    assert act.images["X0"] == ("XIIIIIIX", 1)
+    assert act.images["Z0"] == ("ZIIIIIII", 1)
+    assert act.images["X7"] == ("IIIIIIIX", 1)
+    assert act.images["Z3"] == ("IIIZIIII", 1)

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.circuits import ScheduledCircuit, run_on_state
 from loopfold.pauli import PauliString, gf2_rank
-from loopfold.tableau import (DenseState, ImpossibleOutcomeError, StabilizerState,
-                              UnsupportedGateError, _apply_pauli_dense)
+from loopfold.tableau import (CLIFFORD_GATES, DenseState, ImpossibleOutcomeError,
+                              StabilizerState, UnsupportedGateError, _apply_pauli_dense,
+                              _check_targets)
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 GATES_2Q = ["CNOT", "CZ", "SWAP"]
@@ -360,3 +361,166 @@ def test_forced_outcome_other_than_0_or_1_rejected_before_the_state_changes(
     with pytest.raises(ValueError, match="forced outcome"):
         state.measure(0, "Z", force=force)
     assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
+
+
+# -- gate layers ----------------------------------------------------------------
+
+def ref_apply_gate(state, gate, targets):
+    """Reference: the per-gate tableau update that gate layers replaced."""
+    g = gate.upper()
+    _check_targets(state.n, targets, 2 if g in ("CNOT", "CZ", "SWAP") else 1)
+    x, z = state.x, state.z
+    if g == "H":
+        (q,) = targets
+        state.r ^= x[:, q] & z[:, q]
+        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
+    elif g == "S":
+        (q,) = targets
+        state.r ^= x[:, q] & z[:, q]
+        z[:, q] ^= x[:, q]
+    elif g == "SDG":
+        ref_apply_gate(state, "S", targets)
+        ref_apply_gate(state, "Z", targets)
+    elif g == "X":
+        state.r ^= z[:, targets[0]]
+    elif g == "Z":
+        state.r ^= x[:, targets[0]]
+    elif g == "Y":
+        state.r ^= x[:, targets[0]] ^ z[:, targets[0]]
+    elif g == "CNOT":
+        c, t = targets
+        state.r ^= x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1)
+        x[:, t] ^= x[:, c]
+        z[:, c] ^= z[:, t]
+    elif g == "CZ":
+        c, t = targets
+        ref_apply_gate(state, "H", (t,))
+        ref_apply_gate(state, "CNOT", (c, t))
+        ref_apply_gate(state, "H", (t,))
+    else:   # SWAP
+        a, b = targets
+        for pair in ((a, b), (b, a), (a, b)):
+            ref_apply_gate(state, "CNOT", pair)
+    return state
+
+
+@st.composite
+def layered_states(draw):
+    """A random stabilizer state (gates and forced Z/Y measurements) and random
+    disjoint layers of every Clifford gate."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    seed = draw(st.integers(min_value=0, max_value=2**31))
+    rng = np.random.default_rng(seed)
+    tab = StabilizerState(n)
+    for g, tg in random_circuit(rng, n, draw(st.integers(0, 30))):
+        tab.apply_gate(g, tg)
+        if rng.random() < 0.25:
+            q, basis, bit = int(rng.integers(n)), "ZY"[int(rng.integers(2))], int(rng.integers(2))
+            try:
+                tab.measure(q, basis, force=bit)
+            except ImpossibleOutcomeError:
+                tab.measure(q, basis, force=1 - bit)
+    layers = []
+    for _ in range(draw(st.integers(1, 12))):
+        gate = draw(st.sampled_from(CLIFFORD_GATES))
+        arity = 2 if gate in ("CNOT", "CZ", "SWAP") else 1
+        qubits = draw(st.permutations(range(n)))
+        count = draw(st.integers(0, n // arity))
+        layers.append((gate, [tuple(qubits[arity * i:arity * (i + 1)]) for i in range(count)]))
+    return tab, layers
+
+
+@given(layered_states())
+@settings(max_examples=150, deadline=None)
+def test_layers_match_the_per_gate_reference(params):
+    tab, layers = params
+    ref = tab.copy()
+    for gate, targets in layers:
+        tab.apply_layer(gate, targets)
+        for t in targets:
+            ref_apply_gate(ref, gate, t)
+        assert np.array_equal(tab.x, ref.x)
+        assert np.array_equal(tab.z, ref.z)
+        assert np.array_equal(tab.r, ref.r)
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+@pytest.mark.parametrize("gate, targets", [
+    ("CNOT", [(0, 1), (1, 2)]),
+    ("H", [(0,), (0,)]),
+    ("H", [(0,), (3,)]),
+    ("SWAP", [(0, 1), (2, -1)]),
+    ("CZ", [(0, 1), (2, 0)]),
+    ("S", [(0, 1)]),
+], ids=["cnot-overlap", "h-repeat", "h-out-of-range", "swap-negative", "cz-overlap",
+        "wrong-arity"])
+def test_bad_layer_rejected_before_the_state_changes(engine, gate, targets):
+    state = engine(3)
+    state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("S", (2,))
+    before = engine_snapshot(state)
+    with pytest.raises(ValueError):
+        state.apply_layer(gate, targets)
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
+
+
+def test_dense_layer_applies_its_gates_in_turn():
+    rng = np.random.default_rng(3)
+    one, layer = DenseState(4), DenseState(4)
+    one.vec = layer.vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+    for gate, targets in (("H", [(0,), (2,), (3,)]), ("CNOT", [(1, 0), (3, 2)]),
+                          ("SWAP", [(0, 3)]), ("SDG", [(1,), (2,)])):
+        layer.apply_layer(gate, targets)
+        for t in targets:
+            one.apply_gate(gate, t)
+    assert np.array_equal(one.vec, layer.vec)
+
+
+def test_run_on_state_groups_disjoint_runs_into_layers():
+    circ = ScheduledCircuit(4)
+    circ.add(0, "H", (0,))
+    circ.add(0, "H", (1,))
+    circ.add(0, "H", (0,))          # qubit 0 repeats: a new layer
+    circ.add(1, "CNOT", (0, 2))
+    circ.add(1, "CNOT", (1, 3))
+    circ.add(1, "RESET", (3,))      # a layout marker does not split the run
+    circ.add(1, "CNOT", (3, 1), condition="!m0")   # conditioned: on its own
+    circ.add(2, "MEASURE", (2,))
+    circ.add(2, "X", (2,))
+
+    class Recording(StabilizerState):
+        def apply_layer(self, gate, targets):
+            calls.append((gate, [tuple(t) for t in targets]))
+            return super().apply_layer(gate, targets)
+
+    calls = []
+    tab = Recording(4)
+    run_on_state(circ, tab, rng=np.random.default_rng(0))
+    assert calls == [("H", [(0,), (1,)]), ("H", [(0,)]), ("CNOT", [(0, 2), (1, 3)]),
+                     ("CNOT", [(3, 1)]), ("X", [(2,)])]
+    ref = StabilizerState(4)
+    for g, tg in (("H", (0,)), ("H", (1,)), ("H", (0,)), ("CNOT", (0, 2)), ("CNOT", (1, 3)),
+                  ("CNOT", (3, 1))):
+        ref_apply_gate(ref, g, tg)
+    ref.measure(2, force=0)
+    ref_apply_gate(ref, "X", (2,))
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(tab), engine_snapshot(ref)))
+
+
+def test_single_qubit_measure_matches_measure_pauli():
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        n = int(rng.integers(2, 7))
+        tab = StabilizerState(n)
+        for g, tg in random_circuit(rng, n, 20):
+            tab.apply_gate(g, tg)
+        q, basis = int(rng.integers(n)), "ZY"[int(rng.integers(2))]
+        pauli = PauliString.from_label(basis, n, [q])
+        sign = tab.expectation_sign(pauli)
+        if sign is not None:     # deterministic: the other branch is impossible
+            with pytest.raises(ImpossibleOutcomeError):
+                tab.measure(q, basis, force=int(sign == 1))
+        force = None if sign is not None else int(rng.integers(2))
+        ref = tab.copy()
+        assert tab.measure(q, basis, force=force) == ref.measure_pauli(pauli, force=force)
+        assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(tab),
+                                                           engine_snapshot(ref)))
