@@ -64,12 +64,13 @@ class StabilizerState:
             raise UnsupportedGateError("T gate is not Clifford; use DenseState")
         if g not in CLIFFORD_GATES:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
-        cols = _check_layer(self.n, targets, _ARITY[g])
-        x, z = self.x, self.z
+        _check_layer(self.n, targets, _ARITY[g])
         if g == "CZ":
             self.apply_layer("H", [(t,) for _, t in targets])
             self.apply_layer("CNOT", targets)
             return self.apply_layer("H", [(t,) for _, t in targets])
+        cols = np.array(targets, dtype=np.intp).reshape(-1, _ARITY[g]).T   # one row per position
+        x, z = self.x, self.z
         if g == "SWAP":
             ab, ba = cols.ravel(), cols[::-1].ravel()
             x[:, ab], z[:, ab] = x[:, ba], z[:, ba]
@@ -290,10 +291,19 @@ class DenseState:
         self._vec = value
 
     def apply_gate(self, gate: str, targets: Sequence[int]) -> "DenseState":
+        return self.apply_layer(gate, [targets])
+
+    def apply_layer(self, gate: str, targets: Sequence[Sequence[int]]) -> "DenseState":
+        """Apply `gate` to each of the disjoint target tuples in turn."""
         g = gate.upper()
         if g not in _ARITY:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
-        _check_targets(self.n, targets, _ARITY[g])
+        _check_layer(self.n, targets, _ARITY[g])
+        for t in targets:
+            self._apply(g, t)
+        return self
+
+    def _apply(self, g: str, targets: Sequence[int]) -> None:
         if g in self._PHASES:
             _, one = self._halves(targets[0])
             one *= self._PHASES[g]
@@ -316,17 +326,6 @@ class DenseState:
             both *= -1.0
         else:   # SWAP
             _exchange(self._quarter(targets, 0, 1), self._quarter(targets, 1, 0))
-        return self
-
-    def apply_layer(self, gate: str, targets: Sequence[Sequence[int]]) -> "DenseState":
-        """Apply `gate` to each of the disjoint target tuples in turn."""
-        g = gate.upper()
-        if g not in _ARITY:
-            raise UnsupportedGateError(f"unknown gate {gate!r}")
-        _check_layer(self.n, targets, _ARITY[g])
-        for t in targets:
-            self.apply_gate(g, t)
-        return self
 
     def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of the amplitudes with qubit q at 0 and at 1."""
@@ -430,19 +429,15 @@ def _check_targets(n: int, targets: Sequence[int], arity: int = 1) -> None:
             raise ValueError(f"target {q} out of range for {n} qubits")
 
 
-def _check_layer(n: int, targets: Sequence[Sequence[int]], arity: int) -> np.ndarray:
-    """The layer's targets as an (arity, gates) index array.
-
-    Raises ValueError unless each tuple passes `_check_targets` and no qubit
-    appears in two of them.
-    """
+def _check_layer(n: int, targets: Sequence[Sequence[int]], arity: int) -> None:
+    """Raise ValueError unless each tuple passes `_check_targets` and no
+    qubit appears in two of them."""
     seen: set[int] = set()
     for t in targets:
         _check_targets(n, t, arity)
         seen.update(t)
     if len(seen) != arity * len(targets):
         raise ValueError("targets of one layer overlap")
-    return np.array(targets, dtype=np.intp).reshape(-1, arity).T
 
 
 def _parity(bits: np.ndarray) -> np.ndarray:
