@@ -3,7 +3,7 @@
 A ScheduledCircuit is the common currency: the tableau and dense engines
 replay its events in slot order, one layer of same-kind gates on disjoint
 qubits at a time, and the loop simulator attaches wall-clock times to the
-same structure.  The text dump is one line per event: slot, action, targets.
+same structure.
 """
 
 from __future__ import annotations
@@ -51,20 +51,6 @@ class ScheduledCircuit:
             out.events.append(CircuitEvent(e.slot + slot_offset, e.action, e.targets,
                                            e.basis, e.key, e.condition))
         return out
-
-    def dump(self) -> str:
-        """Line-per-event text form: slot action targets [basis] [key] [?condition]."""
-        lines = []
-        for e in self.sorted_events():
-            parts = [str(e.slot), e.action, ",".join(str(t) for t in e.targets)]
-            if e.action == "MEASURE":
-                parts.append(e.basis)
-            if e.key:
-                parts.append(f"key={e.key}")
-            if e.condition:
-                parts.append(f"if={e.condition}")
-            lines.append(" ".join(parts))
-        return "\n".join(lines) + "\n"
 
 
 def _condition_holds(condition: str, record: dict[str, int]) -> bool:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .loopsim import SILICON, TimingParams
 
@@ -27,14 +26,11 @@ def pipeline_steady_state(n: int, params: TimingParams = SILICON) -> Fraction:
     return max(cycle_time_n2(params), Fraction(n, params.meas_devices) * params.t_meas)
 
 
-def effective_cycle_time(n: int, params: TimingParams = SILICON,
-                         slack: Optional[Fraction] = None) -> Fraction:
+def effective_cycle_time(n: int, params: TimingParams = SILICON) -> Fraction:
     """T*_cyc(n): steady-state average plus slack, rounded up to a whole us."""
     if n < 2:
         raise ValueError("need n >= 2")
-    if slack is None:
-        slack = params.slack_ns
-    raw = pipeline_steady_state(n, params) + slack
+    raw = pipeline_steady_state(n, params) + params.slack_ns
     us = -(-raw // NS_PER_US)  # ceil division
     return us * NS_PER_US
 
@@ -63,11 +59,11 @@ def cnot_time(n: int, params: TimingParams = SILICON) -> Fraction:
 
 
 ARCHITECTURES = ("standard", "pipelined_rotated", "pipelined_folded", "interloop")
+STANDARD_CYCLE_NS = Fraction(3000)   # the fixed stabilizer round of plain lattice surgery
 
 
 def gate_time(gate: str, arch: str, n: int, d: int,
-              params: TimingParams = SILICON,
-              standard_cycle_ns: Fraction = Fraction(3000)) -> Fraction:
+              params: TimingParams = SILICON) -> Fraction:
     """Closed-form runtime of a logical gate on one architecture.
 
     pipelined_folded uses the transversal protocols with the effective cycle
@@ -100,15 +96,15 @@ def gate_time(gate: str, arch: str, n: int, d: int,
             return t_cyc_star
     elif arch == "standard":
         if gate == "H":
-            return 3 * d * standard_cycle_ns
+            return 3 * d * STANDARD_CYCLE_NS
         if gate == "S":
-            return Fraction(3, 2) * d * standard_cycle_ns
+            return Fraction(3, 2) * d * STANDARD_CYCLE_NS
         if gate == "CNOT":
-            return 2 * d * standard_cycle_ns
+            return 2 * d * STANDARD_CYCLE_NS
         if gate == "SWAP":
-            return 2 * d * standard_cycle_ns   # patch movement, two ancillas
+            return 2 * d * STANDARD_CYCLE_NS   # patch movement, two ancillas
         if gate == "CYCLE":
-            return standard_cycle_ns
+            return STANDARD_CYCLE_NS
     elif arch == "interloop":
         if gate == "H":
             return (d - 1) * params.t_int

@@ -12,15 +12,15 @@ output exactly; factory_runtime counts its cost terms from the same circuit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from .circuits import ScheduledCircuit, run_on_state
-from .costs import NS_PER_US, cnot_time, effective_cycle_time, gate_time
-from .loopsim import SILICON, TimedSchedule, TimingParams
+from .costs import NS_PER_US, SPACE, cnot_time, effective_cycle_time, gate_time
+from .loopsim import SILICON, TimingParams
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -203,7 +203,6 @@ class FactoryReport:
     space: Fraction
     cultivation_cycles: int
     output_error: Fraction
-    timeline: TimedSchedule = field(repr=False, default=None)
 
     @property
     def spacetime_ns(self) -> Fraction:
@@ -258,7 +257,6 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
             "measurements": rounds * params.t_meas,
             "s_gates": circ.gate_count("S") * t_s,
         }
-        space = Fraction(1, 2)
     else:
         terms = {
             "cultivation": cul * t_star,
@@ -268,33 +266,6 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
             # the published coefficient; not derived from the Y-measurement count
             "y_basis_measurements": 2 * (Fraction(d, 2) + 2) * t_star,
         }
-        space = Fraction(1)
-
-    timeline = _serial_timeline(circ, terms, rounds)
+    space = SPACE[f"pipelined_{variant}"]["FACTORY"]
     runtime = sum(terms.values(), Fraction(0))
-    return FactoryReport(variant, d, runtime, terms, space, cul,
-                         output_error(), timeline)
-
-
-def _serial_timeline(circ: ScheduledCircuit, terms: dict[str, Fraction],
-                     measurement_rounds: int) -> TimedSchedule:
-    """Serial port-usage timeline matching the runtime terms.
-
-    Operations that share the single port of a loop (the transversal CNOTs
-    and the four S corrections or Y-measure gadgets) never overlap.
-    """
-    sched = TimedSchedule(meta={"variant": circ.meta["variant"]})
-    t = Fraction(0)
-    pieces = {"cnots": circ.gate_count("CNOT"), "s_gates": circ.gate_count("S"),
-              "y_basis_measurements": _measure_count(circ, "Y"),
-              "measurements": measurement_rounds}
-    order = ["cultivation", "check_rounds", "cnots", "measurements"]
-    order.append("s_gates" if "s_gates" in terms else "y_basis_measurements")
-    for name in order:
-        total = terms[name]
-        count = pieces.get(name, 1)
-        piece = total / count
-        for i in range(count):
-            sched.append(t, piece, f"{name}[{i}]" if count > 1 else name, ())
-            t += piece
-    return sched
+    return FactoryReport(variant, d, runtime, terms, space, cul, output_error())

@@ -6,8 +6,9 @@ its forward distance to the junction.  Times are Fractions of a nanosecond.
 All closed-form comparisons in the tests are exact equalities.  Costs are
 evaluated on integer lattice positions: one kernel, `_plan_lattice`, plans
 every pair-gate episode (for `plan_episode`, `run_episode` and the swap and
-CNOT-stack searches), and `_lattice_cost` scores the rearrangement search;
-the event paths convert back to Fractions for their traces.
+CNOT-stack searches), and the rearrangement rules `_arc`, `_lead` and
+`_park` serve both `rearrange` and its search; the event paths convert back
+to Fractions for their traces.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -199,9 +200,9 @@ def _apply_episode(positions: dict[int, int], port: list[int], first: int, secon
     positions[second] = 0
 
 
-def _on_lattice(positions: dict[int, Fraction]) -> tuple[int, dict[int, int]]:
-    """Positions as integers on the lattice of the lcm of their denominators."""
-    points = lcm(*(p.denominator for p in positions.values()))
+def _on_lattice(positions: dict[int, Fraction], n: int = 1) -> tuple[int, dict[int, int]]:
+    """Positions as integers on the lattice of the lcm of n and their denominators."""
+    points = lcm(n, *(p.denominator for p in positions.values()))
     return points, {t: p.numerator * (points // p.denominator) for t, p in positions.items()}
 
 
@@ -210,12 +211,6 @@ def plan_episode(loop: LoopState, a: int, b: int) -> EpisodePlan:
     points, pos = _on_lattice({a: loop.positions[a], b: loop.positions[b]})
     first, second, direction, *units = _plan_lattice(pos[a], pos[b], points, a, b)
     return EpisodePlan(first, second, direction, *(Fraction(u, points) for u in units))
-
-
-def _rotate(loop: LoopState, rho: Fraction, direction: str) -> None:
-    sgn = -1 if direction == "fwd" else 1
-    for t in loop.positions:
-        loop.positions[t] = (loop.positions[t] + sgn * rho) % 1
 
 
 def run_episode(loop: LoopState, a: int, b: int, gate_time: Fraction,
@@ -269,10 +264,27 @@ def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams,
 
 
 # -- rearrangement (LIFO port scheme) --------------------------------------------
+#
+# One copy of each rule, in lattice units: `rearrange` walks it on the actual
+# positions and the worst-case search tabulates it for evenly spaced rings.
 
-def _short_arc(dist: Fraction) -> tuple[Fraction, str]:
-    dist %= 1
-    return (dist, "fwd") if dist <= 1 - dist else ((1 - dist) % 1, "bwd")
+def _arc(g: int, points: int) -> tuple[int, str]:
+    """The short rotation that brings a token g points ahead to the junction
+    (a tie goes "fwd"; half a lap either way leaves the same ring)."""
+    g %= points
+    return (g, "fwd") if 2 * g <= points else (points - g, "bwd")
+
+
+def _lead(pos: dict[int, int], points: int) -> int:
+    """The token nearest the junction (a tie prefers the one ahead)."""
+    return min(pos, key=lambda t: (_arc(pos[t], points)[0], pos[t]))
+
+
+def _park(g: int, slot: int, points: int) -> tuple[int, str, str]:
+    """The rotation that parks a token g points ahead one slot from the
+    junction, on the nearer side (a tie stops "before")."""
+    return min((*_arc(g - slot, points), "before"), (*_arc(g + slot, points), "past"),
+               key=lambda o: (o[0], o[2]))
 
 
 def rearrange(loop: LoopState, target_order: Sequence[int],
@@ -286,122 +298,78 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
     time.  Worst-case makespan is (n/2 - 3/(2n)) laps for even n and
     (n/2 - 2/n) for odd n.  A past-side park realizes the target with the
     traversal sense reversed (meta["traversal_reversed"]).
+
+    Only the ring order itself (tokens by increasing distance to the
+    junction) is free.  Any other target, a rotation of the ring order
+    included, runs the scheme: [1, 2, 3, 0] from an evenly spaced ring of 4
+    at phase 0 costs a full lap.  That charge is what gives the published
+    n = 2 maximum of a quarter lap.
+
+    The walk runs on the lattice of lcm(n, position denominators) points with
+    one rotation offset; event times and the final positions are Fractions.
     """
     n = len(loop.positions)
     if sorted(target_order) != sorted(loop.positions):
         raise ValueError("target_order must be a permutation of the loop's tokens")
     if loop.port:
         raise OccupiedPortError("port must be empty at the start of rearrangement")
-    ring = _ring_order(loop)
-    if list(target_order) == ring:
+    points, ring = _on_lattice(loop.positions, n)
+    target = list(target_order)
+    if target == sorted(ring, key=ring.get):
         return TimedSchedule(meta={"final": loop.copy(), "identity": True})
 
     lap = loop.lap_time(params)
-    work = loop.copy()
-    sched = TimedSchedule(meta={"target": tuple(target_order)})
-    # normalize: lead with the token nearest the junction (ties prefer the
-    # one ahead in the shuttling direction)
-    lead_idx = min(range(n), key=lambda i: (min(work.positions[target_order[i]],
-                                                1 - work.positions[target_order[i]]),
-                                            work.positions[target_order[i]]))
-    order = list(target_order[lead_idx:]) + list(target_order[:lead_idx])
+    slot = points // n
+    sched = TimedSchedule(meta={"target": tuple(target)})
+    i = target.index(_lead(ring, points))
+    order = target[i:] + target[:i]
+    offset = clock = 0        # a token's position is (ring[t] + offset) % points
 
-    t = Fraction(0)
-    spacing = Fraction(1, n)
-    for k, tok in enumerate(order[:-1]):
-        dist, direction = _short_arc(work.positions[tok])
-        if dist:
-            sched.append(t, dist * lap, "shuttle_in", tuple(sorted(work.positions)))
-            t += dist * lap
-        _rotate(work, dist, direction)
-        work.positions.pop(tok)
-        work.port.append(tok)
-    # The last token parks one slot from the junction on whichever side is
-    # nearer (ties prefer stopping short of it).  The pop phase then rotates
-    # one slot per pop: away from the junction for a short-side stop, so the
-    # popped tokens trail the ring in target order; toward it for a
-    # past-side stop, which yields the target ring with the traversal sense
-    # reversed (absorbed by flipping the loop's shuttle direction afterward).
+    def shuttle(units: int, direction: str, action: str, tokens: tuple) -> None:
+        nonlocal offset, clock
+        if units:
+            sched.append(Fraction(clock, points) * lap, Fraction(units, points) * lap,
+                         action, tokens)
+            clock += units
+        offset += -units if direction == "fwd" else units
+
+    port = []
+    for tok in order[:-1]:
+        shuttle(*_arc(ring[tok] + offset, points), "shuttle_in", tuple(sorted(ring)))
+        del ring[tok]
+        port.append(tok)
+    # The pop phase rotates one slot per pop: away from the junction after a
+    # short-side stop, so the popped tokens trail the ring in target order;
+    # toward it after a past-side stop, which yields the target ring with the
+    # traversal sense reversed (absorbed by flipping the loop's shuttle
+    # direction afterward).
     last = order[-1]
-    before = _short_arc((work.positions[last] - spacing) % 1)
-    past = _short_arc((work.positions[last] + spacing) % 1)
-    (dist, direction), side = min((before, "before"), (past, "past"),
-                                  key=lambda o: (o[0][0], o[1]))
-    if dist:
-        sched.append(t, dist * lap, "shuttle_stop_short", (last,))
-        t += dist * lap
-    _rotate(work, dist, direction)
-    pop_rotation = "bwd" if side == "before" else "fwd"
-    for j, tok in enumerate(reversed(work.port)):
-        work.positions[tok] = Fraction(0)
-        if j < len(work.port) - 1:
-            sched.append(t, spacing * lap, "shuttle_out", tuple(sorted(work.positions)))
-            t += spacing * lap
-            _rotate(work, spacing, pop_rotation)
-    work.port.clear()
+    units, direction, side = _park(ring[last] + offset, slot, points)
+    shuttle(units, direction, "shuttle_stop_short", (last,))
+    for j, tok in enumerate(reversed(port)):
+        ring[tok] = -offset
+        if j < len(port) - 1:
+            shuttle(slot, "bwd" if side == "before" else "fwd", "shuttle_out",
+                    tuple(sorted(ring)))
     sched.meta["traversal_reversed"] = side == "past"
-    sched.meta["final"] = work
+    sched.meta["final"] = LoopState(
+        {t: Fraction((p + offset) % points, points) for t, p in ring.items()},
+        speed_class=loop.speed_class)
     sched.check_no_token_overlap()
     return sched
 
 
-def _ring_order(loop: LoopState) -> list[int]:
-    return [t for t, _ in sorted(loop.positions.items(), key=lambda kv: kv[1])]
-
-
-def rearrange_makespan(n: int, target: Sequence[int], phase: Fraction,
-                       params: TimingParams) -> Fraction:
-    loop = LoopState.evenly_spaced(n, phase)
-    return rearrange(loop, target, params).makespan
-
-
-def _rearrange_cost(n: int, target: Sequence[int], phase: Fraction) -> Fraction:
-    """Makespan of the rearrangement scheme in laps, without building events.
-
-    Puts the ring on the integer lattice of lcm(denominator, n) points and
-    evaluates `_lattice_cost`, the kernel of the worst-case search.
-    Cross-checked against the full event simulation in the tests.
-    """
-    phase = _frac(phase)
-    points = lcm(phase.denominator, n)
-    p0 = phase.numerator * (points // phase.denominator)
-    pos = [(p0 + t * (points // n)) % points for t in range(n)]
-    if list(target) == sorted(range(n), key=pos.__getitem__):
-        return Fraction(0)
-    lead, base = _lead_in(pos, points)
-    step, park = _arc_tables(n, points)
-    return Fraction(_lattice_cost(tuple(target), lead, base, step, park), points)
-
-
-def _lead_in(pos: list[int], points: int) -> tuple[int, int]:
-    """The lead token and the part of the cost that no target changes.
-
-    The lead is the token nearest the junction (ties prefer the one ahead in
-    the shuttling direction); the fixed part is its arc to the junction plus
-    the n - 2 one-slot rotations between pops.
-    """
-    n = len(pos)
-    lead = min(range(n), key=lambda t: (min(pos[t], points - pos[t]), pos[t]))
-    return lead, min(pos[lead], points - pos[lead]) + (n - 2) * (points // n)
-
-
 def _arc_tables(n: int, points: int) -> tuple[list[list[int]], list[list[int]]]:
-    """Short arcs between tokens of an evenly spaced ring, in lattice units.
+    """`_arc` and `_park` between tokens of an evenly spaced ring, tabulated.
 
     step[a][b] is the rotation that brings b to the junction after a entered
     the port; park[a][b] the rotation that parks b one slot from the junction
-    (either side) after a entered.  Relative gaps are rotation-invariant, so
-    both depend only on the slot difference and serve every phase.
+    after a entered.  Relative gaps are rotation-invariant, so both depend
+    only on the slot difference and serve every phase.
     """
     slot = points // n
-
-    def arc(g: int) -> int:
-        g %= points
-        return min(g, points - g)
-
-    step = [[arc((b - a) * slot) for b in range(n)] for a in range(n)]
-    park = [[min(arc((b - a - 1) * slot), arc((b - a + 1) * slot)) for b in range(n)]
-            for a in range(n)]
+    step = [[_arc((b - a) * slot, points)[0] for b in range(n)] for a in range(n)]
+    park = [[_park((b - a) * slot, slot, points)[0] for b in range(n)] for a in range(n)]
     return step, park
 
 
@@ -605,13 +573,16 @@ def _search_rearrange(n: int, gamma: Fraction, params: TimingParams) -> SearchRe
     """
     points = gamma.denominator
     lattice = lcm(points, n)
+    slot = lattice // n
     step, park = _arc_tables(n, lattice)
     identity = tuple(range(n))
     rotated = identity[1:] + identity[:1]
     best = None
     for k in range(points // n):
-        pos = [k * (lattice // points) + t * (lattice // n) for t in range(n)]
-        lead, base = _lead_in(pos, lattice)
+        pos = {t: k * (lattice // points) + t * slot for t in range(n)}
+        lead = _lead(pos, lattice)
+        # the lead's arc to the junction and the n - 2 one-slot pops
+        base = _arc(pos[lead], lattice)[0] + (n - 2) * slot
         for tail in permutations(range(1, n)):
             target = (0,) + tail
             cost = 0 if target == identity else _lattice_cost(target, lead, base, step, park)

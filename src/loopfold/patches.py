@@ -101,43 +101,6 @@ class PatchSpec:
             return coord, 0
         return (c, r), 1
 
-    def to_doc(self) -> dict:
-        doc = {
-            "distance": self.distance,
-            "kind": self.kind,
-            "data_sites": [list(s) for s in self.data_sites],
-            "data_coords": [list(c) for c in self.data_coords],
-            "stabilizers": [
-                {"kind": s.kind, "center": list(s.center),
-                 "support": [list(c) for c in s.support]}
-                for s in self.stabilizers
-            ],
-            "logical_x": [list(c) for c in self.logical_x],
-            "logical_z": [list(c) for c in self.logical_z],
-        }
-        if self.fold_map is not None:
-            doc["fold_map"] = sorted([list(a), list(b)] for a, b in self.fold_map.items())
-        return doc
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "PatchSpec":
-        fold = None
-        if "fold_map" in doc:
-            fold = {tuple(a): tuple(b) for a, b in doc["fold_map"]}
-        return cls(
-            distance=doc["distance"],
-            kind=doc["kind"],
-            data_coords=[tuple(c) for c in doc["data_coords"]],
-            data_sites=[tuple(c) for c in doc["data_sites"]],
-            stabilizers=[
-                Stabilizer(s["kind"], tuple(s["center"]), tuple(tuple(c) for c in s["support"]))
-                for s in doc["stabilizers"]
-            ],
-            logical_x=[tuple(c) for c in doc["logical_x"]],
-            logical_z=[tuple(c) for c in doc["logical_z"]],
-            fold_map=fold,
-        )
-
 
 def _plaquette_type(R: int, C: int) -> str:
     return "X" if (R + C) % 2 else "Z"
@@ -350,19 +313,6 @@ class LoopEmbedding:
     num_patches: int
     patch_kind: str
     distance: int
-
-    def to_doc(self) -> dict:
-        return {
-            "qubits_per_loop": self.qubits_per_loop,
-            "num_patches": self.num_patches,
-            "patch_kind": self.patch_kind,
-            "distance": self.distance,
-            "loops": [
-                {"coord": list(l.coord), "role": l.role, "speed_class": l.speed_class,
-                 "slots": [[p, layer, list(c)] for p, layer, c in l.slots]}
-                for l in sorted(self.loops.values(), key=lambda l: l.coord)
-            ],
-        }
 
 
 def embed_stack(patches: Sequence[PatchSpec], params=None) -> LoopEmbedding:

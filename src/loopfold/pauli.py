@@ -135,24 +135,3 @@ def in_group_up_to_sign(p: PauliString, generators: Sequence[PauliString]) -> bo
     """Whether +-p (or +-i p) is a product of the generators."""
     vecs = pack_rows(np.array([g.symplectic() for g in generators] + [p.symplectic()]))
     return xor_reduce(vecs[-1], xor_basis((v, 0) for v in vecs[:-1]))[0] == 0
-
-
-def group_weight_enumerator(generators: Sequence[PauliString]) -> dict[int, int]:
-    """Weight histogram of every element of a (small) stabilizer group."""
-    k = len(generators)
-    if k > 20:
-        raise ValueError("group too large to enumerate")
-    counts: dict[int, int] = {}
-    n = generators[0].n if generators else 0
-    for mask in range(1 << k):
-        acc = PauliString(n)
-        m = mask
-        idx = 0
-        while m:
-            if m & 1:
-                acc = acc * generators[idx]
-            m >>= 1
-            idx += 1
-        w = acc.weight()
-        counts[w] = counts.get(w, 0) + 1
-    return counts

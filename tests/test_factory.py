@@ -141,17 +141,6 @@ def test_measurement_rounds_follow_meas_devices(variant, m, meas_ns):
                          "y_basis_measurements": 2 * (F(25, 2) + 2) * t_star}
 
 
-def test_port_serialization_in_timeline():
-    """CNOTs and S gates sharing the loop's single port never overlap."""
-    for variant in ("folded", "rotated"):
-        sched = factory_runtime(variant, P, 25).timeline
-        port_ops = sorted((e for e in sched.events
-                           if e.action.startswith(("cnots", "s_gates", "y_basis"))),
-                          key=lambda e: e.start)
-        for a, b in zip(port_ops, port_ops[1:]):
-            assert b.start >= a.end
-
-
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         ccz_factory_spec("square")

@@ -10,13 +10,29 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
 from loopfold.loopsim import (SILICON, EpisodePlan, LoopState, OccupiedPortError,
-                              TimedSchedule, TimingParams, _plan_lattice, _rearrange_cost,
-                              pipeline_model,
-                              plan_episode, rearrange, rearrange_makespan, run_episode,
+                              TimedSchedule, TimingParams, _arc, _arc_tables, _lattice_cost,
+                              _lead, _on_lattice, _plan_lattice, pipeline_model,
+                              plan_episode, rearrange, run_episode,
                               simulate_cycle, swap_protocol, worst_case_search)
 from loopfold.patches import build_patch, embed_stack
 
 P = SILICON
+
+
+def rearrange_makespan(n, target, phase, params):
+    """Event-path makespan of rearranging an evenly spaced ring."""
+    return rearrange(LoopState.evenly_spaced(n, phase), target, params).makespan
+
+
+def rearrange_cost(n, target, phase):
+    """The same makespan in laps from the search's tables, without events."""
+    points, pos = _on_lattice(LoopState.evenly_spaced(n, phase).positions, n)
+    if list(target) == sorted(pos, key=pos.get):
+        return F(0)
+    lead = _lead(pos, points)
+    base = _arc(pos[lead], points)[0] + (n - 2) * (points // n)
+    step, park = _arc_tables(n, points)
+    return F(_lattice_cost(tuple(target), lead, base, step, park), points)
 
 
 def test_silicon_defaults():
@@ -93,6 +109,14 @@ def test_rearrange_identity_is_free():
     assert rearrange(loop, list(range(8)), P).makespan == 0
 
 
+def test_rearrange_charges_a_rotation_of_the_ring_order():
+    # only the ring order itself is free; a rotation of it runs the scheme,
+    # which is what keeps the published n = 2 maximum at a quarter lap
+    loop = LoopState.evenly_spaced(4, F(0))
+    assert rearrange(loop, [0, 1, 2, 3], P).makespan == 0
+    assert rearrange(loop, [1, 2, 3, 0], P).makespan == 400
+
+
 def test_rearrange_rejects_non_permutation():
     loop = LoopState.evenly_spaced(4, F(0))
     with pytest.raises(ValueError):
@@ -133,7 +157,7 @@ def test_rearrange_fast_cost_matches_event_simulation():
         perm = list(range(n))
         rng.shuffle(perm)
         phase = F(rng.randrange(8 * n), 8 * n) % F(1, n)
-        assert _rearrange_cost(n, perm, phase) * P.t_loop == \
+        assert rearrange_cost(n, perm, phase) * P.t_loop == \
             rearrange_makespan(n, perm, phase, P)
 
 
@@ -258,7 +282,7 @@ def rearrangements(draw):
 @settings(max_examples=80, deadline=None)
 def test_rearrange_cost_equals_event_makespan(instance):
     n, target, phase = instance
-    assert _rearrange_cost(n, target, phase) * P.t_loop == \
+    assert rearrange_cost(n, target, phase) * P.t_loop == \
         rearrange_makespan(n, target, phase, P)
 
 
@@ -456,6 +480,90 @@ def test_episode_matches_the_fraction_reference(episode):
     assert sched.meta["shuttle"] == ref.meta["shuttle"]
     assert sched.meta["final"] == ref.meta["final"]
     assert list(sched.meta["final"].positions) == list(ref.meta["final"].positions)
+
+
+# -- the Fraction rearrangement that the lattice walk replaced -------------------
+#
+# Kept verbatim as the oracle: every event, the meta and the final ring
+# (down to its dict order) of the lattice walk must equal its own.
+
+def ref_short_arc(dist):
+    dist %= 1
+    return (dist, "fwd") if dist <= 1 - dist else ((1 - dist) % 1, "bwd")
+
+
+def ref_rearrange(loop, target_order, params):
+    n = len(loop.positions)
+    if sorted(target_order) != sorted(loop.positions):
+        raise ValueError("target_order must be a permutation of the loop's tokens")
+    if loop.port:
+        raise OccupiedPortError("port must be empty at the start of rearrangement")
+    ring = [t for t, _ in sorted(loop.positions.items(), key=lambda kv: kv[1])]
+    if list(target_order) == ring:
+        return TimedSchedule(meta={"final": loop.copy(), "identity": True})
+    lap = loop.lap_time(params)
+    work = loop.copy()
+    sched = TimedSchedule(meta={"target": tuple(target_order)})
+    lead_idx = min(range(n), key=lambda i: (min(work.positions[target_order[i]],
+                                                1 - work.positions[target_order[i]]),
+                                            work.positions[target_order[i]]))
+    order = list(target_order[lead_idx:]) + list(target_order[:lead_idx])
+    t = F(0)
+    spacing = F(1, n)
+    for k, tok in enumerate(order[:-1]):
+        dist, direction = ref_short_arc(work.positions[tok])
+        if dist:
+            sched.append(t, dist * lap, "shuttle_in", tuple(sorted(work.positions)))
+            t += dist * lap
+        ref_rotate(work, dist, direction)
+        work.positions.pop(tok)
+        work.port.append(tok)
+    last = order[-1]
+    before = ref_short_arc((work.positions[last] - spacing) % 1)
+    past = ref_short_arc((work.positions[last] + spacing) % 1)
+    (dist, direction), side = min((before, "before"), (past, "past"),
+                                  key=lambda o: (o[0][0], o[1]))
+    if dist:
+        sched.append(t, dist * lap, "shuttle_stop_short", (last,))
+        t += dist * lap
+    ref_rotate(work, dist, direction)
+    pop_rotation = "bwd" if side == "before" else "fwd"
+    for j, tok in enumerate(reversed(work.port)):
+        work.positions[tok] = F(0)
+        if j < len(work.port) - 1:
+            sched.append(t, spacing * lap, "shuttle_out", tuple(sorted(work.positions)))
+            t += spacing * lap
+            ref_rotate(work, spacing, pop_rotation)
+    work.port.clear()
+    sched.meta["traversal_reversed"] = side == "past"
+    sched.meta["final"] = work
+    sched.check_no_token_overlap()
+    return sched
+
+
+@st.composite
+def rearrange_loops(draw):
+    positions = draw(st.lists(rationals, min_size=2, max_size=9, unique_by=lambda x: x % 1))
+    tokens = draw(st.lists(st.integers(0, 30), min_size=len(positions),
+                           max_size=len(positions), unique=True))
+    loop = LoopState(dict(zip(tokens, positions)),
+                     speed_class=draw(st.sampled_from(["normal", "double"])))
+    ring = sorted(tokens, key=loop.positions.get)
+    target = draw(st.one_of(st.just(ring), st.permutations(tokens)))
+    return loop, target, draw(st.sampled_from([P, OTHER]))
+
+
+@given(rearrange_loops())
+@settings(max_examples=150, deadline=None)
+def test_rearrange_matches_the_fraction_reference(instance):
+    loop, target, params = instance
+    sched, ref = rearrange(loop, target, params), ref_rearrange(loop, target, params)
+    assert sched.events == ref.events
+    assert sched.makespan == ref.makespan
+    assert sched.meta.get("traversal_reversed") == ref.meta.get("traversal_reversed")
+    assert sched.meta["final"] == ref.meta["final"]
+    assert list(sched.meta["final"].positions) == list(ref.meta["final"].positions)
+    assert sched.meta == ref.meta
 
 
 @pytest.mark.parametrize("params", [P, OTHER], ids=["silicon", "t_loop-1600"])

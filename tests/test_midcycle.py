@@ -6,9 +6,21 @@ import pytest
 from loopfold.circuits import run_on_state
 from loopfold.patches import (build_patch, first_half_circuit, midcycle_expected,
                               second_half_circuit)
-from loopfold.pauli import (PauliString, gf2_rank, group_weight_enumerator,
-                            in_group_up_to_sign)
+from loopfold.pauli import PauliString, gf2_rank, in_group_up_to_sign
 from test_patches import encode_zero
+
+
+def group_weight_enumerator(generators):
+    """Weight histogram of every element of a small stabilizer group (reference)."""
+    counts = {}
+    n = generators[0].n if generators else 0
+    for mask in range(1 << len(generators)):
+        acc = PauliString(n)
+        for idx, g in enumerate(generators):
+            if mask >> idx & 1:
+                acc = acc * g
+        counts[acc.weight()] = counts.get(acc.weight(), 0) + 1
+    return counts
 
 
 def midcycle_state(d):

@@ -3,7 +3,7 @@
 import pytest
 
 from loopfold.circuits import run_on_state
-from loopfold.patches import PatchSpec, build_patch, check_circuit, embed_stack
+from loopfold.patches import build_patch, check_circuit, embed_stack
 from loopfold.tableau import StabilizerState
 
 
@@ -137,29 +137,11 @@ def test_embed_stack_rejects_mixed():
         embed_stack([build_patch(3, "folded"), build_patch(5, "folded")])
 
 
-def test_patch_doc_round_trip():
-    p = build_patch(3, "folded")
-    q = PatchSpec.from_doc(p.to_doc())
-    assert q.distance == p.distance and q.kind == p.kind
-    assert q.data_coords == p.data_coords
-    assert q.stabilizers == p.stabilizers
-    assert q.fold_map == p.fold_map
-
-
-def test_circuit_dump_format():
-    p = build_patch(3, "rotated")
-    text = check_circuit(p).dump()
-    lines = text.strip().splitlines()
-    assert any(line.split()[1] == "CNOT" for line in lines)
-    assert any("MEASURE" in line for line in lines)
-
-
 def test_embedding_doc_stable_fields():
     emb = embed_stack([build_patch(3, "folded")])
-    doc = emb.to_doc()
-    assert doc["qubits_per_loop"] == 2
-    assert doc["patch_kind"] == "folded" and doc["distance"] == 3
-    roles = {l["role"] for l in doc["loops"]}
+    assert emb.qubits_per_loop == 2
+    assert emb.patch_kind == "folded" and emb.distance == 3
+    roles = {l.role for l in emb.loops.values()}
     assert roles == {"data", "ancilla"}
-    diag = [l for l in doc["loops"] if l["coord"][0] == l["coord"][1]]
-    assert all(l["speed_class"] == "double" for l in diag)
+    diag = [l for l in emb.loops.values() if l.coord[0] == l.coord[1]]
+    assert diag and all(l.speed_class == "double" for l in diag)
