@@ -1,9 +1,9 @@
 """Time-slotted gate/measure event lists shared by the code and timing layers.
 
-A ScheduledCircuit is the common currency: the tableau and dense engines
-replay its events in slot order, one layer of same-kind gates on disjoint
-qubits at a time, and the loop simulator attaches wall-clock times to the
-same structure.
+A ScheduledCircuit is the common currency of the code layer: the tableau and
+dense engines replay its events in slot order, one layer of same-kind gates on
+disjoint qubits at a time.  The loop simulator does not read it; its timed
+events live in loopsim.TimedSchedule.
 """
 
 from __future__ import annotations

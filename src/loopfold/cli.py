@@ -16,7 +16,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .costs import (cycle_time_n2, effective_cycle_time, gate_time,
+from .costs import (OPERATING_N, cycle_time_n2, effective_cycle_time, gate_time,
                     pipeline_steady_state, table1)
 from .factory import ccz_factory_spec, factory_runtime, verify_factory
 from .layout import (MergeRequest, fig10a_fixture, fig10b_fixture,
@@ -162,13 +162,14 @@ def cmd_gate_times(args, params) -> int:
     d = args.d
     rows = []
     doc = {"d": d, "gates": {}}
-    for arch, n in (("pipelined_folded", 16), ("pipelined_rotated", 12), ("standard", 2)):
+    for arch in ("pipelined_folded", "pipelined_rotated", "standard"):
+        n = OPERATING_N[arch]
         for gate in ("S", "H", "CNOT"):
             t = gate_time(gate, arch, n, d, params)
             rows.append((gate, arch, n, t))
             doc["gates"][f"{gate}/{arch}"] = {"n": n, "value_ns": str(t)}
     for gate, expr in (("H", "(d-1)*t_int"), ("SWAP", "d*t_int"), ("CNOT", "2d*t_int")):
-        t = gate_time(gate, "interloop", 2, d, params)
+        t = gate_time(gate, "interloop", OPERATING_N["interloop"], d, params)
         rows.append((gate, "interloop", "-", t))
         doc["gates"][f"{gate}/interloop"] = {"expr": expr, "value_ns": str(t)}
     width = max(len(a) for _, a, _, _ in rows)

@@ -7,6 +7,7 @@ t_2q 100, t_meas 1000, three measurement devices per loop).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -58,7 +59,10 @@ def cnot_time(n: int, params: TimingParams = SILICON) -> Fraction:
     return (Fraction(9, 4) - Fraction(7, 2 * n)) * params.t_loop + 2 * params.t_2q
 
 
-ARCHITECTURES = ("standard", "pipelined_rotated", "pipelined_folded", "interloop")
+# The loop occupancy n at which each architecture is evaluated: a folded stack
+# of 16 and a rotated pipeline of 12 qubits per loop; standard and interloop run
+# one folded patch per loop, and none of their times reads n.
+OPERATING_N = {"standard": 2, "pipelined_rotated": 12, "pipelined_folded": 16, "interloop": 2}
 STANDARD_CYCLE_NS = Fraction(3000)   # the fixed stabilizer round of plain lattice surgery
 
 
@@ -72,7 +76,7 @@ def gate_time(gate: str, arch: str, n: int, d: int,
     is the inter-loop-shuttling variant (times in hops of t_int).
     """
     gate = gate.upper()
-    if arch not in ARCHITECTURES:
+    if arch not in OPERATING_N:
         raise ValueError(f"unknown architecture {arch!r}")
     t_cyc_star = effective_cycle_time(n, params) if arch.startswith("pipelined") else None
 
@@ -117,6 +121,9 @@ def gate_time(gate: str, arch: str, n: int, d: int,
 
 # -- the overhead table -----------------------------------------------------------
 
+GATES = ("H", "S", "CNOT", "FACTORY")
+
+
 @dataclass(frozen=True)
 class TableCell:
     runtime_expr: str
@@ -155,14 +162,12 @@ class CostReport:
         }
 
     def to_text(self) -> str:
-        gates = ["H", "S", "CNOT", "FACTORY"]
-        archs = ["standard", "pipelined_rotated", "pipelined_folded"]
         lines = ["runtime (ns) and [space] per gate and architecture, d=%d" % self.d]
-        header = ["architecture"] + gates
+        header = ["architecture", *GATES]
         rows = [header]
-        for a in archs:
+        for a in ("standard", "pipelined_rotated", "pipelined_folded"):
             row = [a]
-            for g in gates:
+            for g in GATES:
                 c = self.cells[(g, a)]
                 row.append(f"{c.runtime_expr} = {_fmt_ns(c.runtime_ns)} [{c.space}]")
             rows.append(row)
@@ -203,87 +208,83 @@ def factory_cell_us(variant: str, params: TimingParams = SILICON, d: int = 25) -
     """The table's factory-runtime expression, in microseconds.
 
     folded: 33 T*_cyc(16) + 18 us; rotated: (d + 27) T*_cyc(12) + 19 us.
-    These are the published condensed forms; the exact term-by-term runtime
-    lives in the factory module and agrees within a microsecond.
+    These are the published condensed forms.  The term-by-term runtime of
+    factory.factory_runtime matches them within a microsecond only at the
+    silicon defaults and d = 25 (215.56 and 278.72 us against 216 and 279).
+    At t_loop = 1600 ns the forms give 282 and 435 us against 319.25 and
+    474.67 us; at silicon and d = 9 they give 216 and 199 us against 983.56
+    and 623.72 us, because the forms do not grow with the cultivation time.
     """
+    if variant not in ("folded", "rotated"):
+        raise ValueError(f"unknown factory variant {variant!r}")
+    t_star = effective_cycle_time(OPERATING_N[f"pipelined_{variant}"], params) / NS_PER_US
     if variant == "folded":
-        return 33 * effective_cycle_time(16, params) / NS_PER_US + 18
-    if variant == "rotated":
-        return (d + 27) * effective_cycle_time(12, params) / NS_PER_US + 19
-    raise ValueError(f"unknown factory variant {variant!r}")
+        return 33 * t_star + 18
+    return (d + 27) * t_star + 19
 
 
-def _closed_form(gate: str, arch: str, n: int):
-    return lambda params, d: gate_time(gate, arch, n, d, params)
-
-
-# (gate, arch) -> (runtime expression, runtime in ns as a function of (params, d))
-_TABLE1_RUNTIMES = {
-    ("H", "standard"): ("3d*T_cyc", _closed_form("H", "standard", 2)),
-    ("S", "standard"): ("1.5d*T_cyc", _closed_form("S", "standard", 2)),
-    ("CNOT", "standard"): ("2d*T_cyc", _closed_form("CNOT", "standard", 2)),
-    ("FACTORY", "standard"): (
-        "5d*T_cyc", lambda params, d: 5 * d * gate_time("CYCLE", "standard", 2, d, params)),
-    ("H", "pipelined_rotated"): ("3d*T_cyc*(12)", _closed_form("H", "pipelined_rotated", 12)),
-    ("S", "pipelined_rotated"): ("1.5d*T_cyc*(12)", _closed_form("S", "pipelined_rotated", 12)),
-    ("CNOT", "pipelined_rotated"): (
-        "(9/4-7/2n)T_loop+2T_2q", _closed_form("CNOT", "pipelined_rotated", 12)),
-    ("FACTORY", "pipelined_rotated"): (
-        "(d+27)*T_cyc*(12)+19us",
-        lambda params, d: factory_cell_us("rotated", params, d) * NS_PER_US),
-    ("H", "pipelined_folded"): (
-        "T_cyc*(16)+5/4T_loop+T_1q+T_2q", _closed_form("H", "pipelined_folded", 16)),
-    ("S", "pipelined_folded"): (
-        "T_cyc*(16)+5/4T_loop+T_2q", _closed_form("S", "pipelined_folded", 16)),
-    ("CNOT", "pipelined_folded"): (
-        "(9/4-7/2n)T_loop+2T_2q", _closed_form("CNOT", "pipelined_folded", 16)),
-    ("FACTORY", "pipelined_folded"): (
-        "33*T_cyc*(16)+18us",
-        lambda params, d: factory_cell_us("folded", params, d) * NS_PER_US),
+# (gate, arch) -> the cell's runtime expression; every cell is evaluated at
+# OPERATING_N[arch]
+_TABLE1_EXPRS = {
+    ("H", "standard"): "3d*T_cyc",
+    ("S", "standard"): "1.5d*T_cyc",
+    ("CNOT", "standard"): "2d*T_cyc",
+    ("FACTORY", "standard"): "5d*T_cyc",
+    ("H", "pipelined_rotated"): "3d*T_cyc*(12)",
+    ("S", "pipelined_rotated"): "1.5d*T_cyc*(12)",
+    ("CNOT", "pipelined_rotated"): "(9/4-7/2n)T_loop+2T_2q",
+    ("FACTORY", "pipelined_rotated"): "(d+27)*T_cyc*(12)+19us",
+    ("H", "pipelined_folded"): "T_cyc*(16)+5/4T_loop+T_1q+T_2q",
+    ("S", "pipelined_folded"): "T_cyc*(16)+5/4T_loop+T_2q",
+    ("CNOT", "pipelined_folded"): "(9/4-7/2n)T_loop+2T_2q",
+    ("FACTORY", "pipelined_folded"): "33*T_cyc*(16)+18us",
 }
+
+
+def _runtime(gate: str, arch: str, params: TimingParams, d: int) -> Fraction:
+    if gate != "FACTORY":
+        return gate_time(gate, arch, OPERATING_N[arch], d, params)
+    if arch == "standard":
+        return 5 * d * gate_time("CYCLE", arch, OPERATING_N[arch], d, params)
+    return factory_cell_us(arch.removeprefix("pipelined_"), params, d) * NS_PER_US
+
+
+def _charged(gate: str, arch: str, cell: TableCell, params: TimingParams, d: int) -> Fraction:
+    """A cell's spacetime as a savings entry charges it, in units fixed per gate.
+
+    H and S are charged in stabilizer rounds: the runtime over the
+    architecture's cycle, except that the folded transversal gate is one round
+    because it completes inside its round.  A CNOT is charged its runtime in
+    whole microseconds, rounded to the nearest with a half going up, and at
+    least one.  A factory is charged its runtime.
+    """
+    if gate in ("H", "S"):
+        if arch == "pipelined_folded":
+            return cell.space
+        cycle = gate_time("CYCLE", arch, OPERATING_N[arch], d, params)
+        return cell.runtime_ns / cycle * cell.space
+    if gate == "CNOT":
+        return max(1, math.floor(cell.runtime_ns / NS_PER_US + Fraction(1, 2))) * cell.space
+    return cell.spacetime
 
 
 def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     """Reproduce the overhead table and its savings rows from first principles.
 
-    Runtime cells carry the symbolic expression and the evaluated
-    nanoseconds.  The savings rows are spacetime ratios computed from the
-    cells under the published conventions: the transversal H and S complete
-    within one stabilizer round (counted at the matching cycle time, so the
-    cycle factors cancel), both pipelined CNOT cells sit at their common
-    ~1 us worst case, and the factories use their condensed expressions.
+    Runtime cells carry the symbolic expression and the nanoseconds from
+    gate_time and factory_cell_us at each architecture's OPERATING_N.  Each
+    savings entry is the ratio of the two cells' spacetimes as _charged charges
+    them: at silicon both pipelined CNOTs count 1 us, and surgery H and S count
+    3d and 1.5d rounds against the transversal gate's one.
     """
     if d % 2 == 0:
         raise ValueError("d must be odd")
+    cells = {(g, a): TableCell(expr, _runtime(g, a, params, d), SPACE[a][g])
+             for (g, a), expr in _TABLE1_EXPRS.items()}
 
-    cells = {(g, a): TableCell(expr, runtime(params, d), SPACE[a][g])
-             for (g, a), (expr, runtime) in _TABLE1_RUNTIMES.items()}
+    def savings(other: str) -> dict[str, Fraction]:
+        return {g: _charged(g, other, cells[(g, other)], params, d)
+                / _charged(g, "pipelined_folded", cells[(g, "pipelined_folded")], params, d)
+                for g in GATES}
 
-    sp = SPACE
-    one_us = Fraction(1000)
-
-    def ratio(runtime_other, space_other, runtime_folded, space_folded):
-        return (runtime_other * space_other) / (runtime_folded * space_folded)
-
-    savings_std = {
-        # transversal H/S take one round vs 3d (1.5d) rounds of surgery
-        "H": ratio(3 * d, sp["standard"]["H"], 1, sp["pipelined_folded"]["H"]),
-        "S": ratio(Fraction(3, 2) * d, sp["standard"]["S"], 1, sp["pipelined_folded"]["S"]),
-        "CNOT": ratio(cells[("CNOT", "standard")].runtime_ns, sp["standard"]["CNOT"],
-                      one_us, sp["pipelined_folded"]["CNOT"]),
-        "FACTORY": ratio(cells[("FACTORY", "standard")].runtime_ns, sp["standard"]["FACTORY"],
-                         cells[("FACTORY", "pipelined_folded")].runtime_ns,
-                         sp["pipelined_folded"]["FACTORY"]),
-    }
-    savings_rot = {
-        "H": ratio(3 * d, sp["pipelined_rotated"]["H"], 1, sp["pipelined_folded"]["H"]),
-        "S": ratio(Fraction(3, 2) * d, sp["pipelined_rotated"]["S"],
-                   1, sp["pipelined_folded"]["S"]),
-        "CNOT": ratio(one_us, sp["pipelined_rotated"]["CNOT"],
-                      one_us, sp["pipelined_folded"]["CNOT"]),
-        "FACTORY": ratio(cells[("FACTORY", "pipelined_rotated")].runtime_ns,
-                         sp["pipelined_rotated"]["FACTORY"],
-                         cells[("FACTORY", "pipelined_folded")].runtime_ns,
-                         sp["pipelined_folded"]["FACTORY"]),
-    }
-    return CostReport(d, cells, savings_std, savings_rot)
+    return CostReport(d, cells, savings("standard"), savings("pipelined_rotated"))

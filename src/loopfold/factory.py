@@ -19,7 +19,8 @@ from typing import Optional
 import numpy as np
 
 from .circuits import ScheduledCircuit, run_on_state
-from .costs import NS_PER_US, SPACE, cnot_time, effective_cycle_time, gate_time
+from .costs import (NS_PER_US, OPERATING_N, SPACE, cnot_time, effective_cycle_time,
+                    gate_time)
 from .loopsim import SILICON, TimingParams
 
 OMEGA = np.exp(1j * np.pi / 4)
@@ -245,7 +246,8 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
     cnots = circ.gate_count("CNOT")
     check_rounds = len(circ.slots())
     rounds = -(-_measure_count(circ, "Z") // params.meas_devices)
-    n = 16 if variant == "folded" else 12
+    arch = f"pipelined_{variant}"
+    n = OPERATING_N[arch]
     t_star = effective_cycle_time(n, params)
     cul = cultivation_cycles(CULTIVATION_TARGET, d, T_INPUTS, circ.num_qubits)
     if variant == "folded":
@@ -266,6 +268,6 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
             # the published coefficient; not derived from the Y-measurement count
             "y_basis_measurements": 2 * (Fraction(d, 2) + 2) * t_star,
         }
-    space = SPACE[f"pipelined_{variant}"]["FACTORY"]
+    space = SPACE[arch]["FACTORY"]
     runtime = sum(terms.values(), Fraction(0))
     return FactoryReport(variant, d, runtime, terms, space, cul, output_error())

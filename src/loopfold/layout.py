@@ -73,16 +73,6 @@ class LayerStackLayout:
         r, c = cell
         return 0 <= r < self.rows and 0 <= c < self.cols and cell not in self.layers[layer]
 
-    def access_cells(self, layer: int, patch_id: str, operator: str) -> list[Cell]:
-        """Free cells adjacent to a boundary side exposing `operator`."""
-        _check_operator(operator)
-        li, cell = self.find(patch_id)
-        if li != layer:
-            return []
-        occupied = self.layers[layer]
-        return _access_cells(occupied, _grid(self.rows, self.cols) - occupied.keys(),
-                             cell, operator)
-
     def copy(self) -> "LayerStackLayout":
         return LayerStackLayout(self.rows, self.cols,
                                 [dict(l) for l in self.layers], list(self.layer_roles))
@@ -393,20 +383,7 @@ def fig10b_fixture() -> tuple[LayerStackLayout, list[MergeRequest]]:
     return layout, requests
 
 
-# -- fixture file round-trip ---------------------------------------------------------
-
-def layout_to_doc(layout: LayerStackLayout) -> dict:
-    return {
-        "rows": layout.rows,
-        "cols": layout.cols,
-        "layer_roles": list(layout.layer_roles),
-        "layers": [
-            [{"cell": list(cell), "patch": p.patch_id, "ns": p.ns}
-             for cell, p in sorted(layer.items())]
-            for layer in layout.layers
-        ],
-    }
-
+# -- fixture files -------------------------------------------------------------------
 
 def layout_from_doc(doc: dict) -> LayerStackLayout:
     layers = []

@@ -98,15 +98,6 @@ def _project(stack: EncodedStack, pins: Sequence[PauliString]) -> StabilizerStat
     return st
 
 
-def prepare_logical_state(stack: EncodedStack, bases: Sequence[str]) -> StabilizerState:
-    """Codespace tableau with each patch pinned to a +1 logical eigenstate.
-
-    `bases[i]` in {"Z", "X", "Y"} selects which logical operator of patch i is
-    fixed to +1 (logical |0>, |+>, |+i> respectively).
-    """
-    return _project(stack, [stack.logical_pauli(i, b) for i, b in enumerate(bases)])
-
-
 def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, int]:
     try:
         return run_on_state(circuit, st, rng=None)

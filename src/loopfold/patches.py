@@ -72,9 +72,6 @@ class PatchSpec:
     def x_stabilizers(self) -> list[Stabilizer]:
         return [s for s in self.stabilizers if s.kind == "X"]
 
-    def z_stabilizers(self) -> list[Stabilizer]:
-        return [s for s in self.stabilizers if s.kind == "Z"]
-
     def bulk_ancillas(self) -> list[Stabilizer]:
         return [s for s in self.stabilizers if s.weight() == 4]
 
@@ -203,26 +200,19 @@ def _layer_partner(stab: Stabilizer, layer: int) -> Optional[Coord]:
     return coord if coord in stab.support else None
 
 
+def _check_half(patch: PatchSpec, kind: str, second: bool) -> ScheduledCircuit:
+    events = [e for e in check_circuit(patch).sorted_events() if (e.slot >= 4) == second]
+    return ScheduledCircuit(patch.num_qubits, events, {"kind": kind})
+
+
 def first_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """Resets, opening H layer, and CNOT layers 1-2 (slots 0..3)."""
-    full = check_circuit(patch)
-    half = ScheduledCircuit(patch.num_qubits)
-    half.meta["kind"] = "check-first-half"
-    for e in full.sorted_events():
-        if e.slot <= 3:
-            half.events.append(e)
-    return half
+    return _check_half(patch, "check-first-half", second=False)
 
 
 def second_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """CNOT layers 3-4, closing H layer, and measurements (slots 4..7)."""
-    full = check_circuit(patch)
-    half = ScheduledCircuit(patch.num_qubits)
-    half.meta["kind"] = "check-second-half"
-    for e in full.sorted_events():
-        if e.slot >= 4:
-            half.events.append(e)
-    return half
+    return _check_half(patch, "check-second-half", second=True)
 
 
 # -- mid-cycle structure -------------------------------------------------------

@@ -49,15 +49,8 @@ class PauliString:
     def copy(self) -> "PauliString":
         return PauliString(self.n, self.x.copy(), self.z.copy(), self.phase)
 
-    def support(self) -> list[int]:
-        return [q for q in range(self.n) if self.x[q] or self.z[q]]
-
     def weight(self) -> int:
         return int(np.count_nonzero(self.x | self.z))
-
-    def commutes(self, other: "PauliString") -> bool:
-        alt = int(np.sum(self.x & other.z) + np.sum(self.z & other.x)) % 2
-        return alt == 0
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         if self.n != other.n:

@@ -234,26 +234,6 @@ class StabilizerState:
         st.r = self.r.copy()
         return st
 
-    def to_dense(self) -> "DenseState":
-        """Dense amplitudes of the stabilizer state (small n only)."""
-        if self.n > 14:
-            raise ValueError("too many qubits for dense conversion")
-        dense = DenseState(self.n)
-        # find a computational basis state inside the support by measuring a
-        # copy, then project it onto the stabilizer group
-        probe = self.copy()
-        rng = np.random.default_rng(7)
-        bits = [probe.measure(q, "Z", rng=rng)[0] for q in range(self.n)]
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        vec = np.zeros(2**self.n, dtype=complex)
-        vec[idx] = 1.0
-        for g in self.stabilizer_generators():
-            vec = 0.5 * (vec + _apply_pauli_dense(vec, g, self.n))
-        dense.vec = vec / np.linalg.norm(vec)
-        return dense
-
 
 class DenseState:
     """Dense statevector on <= 20 qubits; the brute-force oracle engine.
@@ -399,10 +379,6 @@ class DenseState:
         """Probability that measuring `qubit` in `basis` gives `outcome`."""
         _check_targets(self.n, (qubit,))
         return self._branch(qubit, _check_basis(basis), outcome)[0]
-
-    def fidelity(self, other: "DenseState") -> float:
-        """|<self|other>|^2 — global phase quotiented out."""
-        return float(np.abs(np.vdot(self._vec, other.vec)) ** 2)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._vec))

@@ -143,7 +143,8 @@ def test_layout_fixtures(capsys):
 
 
 def _fig10a_doc():
-    from loopfold.layout import fig10a_fixture, layout_to_doc
+    from loopfold.layout import fig10a_fixture
+    from test_layout import layout_to_doc
     layout, requests = fig10a_fixture()
     doc = layout_to_doc(layout)
     doc["requests"] = [{"patch_a": r.patch_a, "operator_a": r.operator_a,
@@ -230,6 +231,21 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert run_cli("--config", str(cfg), "cycle-time", capsys=capsys)[0] == 4
     cfg.write_text("t_loop_ns 400\n")
     assert run_cli("--config", str(cfg), "cycle-time", capsys=capsys)[0] == 4
+
+
+def test_table1_savings_follow_the_cells_under_a_config(tmp_path, capsys):
+    # at t_loop = 1600 ns the folded CNOT cell is 3450 ns, so the CNOT is charged
+    # 3 us and its saving against standard is 12d, not the silicon 36d
+    cfg = tmp_path / "slow_loop.cfg"
+    cfg.write_text("t_loop_ns = 1600\n")
+    code, out, _ = run_cli("--json", "--config", str(cfg), "table1", capsys=capsys)
+    doc = json.loads(out)
+    assert code == 0
+    assert doc["cells"]["CNOT/pipelined_folded"]["runtime_ns"] == "3450"
+    assert doc["savings_vs_standard"] == {"H": "300", "S": "150", "CNOT": "300",
+                                          "FACTORY": "1500/47"}
+    assert doc["savings_vs_pipelined_rotated"] == {"H": "300", "S": "75", "CNOT": "2",
+                                                   "FACTORY": "145/47"}
 
 
 def test_seed_is_not_a_config_key(tmp_path, capsys):

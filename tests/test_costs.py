@@ -3,8 +3,9 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from loopfold.costs import (cnot_time, cycle_time_n2, effective_cycle_time,
+from loopfold.costs import (SPACE, cnot_time, cycle_time_n2, effective_cycle_time,
                             factory_cell_us, gate_time, pipeline_steady_state,
                             rearrange_worst, swap_worst_shuttle, table1)
 from loopfold.loopsim import SILICON, TimingParams
@@ -112,10 +113,13 @@ def test_table1_cells_and_savings():
 
 
 def test_table1_savings_are_functions_of_d():
-    for d in (9, 17, 25):
+    for d in (3, 9, 17, 25, 51):
         rep = table1(P, d)
-        assert rep.savings_vs_standard["H"] == 12 * d
-        assert rep.savings_vs_pipelined_rotated["FACTORY"] == F(5 * d + 154, 108)
+        assert rep.savings_vs_standard == {"H": 12 * d, "S": 6 * d, "CNOT": 36 * d,
+                                           "FACTORY": F(5, 3) * d}
+        assert rep.savings_vs_pipelined_rotated == {"H": 12 * d, "S": 3 * d, "CNOT": 2,
+                                                    "FACTORY": F(5 * d + 154, 108)}
+        assert_savings_follow_the_rule(P, d)
 
 
 def test_factory_row_evaluates_to_published_value():
@@ -134,3 +138,72 @@ def test_table1_text_and_doc():
     assert "pipelined_folded" in text and "spacetime saving" in text
     doc = rep.to_doc()
     assert doc["d"] == 25 and "S/pipelined_folded" in doc["cells"]
+
+
+# -- the charging rule, restated ---------------------------------------------------
+
+# the published operating points: loop occupancy per architecture
+_N = {"standard": 2, "pipelined_rotated": 12, "pipelined_folded": 16}
+
+
+def charged_spacetime(gate, arch, params, d):
+    """H and S in stabilizer rounds (the folded transversal gate is one round),
+    a CNOT in whole us rounded half up and at least 1, a factory at its cell."""
+    n, space = _N[arch], SPACE[arch][gate]
+    if gate == "FACTORY":
+        if arch == "standard":
+            return 5 * d * gate_time("CYCLE", arch, n, d, params) * space
+        return factory_cell_us(arch.split("_")[1], params, d) * 1000 * space
+    runtime = gate_time(gate, arch, n, d, params)
+    if gate == "CNOT":
+        us = runtime / 1000
+        whole = us.numerator // us.denominator
+        if us - whole >= F(1, 2):
+            whole += 1
+        return max(whole, 1) * space
+    if arch == "pipelined_folded":
+        return space
+    return runtime / gate_time("CYCLE", arch, n, d, params) * space
+
+
+def assert_savings_follow_the_rule(params, d):
+    rep = table1(params, d)
+    for other, row in (("standard", rep.savings_vs_standard),
+                       ("pipelined_rotated", rep.savings_vs_pipelined_rotated)):
+        assert list(row) == ["H", "S", "CNOT", "FACTORY"]
+        for g, saving in row.items():
+            want = (charged_spacetime(g, other, params, d)
+                    / charged_spacetime(g, "pipelined_folded", params, d))
+            assert saving == want, (other, g)
+    for (g, a), cell in rep.cells.items():
+        if g != "FACTORY":
+            assert cell.runtime_ns == gate_time(g, a, _N[a], d, params)
+
+
+times = st.fractions(min_value=0, max_value=6000, max_denominator=48)
+
+
+@settings(max_examples=150, deadline=None)
+@given(t_loop=times.filter(lambda t: t > 0), t_1q=times, t_2q=times, t_meas=times,
+       slack_ns=times, m=st.integers(1, 6), d=st.integers(1, 25).map(lambda k: 2 * k + 1))
+def test_savings_are_charged_spacetime_ratios(t_loop, t_1q, t_2q, t_meas, slack_ns, m, d):
+    params = TimingParams(t_loop=t_loop, t_1q=t_1q, t_2q=t_2q, t_meas=t_meas,
+                          meas_devices=m, slack_ns=slack_ns)
+    assert_savings_follow_the_rule(params, d)
+
+
+def test_cnot_charge_rounds_half_up():
+    # t_2q = 0 and t_loop = 16000/13 put the folded CNOT at exactly 2500 ns: it
+    # is charged 3 us (round-half-even would give 2), the rotated one 2 us;
+    # the standard CNOT is 150 us on 3 patches, the folded one on half a patch
+    params = TimingParams(t_loop=F(16000, 13), t_2q=0)
+    assert cnot_time(16, params) == 2500
+    rep = table1(params, 25)
+    assert rep.savings_vs_standard["CNOT"] == 150 * 3 / (3 * F(1, 2)) == 300
+    assert rep.savings_vs_pipelined_rotated["CNOT"] == 2 * 1 / (3 * F(1, 2)) == F(4, 3)
+
+
+def test_cnot_charge_is_at_least_one_us():
+    params = TimingParams(t_loop=100, t_2q=0)
+    assert cnot_time(16, params) < 500
+    assert table1(params, 25).savings_vs_pipelined_rotated["CNOT"] == 2

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as hst
 
 from loopfold.circuits import ScheduledCircuit, run_on_state
 from loopfold.logical import (_ONE_QUBIT_NAMES, CodespaceViolationError, LogicalAction,
-                              _fmt, _frame_note, _two_qubit_name, encode_stack,
-                              logical_action, prepare_logical_state)
+                              _fmt, _frame_note, _project, _two_qubit_name, encode_stack,
+                              logical_action)
 from loopfold.pauli import PauliString
 from loopfold.tableau import StabilizerState
 from loopfold.patches import (build_patch, embed_stack, first_half_circuit,
@@ -20,6 +20,17 @@ from loopfold.protocols import (canonical_alternation, inverted_alternation,
                                 transversal_h_circuit, transversal_s_circuit,
                                 transversal_two_qubit)
 from loopfold.verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
+
+
+def prepare_logical_state(stack, bases):
+    """Codespace tableau with patch i pinned to the +1 eigenstate of its logical
+    `bases[i]` in {"Z", "X", "Y"}: logical |0>, |+> or |+i>."""
+    return _project(stack, [stack.logical_pauli(i, b) for i, b in enumerate(bases)])
+
+
+def support(pauli):
+    """The qubits on which a Pauli string acts."""
+    return [q for q in range(pauli.n) if pauli.x[q] or pauli.z[q]]
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -153,7 +164,7 @@ def test_s_teleport_logical_composition():
         ylog.phase = (ylog.phase + 1) % 4
         out, _ = st.measure_pauli(ylog, rng=np.random.default_rng(5))
         if out == 0:
-            for q in stack.logical_pauli(0, "Z").support():
+            for q in support(stack.logical_pauli(0, "Z")):
                 st.apply_gate("Z", (q,))
         found = ref_find_image(st, stack)
         assert want in found
@@ -164,7 +175,7 @@ def _then_logical_pauli(circ, patches, idx, kind):
     support of patch idx's logical `kind`."""
     out = circ.extended(ScheduledCircuit(circ.num_qubits), slot_offset=0)
     slot = max(circ.slots()) + 1
-    for q in encode_stack(patches).logical_pauli(idx, kind).support():
+    for q in support(encode_stack(patches).logical_pauli(idx, kind)):
         out.add(slot, kind, (q,))
     return out
 
@@ -332,7 +343,7 @@ def test_logical_action_on_stray_gates_matches_the_reference(params):
 def test_image_outside_the_logical_operators_raises(k):
     ps = [build_patch(3, "folded") for _ in range(k)]
     circ = ScheduledCircuit(encode_stack(ps).num_qubits)
-    circ.add(0, "H", (ps[0].logical_x_pauli().support()[0],))
+    circ.add(0, "H", (support(ps[0].logical_x_pauli())[0],))
     with pytest.raises(ValueError):
         ref_logical_action(circ, ps)
     with pytest.raises(ValueError, match="not a logical operator"):
