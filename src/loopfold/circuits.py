@@ -2,14 +2,16 @@
 
 A ScheduledCircuit is the common currency of the code layer: the tableau and
 dense engines replay its events in slot order, one layer of same-kind gates on
-disjoint qubits at a time.  The loop simulator does not read it; its timed
-events live in loopsim.TimedSchedule.
+disjoint qubits at a time.  `run_on_state` follows one path, drawing random
+outcomes from an rng; `walk_outcomes` walks the measurement-outcome tree depth
+first and yields each leaf with its probability.  The loop simulator does not
+read circuits; its timed events live in loopsim.TimedSchedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -19,7 +21,7 @@ class CircuitEvent:
     targets: tuple[int, ...]
     basis: str = "Z"                 # for MEASURE
     key: Optional[str] = None        # record label for measurements
-    condition: Optional[str] = None  # "key" / "!key" literals joined by &; see run_on_state
+    condition: Optional[str] = None  # "key" / "!key" literals joined by &
 
 
 @dataclass
@@ -59,54 +61,78 @@ def _condition_holds(condition: str, record: dict[str, int]) -> bool:
                for lit in condition.split("&"))
 
 
-def run_on_state(
-    circuit: ScheduledCircuit,
-    state,
-    rng=None,
-    forced_outcomes: Optional[dict[str, int]] = None,
-) -> dict[str, int]:
-    """Replay a circuit on a tableau or dense state; returns the record.
+def _compile(circuit: ScheduledCircuit) -> list[tuple]:
+    """The sorted events as (condition, action, args) ops; RESETs drop out.
 
-    Conditioned events fire when their condition holds on the record so far
-    (unrecorded bits read 0).  Measurement outcomes land in the record under
-    their key; an unnamed measurement records m<qubit>, and a keyed one on
-    several targets records <key><qubit>.  Each maximal run of consecutive
-    unconditioned gates of one kind on disjoint qubits goes to
-    `state.apply_layer` at once; a repeated qubit starts a new run, so the
-    layers apply the events in their order.
+    A maximal run of consecutive unconditioned gates of one kind on disjoint
+    qubits is one op, its args the layer for `apply_layer`; a repeated qubit
+    starts a new op, so the layers keep the event order.  A measurement is
+    one op per qubit with args (qubit, basis, key): an unnamed one records
+    m<qubit>, a keyed one on several targets <key><qubit>.
     """
-    record: dict[str, int] = {}
-    layer: list[tuple[int, ...]] = []
-    gate, busy = "", set()
-
-    def flush() -> None:
-        if layer:
-            state.apply_layer(gate, layer)
-            layer.clear()
-            busy.clear()
-
+    ops: list[tuple] = []
+    busy: set[int] = set()
     for e in circuit.sorted_events():
-        if e.action == "RESET":
-            continue  # states start in |0>; explicit resets are layout markers
-        if e.condition is None and e.action != "MEASURE":
-            if e.action != gate or not busy.isdisjoint(e.targets):
-                flush()
-                gate = e.action
-            layer.append(e.targets)
-            busy.update(e.targets)
-            continue
-        flush()
-        if e.condition is not None and not _condition_holds(e.condition, record):
-            continue
         if e.action == "MEASURE":
             for q in e.targets:
                 key = e.key if e.key and len(e.targets) == 1 else f"{e.key or 'm'}{q}"
-                force = None
-                if forced_outcomes and key in forced_outcomes:
-                    force = forced_outcomes[key]
-                out, _ = state.measure(q, e.basis, rng=rng, force=force)
-                record[key] = out
+                ops.append((e.condition, e.action, (q, e.basis, key)))
+        elif e.action == "RESET":
+            continue   # states start in |0>; explicit resets are layout markers
+        elif (e.condition is None and ops and ops[-1][:2] == (None, e.action)
+              and busy.isdisjoint(e.targets)):
+            ops[-1][2].append(e.targets)
+            busy.update(e.targets)
         else:
-            state.apply_gate(e.action, e.targets)
-    flush()
+            ops.append((e.condition, e.action, [e.targets]))
+            busy = set(e.targets)
+    return ops
+
+
+def _advance(ops: list[tuple], i: int, state, record: dict[str, int]) -> int:
+    """Apply ops[i:] up to the next measurement whose condition holds (unrecorded
+    bits read 0); returns its index, or len(ops) at the end."""
+    while i < len(ops):
+        condition, action, args = ops[i]
+        if condition is None or _condition_holds(condition, record):
+            if action == "MEASURE":
+                return i
+            state.apply_layer(action, args)
+        i += 1
+    return i
+
+
+def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
+    """Replay a circuit on a tableau or dense state along one path; returns the record.
+
+    A random measurement draws from `rng`, and raises ValueError without one."""
+    ops, record, i = _compile(circuit), {}, -1
+    while (i := _advance(ops, i + 1, state, record)) < len(ops):
+        q, basis, key = ops[i][2]
+        record[key], _ = state.measure(q, basis, rng=rng)
     return record
+
+
+def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, int], float, Any]]:
+    """Every leaf of the circuit's measurement-outcome tree, depth first.
+
+    Yields (record, probability, state) per leaf.  At a measurement both
+    outcomes are weighed with `state.branch_probability`; a branch below the
+    engines' 1e-12 threshold is dropped.  Only two live branches copy the
+    state, for one of them, so `state` itself is advanced along one path.
+    """
+    ops = _compile(circuit)
+    stack = [(0, {}, 1.0, state)]
+    while stack:
+        i, record, prob, st = stack.pop()
+        i = _advance(ops, i, st, record)
+        if i == len(ops):
+            yield record, prob, st
+            continue
+        q, basis, key = ops[i][2]
+        live = [(b, p) for b in (1, 0) if (p := st.branch_probability(q, b, basis)) >= 1e-12]
+        for b, p in live:
+            branch, rec = (st, record) if b == live[-1][0] else (st.copy(), dict(record))
+            branch.measure(q, basis, force=b)
+            rec[key] = b
+            stack.append((i + 1, rec, prob * p, branch))

@@ -197,7 +197,7 @@ def cmd_simulate(args, params) -> int:
         loop = LoopState.evenly_spaced(n, Fraction(1, 2 * n))
         target = list(range(1, n)) + [0]
         sched = rearrange(loop, target, params)
-    elif args.protocol == "pipeline":
+    else:   # pipeline, the last protocol the parser admits
         n = args.n or 16
         avgs = pipeline_model(n, params, args.rounds or 50)
         human = "".join(f"round {i+1:3d}  avg cycle {float(a):10.3f} ns  ({a})\n"
@@ -206,8 +206,6 @@ def cmd_simulate(args, params) -> int:
                "running_average_ns": [str(a) for a in avgs]}
         _emit(doc, args.json, human)
         return 0
-    else:
-        raise ConfigError(f"unknown protocol {args.protocol}")
     doc = {"protocol": args.protocol, "makespan_ns": str(sched.makespan),
            "events": [{"start": str(e.start), "duration": str(e.duration),
                        "action": e.action, "loop": e.loop,
@@ -246,12 +244,15 @@ def cmd_factory(args, params) -> int:
     lines.append(f"  space {report.space} patch areas; spacetime {report.spacetime_ns} ns")
     lines.append(f"  cultivation {report.cultivation_cycles} code cycles")
     lines.append(f"  output error {float(report.output_error):.3g}")
+    doc = report.to_doc()
     if args.check:
         ver = verify_factory(ccz_factory_spec(args.variant))
         ok = ver.passed
         lines.append(f"  logical verification over {len(ver.branches)} branches: "
                      f"min fidelity {ver.min_fidelity:.12f} -> {'PASS' if ver.passed else 'FAIL'}")
-    _emit(report.to_doc(), args.json, "\n".join(lines) + "\n")
+        doc["check"] = {"branches": len(ver.branches), "min_fidelity": ver.min_fidelity,
+                        "passed": ver.passed, "probability_sum": ver.probability_sum}
+    _emit(doc, args.json, "\n".join(lines) + "\n")
     return 0 if ok else 1
 
 

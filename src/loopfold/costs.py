@@ -47,11 +47,6 @@ def rearrange_worst(n: int, params: TimingParams = SILICON) -> Fraction:
     return laps * params.t_loop
 
 
-def swap_worst_shuttle(params: TimingParams = SILICON) -> Fraction:
-    """Worst-case shuttle time of the intra-loop pair protocol: 5/4 lap."""
-    return Fraction(5, 4) * params.t_loop
-
-
 def cnot_time(n: int, params: TimingParams = SILICON) -> Fraction:
     """Transversal intra-stack CNOT (= SWAP) worst case for n qubits per loop."""
     if n < 2 or n % 2:

@@ -4,7 +4,7 @@ The folded-architecture factory uses transversal CNOTs and transversal S
 corrections on 8 logical qubits over 7 stabilizer-round slots; the rotated
 variant replaces each conditional S with a measurement gadget (CNOT onto a
 fresh ancilla, Y measurement, conditional Z), growing to 12 logical qubits
-and 8 slots.  verify_factory brute-forces every measurement branch at the
+and 8 slots.  verify_factory walks every live measurement branch at the
 logical level (one dense qubit per logical qubit) and demands the |CCZ>
 output exactly; factory_runtime counts its cost terms from the same circuit.
 """
@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .circuits import ScheduledCircuit, run_on_state
+from .circuits import ScheduledCircuit, walk_outcomes
 from .costs import (NS_PER_US, OPERATING_N, SPACE, cnot_time, effective_cycle_time,
                     gate_time)
 from .loopsim import SILICON, TimingParams
@@ -100,6 +101,7 @@ def _ccz_state() -> np.ndarray:
 @dataclass
 class BranchResult:
     record: dict[str, int]
+    probability: float
     fidelity: float
 
 
@@ -108,56 +110,46 @@ class FactoryVerification:
     variant: str
     branches: list[BranchResult]
     min_fidelity: float
+    probability_sum: float
     passed: bool
-    failing: Optional[BranchResult] = None
 
 
 def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
                    tol: float = 1e-9) -> FactoryVerification:
-    """Run every measurement branch and compare the output with |CCZ>.
+    """Walk every live measurement branch and compare the output with |CCZ>.
 
     One dense qubit per logical qubit; T inputs on q0..q7 (zero ancillae
-    beyond); each branch replays the circuit with its outcomes forced, and
-    a branch whose forced outcome has zero probability is dropped.  q3 is
-    postselected on <+| before comparing (q0, q1, q2) against CCZ|+++>.
-    Passing `inputs="0"` exercises the failure path: computational-basis
-    resources cannot distill a CCZ state.  Any other `inputs` raises
-    `ValueError`.
+    beyond).  `walk_outcomes` yields each branch of nonzero probability
+    once.  q3 is postselected on <+| before comparing (q0, q1, q2) against
+    CCZ|+++>.  The check passes when every branch has fidelity 1 and the
+    branch probabilities sum to 1, both within `tol`.  Passing `inputs="0"`
+    exercises the failure path: computational-basis resources cannot
+    distill a CCZ state.  Any other `inputs` raises `ValueError`.
     """
-    from .tableau import DenseState, ImpossibleOutcomeError
+    from .tableau import DenseState
 
     if inputs not in ("T", "0"):
         raise ValueError(f"inputs must be 'T' or '0', not {inputs!r}")
     n = circuit.num_qubits
-    keys = [e.key for e in circuit.sorted_events() if e.action == "MEASURE"]
     zero = np.array([1.0, 0.0], dtype=complex)
     resource = _t_state() if inputs == "T" else zero
-    start = np.array([1.0], dtype=complex)
-    for q in range(n):
-        start = np.kron(start, resource if q < T_INPUTS else zero)
+    start = DenseState(n)
+    start.vec = reduce(np.kron, [resource if q < T_INPUTS else zero for q in range(n)])
     plus = circuit.meta["postselect_plus"]
     want = _ccz_state()
     branches: list[BranchResult] = []
-    for mask in range(1 << len(keys)):
-        st = DenseState(n)
-        st.vec = start.copy()
-        forced = {k: (mask >> i) & 1 for i, k in enumerate(keys)}
-        try:
-            record = run_on_state(circuit, st, forced_outcomes=forced)
-        except ImpossibleOutcomeError:
-            continue
+    for record, prob, st in walk_outcomes(circuit, start):
         st.apply_gate("H", (plus,))
-        if st.branch_probability(plus, 0) < 1e-15:
-            branches.append(BranchResult(record, 0.0))
-            continue
-        st.measure(plus, "Z", force=0)
-        out = _reduced_triple(st, circuit.meta["outputs"])
-        fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
-        branches.append(BranchResult(record, fid))
+        fid = 0.0
+        if st.branch_probability(plus, 0) >= 1e-15:
+            st.measure(plus, "Z", force=0)
+            out = _reduced_triple(st, circuit.meta["outputs"])
+            fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
+        branches.append(BranchResult(record, prob, fid))
     min_fid = min((b.fidelity for b in branches), default=0.0)
-    failing = next((b for b in branches if b.fidelity < 1 - tol), None)
-    return FactoryVerification(circuit.meta["variant"], branches, min_fid,
-                               failing is None, failing)
+    total = sum(b.probability for b in branches)
+    return FactoryVerification(circuit.meta["variant"], branches, min_fid, total,
+                               min_fid >= 1 - tol and abs(total - 1) <= tol)
 
 
 def _reduced_triple(st, outputs) -> Optional[np.ndarray]:

@@ -120,21 +120,17 @@ class RoutingResult:
         return self.feasible
 
 
-def generate_layout(kind: str, num_patches: int, rows: int, cols: int,
-                    num_layers: int = 1, ids: Optional[Sequence[str]] = None,
-                    ns: str = "Z") -> LayerStackLayout:
-    """The hallway layer generator (the only `kind`).
+def generate_layout(num_patches: int, rows: int, cols: int,
+                    num_layers: int = 1) -> LayerStackLayout:
+    """The hallway layout.
 
-    hallway: a row of patch stacks along the top with one-cell gaps and a
-    corridor row beneath (num_patches per layer, every layer identical up to
-    priming of the ids).
+    A row of patch stacks along the top with one-cell gaps and a corridor
+    row beneath (num_patches per layer, ids 1..num_patches, every layer
+    identical up to priming of the ids).
     """
-    if kind != "hallway":
-        raise ValueError(f"unknown layout kind {kind!r}")
     if cols < 2 * num_patches + 1 or rows < 2:
         raise ValueError("hallway needs cols >= 2k+1 and a corridor row")
-    ids = list(ids) if ids is not None else [str(i + 1) for i in range(num_patches)]
-    layers = [{(0, 2 * i + 1): PatchCell(ids[i] + "'" * li, ns) for i in range(num_patches)}
+    layers = [{(0, 2 * i + 1): PatchCell(str(i + 1) + "'" * li) for i in range(num_patches)}
               for li in range(num_layers)]
     return LayerStackLayout(rows, cols, layers)
 
@@ -348,7 +344,7 @@ def fig10a_fixture() -> tuple[LayerStackLayout, list[MergeRequest]]:
     either layer, and with both layers fully mirrored no vertical swap is
     even possible.
     """
-    layout = generate_layout("hallway", 4, rows=2, cols=9, num_layers=2)
+    layout = generate_layout(4, rows=2, cols=9, num_layers=2)
     requests = [
         MergeRequest("1", "Z", "4", "X"), MergeRequest("2", "Z", "3", "Z"),
         MergeRequest("1'", "Z", "4'", "X"), MergeRequest("2'", "Z", "3'", "Z"),

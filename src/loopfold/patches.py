@@ -305,7 +305,7 @@ class LoopEmbedding:
     distance: int
 
 
-def embed_stack(patches: Sequence[PatchSpec], params=None) -> LoopEmbedding:
+def embed_stack(patches: Sequence[PatchSpec]) -> LoopEmbedding:
     """Stack identical patches into a loop grid.
 
     k folded patches give n = 2k qubits in off-diagonal loops and k in

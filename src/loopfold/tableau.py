@@ -115,13 +115,24 @@ class StabilizerState:
         A deterministic outcome is read from the qubit's columns; only a
         random one builds the n-qubit Pauli.
         """
-        b = _check_basis(basis)
-        _check_targets(self.n, (qubit,))
         _check_force(force)
-        anti = self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
+        b, anti = self._qubit_rows(qubit, basis)
         if anti[self.n:].any():
             return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), rng, force)
         return self._deterministic(anti[:self.n], 1 if b == "Y" else 0, force)
+
+    def branch_probability(self, qubit: int, outcome: int, basis: str = "Z") -> float:
+        """Probability that measuring `qubit` in `basis` gives `outcome`: 0, 1/2 or 1."""
+        b, anti = self._qubit_rows(qubit, basis)
+        if anti[self.n:].any():
+            return 0.5
+        return float(self._product_sign(anti[:self.n], 1 if b == "Y" else 0) == outcome)
+
+    def _qubit_rows(self, qubit: int, basis: str) -> tuple[str, np.ndarray]:
+        """The checked basis, and which rows anticommute with it on `qubit`."""
+        b = _check_basis(basis)
+        _check_targets(self.n, (qubit,))
+        return b, self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
 
     def measure_pauli(
         self,

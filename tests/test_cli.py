@@ -121,6 +121,16 @@ def test_factory_report(capsys):
     assert "215.5625" in out and "22 code cycles" in out and "2.8e-13" in out
 
 
+@pytest.mark.parametrize("variant, branches", [("folded", 16), ("rotated", 256)])
+def test_factory_check_json(variant, branches, capsys):
+    code, out, _ = run_cli("--json", "factory", "--variant", variant, "--check", capsys=capsys)
+    check = json.loads(out)["check"]
+    assert code == 0
+    assert set(check) == {"branches", "min_fidelity", "passed", "probability_sum"}
+    assert check["branches"] == branches and check["passed"] is True
+    assert abs(check["probability_sum"] - 1) < 1e-9 and check["min_fidelity"] > 1 - 1e-9
+
+
 def test_table1(capsys):
     code, out, _ = run_cli("table1", capsys=capsys)
     assert code == 0

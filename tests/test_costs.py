@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import (SPACE, cnot_time, cycle_time_n2, effective_cycle_time,
                             factory_cell_us, gate_time, pipeline_steady_state,
-                            rearrange_worst, swap_worst_shuttle, table1)
+                            rearrange_worst, table1)
 from loopfold.loopsim import SILICON, TimingParams
 
 P = SILICON
+
+
+def swap_worst_shuttle(params):
+    """Worst-case shuttle time of the intra-loop pair protocol: 5/4 lap."""
+    return F(5, 4) * params.t_loop
 
 
 def test_cycle_time_n2_silicon():

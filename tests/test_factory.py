@@ -3,12 +3,16 @@
 import dataclasses
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from loopfold.costs import cnot_time, effective_cycle_time, gate_time
-from loopfold.factory import (ccz_factory_spec, cultivation_cycles, factory_runtime,
+from loopfold.factory import (T_INPUTS, _ccz_state, _reduced_triple, _t_state,
+                              ccz_factory_spec, cultivation_cycles, factory_runtime,
                               output_error, verify_factory)
 from loopfold.loopsim import SILICON
+from loopfold.tableau import DenseState, ImpossibleOutcomeError
+from test_tableau import forced_replay
 
 P = SILICON
 
@@ -58,9 +62,56 @@ def test_wrong_resource_states_cannot_distill():
     for variant, live_branches in (("folded", 1), ("rotated", 16)):
         ver = verify_factory(ccz_factory_spec(variant), inputs="0")
         assert not ver.passed
-        assert ver.failing is not None
+        assert any(b.fidelity < 1 - 1e-9 for b in ver.branches)
         assert ver.min_fidelity < 0.5
         assert len(ver.branches) == live_branches
+
+
+def ref_verify_factory(circuit, inputs):
+    """Reference: one forced replay of the whole circuit per outcome mask.
+
+    A mask whose forced outcome is impossible is dropped; returns the
+    (record, fidelity) pair of every other mask.
+    """
+    keys = [e.key for e in circuit.sorted_events() if e.action == "MEASURE"]
+    zero = np.array([1.0, 0.0], dtype=complex)
+    resource = _t_state() if inputs == "T" else zero
+    start = np.array([1.0], dtype=complex)
+    for q in range(circuit.num_qubits):
+        start = np.kron(start, resource if q < T_INPUTS else zero)
+    plus = circuit.meta["postselect_plus"]
+    pairs = []
+    for mask in range(1 << len(keys)):
+        st = DenseState(circuit.num_qubits)
+        st.vec = start.copy()
+        try:
+            record = forced_replay(circuit, st, {k: (mask >> i) & 1 for i, k in enumerate(keys)})
+        except ImpossibleOutcomeError:
+            continue
+        st.apply_gate("H", (plus,))
+        fid = 0.0
+        if st.branch_probability(plus, 0) >= 1e-15:
+            st.measure(plus, "Z", force=0)
+            out = _reduced_triple(st, circuit.meta["outputs"])
+            fid = float(abs(np.vdot(_ccz_state(), out)) ** 2) if out is not None else 0.0
+        pairs.append((record, fid))
+    return pairs
+
+
+@pytest.mark.parametrize("variant, inputs, count", [
+    ("folded", "T", 16), ("rotated", "T", 256), ("folded", "0", 1), ("rotated", "0", 16)])
+def test_walked_branches_match_the_mask_replay(variant, inputs, count):
+    circuit = ccz_factory_spec(variant)
+    ver = verify_factory(circuit, inputs=inputs)
+
+    def ordered(pairs):
+        return sorted((tuple(sorted(record.items())), fid) for record, fid in pairs)
+    assert ordered((b.record, b.fidelity) for b in ver.branches) == \
+        ordered(ref_verify_factory(circuit, inputs))
+    assert len(ver.branches) == count
+    assert abs(ver.probability_sum - 1) < 1e-9
+    assert ver.probability_sum == sum(b.probability for b in ver.branches)
+    assert ver.passed == (inputs == "T")
 
 
 @pytest.mark.parametrize("inputs", ["t", "plus", "", "1"])

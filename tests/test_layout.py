@@ -89,7 +89,7 @@ def test_already_routable_needs_zero_swaps():
 
 
 def test_single_request_minimal_corridor():
-    layout = generate_layout("hallway", 2, rows=2, cols=5)
+    layout = generate_layout(2, rows=2, cols=5)
     res = routable(layout, [MergeRequest("1", "Z", "2", "Z")])
     assert res.feasible
     (path,) = res.paths.values()
@@ -97,15 +97,13 @@ def test_single_request_minimal_corridor():
 
 
 def test_generate_layouts():
-    hall = generate_layout("hallway", 2, rows=2, cols=5, num_layers=2)
+    hall = generate_layout(2, rows=2, cols=5, num_layers=2)
     assert hall.layers == [{(0, 1): PatchCell("1"), (0, 3): PatchCell("2")},
                            {(0, 1): PatchCell("1'"), (0, 3): PatchCell("2'")}]
     with pytest.raises(ValueError):
-        generate_layout("hallway", 4, rows=1, cols=3)
+        generate_layout(4, rows=1, cols=3)
     with pytest.raises(ValueError):
-        generate_layout("hallway", 3, rows=2, cols=6)
-    with pytest.raises(ValueError):
-        generate_layout("checkerboard", 4, rows=3, cols=3)
+        generate_layout(3, rows=2, cols=6)
 
 
 def test_unknown_patch_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopfold.circuits import ScheduledCircuit, run_on_state
+from loopfold.circuits import ScheduledCircuit, run_on_state, walk_outcomes
 from loopfold.pauli import PauliString, gf2_rank
 from loopfold.tableau import (CLIFFORD_GATES, DenseState, ImpossibleOutcomeError,
                               StabilizerState, UnsupportedGateError, _apply_pauli_dense,
@@ -247,8 +247,77 @@ def test_conjunctive_condition_on_both_engines(engine, a, b):
     circ.add(1, "MEASURE", (1,), key="b")
     circ.add(2, "X", (2,), condition="a&!b")
     circ.add(3, "MEASURE", (2,), key="c")
-    record = run_on_state(circ, engine(3), forced_outcomes={"a": a, "b": b})
-    assert record == {"a": a, "b": b, "c": int(a == 1 and b == 0)}
+    leaves = {(rec["a"], rec["b"]): (rec, prob) for rec, prob, _ in walk_outcomes(circ, engine(3))}
+    assert sorted(leaves) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(abs(prob - 0.25) < 1e-12 for _, prob in leaves.values())
+    assert leaves[a, b][0] == {"a": a, "b": b, "c": int(a == 1 and b == 0)}
+
+
+def forced_replay(circuit, state, forced):
+    """Reference: replay event by event, each measurement forced to its bit in
+    `forced`; returns the record.  An impossible forced outcome raises."""
+    def holds(condition, record):
+        return all(record.get(lit.lstrip("!"), 0) == (0 if lit.startswith("!") else 1)
+                   for lit in condition.split("&"))
+
+    record = {}
+    for e in circuit.sorted_events():
+        if e.action == "RESET" or (e.condition is not None and not holds(e.condition, record)):
+            continue
+        if e.action != "MEASURE":
+            state.apply_gate(e.action, e.targets)
+            continue
+        for q in e.targets:
+            key = e.key if e.key and len(e.targets) == 1 else f"{e.key or 'm'}{q}"
+            record[key], _ = state.measure(q, e.basis, force=forced[key])
+    return record
+
+
+@st.composite
+def branching_circuits(draw):
+    """1-4 qubits of H/S/SDG/X/CNOT/CZ with 1-3 Z or Y measurements; any gate
+    may be conditioned on a conjunction of earlier measurement keys."""
+    n = draw(st.integers(1, 4))
+    circ = ScheduledCircuit(n)
+    keys: list[str] = []
+    gates = ["H", "S", "SDG", "X"] + (["CNOT", "CZ"] if n > 1 else [])
+
+    def add_gates(count):
+        for _ in range(count):
+            gate = draw(st.sampled_from(gates))
+            targets = draw(st.permutations(range(n)))[:2 if gate in ("CNOT", "CZ") else 1]
+            condition = None
+            if keys and draw(st.booleans()):
+                lits = draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2, unique=True))
+                condition = "&".join(("!" if draw(st.booleans()) else "") + k for k in lits)
+            circ.add(len(circ.events), gate, targets, condition=condition)
+
+    for m in range(draw(st.integers(1, 3))):
+        add_gates(draw(st.integers(0, 5)))
+        circ.add(len(circ.events), "MEASURE", (draw(st.integers(0, n - 1)),),
+                 basis=draw(st.sampled_from("ZY")), key=f"k{m}")
+        keys.append(f"k{m}")
+    add_gates(draw(st.integers(0, 3)))
+    return circ
+
+
+@given(branching_circuits())
+@settings(max_examples=120, deadline=None)
+def test_walker_leaves_agree_across_engines_and_with_forced_replay(circ):
+    n = circ.num_qubits
+    walks = {}
+    for engine in (StabilizerState, DenseState):
+        leaves = list(walk_outcomes(circ, engine(n)))
+        assert abs(sum(prob for _, prob, _ in leaves) - 1) < 1e-9
+        walks[engine] = sorted((tuple(sorted(rec.items())), prob) for rec, prob, _ in leaves)
+        for rec, _, leaf in leaves:
+            ref = engine(n)
+            assert forced_replay(circ, ref, rec) == rec
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(engine_snapshot(leaf), engine_snapshot(ref)))
+    tab, den = walks[StabilizerState], walks[DenseState]
+    assert [rec for rec, _ in tab] == [rec for rec, _ in den]
+    assert all(abs(p - q) < 1e-9 for (_, p), (_, q) in zip(tab, den))
 
 
 PAULI_2X2 = {
@@ -358,7 +427,9 @@ def engine_snapshot(state):
     lambda s: s.apply_gate("H", (-1,)),
     lambda s: s.measure(3, force=0),
     lambda s: s.measure(-1, force=0),
-], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1"])
+    lambda s: s.branch_probability(3, 0),
+], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1",
+        "branch-probability-3"])
 def test_bad_targets_rejected_before_the_state_changes(engine, call):
     state = engine(3)
     state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("CNOT", (1, 2))
