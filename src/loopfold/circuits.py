@@ -2,16 +2,22 @@
 
 A ScheduledCircuit is the common currency of the code layer: the tableau and
 dense engines replay its events in slot order, one layer of same-kind gates on
-disjoint qubits at a time.  `run_on_state` follows one path, drawing random
-outcomes from an rng; `walk_outcomes` walks the measurement-outcome tree depth
-first and yields each leaf with its probability.  The loop simulator does not
-read circuits; its timed events live in loopsim.TimedSchedule.
+disjoint qubits at a time.  The engines only project: they read a
+deterministic outcome and take a random one from `force`.  `run_on_state`
+follows one path and is the one place that samples a random outcome, from an
+rng and the engine's `branch_probabilities`; `walk_outcomes` weighs both
+outcomes of every measurement with `branch_probabilities`, walks the
+measurement-outcome tree depth first and yields each leaf with its
+probability.  The loop simulator does not read circuits; its timed events
+live in loopsim.TimedSchedule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
+
+from .tableau import ZERO_PROBABILITY, RandomOutcomeError
 
 
 @dataclass(frozen=True)
@@ -105,11 +111,19 @@ def _advance(ops: list[tuple], i: int, state, record: dict[str, int]) -> int:
 def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
     """Replay a circuit on a tableau or dense state along one path; returns the record.
 
-    A random measurement draws from `rng`, and raises ValueError without one."""
+    A deterministic outcome is read by the engine.  A random one reads 1
+    when `rng.random()` is at least its p0, and without an rng the engine's
+    `RandomOutcomeError` (a ValueError) propagates."""
     ops, record, i = _compile(circuit), {}, -1
     while (i := _advance(ops, i + 1, state, record)) < len(ops):
         q, basis, key = ops[i][2]
-        record[key], _ = state.measure(q, basis, rng=rng)
+        try:
+            record[key], _ = state.measure(q, basis)
+        except RandomOutcomeError:
+            if rng is None:
+                raise
+            record[key] = int(rng.random() >= state.branch_probabilities(q, basis)[0])
+            state.measure(q, basis, force=record[key])
     return record
 
 
@@ -117,9 +131,9 @@ def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, 
     """Every leaf of the circuit's measurement-outcome tree, depth first.
 
     Yields (record, probability, state) per leaf.  At a measurement both
-    outcomes are weighed with `state.branch_probability`; a branch below the
-    engines' 1e-12 threshold is dropped.  Only two live branches copy the
-    state, for one of them, so `state` itself is advanced along one path.
+    outcomes are weighed with `state.branch_probabilities`; a branch below
+    ZERO_PROBABILITY is dropped.  Only two live branches copy the state, for
+    one of them, so `state` itself is advanced along one path.
     """
     ops = _compile(circuit)
     stack = [(0, {}, 1.0, state)]
@@ -130,7 +144,8 @@ def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, 
             yield record, prob, st
             continue
         q, basis, key = ops[i][2]
-        live = [(b, p) for b in (1, 0) if (p := st.branch_probability(q, b, basis)) >= 1e-12]
+        probs = st.branch_probabilities(q, basis)
+        live = [(b, probs[b]) for b in (1, 0) if probs[b] >= ZERO_PROBABILITY]
         for b, p in live:
             branch, rec = (st, record) if b == live[-1][0] else (st.copy(), dict(record))
             branch.measure(q, basis, force=b)

@@ -165,11 +165,11 @@ def cmd_gate_times(args, params) -> int:
     for arch in ("pipelined_folded", "pipelined_rotated", "standard"):
         n = OPERATING_N[arch]
         for gate in ("S", "H", "CNOT"):
-            t = gate_time(gate, arch, n, d, params)
+            t = gate_time(gate, arch, d, params)
             rows.append((gate, arch, n, t))
             doc["gates"][f"{gate}/{arch}"] = {"n": n, "value_ns": str(t)}
     for gate, expr in (("H", "(d-1)*t_int"), ("SWAP", "d*t_int"), ("CNOT", "2d*t_int")):
-        t = gate_time(gate, "interloop", OPERATING_N["interloop"], d, params)
+        t = gate_time(gate, "interloop", d, params)
         rows.append((gate, "interloop", "-", t))
         doc["gates"][f"{gate}/interloop"] = {"expr": expr, "value_ns": str(t)}
     width = max(len(a) for _, a, _, _ in rows)

@@ -61,10 +61,10 @@ OPERATING_N = {"standard": 2, "pipelined_rotated": 12, "pipelined_folded": 16, "
 STANDARD_CYCLE_NS = Fraction(3000)   # the fixed stabilizer round of plain lattice surgery
 
 
-def gate_time(gate: str, arch: str, n: int, d: int,
-              params: TimingParams = SILICON) -> Fraction:
+def gate_time(gate: str, arch: str, d: int, params: TimingParams = SILICON) -> Fraction:
     """Closed-form runtime of a logical gate on one architecture.
 
+    Each architecture runs at its loop occupancy n = OPERATING_N[arch].
     pipelined_folded uses the transversal protocols with the effective cycle
     time T*_cyc(n); pipelined_rotated falls back to lattice surgery for H and
     S; standard is plain lattice surgery with a fixed cycle time; interloop
@@ -73,6 +73,7 @@ def gate_time(gate: str, arch: str, n: int, d: int,
     gate = gate.upper()
     if arch not in OPERATING_N:
         raise ValueError(f"unknown architecture {arch!r}")
+    n = OPERATING_N[arch]
     t_cyc_star = effective_cycle_time(n, params) if arch.startswith("pipelined") else None
 
     if arch == "pipelined_folded":
@@ -238,9 +239,9 @@ _TABLE1_EXPRS = {
 
 def _runtime(gate: str, arch: str, params: TimingParams, d: int) -> Fraction:
     if gate != "FACTORY":
-        return gate_time(gate, arch, OPERATING_N[arch], d, params)
+        return gate_time(gate, arch, d, params)
     if arch == "standard":
-        return 5 * d * gate_time("CYCLE", arch, OPERATING_N[arch], d, params)
+        return 5 * d * gate_time("CYCLE", arch, d, params)
     return factory_cell_us(arch.removeprefix("pipelined_"), params, d) * NS_PER_US
 
 
@@ -256,7 +257,7 @@ def _charged(gate: str, arch: str, cell: TableCell, params: TimingParams, d: int
     if gate in ("H", "S"):
         if arch == "pipelined_folded":
             return cell.space
-        cycle = gate_time("CYCLE", arch, OPERATING_N[arch], d, params)
+        cycle = gate_time("CYCLE", arch, d, params)
         return cell.runtime_ns / cycle * cell.space
     if gate == "CNOT":
         return max(1, math.floor(cell.runtime_ns / NS_PER_US + Fraction(1, 2))) * cell.space

@@ -11,7 +11,6 @@ output exactly; factory_runtime counts its cost terms from the same circuit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -23,12 +22,13 @@ from .circuits import ScheduledCircuit, walk_outcomes
 from .costs import (NS_PER_US, OPERATING_N, SPACE, cnot_time, effective_cycle_time,
                     gate_time)
 from .loopsim import SILICON, TimingParams
+from .tableau import ZERO_PROBABILITY, DenseState
 
 OMEGA = np.exp(1j * np.pi / 4)
 
 T_INPUTS = 8                      # T states consumed per CCZ, on q0..q7
 CULTIVATION_VOLUME = 30000        # expected qubit-rounds per cultivated T state
-CULTIVATION_TARGET = 1e-7         # the tabulated cultivation output error rate
+CULTIVATION_TARGET = Fraction(1, 10**7)   # the tabulated cultivation output error rate
 CCZ_ERROR_PREFACTOR = 28          # output error = 28 p_T^2 to leading order
 
 # the four rounds of CNOTs before the check-qubit measurements, both variants
@@ -126,8 +126,6 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
     exercises the failure path: computational-basis resources cannot
     distill a CCZ state.  Any other `inputs` raises `ValueError`.
     """
-    from .tableau import DenseState
-
     if inputs not in ("T", "0"):
         raise ValueError(f"inputs must be 'T' or '0', not {inputs!r}")
     n = circuit.num_qubits
@@ -141,7 +139,7 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
     for record, prob, st in walk_outcomes(circuit, start):
         st.apply_gate("H", (plus,))
         fid = 0.0
-        if st.branch_probability(plus, 0) >= 1e-15:
+        if st.branch_probabilities(plus)[0] >= ZERO_PROBABILITY:
             st.measure(plus, "Z", force=0)
             out = _reduced_triple(st, circuit.meta["outputs"])
             fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
@@ -171,19 +169,17 @@ def _reduced_triple(st, outputs) -> Optional[np.ndarray]:
 
 # -- cultivation and runtime --------------------------------------------------------
 
-def cultivation_cycles(p_target: float, d: int, num_states: int, num_qubits: int) -> int:
-    """Code cycles to cultivate `num_states` T states on `num_qubits` patches.
+def cultivation_cycles(d: int, num_qubits: int) -> int:
+    """Code cycles to cultivate the factory's T_INPUTS T states on `num_qubits` patches.
 
     Uses the expected cultivation spacetime volume of 3e4 qubit-rounds per
-    state at the tabulated 1e-7 output error; the quotient is rounded to the
-    nearest cycle, which reproduces both published counts (22 on 8 qubits,
-    15 on 12, at d = 25).
+    state at the tabulated output error CULTIVATION_TARGET; the quotient is
+    rounded to the nearest cycle, which reproduces both published counts
+    (22 on 8 qubits, 15 on 12, at d = 25).
     """
-    if not math.isclose(p_target, CULTIVATION_TARGET, rel_tol=1e-12):
-        raise ValueError("only the tabulated cultivation point 1e-7 is supported")
     if d < 3 or d % 2 == 0:
         raise ValueError("d must be an odd integer >= 3")
-    raw = Fraction(num_states * CULTIVATION_VOLUME, num_qubits * 2 * (d + 1) ** 2)
+    raw = Fraction(T_INPUTS * CULTIVATION_VOLUME, num_qubits * 2 * (d + 1) ** 2)
     return int(raw + Fraction(1, 2))
 
 
@@ -215,8 +211,9 @@ class FactoryReport:
         }
 
 
-def output_error(p_t: Fraction = Fraction(1, 10**7)) -> Fraction:
-    return CCZ_ERROR_PREFACTOR * p_t * p_t
+def output_error() -> Fraction:
+    """28 p_T^2 at the cultivation output error p_T = CULTIVATION_TARGET."""
+    return CCZ_ERROR_PREFACTOR * CULTIVATION_TARGET ** 2
 
 
 def factory_runtime(variant: str, params: TimingParams = SILICON,
@@ -241,9 +238,9 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
     arch = f"pipelined_{variant}"
     n = OPERATING_N[arch]
     t_star = effective_cycle_time(n, params)
-    cul = cultivation_cycles(CULTIVATION_TARGET, d, T_INPUTS, circ.num_qubits)
+    cul = cultivation_cycles(d, circ.num_qubits)
     if variant == "folded":
-        t_s = gate_time("S", "pipelined_folded", n, d, params)
+        t_s = gate_time("S", "pipelined_folded", d, params)
         terms = {
             "cultivation": cul * t_star,
             "cnots": cnots * cnot_time(n, params),

@@ -21,7 +21,7 @@ import numpy as np
 from .circuits import ScheduledCircuit, run_on_state
 from .pauli import PauliString, pack_rows, xor_basis, xor_reduce
 from .patches import PatchSpec
-from .tableau import StabilizerState
+from .tableau import RandomOutcomeError, StabilizerState
 
 
 class CodespaceViolationError(RuntimeError):
@@ -100,8 +100,8 @@ def _project(stack: EncodedStack, pins: Sequence[PauliString]) -> StabilizerStat
 
 def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, int]:
     try:
-        return run_on_state(circuit, st, rng=None)
-    except ValueError as exc:
+        return run_on_state(circuit, st)
+    except RandomOutcomeError as exc:
         raise CodespaceViolationError(
             "non-deterministic measurement on a codespace input") from exc
 

@@ -5,10 +5,11 @@ perimeter); the port junction sits at position 0 and a token's position is
 its forward distance to the junction.  Times are Fractions of a nanosecond.
 All closed-form comparisons in the tests are exact equalities.  Costs are
 evaluated on integer lattice positions: one kernel, `_plan_lattice`, plans
-every pair-gate episode (for `plan_episode`, `run_episode` and the swap and
-CNOT-stack searches), and the rearrangement rules `_arc`, `_lead` and
-`_park` serve both `rearrange` and its search; the event paths convert back
-to Fractions for their traces.
+every pair-gate episode (for `run_episode` and the swap and CNOT-stack
+searches), and the rearrangement rules `_arc`, `_lead` and `_park` serve
+both `rearrange` and its search; the event paths convert back to Fractions
+for their traces.  A LoopState laps in t_loop; `simulate_cycle` reads a
+diagonal loop's double speed from the embedding's LoopRecord.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -80,7 +81,6 @@ class LoopState:
 
     positions: dict[int, Fraction]
     port: list[int] = field(default_factory=list)
-    speed_class: str = "normal"       # diagonal loops shuttle twice as fast
 
     def __post_init__(self):
         self.positions = {t: _frac(p) % 1 for t, p in self.positions.items()}
@@ -92,12 +92,8 @@ class LoopState:
         """Tokens 0..n-1 at phase + k/n, in ring order."""
         return cls({k: (_frac(phase) + Fraction(k, n)) % 1 for k in range(n)})
 
-    def lap_time(self, params: TimingParams) -> Fraction:
-        t = params.t_loop
-        return t / 2 if self.speed_class == "double" else t
-
     def copy(self) -> "LoopState":
-        return LoopState(dict(self.positions), list(self.port), self.speed_class)
+        return LoopState(dict(self.positions), list(self.port))
 
 
 @dataclass(frozen=True)
@@ -155,17 +151,6 @@ class TimedSchedule:
 
 # -- pair-gate episode ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class EpisodePlan:
-    first: int
-    second: int
-    direction: str            # "fwd" | "bwd"
-    lead_in: Fraction         # ring rotation until `first` peels
-    gap: Fraction             # further rotation until `second` peels
-    exit: Fraction            # min(gap, 1 - gap): slot swept back the short way
-    shuttle: Fraction         # lead_in + gap + exit
-
-
 def _plan_lattice(pa: int, pb: int, points: int, a: int, b: int) -> tuple:
     """The episode plan for tokens a, b at positions pa, pb of a `points` lattice.
 
@@ -206,47 +191,37 @@ def _on_lattice(positions: dict[int, Fraction], n: int = 1) -> tuple[int, dict[i
     return points, {t: p.numerator * (points // p.denominator) for t, p in positions.items()}
 
 
-def plan_episode(loop: LoopState, a: int, b: int) -> EpisodePlan:
-    """Choose entry order and rotation direction minimizing the shuttle time."""
-    points, pos = _on_lattice({a: loop.positions[a], b: loop.positions[b]})
-    first, second, direction, *units = _plan_lattice(pos[a], pos[b], points, a, b)
-    return EpisodePlan(first, second, direction, *(Fraction(u, points) for u in units))
-
-
 def run_episode(loop: LoopState, a: int, b: int, gate_time: Fraction,
                 params: TimingParams, schedule: TimedSchedule,
-                t0: Fraction, loop_name: str = "loop",
-                gate_label: str = "gate") -> Fraction:
+                t0: Fraction, gate_label: str = "gate") -> Fraction:
     """Execute one pair-gate episode in place; returns the end time.
 
-    Leaves `first` parked in the port and `second` in first's slot, with the
-    ring net-rotated by the lead-in.
+    The episode is planned by `_plan_lattice` on the lattice of the whole
+    ring.  Leaves `first` parked in the port and `second` in first's slot,
+    with the ring net-rotated by the lead-in.
     """
-    lap = loop.lap_time(params)
-    plan = plan_episode(loop, a, b)
+    points, pos = _on_lattice(loop.positions)
+    first, second, direction, lead, gap, exit_, _ = _plan_lattice(pos[a], pos[b], points, a, b)
+    unit = params.t_loop / points
     ring = tuple(sorted(loop.positions))
     t = t0
     for duration, action, tokens in (
-            (plan.lead_in * lap, "shuttle_in", ring),
-            (plan.gap * lap, "shuttle_in", tuple(x for x in ring if x != plan.first)),
+            (lead * unit, "shuttle_in", ring),
+            (gap * unit, "shuttle_in", tuple(x for x in ring if x != first)),
             (gate_time, gate_label, (a, b)),
             # exit: the ring sweeps first's emptied slot back onto the junction
             # (the short way around) while `second` rides out into it
-            (plan.exit * lap, "shuttle_out",
-             tuple(x for x in ring if x not in (a, b)) + (plan.second,))):
+            (exit_ * unit, "shuttle_out", tuple(x for x in ring if x not in (a, b)) + (second,))):
         if duration:
-            schedule.append(t, duration, action, tokens, loop_name)
+            schedule.append(t, duration, action, tokens)
             t += duration
-    points, pos = _on_lattice(loop.positions)
-    _apply_episode(pos, loop.port, plan.first, plan.second, plan.direction,
-                   int(plan.lead_in * points), points)
+    _apply_episode(pos, loop.port, first, second, direction, lead, points)
     loop.positions = {x: Fraction(p, points) for x, p in pos.items()}
     return t
 
 
-def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams,
-                  gate: str = "SWAP") -> TimedSchedule:
-    """The 4-step intra-loop two-qubit protocol between tokens a and b.
+def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams) -> TimedSchedule:
+    """The 4-step intra-loop SWAP protocol between tokens a and b.
 
     Returns the timed schedule; the final LoopState is in meta["final"].
     """
@@ -255,8 +230,8 @@ def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams,
     if loop.port:
         raise OccupiedPortError("port must be empty at the start of the protocol")
     work = loop.copy()
-    sched = TimedSchedule(meta={"gate": gate})
-    run_episode(work, a, b, params.t_2q, params, sched, Fraction(0), gate_label=gate)
+    sched = TimedSchedule(meta={"gate": "SWAP"})
+    run_episode(work, a, b, params.t_2q, params, sched, Fraction(0), gate_label="SWAP")
     sched.meta["final"] = work
     sched.meta["shuttle"] = sched.shuttle_time()
     sched.check_no_token_overlap()
@@ -318,7 +293,7 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
     if target == sorted(ring, key=ring.get):
         return TimedSchedule(meta={"final": loop.copy(), "identity": True})
 
-    lap = loop.lap_time(params)
+    lap = params.t_loop
     slot = points // n
     sched = TimedSchedule(meta={"target": tuple(target)})
     i = target.index(_lead(ring, points))
@@ -353,8 +328,7 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
                     tuple(sorted(ring)))
     sched.meta["traversal_reversed"] = side == "past"
     sched.meta["final"] = LoopState(
-        {t: Fraction((p + offset) % points, points) for t, p in ring.items()},
-        speed_class=loop.speed_class)
+        {t: Fraction((p + offset) % points, points) for t, p in ring.items()})
     sched.check_no_token_overlap()
     return sched
 
@@ -433,7 +407,7 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
         for loop in loops:
             name = f"{loop.coord}"
             kind = kinds[loop.coord]
-            lap = t_loop / 2 if kind == "diagonal" else t_loop
+            lap = t_loop / 2 if loop.speed_class == "double" else t_loop
             toks = tuple(range(len(loop.slots)))
             tt = start
             if kind == "bulk":

@@ -166,8 +166,7 @@ def check_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """
     circ = ScheduledCircuit(patch.num_qubits)
     circ.meta["kind"] = "check"
-    x_anc = [s for s in patch.stabilizers if s.kind == "X"]
-    z_anc = [s for s in patch.stabilizers if s.kind == "Z"]
+    x_anc = patch.x_stabilizers()
     circ.add(0, "RESET", [patch.index[s.center] for s in patch.stabilizers])
     for s in x_anc:
         circ.add(1, "H", (patch.index[s.center],))

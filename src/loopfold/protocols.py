@@ -26,20 +26,18 @@ from .patches import (
 # (see tests/test_protocols.py): walking along the crease, data sites and
 # bulk-ancilla sites strictly alternate, and the working gate assignments are
 # exactly the two strict alternations over those 2d-1 sites.  The canonical
-# choice starts with S on the corner data qubit, so every data site gets the
-# first entry's gate and every crease ancilla the opposite one.
-CANONICAL_START = "S"
+# choice starts with S on the corner data qubit, so every data site gets S
+# and every crease ancilla SDG; the inverted one swaps the two.
 
 
-def canonical_alternation(d: int, start: str = CANONICAL_START) -> tuple[str, ...]:
+def canonical_alternation(d: int) -> tuple[str, ...]:
     """The frozen length-d crease pattern (gates on the d diagonal data sites)."""
-    if start not in ("S", "SDG"):
-        raise ValueError("start must be S or SDG")
-    return (start,) * d
+    return ("S",) * d
 
 
 def inverted_alternation(d: int) -> tuple[str, ...]:
-    return canonical_alternation(d, "SDG" if CANONICAL_START == "S" else "S")
+    """The canonical pattern with S and SDG swapped; it gives logical S-dagger."""
+    return ("SDG",) * d
 
 
 def transversal_s_circuit(patch: PatchSpec, alternation: Sequence[str] | None = None) -> ScheduledCircuit:

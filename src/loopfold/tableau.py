@@ -16,6 +16,13 @@ disjoint target tuples.  The tableau does a whole layer with one
 fancy-indexed update of each column array (a SWAP layer is a plain column
 exchange); the dense engine applies the layer's gates one by one.  A Z or Y
 measurement with a deterministic outcome is read from the qubit's columns.
+
+Neither engine draws random numbers.  A measurement projects: a
+deterministic outcome is read, and a random one is taken from `force`
+(without it, `RandomOutcomeError`).  `branch_probabilities` gives both
+outcomes' probabilities, from which `circuits.run_on_state` samples and
+`circuits.walk_outcomes` branches; an outcome below ZERO_PROBABILITY counts
+as impossible everywhere.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import numpy as np
 from .pauli import PauliString
 
 CLIFFORD_GATES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP")
+ZERO_PROBABILITY = 1e-12   # an outcome less likely than this is impossible
 
 
 class UnsupportedGateError(ValueError):
@@ -35,6 +43,10 @@ class UnsupportedGateError(ValueError):
 
 class ImpossibleOutcomeError(ValueError):
     """Raised when a forced measurement outcome has zero probability."""
+
+
+class RandomOutcomeError(ValueError):
+    """Raised when a measurement with two possible outcomes is not forced."""
 
 
 class StabilizerState:
@@ -103,13 +115,8 @@ class StabilizerState:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure(
-        self,
-        qubit: int,
-        basis: str = "Z",
-        rng: Optional[np.random.Generator] = None,
-        force: Optional[int] = None,
-    ) -> tuple[int, bool]:
+    def measure(self, qubit: int, basis: str = "Z",
+                force: Optional[int] = None) -> tuple[int, bool]:
         """Measure a qubit in the Z or Y basis; see `measure_pauli`.
 
         A deterministic outcome is read from the qubit's columns; only a
@@ -118,15 +125,16 @@ class StabilizerState:
         _check_force(force)
         b, anti = self._qubit_rows(qubit, basis)
         if anti[self.n:].any():
-            return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), rng, force)
+            return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), force)
         return self._deterministic(anti[:self.n], 1 if b == "Y" else 0, force)
 
-    def branch_probability(self, qubit: int, outcome: int, basis: str = "Z") -> float:
-        """Probability that measuring `qubit` in `basis` gives `outcome`: 0, 1/2 or 1."""
+    def branch_probabilities(self, qubit: int, basis: str = "Z") -> tuple[float, float]:
+        """(p0, p1) for measuring `qubit` in `basis`: both 1/2, or one of them 1."""
         b, anti = self._qubit_rows(qubit, basis)
         if anti[self.n:].any():
-            return 0.5
-        return float(self._product_sign(anti[:self.n], 1 if b == "Y" else 0) == outcome)
+            return 0.5, 0.5
+        one = self._product_sign(anti[:self.n], 1 if b == "Y" else 0)
+        return (0.0, 1.0) if one else (1.0, 0.0)
 
     def _qubit_rows(self, qubit: int, basis: str) -> tuple[str, np.ndarray]:
         """The checked basis, and which rows anticommute with it on `qubit`."""
@@ -134,19 +142,16 @@ class StabilizerState:
         _check_targets(self.n, (qubit,))
         return b, self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
 
-    def measure_pauli(
-        self,
-        pauli: PauliString,
-        rng: Optional[np.random.Generator] = None,
-        force: Optional[int] = None,
-    ) -> tuple[int, bool]:
+    def measure_pauli(self, pauli: PauliString,
+                      force: Optional[int] = None) -> tuple[int, bool]:
         """Measure a Hermitian Pauli P directly on the rows (Aaronson-Gottesman).
 
         Returns (outcome, deterministic); outcome 0 is the +1 eigenvalue of P.
-        `force` (0 or 1) selects the branch of a random outcome (used for
-        projective state preparation); it must not disagree with a
-        deterministic outcome.  Any other `force` raises `ValueError` before
-        the state is written.
+        `force` (0 or 1) selects the branch of a random outcome, and a random
+        outcome without it raises `RandomOutcomeError`; a forced branch that
+        disagrees with a deterministic outcome raises
+        `ImpossibleOutcomeError`.  Any other `force` raises `ValueError`.
+        All of these are raised before the state is written.
         """
         _check_force(force)
         n = self.n
@@ -154,12 +159,9 @@ class StabilizerState:
         stab = np.flatnonzero(anti[n:])
         if stab.size == 0:
             return self._deterministic(anti[:n], pauli.phase, force)
-        if force is not None:
-            outcome = int(force)
-        elif rng is not None:
-            outcome = int(rng.integers(2))
-        else:
-            raise ValueError("random measurement needs an rng or forced branch")
+        if force is None:
+            raise RandomOutcomeError("random measurement needs a forced branch")
+        outcome = int(force)
         # multiply the first anticommuting stabilizer p into every other
         # anticommuting row: in the explicit-i convention P_p * P_h has phase
         # phase(p) + phase(h) + 2 z_p.x_h
@@ -346,36 +348,30 @@ class DenseState:
             c *= _SQRT1_2
         return float(np.linalg.norm(c) ** 2), c
 
-    def measure(
-        self,
-        qubit: int,
-        basis: str = "Z",
-        rng: Optional[np.random.Generator] = None,
-        force: Optional[int] = None,
-    ) -> tuple[int, bool]:
+    def measure(self, qubit: int, basis: str = "Z",
+                force: Optional[int] = None) -> tuple[int, bool]:
         """Project `qubit` onto a Z or Y eigenstate; (outcome, deterministic).
 
-        Outcome 0 is the +1 eigenvalue.  A forced branch of zero probability
-        raises `ImpossibleOutcomeError`, and a `force` other than 0 or 1
-        `ValueError`, before the state is written.
+        Outcome 0 is the +1 eigenvalue.  A random outcome is taken from
+        `force`, and raises `RandomOutcomeError` without it.  A forced branch
+        of zero probability raises `ImpossibleOutcomeError`, and a `force`
+        other than 0 or 1 `ValueError`, before the state is written.
         """
         b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
         _check_force(force)
         p0, c = self._branch(qubit, b, 0)
-        deterministic = p0 < 1e-12 or p0 > 1 - 1e-12
+        deterministic = p0 < ZERO_PROBABILITY or p0 > 1 - ZERO_PROBABILITY
         if force is not None:
             outcome = int(force)
         elif deterministic:
             outcome = 0 if p0 > 0.5 else 1
-        elif rng is not None:
-            outcome = int(rng.random() >= p0)
         else:
-            raise ValueError("random measurement needs an rng or forced branch")
+            raise RandomOutcomeError("random measurement needs a forced branch")
         prob = p0
         if outcome:
             prob, c = self._branch(qubit, b, 1)
-        if prob < 1e-12:
+        if prob < ZERO_PROBABILITY:
             raise ImpossibleOutcomeError("forced branch has zero amplitude")
         zero, one = self._halves(qubit)
         if b == "Z":
@@ -386,10 +382,11 @@ class DenseState:
             np.multiply(zero, -1j if outcome else 1j, out=one)
         return outcome, deterministic
 
-    def branch_probability(self, qubit: int, outcome: int, basis: str = "Z") -> float:
-        """Probability that measuring `qubit` in `basis` gives `outcome`."""
+    def branch_probabilities(self, qubit: int, basis: str = "Z") -> tuple[float, float]:
+        """(p0, p1) for measuring `qubit` in `basis`."""
         _check_targets(self.n, (qubit,))
-        return self._branch(qubit, _check_basis(basis), outcome)[0]
+        b = _check_basis(basis)
+        return self._branch(qubit, b, 0)[0], self._branch(qubit, b, 1)[0]
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._vec))

@@ -39,10 +39,10 @@ def test_criterion_1_logical_action_verification():
     d=3,5 all identified as the claimed logical Cliffords; < 60 s."""
     t0 = time.time()
     checks = []
-    checks += verify_single_qubit(3, "S", dense=True)
-    checks += verify_single_qubit(3, "H", dense=True)
-    checks += verify_single_qubit(5, "S", dense=False)
-    checks += verify_single_qubit(5, "H", dense=False)
+    checks += verify_single_qubit(3, "S")
+    checks += verify_single_qubit(3, "H")
+    checks += verify_single_qubit(5, "S")
+    checks += verify_single_qubit(5, "H")
     for d in (3, 5):
         checks += verify_two_qubit(d, "CNOT")
         checks += verify_two_qubit(d, "SWAP")
@@ -115,9 +115,9 @@ def test_criterion_4_congestion_model():
 
 
 def test_criterion_5_gate_times():
-    t_s = gate_time("S", "pipelined_folded", 16, 25, P)
-    t_h = gate_time("H", "pipelined_folded", 16, 25, P)
-    t_cnot = gate_time("CNOT", "pipelined_folded", 16, 25, P)
+    t_s = gate_time("S", "pipelined_folded", 25, P)
+    t_h = gate_time("H", "pipelined_folded", 25, P)
+    t_cnot = gate_time("CNOT", "pipelined_folded", 25, P)
     ok = (t_s == 6600 and t_h == 6800 and t_cnot == F(2025, 2)
           and effective_cycle_time(16, P) == 6000
           and effective_cycle_time(12, P) == 5000)
@@ -135,8 +135,8 @@ def test_criterion_6_factory():
     ratio = rotated.spacetime_ns / folded.spacetime_ns
     ok &= abs(float(ratio) - 2.6) <= 0.05
     ok &= folded.output_error == F(28, 10**14)
-    ok &= cultivation_cycles(1e-7, 25, 8, 8) == 22
-    ok &= cultivation_cycles(1e-7, 25, 8, 12) == 15
+    ok &= cultivation_cycles(25, 8) == 22
+    ok &= cultivation_cycles(25, 12) == 15
     vf = verify_factory(ccz_factory_spec("folded"))
     vr = verify_factory(ccz_factory_spec("rotated"))
     ok &= vf.passed and vr.passed

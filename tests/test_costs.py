@@ -35,36 +35,36 @@ def test_steady_state():
 
 
 def test_gate_times_silicon():
-    assert gate_time("S", "pipelined_folded", 16, 25, P) == 6600
-    assert gate_time("H", "pipelined_folded", 16, 25, P) == 6800
-    assert gate_time("CNOT", "pipelined_folded", 16, 25, P) == F(2025, 2)  # 1012.5 ns
+    assert gate_time("S", "pipelined_folded", 25, P) == 6600
+    assert gate_time("H", "pipelined_folded", 25, P) == 6800
+    assert gate_time("CNOT", "pipelined_folded", 25, P) == F(2025, 2)  # 1012.5 ns
     assert cnot_time(16, P) == F(2025, 2)
 
 
 def test_gate_times_baselines():
     d = 25
-    assert gate_time("H", "standard", 2, d, P) == 3 * d * 3000
-    assert gate_time("S", "standard", 2, d, P) == F(3, 2) * d * 3000
-    assert gate_time("CNOT", "standard", 2, d, P) == 2 * d * 3000
-    assert gate_time("SWAP", "standard", 2, d, P) == 2 * d * 3000
-    assert gate_time("H", "pipelined_rotated", 12, d, P) == 3 * d * 5000
-    assert gate_time("S", "pipelined_rotated", 12, d, P) == F(3, 2) * d * 5000
+    assert gate_time("H", "standard", d, P) == 3 * d * 3000
+    assert gate_time("S", "standard", d, P) == F(3, 2) * d * 3000
+    assert gate_time("CNOT", "standard", d, P) == 2 * d * 3000
+    assert gate_time("SWAP", "standard", d, P) == 2 * d * 3000
+    assert gate_time("H", "pipelined_rotated", d, P) == 3 * d * 5000
+    assert gate_time("S", "pipelined_rotated", d, P) == F(3, 2) * d * 5000
 
 
 def test_interloop_variant():
     d = 25
-    assert gate_time("H", "interloop", 2, d, P) == (d - 1) * 200
-    assert gate_time("SWAP", "interloop", 2, d, P) == d * 200
-    assert gate_time("CNOT", "interloop", 2, d, P) == 2 * d * 200
+    assert gate_time("H", "interloop", d, P) == (d - 1) * 200
+    assert gate_time("SWAP", "interloop", d, P) == d * 200
+    assert gate_time("CNOT", "interloop", d, P) == 2 * d * 200
 
 
 def test_undefined_combinations_rejected():
     with pytest.raises(ValueError):
-        gate_time("S", "interloop", 2, 25, P)
+        gate_time("S", "interloop", 25, P)
     with pytest.raises(ValueError):
-        gate_time("CNOT", "pipelined_folded", 3, 25, P)   # odd n
+        cnot_time(3, P)   # odd n
     with pytest.raises(ValueError):
-        gate_time("H", "nowhere", 2, 25, P)
+        gate_time("H", "nowhere", 25, P)
 
 
 def test_rearrange_worst_values():
@@ -78,14 +78,13 @@ def test_rearrange_worst_values():
 
 def test_gate_time_monotone_in_params():
     base = dict(t_loop=400, t_1q=200, t_2q=100, t_meas=1000)
-    for gate, arch, n in (("S", "pipelined_folded", 16),
-                          ("H", "pipelined_folded", 16),
-                          ("CNOT", "pipelined_folded", 16)):
-        t0 = gate_time(gate, arch, n, 25, TimingParams(**base))
+    for gate, arch in (("S", "pipelined_folded"), ("H", "pipelined_folded"),
+                       ("CNOT", "pipelined_folded")):
+        t0 = gate_time(gate, arch, 25, TimingParams(**base))
         for key in base:
             bumped = dict(base)
             bumped[key] = base[key] + 40
-            t1 = gate_time(gate, arch, n, 25, TimingParams(**bumped))
+            t1 = gate_time(gate, arch, 25, TimingParams(**bumped))
             assert t1 >= t0, (gate, key)
 
 
@@ -154,12 +153,12 @@ _N = {"standard": 2, "pipelined_rotated": 12, "pipelined_folded": 16}
 def charged_spacetime(gate, arch, params, d):
     """H and S in stabilizer rounds (the folded transversal gate is one round),
     a CNOT in whole us rounded half up and at least 1, a factory at its cell."""
-    n, space = _N[arch], SPACE[arch][gate]
+    space = SPACE[arch][gate]
     if gate == "FACTORY":
         if arch == "standard":
-            return 5 * d * gate_time("CYCLE", arch, n, d, params) * space
+            return 5 * d * gate_time("CYCLE", arch, d, params) * space
         return factory_cell_us(arch.split("_")[1], params, d) * 1000 * space
-    runtime = gate_time(gate, arch, n, d, params)
+    runtime = gate_time(gate, arch, d, params)
     if gate == "CNOT":
         us = runtime / 1000
         whole = us.numerator // us.denominator
@@ -168,7 +167,7 @@ def charged_spacetime(gate, arch, params, d):
         return max(whole, 1) * space
     if arch == "pipelined_folded":
         return space
-    return runtime / gate_time("CYCLE", arch, n, d, params) * space
+    return runtime / gate_time("CYCLE", arch, d, params) * space
 
 
 def assert_savings_follow_the_rule(params, d):
@@ -182,7 +181,10 @@ def assert_savings_follow_the_rule(params, d):
             assert saving == want, (other, g)
     for (g, a), cell in rep.cells.items():
         if g != "FACTORY":
-            assert cell.runtime_ns == gate_time(g, a, _N[a], d, params)
+            assert cell.runtime_ns == gate_time(g, a, d, params)
+    for a in ("pipelined_rotated", "pipelined_folded"):   # each at its operating point
+        assert gate_time("CYCLE", a, d, params) == effective_cycle_time(_N[a], params)
+        assert rep.cells[("CNOT", a)].runtime_ns == cnot_time(_N[a], params)
 
 
 times = st.fractions(min_value=0, max_value=6000, max_denominator=48)

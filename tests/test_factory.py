@@ -11,7 +11,7 @@ from loopfold.factory import (T_INPUTS, _ccz_state, _reduced_triple, _t_state,
                               ccz_factory_spec, cultivation_cycles, factory_runtime,
                               output_error, verify_factory)
 from loopfold.loopsim import SILICON
-from loopfold.tableau import DenseState, ImpossibleOutcomeError
+from loopfold.tableau import ZERO_PROBABILITY, DenseState, ImpossibleOutcomeError
 from test_tableau import forced_replay
 
 P = SILICON
@@ -90,7 +90,7 @@ def ref_verify_factory(circuit, inputs):
             continue
         st.apply_gate("H", (plus,))
         fid = 0.0
-        if st.branch_probability(plus, 0) >= 1e-15:
+        if st.branch_probabilities(plus)[0] >= ZERO_PROBABILITY:
             st.measure(plus, "Z", force=0)
             out = _reduced_triple(st, circuit.meta["outputs"])
             fid = float(abs(np.vdot(_ccz_state(), out)) ** 2) if out is not None else 0.0
@@ -121,18 +121,17 @@ def test_unknown_resource_inputs_rejected(inputs):
 
 
 def test_cultivation_cycles():
-    assert cultivation_cycles(1e-7, 25, 8, 8) == 22
-    assert cultivation_cycles(1e-7, 25, 8, 12) == 15
+    assert cultivation_cycles(25, 8) == 22
+    assert cultivation_cycles(25, 12) == 15
     # 8 * 3e4 / (16 * 2 * 676) = 11.09 rounds to 11 under the frozen
     # nearest-cycle rule that reproduces both published counts
-    assert cultivation_cycles(1e-7, 25, 8, 16) == 11
+    assert cultivation_cycles(25, 16) == 11
 
 
-def test_cultivation_rejects_other_targets():
-    with pytest.raises(ValueError):
-        cultivation_cycles(1e-6, 25, 8, 8)
-    with pytest.raises(ValueError):
-        cultivation_cycles(1e-7, 24, 8, 8)
+def test_cultivation_rejects_a_bad_distance():
+    for d in (24, 1):
+        with pytest.raises(ValueError):
+            cultivation_cycles(d, 8)
 
 
 def test_folded_runtime_216us():
@@ -184,7 +183,7 @@ def test_measurement_rounds_follow_meas_devices(variant, m, meas_ns):
         t_star = effective_cycle_time(16, params)
         assert terms == {"cultivation": 22 * t_star, "cnots": 13 * cnot_time(16, params),
                          "check_rounds": 7 * t_star,
-                         "s_gates": 4 * gate_time("S", "pipelined_folded", 16, 25, params)}
+                         "s_gates": 4 * gate_time("S", "pipelined_folded", 25, params)}
     else:
         t_star = effective_cycle_time(12, params)
         assert terms == {"cultivation": 15 * t_star, "check_rounds": 8 * t_star,

@@ -4,15 +4,16 @@ import random
 from fractions import Fraction as F
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
-from loopfold.loopsim import (SILICON, EpisodePlan, LoopState, OccupiedPortError,
+from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError,
                               TimedSchedule, TimingParams, _arc, _arc_tables, _lattice_cost,
                               _lead, _on_lattice, _plan_lattice, pipeline_model,
-                              plan_episode, rearrange, run_episode,
+                              rearrange, run_episode,
                               simulate_cycle, swap_protocol, worst_case_search)
 from loopfold.patches import build_patch, embed_stack
 
@@ -59,7 +60,7 @@ def test_timing_params_accept_a_rational_t_int():
 def test_episode_s_gate_instance():
     # the published intra-loop CZ instance: lead 1/8 lap, half-lap gap
     loop = LoopState({0: F(1, 8), 1: F(5, 8)})
-    sched = swap_protocol(loop, 0, 1, P, gate="CZ")
+    sched = swap_protocol(loop, 0, 1, P)
     assert sched.meta["shuttle"] == F(9, 8) * P.t_loop
     assert sched.makespan == F(9, 8) * P.t_loop + P.t_2q
 
@@ -311,7 +312,17 @@ def test_pair_episode_shuttles_at_most_five_quarter_laps(positions):
 # Kept verbatim as oracles: every plan, trace, maximum and witness of the
 # integer kernel must equal theirs.
 
-def ref_plan_episode(loop: LoopState, a: int, b: int) -> EpisodePlan:
+class RefPlan(NamedTuple):
+    first: int
+    second: int
+    direction: str            # "fwd" | "bwd"
+    lead_in: F                # ring rotation until `first` peels
+    gap: F                    # further rotation until `second` peels
+    exit: F                   # min(gap, 1 - gap): slot swept back the short way
+    shuttle: F                # lead_in + gap + exit
+
+
+def ref_plan_episode(loop: LoopState, a: int, b: int) -> RefPlan:
     da, db = loop.positions[a], loop.positions[b]
     options = []
     for first, second, direction, lead, gap in (
@@ -321,8 +332,8 @@ def ref_plan_episode(loop: LoopState, a: int, b: int) -> EpisodePlan:
         (a, b, "bwd", (1 - da) % 1, (da - db) % 1),
     ):
         exit_ = min(gap, (1 - gap) % 1)
-        options.append(EpisodePlan(first, second, direction, lead, gap, exit_,
-                                   lead + gap + exit_))
+        options.append(RefPlan(first, second, direction, lead, gap, exit_,
+                               lead + gap + exit_))
     return min(options, key=lambda p: (p.shuttle, p.direction, p.first))
 
 
@@ -332,31 +343,30 @@ def ref_rotate(loop, rho, direction):
         loop.positions[t] = (loop.positions[t] + sgn * rho) % 1
 
 
-def ref_run_episode(loop, a, b, gate_time, params, schedule, t0, loop_name="loop",
-                    gate_label="gate"):
-    lap = loop.lap_time(params)
+def ref_run_episode(loop, a, b, gate_time, params, schedule, t0, gate_label="gate"):
+    lap = params.t_loop
     plan = ref_plan_episode(loop, a, b)
     t = t0
     spectators = tuple(sorted(loop.positions))
     if plan.lead_in:
-        schedule.append(t, plan.lead_in * lap, "shuttle_in", spectators, loop_name)
+        schedule.append(t, plan.lead_in * lap, "shuttle_in", spectators)
         t += plan.lead_in * lap
     ref_rotate(loop, plan.lead_in, plan.direction)
     loop.port.append(plan.first)
     loop.positions.pop(plan.first)
     if plan.gap:
         schedule.append(t, plan.gap * lap, "shuttle_in",
-                        tuple(sorted(loop.positions)), loop_name)
+                        tuple(sorted(loop.positions)))
         t += plan.gap * lap
     ref_rotate(loop, plan.gap, plan.direction)
     loop.port.append(plan.second)
     loop.positions.pop(plan.second)
     if gate_time:
-        schedule.append(t, gate_time, gate_label, (a, b), loop_name)
+        schedule.append(t, gate_time, gate_label, (a, b))
         t += gate_time
     if plan.exit:
         schedule.append(t, plan.exit * lap, "shuttle_out",
-                        tuple(sorted(loop.positions)) + (plan.second,), loop_name)
+                        tuple(sorted(loop.positions)) + (plan.second,))
         t += plan.exit * lap
     rewind = "bwd" if plan.direction == "fwd" else "fwd"
     ref_rotate(loop, plan.gap, rewind)
@@ -365,10 +375,10 @@ def ref_run_episode(loop, a, b, gate_time, params, schedule, t0, loop_name="loop
     return t
 
 
-def ref_swap_protocol(loop, a, b, params, gate="SWAP"):
+def ref_swap_protocol(loop, a, b, params):
     work = loop.copy()
-    sched = TimedSchedule(meta={"gate": gate})
-    ref_run_episode(work, a, b, params.t_2q, params, sched, F(0), gate_label=gate)
+    sched = TimedSchedule(meta={"gate": "SWAP"})
+    ref_run_episode(work, a, b, params.t_2q, params, sched, F(0), gate_label="SWAP")
     sched.meta["final"] = work
     sched.meta["shuttle"] = sched.shuttle_time()
     sched.check_no_token_overlap()
@@ -463,8 +473,7 @@ def episodes(draw):
     positions = draw(st.lists(rationals, min_size=2, max_size=6, unique_by=lambda x: x % 1))
     a, b = draw(st.lists(st.integers(0, len(positions) - 1), min_size=2, max_size=2,
                          unique=True))
-    loop = LoopState(dict(enumerate(positions)),
-                     speed_class=draw(st.sampled_from(["normal", "double"])))
+    loop = LoopState(dict(enumerate(positions)))
     params = draw(st.sampled_from([P, OTHER, TimingParams(t_2q=0)]))
     return loop, a, b, params
 
@@ -473,7 +482,10 @@ def episodes(draw):
 @settings(max_examples=60, deadline=None)
 def test_episode_matches_the_fraction_reference(episode):
     loop, a, b, params = episode
-    assert plan_episode(loop, a, b) == ref_plan_episode(loop, a, b)
+    points, pos = _on_lattice(loop.positions)
+    first, second, direction, *units = _plan_lattice(pos[a], pos[b], points, a, b)
+    assert (first, second, direction, *(F(u, points) for u in units)) == \
+        ref_plan_episode(loop, a, b)
     sched, ref = swap_protocol(loop, a, b, params), ref_swap_protocol(loop, a, b, params)
     assert sched.events == ref.events
     assert sched.makespan == ref.makespan
@@ -501,7 +513,7 @@ def ref_rearrange(loop, target_order, params):
     ring = [t for t, _ in sorted(loop.positions.items(), key=lambda kv: kv[1])]
     if list(target_order) == ring:
         return TimedSchedule(meta={"final": loop.copy(), "identity": True})
-    lap = loop.lap_time(params)
+    lap = params.t_loop
     work = loop.copy()
     sched = TimedSchedule(meta={"target": tuple(target_order)})
     lead_idx = min(range(n), key=lambda i: (min(work.positions[target_order[i]],
@@ -546,8 +558,7 @@ def rearrange_loops(draw):
     positions = draw(st.lists(rationals, min_size=2, max_size=9, unique_by=lambda x: x % 1))
     tokens = draw(st.lists(st.integers(0, 30), min_size=len(positions),
                            max_size=len(positions), unique=True))
-    loop = LoopState(dict(zip(tokens, positions)),
-                     speed_class=draw(st.sampled_from(["normal", "double"])))
+    loop = LoopState(dict(zip(tokens, positions)))
     ring = sorted(tokens, key=loop.positions.get)
     target = draw(st.one_of(st.just(ring), st.permutations(tokens)))
     return loop, target, draw(st.sampled_from([P, OTHER]))

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.circuits import ScheduledCircuit, run_on_state, walk_outcomes
 from loopfold.pauli import PauliString, gf2_rank
-from loopfold.tableau import (CLIFFORD_GATES, DenseState, ImpossibleOutcomeError,
-                              StabilizerState, UnsupportedGateError, _apply_pauli_dense,
-                              _check_targets)
+from loopfold.tableau import (CLIFFORD_GATES, ZERO_PROBABILITY, DenseState,
+                              ImpossibleOutcomeError, RandomOutcomeError, StabilizerState,
+                              UnsupportedGateError, _apply_pauli_dense, _check_targets)
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 GATES_2Q = ["CNOT", "CZ", "SWAP"]
@@ -16,12 +16,13 @@ GATES_2Q = ["CNOT", "CZ", "SWAP"]
 
 def to_dense(tab: StabilizerState) -> np.ndarray:
     """Dense amplitudes of a stabilizer state: a basis state in its support,
-    found by measuring a copy, projected onto the stabilizer group."""
+    found by measuring a copy (each qubit on its first live outcome),
+    projected onto the stabilizer group."""
     probe = tab.copy()
-    rng = np.random.default_rng(7)
     idx = 0
     for q in range(tab.n):
-        idx = (idx << 1) | probe.measure(q, "Z", rng=rng)[0]
+        bit = int(probe.branch_probabilities(q)[0] == 0)
+        idx = (idx << 1) | probe.measure(q, "Z", force=bit)[0]
     vec = np.zeros(2**tab.n, dtype=complex)
     vec[idx] = 1.0
     for g in tab.stabilizer_generators():
@@ -32,6 +33,13 @@ def to_dense(tab: StabilizerState) -> np.ndarray:
 def fidelity(tab: StabilizerState, vec: np.ndarray) -> float:
     """|<tab|vec>|^2, with the global phase quotiented out."""
     return float(np.abs(np.vdot(to_dense(tab), vec)) ** 2)
+
+
+def measure_circuit(n, q):
+    """One Z measurement of qubit q, recorded under "m"."""
+    circ = ScheduledCircuit(n)
+    circ.add(0, "MEASURE", (q,), key="m")
+    return circ
 
 
 def random_circuit(rng, n, depth):
@@ -82,7 +90,10 @@ def test_engines_agree_including_measurements():
             den.apply_gate(g, tg)
         q = int(rng.integers(n))
         basis = "Y" if rng.random() < 0.3 else "Z"
-        out, det = tab.measure(q, basis, rng=rng)
+        bit = int(rng.integers(2))
+        if tab.branch_probabilities(q, basis)[bit] == 0:
+            bit = 1 - bit
+        out, det = tab.measure(q, basis, force=bit)
         out2, det2 = den.measure(q, basis, force=out)
         assert (out, det) == (out2, det2)
         assert abs(fidelity(tab, den.vec) - 1) < 1e-9
@@ -143,7 +154,7 @@ def test_measure_pauli_agrees_with_dense_projector(params):
         den.apply_gate(g, tg)
         if rng.random() < 0.2:   # mid-circuit Z measurements mix the tableau rows
             q = int(rng.integers(n))
-            den.measure(q, "Z", force=tab.measure(q, "Z", rng=rng)[0])
+            den.measure(q, "Z", force=run_on_state(measure_circuit(n, q), tab, rng)["m"])
     if in_group:   # a signed product of the stabilizers picked by pauli.z, never I
         gens = tab.stabilizer_generators()
         picked = [g for g, bit in zip(gens, pauli.z) if bit] or gens[:1]
@@ -320,6 +331,42 @@ def test_walker_leaves_agree_across_engines_and_with_forced_replay(circ):
     assert all(abs(p - q) < 1e-9 for (_, p), (_, q) in zip(tab, den))
 
 
+@given(branching_circuits(), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_run_on_state_ends_on_a_live_leaf_of_the_walk(circ, seed):
+    """The one sampler follows a path of the outcome tree: its record is a
+    leaf that the walker yields, and it leaves that leaf's state."""
+    n = circ.num_qubits
+    for engine in (StabilizerState, DenseState):
+        leaves = {tuple(sorted(rec.items())): leaf
+                  for rec, _, leaf in walk_outcomes(circ, engine(n))}
+        state = engine(n)
+        record = run_on_state(circ, state, np.random.default_rng(seed))
+        leaf = leaves[tuple(sorted(record.items()))]
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(engine_snapshot(state), engine_snapshot(leaf)))
+
+
+@pytest.mark.parametrize("p1, live", [(1e-13, False), (1e-11, True)])
+def test_one_zero_probability_threshold(p1, live):
+    """An outcome below ZERO_PROBABILITY is impossible to the walker, to the
+    sampler and to a forced measurement alike."""
+    circ = measure_circuit(1, 0)
+    start = DenseState(1)
+    start.vec = np.array([np.sqrt(1 - p1), np.sqrt(p1)])
+    assert (ZERO_PROBABILITY <= p1) == live
+    assert sorted(rec["m"] for rec, _, _ in walk_outcomes(circ, start.copy())) == \
+        ([0, 1] if live else [0])
+    if live:
+        assert start.copy().measure(0, force=1) == (1, False)
+        with pytest.raises(RandomOutcomeError):
+            run_on_state(circ, start.copy())
+    else:
+        with pytest.raises(ImpossibleOutcomeError):
+            start.copy().measure(0, force=1)
+        assert run_on_state(circ, start.copy()) == {"m": 0}
+
+
 PAULI_2X2 = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -390,7 +437,7 @@ def test_dense_measurement_matches_projector(params, eigen):
             for branch in (0, 1):
                 den = DenseState(n)
                 den.vec = start.copy()
-                assert abs(den.branch_probability(q, branch, basis) - probs[branch]) < 1e-12
+                assert abs(den.branch_probabilities(q, basis)[branch] - probs[branch]) < 1e-12
                 if probs[branch] < 1e-12:
                     with pytest.raises(ImpossibleOutcomeError):
                         den.measure(q, basis, force=branch)
@@ -399,7 +446,7 @@ def test_dense_measurement_matches_projector(params, eigen):
                 assert den.measure(q, basis, force=branch) == (branch, deterministic)
                 assert np.allclose(den.vec, projected[branch] / np.sqrt(probs[branch]),
                                    atol=1e-12)
-                assert abs(den.branch_probability(q, branch, basis) - 1) < 1e-12
+                assert abs(den.branch_probabilities(q, basis)[branch] - 1) < 1e-12
 
 
 @pytest.mark.parametrize("basis, prepare", [("Z", []), ("Y", ["H", "S"])])
@@ -427,7 +474,7 @@ def engine_snapshot(state):
     lambda s: s.apply_gate("H", (-1,)),
     lambda s: s.measure(3, force=0),
     lambda s: s.measure(-1, force=0),
-    lambda s: s.branch_probability(3, 0),
+    lambda s: s.branch_probabilities(3),
 ], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1",
         "branch-probability-3"])
 def test_bad_targets_rejected_before_the_state_changes(engine, call):
@@ -585,14 +632,14 @@ def test_run_on_state_groups_disjoint_runs_into_layers():
 
     calls = []
     tab = Recording(4)
-    run_on_state(circ, tab, rng=np.random.default_rng(0))
+    record = run_on_state(circ, tab, rng=np.random.default_rng(0))
     assert calls == [("H", [(0,), (1,)]), ("H", [(0,)]), ("CNOT", [(0, 2), (1, 3)]),
                      ("CNOT", [(3, 1)]), ("X", [(2,)])]
     ref = StabilizerState(4)
     for g, tg in (("H", (0,)), ("H", (1,)), ("H", (0,)), ("CNOT", (0, 2)), ("CNOT", (1, 3)),
                   ("CNOT", (3, 1))):
         ref_apply_gate(ref, g, tg)
-    ref.measure(2, force=0)
+    ref.measure(2, force=record["m2"])
     ref_apply_gate(ref, "X", (2,))
     assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(tab), engine_snapshot(ref)))
 
