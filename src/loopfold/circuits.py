@@ -2,14 +2,11 @@
 
 A ScheduledCircuit is the common currency of the code layer: the tableau and
 dense engines replay its events in slot order, one layer of same-kind gates on
-disjoint qubits at a time.  The engines only project: they read a
-deterministic outcome and take a random one from `force`.  `run_on_state`
-follows one path and is the one place that samples a random outcome, from an
-rng and the engine's `branch_probabilities`; `walk_outcomes` weighs both
-outcomes of every measurement with `branch_probabilities`, walks the
-measurement-outcome tree depth first and yields each leaf with its
-probability.  The loop simulator does not read circuits; its timed events
-live in loopsim.TimedSchedule.
+disjoint qubits at a time.  The engines only project; `run_on_state` follows
+one path and is the one place that samples a random outcome, and
+`walk_outcomes` walks the measurement-outcome tree depth first and yields each
+leaf with its probability.  The loop simulator does not read circuits; its
+timed events live in loopsim.TimedSchedule.
 """
 
 from __future__ import annotations
@@ -111,9 +108,9 @@ def _advance(ops: list[tuple], i: int, state, record: dict[str, int]) -> int:
 def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
     """Replay a circuit on a tableau or dense state along one path; returns the record.
 
-    A deterministic outcome is read by the engine.  A random one reads 1
-    when `rng.random()` is at least its p0, and without an rng the engine's
-    `RandomOutcomeError` (a ValueError) propagates."""
+    The engine reads a deterministic outcome.  A random one is 1 when
+    `rng.random()` is at least its p0 from `branch_probabilities`, and is
+    then forced; without an rng the engine's `RandomOutcomeError` propagates."""
     ops, record, i = _compile(circuit), {}, -1
     while (i := _advance(ops, i + 1, state, record)) < len(ops):
         q, basis, key = ops[i][2]

@@ -3,7 +3,6 @@
 import itertools
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
