@@ -117,22 +117,32 @@ def _argument_error(message: str) -> int:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_verify(args, params) -> int:
-    checks = []
+    checks, calls = [], []
+
+    def run(check, *check_args):
+        start = time.perf_counter()
+        checks.extend(check(*check_args))
+        calls.append({"call": check.__name__, "args": list(check_args),
+                      "wall_s": time.perf_counter() - start})
+
+    began = time.perf_counter()
     d_values = [args.d] if args.d else [3, 5]
     for d in d_values:
         for gate in ("S", "H"):
             if args.gate in (gate, "all"):
-                checks += verify_single_qubit(d, gate)
+                run(verify_single_qubit, d, gate)
         if args.gate in ("CNOT", "all"):
-            checks += verify_two_qubit(d, "CNOT")
+            run(verify_two_qubit, d, "CNOT")
         if args.gate == "all":
-            checks += verify_two_qubit(d, "SWAP")
+            run(verify_two_qubit, d, "SWAP")
     if args.gate == "all":
-        checks += verify_s_teleport()
+        run(verify_s_teleport)
+    total_s = time.perf_counter() - began
     passed = sum(c.passed for c in checks)
     doc = {"checks": [{"name": c.name, "passed": c.passed, "detail": c.detail}
                       for c in checks],
-           "passed": passed, "total": len(checks)}
+           "passed": passed, "total": len(checks),
+           "stats": {"calls": calls, "total_s": total_s}}
     human = "".join(f"{c}\n" for c in checks) + f"{passed}/{len(checks)} checks passed\n"
     _emit(doc, args.json, human)
     return 0 if passed == len(checks) else 1

@@ -1,14 +1,16 @@
 """Identify the logical Clifford a physical circuit induces on encoded patches.
 
-The engine prepares one codespace tableau in which each logical qubit is
-maximally entangled with a bare reference qubit, replays the circuit once
-(measurements must come out deterministic on the codespace, or a
-CodespaceViolationError is raised), and reads the image of each logical
-generator G of patch i as the signed logical Pauli P for which P (x) G on
-reference i lies in the output stabilizer group.  The images come from one
-GF(2) row reduction on the 2k reference columns and one sign read-out per
-generator, so any number k of patches is cheap.  The signed images name the
-logical Clifford together with its Pauli frame.
+The engine writes down one codespace tableau in which each logical qubit is
+maximally entangled with a bare reference qubit, straight from the code's
+generators and the reference pairs (`StabilizerState.from_css`, with no
+measurement).  It replays the circuit once (measurements must come out
+deterministic on the codespace, or a CodespaceViolationError is raised),
+and reads the image of each logical generator G of patch i as the signed
+logical Pauli P for which P (x) G on reference i lies in the output
+stabilizer group.  The images come from one GF(2) row reduction on the 2k
+reference columns and one sign read-out per generator, so any number k of
+patches is cheap.  The signed images name the logical Clifford together with
+its Pauli frame.
 """
 
 from __future__ import annotations
@@ -91,11 +93,8 @@ def encode_stack(patches: Sequence[PatchSpec]) -> EncodedStack:
 
 
 def _project(stack: EncodedStack, pins: Sequence[PauliString]) -> StabilizerState:
-    """Tableau projected onto the +1 eigenspace of every stabilizer, then of each pin."""
-    st = StabilizerState(stack.num_qubits)
-    for g in stack.all_stabilizers() + list(pins):
-        st.measure_pauli(g, force=0)
-    return st
+    """The +1 eigenstate of every stabilizer and each pin, built from them directly."""
+    return StabilizerState.from_css(stack.num_qubits, stack.all_stabilizers() + list(pins))
 
 
 def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, int]:

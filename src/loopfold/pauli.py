@@ -89,6 +89,36 @@ def pack_rows(rows: np.ndarray) -> list[int]:
     return [int.from_bytes(b, "big") >> pad for b in np.packbits(bits, axis=1).tolist()]
 
 
+def unpack_rows(vecs: Sequence[int], columns: int) -> np.ndarray:
+    """Inverse of `pack_rows`: a (len(vecs), columns) uint8 0/1 matrix."""
+    pad = -columns % 8
+    width = (columns + pad) // 8
+    data = b"".join((v << pad).to_bytes(width, "big") for v in vecs)
+    rows = np.frombuffer(data, dtype=np.uint8).reshape(len(vecs), width)
+    return np.unpackbits(rows, axis=1)[:, :columns]
+
+
+def reduced_echelon(vecs: Sequence[int]) -> list[int]:
+    """Reduced row-echelon form of independent GF(2) vectors packed as ints.
+
+    Each returned vector's leading bit (its pivot) is set in no other
+    returned vector; leading bits descend.  Dependent vectors raise ValueError.
+    """
+    basis = xor_basis((v, 0) for v in vecs)
+    if len(basis) < len(vecs):
+        raise ValueError("dependent generators")
+    pivots = sorted(basis, reverse=True)
+    rows = [basis[b][0] for b in pivots]
+    # clearing pivot b from a row above it brings in lower bits only, which
+    # the later, lower pivots clear
+    for i, b in enumerate(pivots):
+        bit, row = 1 << b, rows[i]
+        for j in range(i):
+            if rows[j] & bit:
+                rows[j] ^= row
+    return rows
+
+
 def xor_basis(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]]:
     """Echelon basis of the span of GF(2) vectors packed as ints.
 

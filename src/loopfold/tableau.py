@@ -3,7 +3,9 @@
 The tableau follows the Aaronson-Gottesman layout: 2n rows of (x | z) bits
 with a sign bit per row, rows 0..n-1 destabilizers, rows n..2n-1 stabilizers.
 Any Hermitian Pauli is measured directly on the rows, with the row phases
-taken in the explicit-i convention of `PauliString`.
+taken in the explicit-i convention of `PauliString`.  `from_css` writes a
+CSS codespace state down from its generators, with its destabilizers, from
+one reduced row-echelon form instead of one measurement per generator.
 The dense engine is the independent brute-force reference used to certify
 protocol claims on small instances; it supports the non-Clifford T gate.
 Its gates update the amplitude vector in place on the halves (or, for a
@@ -31,7 +33,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .pauli import PauliString
+from .pauli import PauliString, pack_rows, reduced_echelon, unpack_rows, xor_basis
 
 CLIFFORD_GATES = ("H", "S", "SDG", "X", "Y", "Z", "CNOT", "CZ", "SWAP")
 ZERO_PROBABILITY = 1e-12   # an outcome less likely than this is impossible
@@ -59,6 +61,57 @@ class StabilizerState:
         self.x = np.eye(2 * n, n, dtype=np.uint8)          # destabilizer X_i
         self.z = np.eye(2 * n, n, k=-n, dtype=np.uint8)    # stabilizer Z_i
         self.r = np.zeros(2 * n, dtype=np.uint8)  # sign bit: 0 -> +, 1 -> -
+
+    @classmethod
+    def from_css(cls, num_qubits: int, generators: Sequence[PauliString]) -> "StabilizerState":
+        """|0...0> projected onto the +1 eigenspace of every generator, written down.
+
+        Each generator must be a +1-signed pure X or pure Z Pauli; the X-type
+        ones independent, the Z-type ones independent and commuting with the
+        X-type ones, else ValueError.  |0...0> is already a +1 eigenstate of
+        the Z-type ones, so they are checked, not applied.  From the reduced
+        row-echelon form R_1..R_r of the X-type generators, with pivot qubits
+        p_i: each R_i is a stabilizer with destabilizer Z_(p_i), and each other
+        qubit q gives the stabilizer Z_q prod_(R_i[q] = 1) Z_(p_i) with
+        destabilizer X_q.  Every sign is +.  This is the state that measuring
+        the generators in turn with `measure_pauli(g, force=0)` reaches.
+        """
+        n = num_qubits
+        xs, zs = [], []
+        for g in generators:
+            if g.n != n:
+                raise ValueError(f"{g.n}-qubit generator for {n} qubits")
+            has_x, has_z = g.x.any(), g.z.any()
+            if g.phase != 0 or has_x == has_z:
+                raise ValueError(f"{g!r} is not a +1-signed pure X or Z Pauli")
+            (xs if has_x else zs).append(g.x if has_x else g.z)
+        x_rows = reduced_echelon(pack_rows(np.reshape(xs, (-1, n))))
+        z_gens = np.reshape(zs, (-1, n)).astype(np.uint8)
+        if len(xor_basis((v, 0) for v in pack_rows(z_gens))) < len(zs):
+            raise ValueError("dependent generators")
+        red = unpack_rows(x_rows, n)
+        # a Z generator's overlap parities with every R_i: the XOR of R's columns
+        # on its support (generators are sparse, so no dense product)
+        gen, qubit = np.nonzero(z_gens)
+        starts = np.flatnonzero(np.diff(gen, prepend=-1))
+        if len(qubit) and np.bitwise_xor.reduceat(red.T[qubit], starts).any():
+            raise ValueError("anticommuting generators")
+
+        r = len(x_rows)
+        pivots = np.array([n - bits.bit_length() for bits in x_rows], dtype=np.intp)
+        free = np.setdiff1d(np.arange(n), pivots)
+        st = cls.__new__(cls)
+        st.n = n
+        st.x = np.zeros((2 * n, n), dtype=np.uint8)
+        st.z = np.zeros((2 * n, n), dtype=np.uint8)
+        st.r = np.zeros(2 * n, dtype=np.uint8)
+        st.x[n:n + r] = red
+        st.z[np.arange(r), pivots] = 1
+        st.x[r + np.arange(n - r), free] = 1
+        z_stabs = st.z[n + r:]
+        z_stabs[np.arange(n - r), free] = 1
+        z_stabs[:, pivots] = red[:, free].T
+        return st
 
     # -- gates ----------------------------------------------------------------
 
@@ -446,20 +499,6 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
     old_a = a.copy()
     a[...] = b
     b[...] = old_a
-
-
-def _apply_pauli_dense(vec: np.ndarray, pauli: PauliString, n: int) -> np.ndarray:
-    """P|vec> as a new array, for P = i^phase X^x Z^z (qubit 0 the top index bit).
-
-    (P vec)[j] = i^phase (-1)^popcount(src & zmask) vec[src], src = j ^ xmask.
-    """
-    place = 1 << np.arange(n - 1, -1, -1)
-    xmask, zmask = int(pauli.x @ place), int(pauli.z @ place)
-    src = np.arange(1 << n) ^ xmask
-    out = vec[src]
-    np.negative(out, out=out, where=(np.bitwise_count(src & zmask) & 1).astype(bool))
-    out *= 1j ** pauli.phase
-    return out
 
 
 def _phase(x: np.ndarray, z: np.ndarray, r) -> np.ndarray:

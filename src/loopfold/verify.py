@@ -1,11 +1,12 @@
 """End-to-end protocol verification: tableau identification plus dense oracles.
 
-The dense route is the independent brute-force check used at d=3: build
-|0>_L and |1>_L as explicit amplitudes once, encode an arbitrary logical
-state from them, run the protocol circuit in place on the full data+ancilla
-register, and demand fidelity 1 with the expected output encoded from the
-same basis.  The tableau route scales to any odd d and names the logical
-gate.
+The dense route is the independent brute-force check used at d=3: |0>_L
+and |1>_L are written down from the X-type generators as the 2^r basis
+states of their group (and its logical-X shift), an arbitrary logical state
+goes onto those supports, the protocol circuit runs in place on the full
+data+ancilla register, and the overlap with the expected output, read on the
+same supports, must be fidelity 1.  The tableau route scales to any odd d
+and names the logical gate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .protocols import (
     transversal_s_circuit,
     transversal_two_qubit,
 )
-from .tableau import DenseState, _apply_pauli_dense
+from .tableau import DenseState
 
 
 @dataclass
@@ -44,28 +45,27 @@ class CheckResult:
 
 # -- dense encoding -------------------------------------------------------------
 
-def _logical_basis(patch: PatchSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitudes of |0>_L and |1>_L on the data + ancilla register.
+def _logical_basis(patch: PatchSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """|0>_L and |1>_L on the data + ancilla register, as (indices, amplitudes).
 
     Data qubits occupy the low indices (patch.index order), ancillas follow,
-    all initialized |0>; X-type projectors build |0>_L, logical X gives |1>_L.
+    qubit 0 the top index bit.  |0>_L is |0...0> projected onto the r X-type
+    generators: 2^(-r/2) times the sum of g|0...0> over the 2^r elements g of
+    their group, and a pure X element g sends |0...0> to the basis state of
+    its bit mask with g's phase.  |1>_L = X_L |0>_L shifts every mask by X_L's.
     """
     n = patch.num_qubits
     if n > 20:
         raise ValueError("patch too large for dense encoding")
-    vec = np.zeros(2**n, dtype=complex)
-    vec[0] = 1.0
+    place = 1 << np.arange(n - 1, -1, -1)
+    masks, phases = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
     for s in patch.x_stabilizers():
-        vec = 0.5 * (vec + _apply_pauli_dense(vec, patch.stabilizer_pauli(s), n))
-    vec /= np.linalg.norm(vec)
-    return vec, _apply_pauli_dense(vec, patch.logical_x_pauli(), n)
-
-
-def _encode(basis: tuple[np.ndarray, np.ndarray], alpha: complex, beta: complex) -> np.ndarray:
-    out = alpha * basis[0]
-    out += beta * basis[1]
-    out /= np.linalg.norm(out)
-    return out
+        g = patch.stabilizer_pauli(s)
+        masks = np.concatenate([masks, masks ^ int(g.x @ place)])
+        phases = np.concatenate([phases, phases + g.phase])
+    amps = 1j ** (phases % 4) / np.sqrt(len(masks))
+    x_l = patch.logical_x_pauli()
+    return (masks, amps), (masks ^ int(x_l.x @ place), amps * 1j ** x_l.phase)
 
 
 _LOGICAL_1Q = {
@@ -81,17 +81,20 @@ def dense_protocol_fidelity(patch: PatchSpec, circuit: ScheduledCircuit,
                             expected_gate: str, alpha: complex, beta: complex) -> float:
     """Fidelity of the protocol output with the expected encoded state.
 
-    Builds |0>_L and |1>_L once, encodes alpha|0>_L + beta|1>_L in one
+    Writes alpha|0>_L + beta|1>_L (normalized) onto the basis supports in one
     `DenseState`, runs the full circuit on it (including ancilla
-    measurements, all deterministic on the codespace) and compares against
-    the encoding of expected_gate |psi> from the same basis.
+    measurements, all deterministic on the codespace) and reads the overlap
+    with the encoding of expected_gate |psi> on the same supports.
     """
-    basis = _logical_basis(patch)
+    (zero, amp0), (one, amp1) = _logical_basis(patch)
     st = DenseState(patch.num_qubits)
-    st.vec = _encode(basis, alpha, beta)
+    norm = np.hypot(abs(alpha), abs(beta))
+    st.vec[zero] = amp0 * (alpha / norm)   # index 0 is in `zero`: |0...0> is overwritten
+    st.vec[one] = amp1 * (beta / norm)
     run_on_state(circuit, st)
     a2, b2 = _LOGICAL_1Q[expected_gate.upper()] @ np.array([alpha, beta])
-    return float(np.abs(np.vdot(st.vec, _encode(basis, a2, b2))) ** 2)
+    overlap = np.vdot(st.vec[zero], amp0) * a2 + np.vdot(st.vec[one], amp1) * b2
+    return float(abs(overlap) ** 2 / (abs(a2) ** 2 + abs(b2) ** 2))
 
 
 # -- the protocol checks --------------------------------------------------------

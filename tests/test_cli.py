@@ -316,13 +316,28 @@ def test_verify_json_all_gates(capsys):
     assert doc["checks"][-1]["name"] == "s-teleport i_state dense"
 
 
+def test_verify_json_reports_the_wall_time_of_each_call(capsys):
+    code, out, _ = run_cli("--json", "verify", "--d", "3", capsys=capsys)
+    stats = json.loads(out)["stats"]
+    assert set(stats) == {"calls", "total_s"}
+    assert [(c["call"], c["args"]) for c in stats["calls"]] == [
+        ("verify_single_qubit", [3, "S"]), ("verify_single_qubit", [3, "H"]),
+        ("verify_two_qubit", [3, "CNOT"]), ("verify_two_qubit", [3, "SWAP"]),
+        ("verify_s_teleport", [])]
+    assert all(set(c) == {"call", "args", "wall_s"} and c["wall_s"] > 0
+               for c in stats["calls"])
+    assert stats["total_s"] >= sum(c["wall_s"] for c in stats["calls"])
+    code, text, _ = run_cli("verify", "--d", "3", capsys=capsys)
+    assert "wall" not in text and "stats" not in text
+
+
 def test_verify_takes_an_odd_distance_above_5(capsys):
     code, out, _ = run_cli("verify", "--gate", "S", "--d", "7", capsys=capsys)
     assert code == 0 and "2/2 checks passed" in out
 
 
 @pytest.mark.skipif(os.environ.get("LOOPFOLD_SLOW") != "1",
-                    reason="slow (about 5 s); set LOOPFOLD_SLOW=1 to run")
+                    reason="slow (about 3 s); set LOOPFOLD_SLOW=1 to run")
 def test_verify_d25_passes_all_nine_checks(capsys):
     code, out, _ = run_cli("--json", "verify", "--d", "25", capsys=capsys)
     doc = json.loads(out)

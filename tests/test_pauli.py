@@ -1,10 +1,12 @@
-"""GF(2) kernel: rank and group membership against the row-by-row elimination."""
+"""GF(2) kernel: rank, group membership and reduced echelon form against the
+row-by-row elimination."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopfold.pauli import (PauliString, gf2_rank, in_group_up_to_sign, pack_rows,
-                            xor_basis, xor_reduce)
+                            reduced_echelon, unpack_rows, xor_basis, xor_reduce)
 
 
 def ref_gf2_rank(rows: np.ndarray) -> int:
@@ -105,3 +107,23 @@ def test_pack_rows_puts_column_zero_highest():
     assert pack_rows(np.array([[1, 0, 0], [0, 0, 1], [1, 1, 1]])) == [4, 1, 7]
     assert pack_rows(np.zeros((2, 0), dtype=np.uint8)) == [0, 0]
     assert pack_rows(np.zeros((0, 5), dtype=np.uint8)) == []
+
+
+@given(gf2_matrices())
+@settings(max_examples=100, deadline=None)
+def test_unpack_rows_inverts_pack_rows(m):
+    assert np.array_equal(unpack_rows(pack_rows(m), m.shape[1]), m)
+
+
+@given(gf2_matrices())
+@settings(max_examples=100, deadline=None)
+def test_reduced_echelon_spans_the_rows_with_lone_pivots(m):
+    if gf2_rank(m) < len(m):
+        with pytest.raises(ValueError, match="dependent"):
+            reduced_echelon(pack_rows(m))
+        return
+    red = unpack_rows(reduced_echelon(pack_rows(m)), m.shape[1])
+    assert gf2_rank(red) == gf2_rank(np.concatenate([red, m])) == len(m)
+    pivots = [int(np.argmax(row)) for row in red]
+    assert pivots == sorted(pivots)                       # leading bits descend
+    assert np.array_equal(red[:, pivots], np.eye(len(m)))  # each pivot in one row only

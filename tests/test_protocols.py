@@ -3,6 +3,7 @@
 import itertools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
@@ -10,7 +11,7 @@ from loopfold.circuits import ScheduledCircuit, run_on_state
 from loopfold.logical import (_ONE_QUBIT_NAMES, CodespaceViolationError, LogicalAction,
                               _fmt, _frame_note, _project, _two_qubit_name, encode_stack,
                               logical_action)
-from loopfold.pauli import PauliString
+from loopfold.pauli import PauliString, gf2_rank
 from loopfold.tableau import StabilizerState
 from loopfold.patches import (build_patch, embed_stack, first_half_circuit,
                               midcycle_diagonal, midcycle_fold_pairs,
@@ -25,6 +26,15 @@ def prepare_logical_state(stack, bases):
     """Codespace tableau with patch i pinned to the +1 eigenstate of its logical
     `bases[i]` in {"Z", "X", "Y"}: logical |0>, |+> or |+i>."""
     return _project(stack, [stack.logical_pauli(i, b) for i, b in enumerate(bases)])
+
+
+def ref_project(stack, pins):
+    """Reference: the codespace tableau reached by measuring every stabilizer,
+    then each pin, at +1 from |0...0>."""
+    st = StabilizerState(stack.num_qubits)
+    for g in stack.all_stabilizers() + list(pins):
+        st.measure_pauli(g, force=0)
+    return st
 
 
 def support(pauli):
@@ -263,10 +273,8 @@ def ref_logical_action(circuit, patches):
             {f"{p}{i}": (i, p) for p in "ZX" for i in range(k)})
     on_ref = {g: PauliString.from_label(p, paired.num_qubits, [stack.num_qubits + i])
               for g, (i, p) in gens.items()}
-    st = StabilizerState(paired.num_qubits)
-    for g in paired.all_stabilizers() + [paired.logical_pauli(i, p) * on_ref[g]
-                                         for g, (i, p) in gens.items()]:
-        st.measure_pauli(g, force=0)
+    st = ref_project(paired, [paired.logical_pauli(i, p) * on_ref[g]
+                              for g, (i, p) in gens.items()])
     run_on_state(circuit, st)
     images = {}
     for g, ref in on_ref.items():
@@ -387,3 +395,67 @@ def test_eight_patch_cnot_images_pinned():
     assert act.images["Z0"] == ("ZIIIIIII", 1)
     assert act.images["X7"] == ("IIIIIIIX", 1)
     assert act.images["Z3"] == ("IIIZIIII", 1)
+
+
+# -- the directly built codespace tableau against the measured one ---------------
+
+@hst.composite
+def pinned_stacks(draw):
+    """k patches of distance d, each folded or rotated, each pinned to its
+    logical X or Z; with `paired`, each logical qubit is instead pinned to a
+    reference qubit by X_i X_Ri and Z_i Z_Ri, as `logical_action` does."""
+    d = draw(hst.sampled_from([3, 5, 7]))
+    k = draw(hst.integers(1, 3))
+    stack = encode_stack([build_patch(d, draw(hst.sampled_from(["folded", "rotated"])))
+                          for _ in range(k)])
+    if not draw(hst.booleans()):
+        return stack, [stack.logical_pauli(i, draw(hst.sampled_from("XZ"))) for i in range(k)]
+    paired = replace(stack, num_qubits=stack.num_qubits + k)
+    return paired, [paired.logical_pauli(i, p)
+                    * PauliString.from_label(p, paired.num_qubits, [stack.num_qubits + i])
+                    for i in range(k) for p in "XZ"]
+
+
+def _rows(st, half):
+    rows = slice(st.n, 2 * st.n) if half == "stabilizers" else slice(0, st.n)
+    return np.concatenate([st.x[rows], st.z[rows]], axis=1)
+
+
+@given(pinned_stacks())
+@settings(max_examples=30, deadline=None)
+def test_built_codespace_equals_the_measured_one(params):
+    stack, pins = params
+    built, measured = _project(stack, pins), ref_project(stack, pins)
+    n = stack.num_qubits
+    # one stabilizer group: together the two generator sets still have rank n,
+    # and each set's generators have sign +1 in the other state
+    both = np.concatenate([_rows(built, "stabilizers"), _rows(measured, "stabilizers")])
+    assert gf2_rank(both) == n
+    assert all(measured.expectation_sign(g) == 1 for g in built.stabilizer_generators())
+    assert all(built.expectation_sign(g) == 1 for g in measured.stabilizer_generators())
+    # a valid tableau: <D_i, S_j> = delta_ij, and each half commutes within itself
+    dx, dz, sx, sz = built.x[:n], built.z[:n], built.x[n:], built.z[n:]
+    assert np.array_equal((dx.astype(int) @ sz.T + dz.astype(int) @ sx.T) % 2, np.eye(n))
+    assert not ((sx.astype(int) @ sz.T + sz.astype(int) @ sx.T) % 2).any()
+    assert not ((dx.astype(int) @ dz.T + dz.astype(int) @ dx.T) % 2).any()
+    assert not built.r.any()
+
+
+def test_built_codespace_rejects_what_is_not_a_css_codespace():
+    p = build_patch(3, "folded")
+    stack = encode_stack([p])
+    n = stack.num_qubits
+    minus_z = stack.logical_pauli(0, "Z")
+    minus_z.phase = 2
+    x_stab = next(g for g in stack.all_stabilizers() if g.x.any())
+    for pins, message in [
+            ([stack.logical_pauli(0, "Y")], "pure X or Z"),
+            ([minus_z], "pure X or Z"),
+            ([PauliString(n)], "pure X or Z"),
+            ([x_stab], "dependent"),
+            ([stack.logical_pauli(0, "Z")] * 2, "dependent"),
+            ([stack.logical_pauli(0, "X"), stack.logical_pauli(0, "Z")], "anticommuting")]:
+        with pytest.raises(ValueError, match=message):
+            _project(stack, pins)
+    with pytest.raises(ValueError, match="qubit generator"):
+        StabilizerState.from_css(n + 1, stack.all_stabilizers())

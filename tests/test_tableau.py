@@ -8,10 +8,24 @@ from loopfold.circuits import ScheduledCircuit, run_on_state, walk_outcomes
 from loopfold.pauli import PauliString, gf2_rank
 from loopfold.tableau import (CLIFFORD_GATES, ZERO_PROBABILITY, DenseState,
                               ImpossibleOutcomeError, RandomOutcomeError, StabilizerState,
-                              UnsupportedGateError, _apply_pauli_dense, _check_targets)
+                              UnsupportedGateError, _check_targets)
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 GATES_2Q = ["CNOT", "CZ", "SWAP"]
+
+
+def apply_pauli_dense(vec: np.ndarray, pauli: PauliString, n: int) -> np.ndarray:
+    """P|vec> as a new array, for P = i^phase X^x Z^z (qubit 0 the top index bit).
+
+    (P vec)[j] = i^phase (-1)^popcount(src & zmask) vec[src], src = j ^ xmask.
+    """
+    place = 1 << np.arange(n - 1, -1, -1)
+    xmask, zmask = int(pauli.x @ place), int(pauli.z @ place)
+    src = np.arange(1 << n) ^ xmask
+    out = vec[src]
+    np.negative(out, out=out, where=(np.bitwise_count(src & zmask) & 1).astype(bool))
+    out *= 1j ** pauli.phase
+    return out
 
 
 def to_dense(tab: StabilizerState) -> np.ndarray:
@@ -26,7 +40,7 @@ def to_dense(tab: StabilizerState) -> np.ndarray:
     vec = np.zeros(2**tab.n, dtype=complex)
     vec[idx] = 1.0
     for g in tab.stabilizer_generators():
-        vec = 0.5 * (vec + _apply_pauli_dense(vec, g, tab.n))
+        vec = 0.5 * (vec + apply_pauli_dense(vec, g, tab.n))
     return vec / np.linalg.norm(vec)
 
 
@@ -163,7 +177,7 @@ def test_measure_pauli_agrees_with_dense_projector(params):
         for g in picked:
             product = product * g
         pauli = product
-    pv = _apply_pauli_dense(den.vec, pauli, n)
+    pv = apply_pauli_dense(den.vec, pauli, n)
     projected = [(den.vec + pv) / 2, (den.vec - pv) / 2]    # (I + P)/2, (I - P)/2
     probs = [float(np.vdot(v, v).real) for v in projected]
     deterministic = min(probs) < 1e-9
@@ -409,7 +423,7 @@ def test_pauli_kernel_matches_kronecker_product(params, data):
         op = np.kron(op, np.linalg.matrix_power(PAULI_2X2["X"], xq)
                      @ np.linalg.matrix_power(PAULI_2X2["Z"], zq))
     want = (1j) ** phase * (op @ vec)
-    got = _apply_pauli_dense(vec, PauliString(n, x, z, phase), n)
+    got = apply_pauli_dense(vec, PauliString(n, x, z, phase), n)
     assert np.allclose(got, want, atol=1e-12)
 
 
