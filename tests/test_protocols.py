@@ -416,9 +416,8 @@ def pinned_stacks(draw):
                     for i in range(k) for p in "XZ"]
 
 
-def _rows(st, half):
-    rows = slice(st.n, 2 * st.n) if half == "stabilizers" else slice(0, st.n)
-    return np.concatenate([st.x[rows], st.z[rows]], axis=1)
+def _stabilizer_rows(st):
+    return np.concatenate([st.x[st.n:], st.z[st.n:]], axis=1)
 
 
 @given(pinned_stacks())
@@ -429,7 +428,7 @@ def test_built_codespace_equals_the_measured_one(params):
     n = stack.num_qubits
     # one stabilizer group: together the two generator sets still have rank n,
     # and each set's generators have sign +1 in the other state
-    both = np.concatenate([_rows(built, "stabilizers"), _rows(measured, "stabilizers")])
+    both = np.concatenate([_stabilizer_rows(built), _stabilizer_rows(measured)])
     assert gf2_rank(both) == n
     assert all(measured.expectation_sign(g) == 1 for g in built.stabilizer_generators())
     assert all(built.expectation_sign(g) == 1 for g in measured.stabilizer_generators())

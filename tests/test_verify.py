@@ -56,14 +56,10 @@ def test_logical_basis_matches_the_projector_construction(kind):
         assert np.abs(_full(got, n) - want).max() < 1e-12
 
 
-def _circuits(patch):
-    return {"S": transversal_s_circuit(patch), "H": transversal_h_circuit(patch)}
-
-
 @pytest.mark.parametrize("gate", ["S", "H"])
 def test_dense_fidelity_matches_the_full_vector_reference(gate):
     patch = build_patch(3, "folded")
-    circ = _circuits(patch)[gate]
+    circ = (transversal_s_circuit if gate == "S" else transversal_h_circuit)(patch)
     rng = np.random.default_rng(7)
     unnormalized = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
     for alpha, beta in list(_TEST_STATES) + [unnormalized]:
