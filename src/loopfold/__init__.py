@@ -9,7 +9,7 @@ virtual-stack layout claims by exhaustive routing search.
 
 from .circuits import CircuitEvent, ScheduledCircuit, run_on_state, walk_outcomes
 from .costs import (CostReport, cnot_time, cycle_time_n2, effective_cycle_time,
-                    gate_time, pipeline_steady_state, rearrange_worst, table1)
+                    gate_cells, gate_time, pipeline_steady_state, rearrange_worst, table1)
 from .factory import (FactoryReport, ccz_factory_spec, cultivation_cycles,
                       factory_runtime, output_error, verify_factory)
 from .layout import (LayerStackLayout, MergeRequest, PatchCell, RoutingResult,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CircuitEvent", "ScheduledCircuit", "run_on_state", "walk_outcomes",
     "CostReport", "cnot_time", "cycle_time_n2", "effective_cycle_time",
-    "gate_time", "pipeline_steady_state", "rearrange_worst", "table1",
+    "gate_cells", "gate_time", "pipeline_steady_state", "rearrange_worst", "table1",
     "FactoryReport", "ccz_factory_spec", "cultivation_cycles",
     "factory_runtime", "output_error", "verify_factory",
     "LayerStackLayout", "MergeRequest", "PatchCell", "RoutingResult", "SwapPlan",

@@ -16,8 +16,8 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .costs import (OPERATING_N, cycle_time_n2, effective_cycle_time, gate_time,
-                    pipeline_steady_state, table1)
+from .costs import (CYCLE_N2_TERMS, OPERATING_N, cycle_time_n2, effective_cycle_time,
+                    gate_cells, pipeline_steady_state, table1)
 from .factory import ccz_factory_spec, factory_runtime, verify_factory
 from .layout import (MergeRequest, fig10a_fixture, fig10b_fixture,
                      layout_from_doc, plan_with_swaps, routable)
@@ -151,9 +151,10 @@ def cmd_verify(args, params) -> int:
 def cmd_cycle_time(args, params) -> int:
     n = args.n
     t2 = cycle_time_n2(params)
+    expr = " + ".join(name if k == 1 else f"{k}*{name}" for name, k in CYCLE_N2_TERMS.items())
     doc = {
-        "t_cyc_n2": {"expr": "27/8*t_loop + 2*t_1q + 4*t_2q + t_meas",
-                     "terms": {"t_loop": "27/8", "t_1q": "2", "t_2q": "4", "t_meas": "1"},
+        "t_cyc_n2": {"expr": expr,
+                     "terms": {name: str(k) for name, k in CYCLE_N2_TERMS.items()},
                      "value_ns": str(t2)},
     }
     steady = pipeline_steady_state(n, params)
@@ -161,7 +162,7 @@ def cmd_cycle_time(args, params) -> int:
     doc["steady_state"] = {"expr": "max(t_cyc(2), n/m*t_meas)", "n": n,
                            "value_ns": str(steady)}
     doc["t_cyc_star"] = {"expr": "ceil_us(steady + slack)", "value_ns": str(star)}
-    human = (f"T_cyc(n=2) = 27/8*T_loop + 2*T_1q + 4*T_2q + T_meas = {t2} ns\n"
+    human = (f"T_cyc(n=2) = {expr.replace('t_', 'T_')} = {t2} ns\n"
              f"steady state (n={n}, m={params.meas_devices}) = {steady} ns\n"
              f"T*_cyc({n}) = {star} ns\n")
     _emit(doc, args.json, human)
@@ -172,16 +173,19 @@ def cmd_gate_times(args, params) -> int:
     d = args.d
     rows = []
     doc = {"d": d, "gates": {}}
-    for arch in ("pipelined_folded", "pipelined_rotated", "standard"):
-        n = OPERATING_N[arch]
-        for gate in ("S", "H", "CNOT"):
-            t = gate_time(gate, arch, d, params)
-            rows.append((gate, arch, n, t))
-            doc["gates"][f"{gate}/{arch}"] = {"n": n, "value_ns": str(t)}
-    for gate, expr in (("H", "(d-1)*t_int"), ("SWAP", "d*t_int"), ("CNOT", "2d*t_int")):
-        t = gate_time(gate, "interloop", d, params)
-        rows.append((gate, "interloop", "-", t))
-        doc["gates"][f"{gate}/interloop"] = {"expr": expr, "value_ns": str(t)}
+    for arch, gates in (("pipelined_folded", ("S", "H", "CNOT")),
+                        ("pipelined_rotated", ("S", "H", "CNOT")),
+                        ("standard", ("S", "H", "CNOT")),
+                        ("interloop", ("H", "SWAP", "CNOT"))):
+        cells = gate_cells(arch, d, params)
+        for gate in gates:
+            expr, t = cells[gate]
+            entry = doc["gates"][f"{gate}/{arch}"] = {"expr": expr, "value_ns": str(t)}
+            if arch == "interloop":    # its row shows no loop occupancy
+                rows.append((gate, arch, "-", t))
+            else:
+                entry["n"] = OPERATING_N[arch]
+                rows.append((gate, arch, entry["n"], t))
     width = max(len(a) for _, a, _, _ in rows)
     human = "".join(f"{g:<5} {a:<{width}} n={str(n):<3} {t} ns\n" for g, a, n, t in rows)
     _emit(doc, args.json, human)

@@ -1,5 +1,13 @@
 """Closed-form gate times, cycle times, and the spacetime-overhead table.
 
+gate_cells is the one source of every closed-form gate cell: for each
+architecture at its loop occupancy OPERATING_N it gives gate -> (expression,
+runtime).  gate_time, the overhead table's runtime cells (table1) and the
+expressions `loopfold gate-times` prints all read it; its FACTORY entries are
+the published condensed forms.  CYCLE_N2_TERMS likewise holds the
+coefficients of T_cyc(2) once: cycle_time_n2 sums them, and `loopfold
+cycle-time` prints its expression from them.
+
 All quantities are exact Fractions of a nanosecond; the published values are
 reproduced as equalities at the silicon defaults (t_loop 400, t_1q 200,
 t_2q 100, t_meas 1000, three measurement devices per loop).
@@ -15,11 +23,14 @@ from .loopsim import SILICON, TimingParams
 
 NS_PER_US = Fraction(1000)
 
+# T_cyc(2) as timing parameter -> coefficient
+CYCLE_N2_TERMS = {"t_loop": Fraction(27, 8), "t_1q": Fraction(2), "t_2q": Fraction(4),
+                  "t_meas": Fraction(1)}
+
 
 def cycle_time_n2(params: TimingParams = SILICON) -> Fraction:
     """Stabilizer round duration for a single folded patch (two per loop)."""
-    return (Fraction(27, 8) * params.t_loop + 2 * params.t_1q
-            + 4 * params.t_2q + params.t_meas)
+    return sum(k * getattr(params, name) for name, k in CYCLE_N2_TERMS.items())
 
 
 def pipeline_steady_state(n: int, params: TimingParams = SILICON) -> Fraction:
@@ -61,58 +72,64 @@ OPERATING_N = {"standard": 2, "pipelined_rotated": 12, "pipelined_folded": 16, "
 STANDARD_CYCLE_NS = Fraction(3000)   # the fixed stabilizer round of plain lattice surgery
 
 
-def gate_time(gate: str, arch: str, d: int, params: TimingParams = SILICON) -> Fraction:
-    """Closed-form runtime of a logical gate on one architecture.
+def gate_cells(arch: str, d: int, params: TimingParams = SILICON
+               ) -> dict[str, tuple[str, Fraction]]:
+    """Every closed-form cell of one architecture: gate -> (expression, runtime ns).
 
-    Each architecture runs at its loop occupancy n = OPERATING_N[arch].
-    pipelined_folded uses the transversal protocols with the effective cycle
-    time T*_cyc(n); pipelined_rotated falls back to lattice surgery for H and
-    S; standard is plain lattice surgery with a fixed cycle time; interloop
-    is the inter-loop-shuttling variant (times in hops of t_int).
+    This is the one source of the gate times, the overhead table's runtime
+    cells and the expressions both print.  Each architecture runs at its loop
+    occupancy n = OPERATING_N[arch].  pipelined_folded uses the transversal
+    protocols with the effective cycle time T*_cyc(n); pipelined_rotated falls
+    back to lattice surgery for H and S; standard is plain lattice surgery with
+    a fixed cycle time, its SWAP a patch movement over two ancillas; interloop
+    is the inter-loop-shuttling variant, in hops of t_int, with H, SWAP and
+    CNOT only.
+
+    FACTORY keeps the published condensed forms, 33 T*_cyc(16) + 18 us and
+    (d + 27) T*_cyc(12) + 19 us.  The term-by-term runtime of
+    factory.factory_runtime matches them within a microsecond only at the
+    silicon defaults and d = 25 (215.56 and 278.72 us against 216 and 279).
+    At t_loop = 1600 ns the forms give 282 and 435 us against 319.25 and
+    474.67 us; at silicon and d = 9 they give 216 and 199 us against 983.56
+    and 623.72 us, because the forms do not grow with the cultivation time.
     """
-    gate = gate.upper()
+    if arch == "interloop":
+        t_int = params.t_int
+        return {"H": ("(d-1)*t_int", (d - 1) * t_int), "SWAP": ("d*t_int", d * t_int),
+                "CNOT": ("2d*t_int", 2 * d * t_int)}
     if arch not in OPERATING_N:
         raise ValueError(f"unknown architecture {arch!r}")
     n = OPERATING_N[arch]
-    t_cyc_star = effective_cycle_time(n, params) if arch.startswith("pipelined") else None
+    if arch == "standard":
+        cyc, t_cyc = "T_cyc", STANDARD_CYCLE_NS
+    else:
+        cyc, t_cyc = f"T_cyc*({n})", effective_cycle_time(n, params)
+    cells = {"CYCLE": (cyc, t_cyc)}
+    if arch == "pipelined_folded":   # the transversal gates complete inside a round
+        lap = Fraction(5, 4) * params.t_loop + params.t_2q
+        cells["H"] = (f"{cyc}+5/4T_loop+T_1q+T_2q", t_cyc + lap + params.t_1q)
+        cells["S"] = (f"{cyc}+5/4T_loop+T_2q", t_cyc + lap)
+    else:                            # lattice surgery
+        cells["H"] = (f"3d*{cyc}", 3 * d * t_cyc)
+        cells["S"] = (f"1.5d*{cyc}", Fraction(3, 2) * d * t_cyc)
+    if arch == "standard":
+        cells["CNOT"] = cells["SWAP"] = (f"2d*{cyc}", 2 * d * t_cyc)
+        cells["FACTORY"] = (f"5d*{cyc}", 5 * d * t_cyc)
+    else:
+        cells["CNOT"] = cells["SWAP"] = ("(9/4-7/2n)T_loop+2T_2q", cnot_time(n, params))
+        cells["FACTORY"] = ((f"33*{cyc}+18us", 33 * t_cyc + 18 * NS_PER_US)
+                            if arch == "pipelined_folded" else
+                            (f"(d+27)*{cyc}+19us", (d + 27) * t_cyc + 19 * NS_PER_US))
+    return cells
 
-    if arch == "pipelined_folded":
-        if gate == "S":
-            return t_cyc_star + Fraction(5, 4) * params.t_loop + params.t_2q
-        if gate == "H":
-            return t_cyc_star + Fraction(5, 4) * params.t_loop + params.t_1q + params.t_2q
-        if gate in ("CNOT", "SWAP"):
-            return cnot_time(n, params)
-        if gate == "CYCLE":
-            return t_cyc_star
-    elif arch == "pipelined_rotated":
-        if gate == "H":
-            return 3 * d * t_cyc_star
-        if gate == "S":
-            return Fraction(3, 2) * d * t_cyc_star
-        if gate in ("CNOT", "SWAP"):
-            return cnot_time(n, params)
-        if gate == "CYCLE":
-            return t_cyc_star
-    elif arch == "standard":
-        if gate == "H":
-            return 3 * d * STANDARD_CYCLE_NS
-        if gate == "S":
-            return Fraction(3, 2) * d * STANDARD_CYCLE_NS
-        if gate == "CNOT":
-            return 2 * d * STANDARD_CYCLE_NS
-        if gate == "SWAP":
-            return 2 * d * STANDARD_CYCLE_NS   # patch movement, two ancillas
-        if gate == "CYCLE":
-            return STANDARD_CYCLE_NS
-    elif arch == "interloop":
-        if gate == "H":
-            return (d - 1) * params.t_int
-        if gate == "SWAP":
-            return d * params.t_int
-        if gate == "CNOT":
-            return 2 * d * params.t_int
-    raise ValueError(f"gate {gate!r} undefined for architecture {arch!r}")
+
+def gate_time(gate: str, arch: str, d: int, params: TimingParams = SILICON) -> Fraction:
+    """Runtime of a logical gate on one architecture, read from gate_cells."""
+    cells = gate_cells(arch, d, params)
+    gate = gate.upper()
+    if gate not in cells:
+        raise ValueError(f"gate {gate!r} undefined for architecture {arch!r}")
+    return cells[gate][1]
 
 
 # -- the overhead table -----------------------------------------------------------
@@ -200,51 +217,6 @@ SPACE = {
 }
 
 
-def factory_cell_us(variant: str, params: TimingParams = SILICON, d: int = 25) -> Fraction:
-    """The table's factory-runtime expression, in microseconds.
-
-    folded: 33 T*_cyc(16) + 18 us; rotated: (d + 27) T*_cyc(12) + 19 us.
-    These are the published condensed forms.  The term-by-term runtime of
-    factory.factory_runtime matches them within a microsecond only at the
-    silicon defaults and d = 25 (215.56 and 278.72 us against 216 and 279).
-    At t_loop = 1600 ns the forms give 282 and 435 us against 319.25 and
-    474.67 us; at silicon and d = 9 they give 216 and 199 us against 983.56
-    and 623.72 us, because the forms do not grow with the cultivation time.
-    """
-    if variant not in ("folded", "rotated"):
-        raise ValueError(f"unknown factory variant {variant!r}")
-    t_star = effective_cycle_time(OPERATING_N[f"pipelined_{variant}"], params) / NS_PER_US
-    if variant == "folded":
-        return 33 * t_star + 18
-    return (d + 27) * t_star + 19
-
-
-# (gate, arch) -> the cell's runtime expression; every cell is evaluated at
-# OPERATING_N[arch]
-_TABLE1_EXPRS = {
-    ("H", "standard"): "3d*T_cyc",
-    ("S", "standard"): "1.5d*T_cyc",
-    ("CNOT", "standard"): "2d*T_cyc",
-    ("FACTORY", "standard"): "5d*T_cyc",
-    ("H", "pipelined_rotated"): "3d*T_cyc*(12)",
-    ("S", "pipelined_rotated"): "1.5d*T_cyc*(12)",
-    ("CNOT", "pipelined_rotated"): "(9/4-7/2n)T_loop+2T_2q",
-    ("FACTORY", "pipelined_rotated"): "(d+27)*T_cyc*(12)+19us",
-    ("H", "pipelined_folded"): "T_cyc*(16)+5/4T_loop+T_1q+T_2q",
-    ("S", "pipelined_folded"): "T_cyc*(16)+5/4T_loop+T_2q",
-    ("CNOT", "pipelined_folded"): "(9/4-7/2n)T_loop+2T_2q",
-    ("FACTORY", "pipelined_folded"): "33*T_cyc*(16)+18us",
-}
-
-
-def _runtime(gate: str, arch: str, params: TimingParams, d: int) -> Fraction:
-    if gate != "FACTORY":
-        return gate_time(gate, arch, d, params)
-    if arch == "standard":
-        return 5 * d * gate_time("CYCLE", arch, d, params)
-    return factory_cell_us(arch.removeprefix("pipelined_"), params, d) * NS_PER_US
-
-
 def _charged(gate: str, arch: str, cell: TableCell, params: TimingParams, d: int) -> Fraction:
     """A cell's spacetime as a savings entry charges it, in units fixed per gate.
 
@@ -267,16 +239,18 @@ def _charged(gate: str, arch: str, cell: TableCell, params: TimingParams, d: int
 def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     """Reproduce the overhead table and its savings rows from first principles.
 
-    Runtime cells carry the symbolic expression and the nanoseconds from
-    gate_time and factory_cell_us at each architecture's OPERATING_N.  Each
-    savings entry is the ratio of the two cells' spacetimes as _charged charges
-    them: at silicon both pipelined CNOTs count 1 us, and surgery H and S count
-    3d and 1.5d rounds against the transversal gate's one.
+    Runtime cells are the gate_cells entries, expression and nanoseconds, of
+    each architecture at its OPERATING_N.  Each savings entry is the ratio of
+    the two cells' spacetimes as _charged charges them: at silicon both
+    pipelined CNOTs count 1 us, and surgery H and S count 3d and 1.5d rounds
+    against the transversal gate's one.
     """
     if d % 2 == 0:
         raise ValueError("d must be odd")
-    cells = {(g, a): TableCell(expr, _runtime(g, a, params, d), SPACE[a][g])
-             for (g, a), expr in _TABLE1_EXPRS.items()}
+    cells = {}
+    for a, spaces in SPACE.items():
+        arch_cells = gate_cells(a, d, params)
+        cells.update({(g, a): TableCell(*arch_cells[g], space) for g, space in spaces.items()})
 
     def savings(other: str) -> dict[str, Fraction]:
         return {g: _charged(g, other, cells[(g, other)], params, d)

@@ -435,7 +435,6 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
     t += Fraction(7, 8) * t_loop
     sched.append(t, tm, "measure", (), "all ancilla loops")
     t += tm
-    sched.meta["makespan_formula"] = "27/8*t_loop + 2*t_1q + 4*t_2q + t_meas"
     return sched
 
 

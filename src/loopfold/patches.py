@@ -51,7 +51,6 @@ class PatchSpec:
     stabilizers: list[Stabilizer]
     logical_x: list[Coord]
     logical_z: list[Coord]
-    fold_map: Optional[dict[Coord, Coord]]   # doubled-coord involution (folded only)
     index: dict[Coord, int] = field(default_factory=dict)  # coord -> qubit index
 
     def __post_init__(self):
@@ -107,7 +106,7 @@ def build_patch(d: int, kind: str = "rotated") -> PatchSpec:
     """Construct a distance-d rotated (or folded rotated) surface-code patch.
 
     Folding changes the geometry only: the stabilizer group of the folded
-    patch is identical to the rotated one; fold_map records the pairing.
+    patch is identical to the rotated one; loop_of gives the pairing.
     """
     if d < 3 or d % 2 == 0:
         raise ValueError("distance must be an odd integer >= 3")
@@ -143,17 +142,8 @@ def build_patch(d: int, kind: str = "rotated") -> PatchSpec:
     logical_z = [(0, 2 * c) for c in range(d)]           # top row
     logical_x = [(2 * r, 0) for r in range(d)]           # left column
 
-    if kind == "rotated":
-        data_sites = [(r, c) for r in range(d) for c in range(d)]
-        fold_map = None
-    else:
-        data_sites = [(r, c) for r in range(d) for c in range(d) if r <= c]
-        # data-site pairing only; boundary ancillas mirror onto empty
-        # positions and bulk-ancilla pairs are derived where needed
-        fold_map = {(a, b): (b, a) for (a, b) in data_coords}
-
-    return PatchSpec(d, kind, data_coords, data_sites, stabilizers,
-                     logical_x, logical_z, fold_map)
+    data_sites = [(r, c) for r in range(d) for c in range(d) if kind == "rotated" or r <= c]
+    return PatchSpec(d, kind, data_coords, data_sites, stabilizers, logical_x, logical_z)
 
 
 # -- check circuit ------------------------------------------------------------
@@ -290,7 +280,6 @@ def midcycle_diagonal(patch: PatchSpec) -> list[Coord]:
 @dataclass
 class LoopRecord:
     coord: Coord
-    role: str                 # "data" | "ancilla"
     speed_class: str          # "normal" | "double"
     slots: list[tuple[int, int, Coord]]  # (patch_id, layer, qubit coord)
 
@@ -321,27 +310,16 @@ def embed_stack(patches: Sequence[PatchSpec]) -> LoopEmbedding:
             raise ValueError("all patches in a stack must share distance and kind")
 
     loops: dict[Coord, LoopRecord] = {}
-
-    def loop_for(coord: Coord, role: str) -> LoopRecord:
-        a, b = coord
-        site = coord if (kind == "rotated" or a <= b) else (b, a)
-        if site not in loops:
-            diagonal = kind == "folded" and site[0] == site[1]
-            loops[site] = LoopRecord(site, role, "double" if diagonal else "normal", [])
-        return loops[site]
-
     for layer_pass in (0, 1):
         for pid, patch in enumerate(patches):
-            for coord in patch.data_coords:
+            for coord in [*patch.data_coords, *(s.center for s in patch.stabilizers)]:
                 site, layer = patch.loop_of(coord)
                 if layer != layer_pass:
                     continue
-                loop_for(coord, "data").slots.append((pid, layer, coord))
-            for s in patch.stabilizers:
-                site, layer = patch.loop_of(s.center)
-                if layer != layer_pass:
-                    continue
-                loop_for(s.center, "ancilla").slots.append((pid, layer, s.center))
+                if site not in loops:
+                    diagonal = kind == "folded" and site[0] == site[1]
+                    loops[site] = LoopRecord(site, "double" if diagonal else "normal", [])
+                loops[site].slots.append((pid, layer, coord))
 
     k = len(patches)
     n = 2 * k if kind == "folded" else k

@@ -39,6 +39,23 @@ def test_gate_times(capsys):
     assert "6600" in out and "6800" in out and "2025/2" in out
 
 
+def test_gate_times_json_carries_each_expression_and_value(capsys):
+    from fractions import Fraction as F
+    from loopfold.costs import gate_cells, gate_time
+    from loopfold.loopsim import SILICON
+    code, out, _ = run_cli("--json", "gate-times", "--d", "9", capsys=capsys)
+    gates = json.loads(out)["gates"]
+    assert code == 0 and sorted(gates) == sorted(
+        [f"{g}/{a}" for a in ("pipelined_folded", "pipelined_rotated", "standard")
+         for g in ("S", "H", "CNOT")] + ["H/interloop", "SWAP/interloop", "CNOT/interloop"])
+    for key, entry in gates.items():
+        gate, arch = key.split("/")
+        assert F(entry["value_ns"]) == gate_time(gate, arch, 9, SILICON)
+        assert entry["expr"] == gate_cells(arch, 9, SILICON)[gate][0]
+    assert gates["H/interloop"]["expr"] == "(d-1)*t_int" and "n" not in gates["H/interloop"]
+    assert gates["S/pipelined_folded"]["n"] == 16
+
+
 def test_worst_case_swap(capsys):
     code, out, _ = run_cli("worst-case", "--protocol", "swap", "--n", "8",
                            "--granularity", "1/32", capsys=capsys)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopfold.costs import (SPACE, cnot_time, cycle_time_n2, effective_cycle_time,
-                            factory_cell_us, gate_time, pipeline_steady_state,
+                            gate_cells, gate_time, pipeline_steady_state,
                             rearrange_worst, table1)
 from loopfold.loopsim import SILICON, TimingParams
 
@@ -65,6 +65,20 @@ def test_undefined_combinations_rejected():
         cnot_time(3, P)   # odd n
     with pytest.raises(ValueError):
         gate_time("H", "nowhere", 25, P)
+
+
+def test_gate_cells_key_sets():
+    every = {"CYCLE", "H", "S", "CNOT", "SWAP", "FACTORY"}
+    for arch in ("standard", "pipelined_rotated", "pipelined_folded"):
+        assert set(gate_cells(arch, 25, P)) == every, arch
+    assert set(gate_cells("interloop", 25, P)) == {"H", "SWAP", "CNOT"}
+    for gate in ("S", "FACTORY", "CYCLE"):
+        with pytest.raises(ValueError):
+            gate_time(gate, "interloop", 25, P)
+    with pytest.raises(ValueError):
+        gate_cells("nowhere", 25, P)
+    with pytest.raises(ValueError):
+        gate_time("FACTORY", "nowhere", 25, P)
 
 
 def test_rearrange_worst_values():
@@ -132,8 +146,10 @@ def test_factory_row_evaluates_to_published_value():
 
 
 def test_factory_cell_expressions():
-    assert factory_cell_us("folded", P, 25) == 33 * 6 + 18 == 216
-    assert factory_cell_us("rotated", P, 25) == 52 * 5 + 19 == 279
+    assert gate_time("FACTORY", "pipelined_folded", 25, P) == (33 * 6 + 18) * 1000 == 216000
+    assert gate_time("FACTORY", "pipelined_rotated", 25, P) == (52 * 5 + 19) * 1000 == 279000
+    assert gate_cells("pipelined_folded", 25, P)["FACTORY"][0] == "33*T_cyc*(16)+18us"
+    assert gate_cells("pipelined_rotated", 25, P)["FACTORY"][0] == "(d+27)*T_cyc*(12)+19us"
 
 
 def test_table1_text_and_doc():
@@ -154,11 +170,9 @@ def charged_spacetime(gate, arch, params, d):
     """H and S in stabilizer rounds (the folded transversal gate is one round),
     a CNOT in whole us rounded half up and at least 1, a factory at its cell."""
     space = SPACE[arch][gate]
-    if gate == "FACTORY":
-        if arch == "standard":
-            return 5 * d * gate_time("CYCLE", arch, d, params) * space
-        return factory_cell_us(arch.split("_")[1], params, d) * 1000 * space
     runtime = gate_time(gate, arch, d, params)
+    if gate == "FACTORY":
+        return runtime * space
     if gate == "CNOT":
         us = runtime / 1000
         whole = us.numerator // us.denominator
@@ -179,9 +193,10 @@ def assert_savings_follow_the_rule(params, d):
             want = (charged_spacetime(g, other, params, d)
                     / charged_spacetime(g, "pipelined_folded", params, d))
             assert saving == want, (other, g)
+    assert set(rep.cells) == {(g, a) for a in SPACE for g in ("H", "S", "CNOT", "FACTORY")}
     for (g, a), cell in rep.cells.items():
-        if g != "FACTORY":
-            assert cell.runtime_ns == gate_time(g, a, d, params)
+        assert (cell.runtime_expr, cell.runtime_ns) == gate_cells(a, d, params)[g]
+        assert cell.runtime_ns == gate_time(g, a, d, params)
     for a in ("pipelined_rotated", "pipelined_folded"):   # each at its operating point
         assert gate_time("CYCLE", a, d, params) == effective_cycle_time(_N[a], params)
         assert rep.cells[("CNOT", a)].runtime_ns == cnot_time(_N[a], params)

@@ -165,11 +165,10 @@ def test_output_error_exact():
 
 
 def test_runtime_matches_table_expression_within_1us():
-    from loopfold.costs import factory_cell_us
     for variant in ("folded", "rotated"):
-        exact_us = factory_runtime(variant, P, 25).runtime_ns / 1000
-        cell_us = factory_cell_us(variant, P, 25)
-        assert abs(exact_us - cell_us) <= 1
+        exact_ns = factory_runtime(variant, P, 25).runtime_ns
+        cell_ns = gate_time("FACTORY", f"pipelined_{variant}", 25, P)
+        assert abs(exact_ns - cell_ns) <= 1000
 
 
 @pytest.mark.parametrize("variant", ["folded", "rotated"])

@@ -49,13 +49,9 @@ def test_d3_rotated_has_9_sites_8_stabilizers():
 @pytest.mark.parametrize("d", [3, 5, 7])
 def test_folded_fold_map_involution(d):
     p = build_patch(d, "folded")
-    fm = p.fold_map
-    for a, b in fm.items():
-        assert fm[b] == a
-    fixed = [a for a, b in fm.items() if a == b]
-    assert len(fixed) == d
-    off_diag = [c for c in p.data_coords if c[0] != c[1]]
-    assert all(fm[c] != c for c in off_diag)
+    for a, b in p.data_coords:   # the fold pairs (a, b) with (b, a) on the other layer
+        site, layer = p.loop_of((a, b))
+        assert p.loop_of((b, a)) == (site, layer if a == b else 1 - layer)
     assert len(p.data_sites) == d * (d + 1) // 2   # triangular footprint
 
 
@@ -123,7 +119,7 @@ def test_embed_stack_folded_occupancies():
     assert all(len(l.slots) == 1 for l in diag)
     assert all(l.speed_class == "double" for l in diag)
     assert all(len(l.slots) <= 2 for l in off)
-    data_off = [l for l in off if l.role == "data"]
+    data_off = [l for l in off if l.coord[0] % 2 == 0]   # data sit at even coords
     assert all(len(l.slots) == 2 for l in data_off)
 
 
@@ -147,7 +143,7 @@ def test_embedding_doc_stable_fields():
     emb = embed_stack([build_patch(3, "folded")])
     assert emb.qubits_per_loop == 2
     assert emb.patch_kind == "folded" and emb.distance == 3
-    roles = {l.role for l in emb.loops.values()}
-    assert roles == {"data", "ancilla"}
+    parities = {l.coord[0] % 2 for l in emb.loops.values()}
+    assert parities == {0, 1}   # data and ancilla loops
     diag = [l for l in emb.loops.values() if l.coord[0] == l.coord[1]]
     assert diag and all(l.speed_class == "double" for l in diag)

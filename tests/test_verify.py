@@ -1,6 +1,11 @@
 """The dense oracle: the encoded basis written from the X-type generators, against
 the projector construction it replaced, and circuits it must reject."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,3 +87,17 @@ def test_dense_oracle_rejects_the_wrong_gate_and_a_stray_pauli():
         stray = transversal_s_circuit(patch)
         stray.add(max(stray.slots()) + 1, pauli, (0,))   # qubit 0 is a data qubit
         assert 1 - _worst(patch, stray, "S") >= FIDELITY_TOL
+
+
+def test_s_teleport_draws_its_states_without_numpy_random():
+    # numpy.random pulls in secrets and OpenSSL, megabytes of resident memory
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from loopfold.verify import verify_s_teleport\n"
+            "assert all(c.passed for c in verify_s_teleport(range(3)))\n"
+            "assert 'numpy.random' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
