@@ -16,8 +16,9 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .costs import (CYCLE_N2_TERMS, OPERATING_N, cycle_time_n2, effective_cycle_time,
-                    gate_cells, pipeline_steady_state, table1)
+from .costs import (CYCLE_N2_EXPR, CYCLE_N2_TERMS, OPERATING_N, STEADY_STATE_EXPR,
+                    T_CYC_STAR_EXPR, cycle_time_n2, effective_cycle_time, gate_cells,
+                    pipeline_steady_state, table1)
 from .factory import ccz_factory_spec, factory_runtime, verify_factory
 from .layout import (MergeRequest, fig10a_fixture, fig10b_fixture,
                      layout_from_doc, plan_with_swaps, routable)
@@ -151,18 +152,16 @@ def cmd_verify(args, params) -> int:
 def cmd_cycle_time(args, params) -> int:
     n = args.n
     t2 = cycle_time_n2(params)
-    expr = " + ".join(name if k == 1 else f"{k}*{name}" for name, k in CYCLE_N2_TERMS.items())
     doc = {
-        "t_cyc_n2": {"expr": expr,
+        "t_cyc_n2": {"expr": CYCLE_N2_EXPR,
                      "terms": {name: str(k) for name, k in CYCLE_N2_TERMS.items()},
                      "value_ns": str(t2)},
     }
     steady = pipeline_steady_state(n, params)
     star = effective_cycle_time(n, params)
-    doc["steady_state"] = {"expr": "max(t_cyc(2), n/m*t_meas)", "n": n,
-                           "value_ns": str(steady)}
-    doc["t_cyc_star"] = {"expr": "ceil_us(steady + slack)", "value_ns": str(star)}
-    human = (f"T_cyc(n=2) = {expr.replace('t_', 'T_')} = {t2} ns\n"
+    doc["steady_state"] = {"expr": STEADY_STATE_EXPR, "n": n, "value_ns": str(steady)}
+    doc["t_cyc_star"] = {"expr": T_CYC_STAR_EXPR, "value_ns": str(star)}
+    human = (f"T_cyc(n=2) = {CYCLE_N2_EXPR.replace('t_', 'T_')} = {t2} ns\n"
              f"steady state (n={n}, m={params.meas_devices}) = {steady} ns\n"
              f"T*_cyc({n}) = {star} ns\n")
     _emit(doc, args.json, human)

@@ -6,7 +6,8 @@ runtime).  gate_time, the overhead table's runtime cells (table1) and the
 expressions `loopfold gate-times` prints all read it; its FACTORY entries are
 the published condensed forms.  CYCLE_N2_TERMS likewise holds the
 coefficients of T_cyc(2) once: cycle_time_n2 sums them, and `loopfold
-cycle-time` prints its expression from them.
+cycle-time` prints CYCLE_N2_EXPR, written from them, with STEADY_STATE_EXPR
+and T_CYC_STAR_EXPR, which stand next to the functions they describe.
 
 All quantities are exact Fractions of a nanosecond; the published values are
 reproduced as equalities at the silicon defaults (t_loop 400, t_1q 200,
@@ -23,14 +24,20 @@ from .loopsim import SILICON, TimingParams
 
 NS_PER_US = Fraction(1000)
 
-# T_cyc(2) as timing parameter -> coefficient
+# T_cyc(2) as timing parameter -> coefficient, and its printed form
 CYCLE_N2_TERMS = {"t_loop": Fraction(27, 8), "t_1q": Fraction(2), "t_2q": Fraction(4),
                   "t_meas": Fraction(1)}
+CYCLE_N2_EXPR = " + ".join(name if k == 1 else f"{k}*{name}" for name, k in CYCLE_N2_TERMS.items())
 
 
 def cycle_time_n2(params: TimingParams = SILICON) -> Fraction:
     """Stabilizer round duration for a single folded patch (two per loop)."""
     return sum(k * getattr(params, name) for name, k in CYCLE_N2_TERMS.items())
+
+
+# the printed forms of the two functions below; m is meas_devices
+STEADY_STATE_EXPR = "max(t_cyc(2), n/m*t_meas)"
+T_CYC_STAR_EXPR = "ceil_us(steady + slack)"
 
 
 def pipeline_steady_state(n: int, params: TimingParams = SILICON) -> Fraction:

@@ -8,10 +8,13 @@ CSS codespace state down from its generators, with its destabilizers, from
 one reduced row-echelon form instead of one measurement per generator.
 The dense engine is the independent brute-force reference used to certify
 protocol claims on small instances; it supports the non-Clifford T gate.
-Its gates update the amplitude vector in place on the halves (or, for a
-pair, the quarter-blocks) that a qubit's bit splits it into, and a Z or Y
-measurement projects with (I +- P)/2 on those halves directly.  Both engines
-validate gate and measurement targets through one shared check.
+It stores a state on its support, the basis indices with a nonzero
+amplitude, so a codeword of 17 qubits costs its 32 amplitudes, not 2^17:
+X, Y, CNOT and SWAP move indices with bit operations, the diagonal gates
+scale amplitudes, and H and a Y measurement pair each index with its
+partner across the qubit's bit through a map from basis index to support
+slot (no sort).  A Z or Y measurement projects with (I +- P)/2 directly.
+Both engines validate gate and measurement targets through one shared check.
 
 Gates come in layers: `apply_layer` applies one gate kind to pairwise
 disjoint target tuples.  The tableau does a whole layer with one
@@ -29,6 +32,7 @@ as impossible everywhere.
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
@@ -302,39 +306,89 @@ class StabilizerState:
 
 
 class DenseState:
-    """Dense statevector on <= 20 qubits; the brute-force oracle engine.
+    """Statevector on <= 20 qubits, stored on its support; the oracle engine.
 
-    Qubit 0 is the most significant bit of the amplitude index, so bitstrings
-    read left to right.  Every gate updates `vec` in place: a one-qubit gate
-    acts on the two halves `vec.reshape(1 << q, 2, -1)[:, 0]` and `[:, 1]`
-    of its qubit, a two-qubit gate on quarter-blocks of its pair.  `vec` is
-    always a contiguous complex array of 2^n amplitudes; assigning it copies
-    only when the value is not one already.
+    Qubit 0 is the most significant bit of the basis index, so bitstrings
+    read left to right.  The state holds only the basis indices with a
+    nonzero amplitude (`_idx`, in no particular order) and those amplitudes
+    (`_amp`); no exact zero is stored.  X, Y, CNOT and SWAP move indices by
+    bit operations, Z, S, SDG, T and CZ scale the amplitudes whose bits are
+    set, H and a Y measurement pair each index i with i ^ bit, and a Z
+    measurement keeps one half.  `vec` is the full vector of 2^n amplitudes,
+    built on each read and not writeable; assigning it stores its nonzero
+    entries.  `set_amplitudes` and `amplitudes` write and read the state at
+    given basis indices without a full vector.
     """
 
-    # diagonal gates scale the 1-half
+    # diagonal gates scale the amplitudes whose bit is set
     _PHASES = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4)}
-    # X, Y: the new 0-half is the first phase times the old 1-half, and the
-    # new 1-half the second phase times the old 0-half
-    _EXCHANGES = {"X": (1.0, 1.0), "Y": (-1j, 1j)}
 
     def __init__(self, num_qubits: int):
         if not 1 <= num_qubits <= 20:
             raise ValueError("DenseState supports 1..20 qubits")
         self.n = num_qubits
-        self.vec = np.zeros(2**num_qubits, dtype=complex)
-        self._vec[0] = 1.0
+        self._idx = np.zeros(1, dtype=np.intp)
+        self._amp = np.ones(1, dtype=complex)
+        self._slots = None   # the scratch map of `_find`, made on first use, shared by copies
 
     @property
     def vec(self) -> np.ndarray:
-        return self._vec
+        v = np.zeros(1 << self.n, dtype=complex)
+        v[self._idx] = self._amp
+        v.flags.writeable = False   # a write to a vector built on read would be lost
+        return v
 
     @vec.setter
     def vec(self, value) -> None:
-        value = np.ascontiguousarray(value, dtype=complex).reshape(-1)
+        value = np.asarray(value, dtype=complex).reshape(-1)
         if value.size != 1 << self.n:
             raise ValueError(f"{value.size} amplitudes for {self.n} qubits")
-        self._vec = value
+        idx = np.flatnonzero(value)
+        self.set_amplitudes(idx, value[idx])
+
+    def set_amplitudes(self, indices, amplitudes) -> "DenseState":
+        """Make the state the sum of amplitudes[k] |indices[k]>, from copies of
+        both; the indices must be distinct basis indices and some amplitude
+        nonzero, else ValueError."""
+        idx = self._basis_indices(np.asarray(indices, dtype=np.intp))
+        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        if amp.shape != idx.shape:
+            raise ValueError(f"{amp.size} amplitudes for {idx.size} indices")
+        if np.count_nonzero(self._find(idx, idx) != np.arange(idx.size)):
+            raise ValueError("repeated basis index")
+        nonzero = amp != 0
+        if not np.count_nonzero(nonzero):
+            raise ValueError("the zero vector is not a state")
+        self._idx, self._amp = idx[nonzero], amp[nonzero]   # copies
+        return self
+
+    def amplitudes(self, indices) -> np.ndarray:
+        """The amplitudes at the given basis indices, 0 off the support."""
+        return self._at(self._find(self._idx,
+                                   self._basis_indices(np.asarray(indices, dtype=np.intp))))
+
+    def _find(self, support: np.ndarray, keys: np.ndarray) -> np.ndarray:
+        """Where each of `keys` sits in `support` (its position, or -1), for
+        distinct basis indices, through a map of all 2^n basis indices and no
+        sort.  The map reads -1 between calls; int32 holds any of the 2^20
+        positions in half the memory of intp."""
+        if self._slots is None:
+            self._slots = np.full(1 << self.n, -1, dtype=np.int32)
+        self._slots[support] = np.arange(support.size, dtype=np.int32)
+        found = self._slots[keys].astype(np.intp)
+        self._slots[support] = -1
+        return found
+
+    def _at(self, slots: np.ndarray) -> np.ndarray:
+        """The stored amplitudes at `slots`, 0 at a slot of -1."""
+        return np.concatenate((self._amp, _NO_AMPLITUDE))[slots]
+
+    def _basis_indices(self, idx: np.ndarray) -> np.ndarray:
+        """`idx` flattened, after checking that each lies in range(2^n)."""
+        idx = idx.reshape(-1)
+        if np.count_nonzero(idx >> self.n):   # nonzero for a negative index or one >= 2^n
+            raise ValueError(f"basis index out of range for {self.n} qubits")
+        return idx
 
     def apply_gate(self, gate: str, targets: Sequence[int]) -> "DenseState":
         return self.apply_layer(gate, [targets])
@@ -346,60 +400,86 @@ class DenseState:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
         _check_layer(self.n, targets, _ARITY[g])
         for t in targets:
-            self._apply(g, t)
+            self._apply(g, [self._bit(q) for q in t])
         return self
 
-    def _apply(self, g: str, targets: Sequence[int]) -> None:
+    def _bit(self, q: int) -> int:
+        return 1 << (self.n - 1 - q)
+
+    def _apply(self, g: str, bits: list[int]) -> None:
+        idx, amp = self._idx, self._amp
         if g in self._PHASES:
-            _, one = self._halves(targets[0])
-            one *= self._PHASES[g]
-        elif g in self._EXCHANGES:
-            to_zero, to_one = self._EXCHANGES[g]
-            zero, one = self._halves(targets[0])
-            old_zero = zero.copy()
-            np.multiply(one, to_zero, out=zero)
-            np.multiply(old_zero, to_one, out=one)
+            amp *= np.where(idx & bits[0], self._PHASES[g], 1)
+        elif g == "X":
+            idx ^= bits[0]
+        elif g == "Y":   # Y|0> = i|1>, Y|1> = -i|0>
+            amp *= np.where(idx & bits[0], -1j, 1j)
+            idx ^= bits[0]
         elif g == "H":
-            zero, one = self._halves(targets[0])
-            total = zero + one
-            np.subtract(zero, one, out=one)
-            zero[...] = total
-            self._vec *= _SQRT1_2
+            self._hadamard(bits[0])
         elif g == "CNOT":
-            _exchange(self._quarter(targets, 1, 0), self._quarter(targets, 1, 1))
+            control, target = bits
+            idx ^= np.where(idx & control, target, 0)
         elif g == "CZ":
-            both = self._quarter(targets, 1, 1)
-            both *= -1.0
-        else:   # SWAP
-            _exchange(self._quarter(targets, 0, 1), self._quarter(targets, 1, 0))
+            both = bits[0] | bits[1]
+            amp *= np.where((idx & both) == both, -1.0, 1)
+        else:   # SWAP: flip both bits where they differ
+            a, b = bits
+            idx ^= np.where(((idx & a) == 0) != ((idx & b) == 0), a | b, 0)
 
-    def _halves(self, q: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of the amplitudes with qubit q at 0 and at 1."""
-        v = self._vec.reshape(1 << q, 2, -1)
-        return v[:, 0], v[:, 1]
+    def _hadamard(self, bit: int) -> None:
+        """H on the qubit of `bit`: (a0 + a1)/sqrt(2) at i and (a0 - a1)/sqrt(2) at
+        i | bit, for each pair {i, i | bit} that meets the support.
 
-    def _quarter(self, pair: Sequence[int], bit_a: int, bit_b: int) -> np.ndarray:
-        """View of the amplitudes with qubit pair[0] at bit_a and pair[1] at bit_b."""
-        a, b = pair
-        lo, hi = sorted(pair)
-        v = self._vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-        return v[:, bit_a, :, bit_b] if a < b else v[:, bit_b, :, bit_a]
-
-    def _branch(self, qubit: int, basis: str, outcome: int) -> tuple[float, np.ndarray]:
-        """Probability of a measurement branch and its amplitudes c.
-
-        Z: c is the outcome's half (a view).  Y: (I +- Y)/2 maps the halves
-        (a, b) to (c, +-i c)/sqrt(2) with c = (a -+ i b)/sqrt(2), a new array.
-        In both cases the branch probability is |c|^2.
+        Each stored entry is rewritten in place from its partner's amplitude
+        (0 if the partner is not stored), and a lone entry's partner is
+        appended with (a0 or a1)/sqrt(2).
         """
-        zero, one = self._halves(qubit)
+        idx, amp = self._idx, self._amp
+        partner = self._find(idx, idx ^ bit)
+        here = self._at(partner)
+        here += amp * np.where(idx & bit, -1.0, 1.0)
+        lone = (partner < 0).nonzero()[0]
+        if lone.size:
+            idx = np.concatenate((idx, idx[lone] ^ bit))
+            here = np.concatenate((here, amp[lone]))
+        here *= _SQRT1_2
+        self._keep_nonzero(idx, here)
+
+    def _pairs(self, bit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs {i, i | bit} that meet the support: (i, a_i, a_(i|bit)),
+        with i's bit clear and a missing member's amplitude 0."""
+        idx = self._idx
+        partner = self._find(idx, idx ^ bit)
+        one = (idx & bit).astype(bool)
+        lead = (~one | (partner < 0)).nonzero()[0]   # each pair once: its 0-member if stored
+        members = np.array((lead, partner[lead]))      # slots of the entry and its partner
+        # a lone 1-member leads its pair, so its slot goes in the 1 row
+        zero, one = self._at(np.where(one[lead], members[::-1], members))
+        return idx[lead] & ~bit, zero, one
+
+    def _keep_nonzero(self, idx: np.ndarray, amp: np.ndarray) -> None:
+        """Store the entries of (idx, amp) whose amplitude is not exactly 0."""
+        if not amp.all():
+            keep = amp != 0
+            idx, amp = idx[keep], amp[keep]
+        self._idx, self._amp = idx, amp
+
+    def _branches(self, qubit: int, basis: str) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Both outcomes of a measurement: (indices, amplitudes c).
+
+        Z: the stored entries whose bit is the outcome.  Y: (I +- Y)/2 maps a
+        pair's amplitudes (a0, a1) to (c, +-i c)/sqrt(2) with c = (a0 -+ i a1)/sqrt(2),
+        given per pair with the index whose bit is clear; the pairs are found
+        once for both outcomes.  In both cases the probability is |c|^2.
+        """
+        bit = self._bit(qubit)
         if basis == "Z":
-            c = one if outcome else zero
-        else:
-            c = one * (1j if outcome else -1j)
-            c += zero
-            c *= _SQRT1_2
-        return float(np.linalg.norm(c) ** 2), c
+            one = (self._idx & bit).astype(bool)
+            return [(self._idx[m], self._amp[m]) for m in (~one, one)]
+        base, zero, one = self._pairs(bit)
+        c = (zero + one * _MINUS_PLUS_I) * _SQRT1_2   # one row per outcome
+        return [(base, c[0]), (base, c[1])]
 
     def measure(self, qubit: int, basis: str = "Z",
                 force: Optional[int] = None) -> tuple[int, bool]:
@@ -413,7 +493,8 @@ class DenseState:
         b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
         _check_force(force)
-        p0, c = self._branch(qubit, b, 0)
+        branches = self._branches(qubit, b)
+        p0 = _probability(branches[0][1])
         deterministic = p0 < ZERO_PROBABILITY or p0 > 1 - ZERO_PROBABILITY
         if force is not None:
             outcome = int(force)
@@ -421,37 +502,38 @@ class DenseState:
             outcome = 0 if p0 > 0.5 else 1
         else:
             raise RandomOutcomeError("random measurement needs a forced branch")
-        prob = p0
-        if outcome:
-            prob, c = self._branch(qubit, b, 1)
+        idx, c = branches[outcome]
+        prob = _probability(c) if outcome else p0
         if prob < ZERO_PROBABILITY:
             raise ImpossibleOutcomeError("forced branch has zero amplitude")
-        zero, one = self._halves(qubit)
         if b == "Z":
-            (zero if outcome else one)[...] = 0.0
-            c /= np.sqrt(prob)
+            self._idx, self._amp = idx, c / math.sqrt(prob)
         else:
-            np.multiply(c, _SQRT1_2 / np.sqrt(prob), out=zero)
-            np.multiply(zero, -1j if outcome else 1j, out=one)
+            zero = c * (_SQRT1_2 / math.sqrt(prob))
+            self._keep_nonzero(np.concatenate((idx, idx | self._bit(qubit))),
+                               np.concatenate((zero, zero * (-1j if outcome else 1j))))
         return outcome, deterministic
 
     def branch_probabilities(self, qubit: int, basis: str = "Z") -> tuple[float, float]:
         """(p0, p1) for measuring `qubit` in `basis`."""
         _check_targets(self.n, (qubit,))
-        b = _check_basis(basis)
-        return self._branch(qubit, b, 0)[0], self._branch(qubit, b, 1)[0]
+        (_, c0), (_, c1) = self._branches(qubit, _check_basis(basis))
+        return _probability(c0), _probability(c1)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self._vec))
+        return float(np.linalg.norm(self._amp))
 
     def copy(self) -> "DenseState":
         d = DenseState.__new__(DenseState)
         d.n = self.n
-        d.vec = self._vec.copy()
+        d._idx, d._amp = self._idx.copy(), self._amp.copy()
+        d._slots = self._slots   # scratch that every use leaves as it found it
         return d
 
 
 _SQRT1_2 = 1 / np.sqrt(2)
+_NO_AMPLITUDE = np.zeros(1, dtype=complex)   # what slot -1 reads
+_MINUS_PLUS_I = np.array([[-1j], [1j]])   # c = (a0 -+ i a1)/sqrt(2) for Y outcomes 0, 1
 _ARITY = {g: 2 if g in ("CNOT", "CZ", "SWAP") else 1 for g in CLIFFORD_GATES + ("T",)}
 
 
@@ -494,11 +576,9 @@ def _check_force(force: Optional[int]) -> None:
         raise ValueError(f"forced outcome must be 0 or 1, not {force!r}")
 
 
-def _exchange(a: np.ndarray, b: np.ndarray) -> None:
-    """Swap the contents of two equal-shaped views."""
-    old_a = a.copy()
-    a[...] = b
-    b[...] = old_a
+def _probability(c: np.ndarray) -> float:
+    """|c|^2 of a branch's unnormalized amplitudes."""
+    return float(np.vdot(c, c).real)
 
 
 def _phase(x: np.ndarray, z: np.ndarray, r) -> np.ndarray:

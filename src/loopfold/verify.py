@@ -3,10 +3,11 @@
 The dense route is the independent brute-force check used at d=3: |0>_L
 and |1>_L are written down from the X-type generators as the 2^r basis
 states of their group (and its logical-X shift), an arbitrary logical state
-goes onto those supports, the protocol circuit runs in place on the full
-data+ancilla register, and the overlap with the expected output, read on the
-same supports, must be fidelity 1.  The tableau route scales to any odd d
-and names the logical gate.
+goes onto those supports, the protocol circuit runs on the full data+ancilla
+register (a `DenseState`, which stores only the amplitudes it needs), and
+the overlap with the expected output, read on the same supports, must be
+fidelity 1.  The tableau route scales to any odd d and names the logical
+gate.
 """
 
 from __future__ import annotations
@@ -85,16 +86,17 @@ def dense_protocol_fidelity(patch: PatchSpec, circuit: ScheduledCircuit,
     Writes alpha|0>_L + beta|1>_L (normalized) onto the basis supports in one
     `DenseState`, runs the full circuit on it (including ancilla
     measurements, all deterministic on the codespace) and reads the overlap
-    with the encoding of expected_gate |psi> on the same supports.
+    with the encoding of expected_gate |psi> on the same supports; no vector
+    of all 2^n amplitudes is built.
     """
     (zero, amp0), (one, amp1) = _logical_basis(patch)
     st = DenseState(patch.num_qubits)
     norm = np.hypot(abs(alpha), abs(beta))
-    st.vec[zero] = amp0 * (alpha / norm)   # index 0 is in `zero`: |0...0> is overwritten
-    st.vec[one] = amp1 * (beta / norm)
+    st.set_amplitudes(np.concatenate([zero, one]),
+                      np.concatenate([amp0 * (alpha / norm), amp1 * (beta / norm)]))
     run_on_state(circuit, st)
     a2, b2 = _LOGICAL_1Q[expected_gate.upper()] @ np.array([alpha, beta])
-    overlap = np.vdot(st.vec[zero], amp0) * a2 + np.vdot(st.vec[one], amp1) * b2
+    overlap = np.vdot(st.amplitudes(zero), amp0) * a2 + np.vdot(st.amplitudes(one), amp1) * b2
     return float(abs(overlap) ** 2 / (abs(a2) ** 2 + abs(b2) ** 2))
 
 
@@ -166,33 +168,35 @@ def verify_two_qubit(d: int, gate: str) -> list[CheckResult]:
     return results
 
 
+_DATA_ONLY = [0b00, 0b10]   # the basis states |0>|0> and |1>|0> of (data, ancilla)
+
+
 def verify_s_teleport(seeds: Sequence[int] = range(50),
                       tol: float = FIDELITY_TOL) -> list[CheckResult]:
     """Both S gadgets on random states, dense; y_measure on both outcomes, which sum to 1."""
     s_mat = _LOGICAL_1Q["S"]
+    y_measure, i_state = s_teleport_circuit("y_measure"), s_teleport_circuit("i_state")
+    plus_i, minus_i = np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2)
     worst_y, worst_i, worst_sum = 1.0, 1.0, 0.0
     for seed in seeds:
         rng = random.Random(seed)   # the stdlib draw; numpy.random costs megabytes to import
         v = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(2)])
         v /= np.linalg.norm(v)
 
-        st = DenseState(2)
-        st.vec = np.kron(v, np.array([1.0, 0.0], dtype=complex))
+        st = DenseState(2).set_amplitudes(_DATA_ONLY, v)   # |psi>|0>
         want = s_mat @ v
-        leaves = list(walk_outcomes(s_teleport_circuit("y_measure"), st))
+        leaves = list(walk_outcomes(y_measure, st))
         worst_sum = max(worst_sum, abs(sum(prob for _, prob, _ in leaves) - 1))
         for rec, _, leaf in leaves:
             # ancilla collapsed to |+i> or |-i>; contract it out
-            anc = np.array([1.0, 1j * (-1) ** rec["y"]], dtype=complex) / np.sqrt(2)
+            anc = minus_i if rec["y"] else plus_i
             data = leaf.vec.reshape(2, 2) @ anc.conj()
             worst_y = min(worst_y, abs(np.vdot(want, data / np.linalg.norm(data))) ** 2)
 
-        st = DenseState(2)
-        st.vec = np.kron(v, np.array([1.0, 0.0], dtype=complex))
-        run_on_state(s_teleport_circuit("i_state"), st)
+        st = DenseState(2).set_amplitudes(_DATA_ONLY, v)
+        run_on_state(i_state, st)
         # expected output: S|psi> on the data, Z|i> = |-i> on the resource
-        minus_i = np.array([1.0, -1j], dtype=complex) / np.sqrt(2)
-        expect = np.kron(s_mat @ v, minus_i)
+        expect = np.outer(s_mat @ v, minus_i).ravel()
         worst_i = min(worst_i, abs(np.vdot(expect, st.vec)) ** 2)
     return [
         CheckResult("s-teleport y_measure dense", 1 - worst_y < tol and worst_sum < tol,

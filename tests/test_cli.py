@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -31,6 +32,38 @@ def test_cycle_time_json_schema_and_expression(capsys):
     terms = {k: F(v) for k, v in t["terms"].items()}
     value = terms["t_loop"] * 400 + terms["t_1q"] * 200 + terms["t_2q"] * 100 + terms["t_meas"] * 1000
     assert value == F(t["value_ns"])
+
+
+def evaluate(expr: str, names: dict):
+    """An expression as `cycle-time` prints it, evaluated on exact Fractions."""
+    from fractions import Fraction as F
+    return eval(re.sub(r"\b\d+\b", lambda m: f"F({m.group()})", expr),
+                {"F": F, "max": max, **names})
+
+
+@pytest.mark.parametrize("config", ["", "t_loop_ns = 1600\n"], ids=["silicon", "t_loop-1600"])
+@pytest.mark.parametrize("n", [2, 12, 16])
+def test_cycle_time_expressions_evaluate_to_their_values(config, n, tmp_path, capsys):
+    """Each printed expression, evaluated on the run's timing parameters,
+    gives its own value_ns exactly."""
+    from fractions import Fraction as F
+    from loopfold.cli import load_config
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(config)
+    code, out, _ = run_cli("--config", str(cfg), "--json", "cycle-time", "--n", str(n),
+                           capsys=capsys)
+    assert code == 0
+    doc, p = json.loads(out), load_config(str(cfg))
+    names = {"t_loop": p.t_loop, "t_1q": p.t_1q, "t_2q": p.t_2q, "t_meas": p.t_meas,
+             "n": F(doc["steady_state"]["n"]), "m": F(p.meas_devices), "slack": p.slack_ns,
+             "ceil_us": lambda ns: -(-ns // 1000) * 1000}
+    t2 = evaluate(doc["t_cyc_n2"]["expr"], names)
+    assert t2 == F(doc["t_cyc_n2"]["value_ns"])
+    names["t_cyc"] = {2: t2}.__getitem__    # t_cyc(2), the round above
+    steady = evaluate(doc["steady_state"]["expr"], names)
+    assert steady == F(doc["steady_state"]["value_ns"])
+    names["steady"] = steady
+    assert evaluate(doc["t_cyc_star"]["expr"], names) == F(doc["t_cyc_star"]["value_ns"])
 
 
 def test_gate_times(capsys):

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from loopfold.circuits import ScheduledCircuit, run_on_state, walk_outcomes
 from loopfold.pauli import PauliString, gf2_rank
-from loopfold.tableau import (CLIFFORD_GATES, ZERO_PROBABILITY, DenseState,
+from loopfold.tableau import (_ARITY, CLIFFORD_GATES, ZERO_PROBABILITY, DenseState,
                               ImpossibleOutcomeError, RandomOutcomeError, StabilizerState,
-                              UnsupportedGateError, _check_targets)
+                              UnsupportedGateError, _check_basis, _check_force, _check_layer,
+                              _check_targets)
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 GATES_2Q = ["CNOT", "CZ", "SWAP"]
@@ -26,6 +27,134 @@ def apply_pauli_dense(vec: np.ndarray, pauli: PauliString, n: int) -> np.ndarray
     np.negative(out, out=out, where=(np.bitwise_count(src & zmask) & 1).astype(bool))
     out *= 1j ** pauli.phase
     return out
+
+
+class ref_DenseState:
+    """Reference: the full-vector engine that `DenseState` replaced.
+
+    Every gate updates `vec`, all 2^n amplitudes, in place: a one-qubit gate
+    acts on the two halves `vec.reshape(1 << q, 2, -1)[:, 0]` and `[:, 1]`
+    of its qubit, a two-qubit gate on quarter-blocks of its pair.
+    """
+
+    _PHASES = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4)}
+    # X, Y: the new 0-half is the first phase times the old 1-half, and the
+    # new 1-half the second phase times the old 0-half
+    _EXCHANGES = {"X": (1.0, 1.0), "Y": (-1j, 1j)}
+    _SQRT1_2 = 1 / np.sqrt(2)
+
+    def __init__(self, num_qubits):
+        self.n = num_qubits
+        self.vec = np.zeros(2**num_qubits, dtype=complex)
+        self.vec[0] = 1.0
+
+    @property
+    def vec(self):
+        return self._vec
+
+    @vec.setter
+    def vec(self, value):
+        value = np.ascontiguousarray(value, dtype=complex).reshape(-1)
+        assert value.size == 1 << self.n
+        self._vec = value
+
+    def apply_gate(self, gate, targets):
+        return self.apply_layer(gate, [targets])
+
+    def apply_layer(self, gate, targets):
+        g = gate.upper()
+        _check_layer(self.n, targets, _ARITY[g])
+        for t in targets:
+            self._apply(g, t)
+        return self
+
+    def _apply(self, g, targets):
+        if g in self._PHASES:
+            _, one = self._halves(targets[0])
+            one *= self._PHASES[g]
+        elif g in self._EXCHANGES:
+            to_zero, to_one = self._EXCHANGES[g]
+            zero, one = self._halves(targets[0])
+            old_zero = zero.copy()
+            np.multiply(one, to_zero, out=zero)
+            np.multiply(old_zero, to_one, out=one)
+        elif g == "H":
+            zero, one = self._halves(targets[0])
+            total = zero + one
+            np.subtract(zero, one, out=one)
+            zero[...] = total
+            self._vec *= self._SQRT1_2
+        elif g == "CNOT":
+            _exchange(self._quarter(targets, 1, 0), self._quarter(targets, 1, 1))
+        elif g == "CZ":
+            both = self._quarter(targets, 1, 1)
+            both *= -1.0
+        else:   # SWAP
+            _exchange(self._quarter(targets, 0, 1), self._quarter(targets, 1, 0))
+
+    def _halves(self, q):
+        v = self._vec.reshape(1 << q, 2, -1)
+        return v[:, 0], v[:, 1]
+
+    def _quarter(self, pair, bit_a, bit_b):
+        a, b = pair
+        lo, hi = sorted(pair)
+        v = self._vec.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+        return v[:, bit_a, :, bit_b] if a < b else v[:, bit_b, :, bit_a]
+
+    def _branch(self, qubit, basis, outcome):
+        """Z: c is the outcome's half (a view).  Y: (I +- Y)/2 maps the halves
+        (a, b) to (c, +-i c)/sqrt(2) with c = (a -+ i b)/sqrt(2)."""
+        zero, one = self._halves(qubit)
+        if basis == "Z":
+            c = one if outcome else zero
+        else:
+            c = one * (1j if outcome else -1j)
+            c += zero
+            c *= self._SQRT1_2
+        return float(np.linalg.norm(c) ** 2), c
+
+    def measure(self, qubit, basis="Z", force=None):
+        b = _check_basis(basis)
+        _check_targets(self.n, (qubit,))
+        _check_force(force)
+        p0, c = self._branch(qubit, b, 0)
+        deterministic = p0 < ZERO_PROBABILITY or p0 > 1 - ZERO_PROBABILITY
+        if force is not None:
+            outcome = int(force)
+        elif deterministic:
+            outcome = 0 if p0 > 0.5 else 1
+        else:
+            raise RandomOutcomeError("random measurement needs a forced branch")
+        prob = p0
+        if outcome:
+            prob, c = self._branch(qubit, b, 1)
+        if prob < ZERO_PROBABILITY:
+            raise ImpossibleOutcomeError("forced branch has zero amplitude")
+        zero, one = self._halves(qubit)
+        if b == "Z":
+            (zero if outcome else one)[...] = 0.0
+            c /= np.sqrt(prob)
+        else:
+            np.multiply(c, self._SQRT1_2 / np.sqrt(prob), out=zero)
+            np.multiply(zero, -1j if outcome else 1j, out=one)
+        return outcome, deterministic
+
+    def branch_probabilities(self, qubit, basis="Z"):
+        b = _check_basis(basis)
+        return self._branch(qubit, b, 0)[0], self._branch(qubit, b, 1)[0]
+
+    def copy(self):
+        d = ref_DenseState(self.n)
+        d.vec = self._vec.copy()
+        return d
+
+
+def _exchange(a, b):
+    """Swap the contents of two equal-shaped views."""
+    old_a = a.copy()
+    a[...] = b
+    b[...] = old_a
 
 
 def to_dense(tab: StabilizerState) -> np.ndarray:
@@ -676,3 +805,118 @@ def test_single_qubit_measure_matches_measure_pauli():
         assert tab.measure(q, basis, force=force) == ref.measure_pauli(pauli, force=force)
         assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(tab),
                                                            engine_snapshot(ref)))
+
+
+# -- the support-stored dense engine against the full-vector reference ----------
+
+@st.composite
+def dense_programs(draw):
+    """1-6 qubits and a random program from |0...0>: disjoint layers of every
+    gate, T included; Z and Y measurements, forced to either outcome or left to
+    a deterministic one; copies; and branch-probability reads."""
+    n = draw(st.integers(1, 6))
+    gates = [g for g in CLIFFORD_GATES + ("T",) if _ARITY[g] <= n]
+    steps = []
+    for _ in range(draw(st.integers(1, 30))):
+        kind = draw(st.sampled_from(["layer", "layer", "layer", "measure", "copy", "probe"]))
+        if kind == "layer":
+            gate = draw(st.sampled_from(gates))
+            arity = _ARITY[gate]
+            qubits = draw(st.permutations(range(n)))
+            count = draw(st.integers(1, n // arity))
+            steps.append((kind, gate, [tuple(qubits[arity * i:arity * (i + 1)])
+                                       for i in range(count)]))
+        elif kind == "measure":
+            steps.append((kind, draw(st.integers(0, n - 1)), draw(st.sampled_from("ZY")),
+                          draw(st.sampled_from([None, 0, 1]))))
+        elif kind == "probe":
+            steps.append((kind, draw(st.integers(0, n - 1)), draw(st.sampled_from("ZY"))))
+        else:
+            steps.append((kind,))
+    return n, steps
+
+
+def measured(state, qubit, basis, force):
+    """(outcome, deterministic), or the type of the error the measurement raised."""
+    try:
+        return state.measure(qubit, basis, force=force)
+    except ValueError as err:
+        return type(err)
+
+
+def assert_matches_reference(den, ref):
+    assert np.abs(den.vec - ref.vec).max() < 1e-12
+    assert den._amp.all(), "an exact zero is stored"
+    assert len(set(den._idx.tolist())) == den._idx.size
+    assert abs(den.norm() - np.linalg.norm(ref.vec)) < 1e-12
+
+
+@given(dense_programs())
+@settings(max_examples=200, deadline=None)
+def test_support_engine_matches_the_full_vector_reference(program):
+    n, steps = program
+    den, ref = DenseState(n), ref_DenseState(n)
+    frozen = []    # (state, its vector) as a copy left it
+    for step in steps:
+        kind = step[0]
+        if kind == "layer":
+            den.apply_layer(*step[1:])
+            ref.apply_layer(*step[1:])
+        elif kind == "measure":
+            assert measured(den, *step[1:]) == measured(ref, *step[1:])
+        elif kind == "probe":
+            got, want = den.branch_probabilities(*step[1:]), ref.branch_probabilities(*step[1:])
+            assert np.abs(np.subtract(got, want)).max() < 1e-12
+        else:
+            frozen.append((den, den.vec))
+            den, ref = den.copy(), ref.copy()
+        assert_matches_reference(den, ref)
+    for state, vec in frozen:    # later steps ran on the copies only
+        assert np.array_equal(state.vec, vec)
+
+
+def test_vec_is_built_on_read_and_not_writeable():
+    den = DenseState(2).apply_gate("H", (0,))
+    with pytest.raises(ValueError):
+        den.vec[1] = 1.0
+    with pytest.raises(ValueError):
+        den.vec *= 2
+    assert np.allclose(den.vec, np.array([1, 0, 1, 0]) / np.sqrt(2))
+    den.vec = np.array([0, 0, 0, 1j])    # assigning stores the nonzero entries
+    assert den._idx.tolist() == [3] and np.allclose(den.vec, [0, 0, 0, 1j])
+
+
+def test_amplitudes_are_written_and_read_at_basis_indices():
+    indices, amps = np.array([5, 2, 6]), np.array([0.6, 0.0, 0.8j])
+    den = DenseState(3).set_amplitudes(indices, amps)
+    indices[0], amps[0] = 7, 1.0                      # the state holds copies
+    assert den._idx.tolist() == [5, 6]                 # the exact zero is not stored
+    assert np.array_equal(den.amplitudes([6, 2, 5, 0]), [0.8j, 0, 0.6, 0])
+    want = np.zeros(8, dtype=complex)
+    want[5], want[6] = 0.6, 0.8j
+    assert np.array_equal(den.vec, want)
+    for outside in (8, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            den.amplitudes([outside])
+
+
+@pytest.mark.parametrize("indices, amps", [
+    ([1, 1], [0.6, 0.8]),        # a repeated basis index
+    ([8], [1.0]),                # out of range for 3 qubits
+    ([-1], [1.0]),
+    ([0, 1], [1.0]),             # one amplitude per index
+    ([0, 1], [0.0, 0.0]),        # the zero vector
+], ids=["repeated", "too-large", "negative", "length", "zero-vector"])
+def test_bad_amplitudes_rejected_before_the_state_changes(indices, amps):
+    den = DenseState(3).apply_gate("H", (1,))
+    before = den.vec
+    with pytest.raises(ValueError):
+        den.set_amplitudes(indices, amps)
+    assert np.array_equal(den.vec, before)
+
+
+def test_dense_state_keeps_its_qubit_cap():
+    for n in (0, 21):
+        with pytest.raises(ValueError, match="1..20"):
+            DenseState(n)
+    assert DenseState(20).amplitudes([0, (1 << 20) - 1]).tolist() == [1, 0]

@@ -12,11 +12,10 @@ import pytest
 from loopfold.circuits import run_on_state
 from loopfold.patches import build_patch
 from loopfold.protocols import transversal_h_circuit, transversal_s_circuit
-from loopfold.tableau import DenseState
 from loopfold.verify import (_LOGICAL_1Q, _TEST_STATES, FIDELITY_TOL, _logical_basis,
                              dense_protocol_fidelity)
 
-from test_tableau import apply_pauli_dense
+from test_tableau import apply_pauli_dense, ref_DenseState
 
 
 def ref_logical_basis(patch):
@@ -32,13 +31,14 @@ def ref_logical_basis(patch):
 
 
 def ref_fidelity(patch, circuit, gate, alpha, beta):
-    """Reference: encode, replay and compare on full vectors from the projector basis."""
+    """Reference: encode, replay and compare on full vectors from the projector
+    basis, on the full-vector engine."""
     zero, one = ref_logical_basis(patch)
 
     def encode(a, b):
         out = a * zero + b * one
         return out / np.linalg.norm(out)
-    st = DenseState(patch.num_qubits)
+    st = ref_DenseState(patch.num_qubits)
     st.vec = encode(alpha, beta)
     run_on_state(circuit, st)
     a2, b2 = _LOGICAL_1Q[gate] @ np.array([alpha, beta])
