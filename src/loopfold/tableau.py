@@ -330,6 +330,7 @@ class DenseState:
         self._idx = np.zeros(1, dtype=np.intp)
         self._amp = np.ones(1, dtype=complex)
         self._slots = None   # the scratch map of `_find`, made on first use, shared by copies
+        self._split = None   # ((qubit, basis), branches) of the last `_branches`, until a write
 
     @property
     def vec(self) -> np.ndarray:
@@ -360,6 +361,7 @@ class DenseState:
         if not np.count_nonzero(nonzero):
             raise ValueError("the zero vector is not a state")
         self._idx, self._amp = idx[nonzero], amp[nonzero]   # copies
+        self._split = None
         return self
 
     def amplitudes(self, indices) -> np.ndarray:
@@ -407,6 +409,7 @@ class DenseState:
         return 1 << (self.n - 1 - q)
 
     def _apply(self, g: str, bits: list[int]) -> None:
+        self._split = None
         idx, amp = self._idx, self._amp
         if g in self._PHASES:
             amp *= np.where(idx & bits[0], self._PHASES[g], 1)
@@ -431,9 +434,9 @@ class DenseState:
         """H on the qubit of `bit`: (a0 + a1)/sqrt(2) at i and (a0 - a1)/sqrt(2) at
         i | bit, for each pair {i, i | bit} that meets the support.
 
-        Each stored entry is rewritten in place from its partner's amplitude
-        (0 if the partner is not stored), and a lone entry's partner is
-        appended with (a0 or a1)/sqrt(2).
+        Each stored entry gets its new amplitude from its own and its
+        partner's (0 if the partner is not stored), and the partner of a lone
+        entry is appended with (a0 or a1)/sqrt(2).
         """
         idx, amp = self._idx, self._amp
         partner = self._find(idx, idx ^ bit)
@@ -455,8 +458,8 @@ class DenseState:
         lead = (~one | (partner < 0)).nonzero()[0]   # each pair once: its 0-member if stored
         members = np.array((lead, partner[lead]))      # slots of the entry and its partner
         # a lone 1-member leads its pair, so its slot goes in the 1 row
-        zero, one = self._at(np.where(one[lead], members[::-1], members))
-        return idx[lead] & ~bit, zero, one
+        a0, a1 = self._at(np.where(one[lead], members[::-1], members))
+        return idx[lead] & ~bit, a0, a1
 
     def _keep_nonzero(self, idx: np.ndarray, amp: np.ndarray) -> None:
         """Store the entries of (idx, amp) whose amplitude is not exactly 0."""
@@ -464,6 +467,7 @@ class DenseState:
             keep = amp != 0
             idx, amp = idx[keep], amp[keep]
         self._idx, self._amp = idx, amp
+        self._split = None
 
     def _branches(self, qubit: int, basis: str) -> list[tuple[np.ndarray, np.ndarray]]:
         """Both outcomes of a measurement: (indices, amplitudes c).
@@ -472,14 +476,21 @@ class DenseState:
         pair's amplitudes (a0, a1) to (c, +-i c)/sqrt(2) with c = (a0 -+ i a1)/sqrt(2),
         given per pair with the index whose bit is clear; the pairs are found
         once for both outcomes.  In both cases the probability is |c|^2.
+        The result is kept until the state is next written, because
+        `walk_outcomes` reads `branch_probabilities` and then measures.
         """
+        if self._split is not None and self._split[0] == (qubit, basis):
+            return self._split[1]
         bit = self._bit(qubit)
         if basis == "Z":
             one = (self._idx & bit).astype(bool)
-            return [(self._idx[m], self._amp[m]) for m in (~one, one)]
-        base, zero, one = self._pairs(bit)
-        c = (zero + one * _MINUS_PLUS_I) * _SQRT1_2   # one row per outcome
-        return [(base, c[0]), (base, c[1])]
+            branches = [(self._idx[m], self._amp[m]) for m in (~one, one)]
+        else:
+            base, zero, one = self._pairs(bit)
+            c = (zero + one * _MINUS_PLUS_I) * _SQRT1_2   # one row per outcome
+            branches = [(base, c[0]), (base, c[1])]
+        self._split = ((qubit, basis), branches)
+        return branches
 
     def measure(self, qubit: int, basis: str = "Z",
                 force: Optional[int] = None) -> tuple[int, bool]:
@@ -508,6 +519,7 @@ class DenseState:
             raise ImpossibleOutcomeError("forced branch has zero amplitude")
         if b == "Z":
             self._idx, self._amp = idx, c / math.sqrt(prob)
+            self._split = None
         else:
             zero = c * (_SQRT1_2 / math.sqrt(prob))
             self._keep_nonzero(np.concatenate((idx, idx | self._bit(qubit))),
@@ -528,6 +540,7 @@ class DenseState:
         d.n = self.n
         d._idx, d._amp = self._idx.copy(), self._amp.copy()
         d._slots = self._slots   # scratch that every use leaves as it found it
+        d._split = None
         return d
 
 

@@ -898,6 +898,22 @@ def test_amplitudes_are_written_and_read_at_basis_indices():
     for outside in (8, -1):
         with pytest.raises(ValueError, match="out of range"):
             den.amplitudes([outside])
+    assert den.branch_probabilities(0) == (0.0, 1.0)
+    den.set_amplitudes([1], [1.0])                     # a write after a read-out
+    assert den.branch_probabilities(0) == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("basis", ["Z", "Y"])
+def test_copies_measured_alike_stay_independent(basis):
+    """The walker's order: read both outcomes, copy, measure the copy and the
+    original; later gates on one must not reach the other."""
+    den = DenseState(2).apply_gate("H", (0,)).apply_gate("CNOT", (0, 1))
+    den.branch_probabilities(1, basis)
+    twin = den.copy()
+    assert twin.measure(1, basis, force=0) == den.measure(1, basis, force=0)
+    before = den.vec
+    twin.apply_gate("X", (0,)).apply_gate("S", (1,))
+    assert np.array_equal(den.vec, before)
 
 
 @pytest.mark.parametrize("indices, amps", [
