@@ -2,8 +2,9 @@
 
 A ScheduledCircuit is the common currency of the code layer: the tableau and
 dense engines replay its events in slot order, one layer of same-kind gates on
-disjoint qubits at a time.  The engines only project; `run_on_state` follows
-one path and is the one place that samples a random outcome, and
+disjoint qubits at a time.  Each measurement is one engine `measure` call per
+outcome, which projects and returns the outcome's probability.  `run_on_state`
+follows one path and is the one place that samples a random outcome, and
 `walk_outcomes` walks the measurement-outcome tree depth first and yields each
 leaf with its probability.  The loop simulator does not read circuits; its
 timed events live in loopsim.TimedSchedule.
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
-from .tableau import ZERO_PROBABILITY, RandomOutcomeError
+from .tableau import RandomOutcomeError
 
 
 @dataclass(frozen=True)
@@ -109,17 +110,17 @@ def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
     """Replay a circuit on a tableau or dense state along one path; returns the record.
 
     The engine reads a deterministic outcome.  A random one is 1 when
-    `rng.random()` is at least its p0 from `branch_probabilities`, and is
-    then forced; without an rng the engine's `RandomOutcomeError` propagates."""
+    `rng.random()` is at least the p0 that `RandomOutcomeError` carries, and
+    is then forced; without an rng the error propagates."""
     ops, record, i = _compile(circuit), {}, -1
     while (i := _advance(ops, i + 1, state, record)) < len(ops):
         q, basis, key = ops[i][2]
         try:
             record[key], _ = state.measure(q, basis)
-        except RandomOutcomeError:
+        except RandomOutcomeError as exc:
             if rng is None:
                 raise
-            record[key] = int(rng.random() >= state.branch_probabilities(q, basis)[0])
+            record[key] = int(rng.random() >= exc.p0)
             state.measure(q, basis, force=record[key])
     return record
 
@@ -127,10 +128,10 @@ def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
 def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, int], float, Any]]:
     """Every leaf of the circuit's measurement-outcome tree, depth first.
 
-    Yields (record, probability, state) per leaf.  At a measurement both
-    outcomes are weighed with `state.branch_probabilities`; a branch below
-    ZERO_PROBABILITY is dropped.  Only two live branches copy the state, for
-    one of them, so `state` itself is advanced along one path.
+    Yields (record, probability, state) per leaf.  A measurement is first
+    made unforced: a deterministic outcome projects `state` in place.  A
+    random one copies the state once, forces 1 on the copy and 0 on the
+    state, so `state` itself is advanced along one path.
     """
     ops = _compile(circuit)
     stack = [(0, {}, 1.0, state)]
@@ -141,10 +142,12 @@ def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, 
             yield record, prob, st
             continue
         q, basis, key = ops[i][2]
-        probs = st.branch_probabilities(q, basis)
-        live = [(b, probs[b]) for b in (1, 0) if probs[b] >= ZERO_PROBABILITY]
-        for b, p in live:
-            branch, rec = (st, record) if b == live[-1][0] else (st.copy(), dict(record))
-            branch.measure(q, basis, force=b)
+        try:
+            outcomes = [(st.measure(q, basis), st, record)]
+        except RandomOutcomeError:
+            one = st.copy()
+            outcomes = [(one.measure(q, basis, force=1), one, dict(record)),
+                        (st.measure(q, basis, force=0), st, record)]
+        for (b, p), branch, rec in outcomes:
             rec[key] = b
             stack.append((i + 1, rec, prob * p, branch))

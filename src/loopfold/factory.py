@@ -22,7 +22,7 @@ from .circuits import ScheduledCircuit, walk_outcomes
 from .costs import (NS_PER_US, OPERATING_N, SPACE, cnot_time, effective_cycle_time,
                     gate_time)
 from .loopsim import SILICON, TimingParams
-from .tableau import ZERO_PROBABILITY, DenseState
+from .tableau import DenseState, ImpossibleOutcomeError
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -138,11 +138,12 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
     branches: list[BranchResult] = []
     for record, prob, st in walk_outcomes(circuit, start):
         st.apply_gate("H", (plus,))
-        fid = 0.0
-        if st.branch_probabilities(plus)[0] >= ZERO_PROBABILITY:
+        try:
             st.measure(plus, "Z", force=0)
             out = _reduced_triple(st, circuit.meta["outputs"])
             fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
+        except ImpossibleOutcomeError:   # the postselection on <+| is impossible
+            fid = 0.0
         branches.append(BranchResult(record, prob, fid))
     min_fid = min((b.fidelity for b in branches), default=0.0)
     total = sum(b.probability for b in branches)

@@ -22,12 +22,13 @@ fancy-indexed update of each column array (a SWAP layer is a plain column
 exchange); the dense engine applies the layer's gates one by one.  A Z or Y
 measurement with a deterministic outcome is read from the qubit's columns.
 
-Neither engine draws random numbers.  A measurement projects: a
-deterministic outcome is read, and a random one is taken from `force`
-(without it, `RandomOutcomeError`).  `branch_probabilities` gives both
-outcomes' probabilities, from which `circuits.run_on_state` samples and
-`circuits.walk_outcomes` branches; an outcome below ZERO_PROBABILITY counts
-as impossible everywhere.
+Neither engine draws random numbers.  One `measure` call per outcome is the
+whole measurement contract: it projects and returns (outcome, probability of
+that outcome).  A deterministic outcome is read; a random one is taken from
+`force`, and without it `RandomOutcomeError` carries p0, from which
+`circuits.run_on_state` samples and on which `circuits.walk_outcomes`
+branches.  An outcome below ZERO_PROBABILITY is impossible: forcing it raises
+`ImpossibleOutcomeError`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,12 @@ class ImpossibleOutcomeError(ValueError):
 
 
 class RandomOutcomeError(ValueError):
-    """Raised when a measurement with two possible outcomes is not forced."""
+    """Raised when a measurement with two possible outcomes is not forced;
+    `p0` is the probability of outcome 0."""
+
+    def __init__(self, p0: float):
+        super().__init__("random measurement needs a forced branch")
+        self.p0 = p0
 
 
 class StabilizerState:
@@ -173,37 +179,26 @@ class StabilizerState:
     # -- measurement -----------------------------------------------------------
 
     def measure(self, qubit: int, basis: str = "Z",
-                force: Optional[int] = None) -> tuple[int, bool]:
+                force: Optional[int] = None) -> tuple[int, float]:
         """Measure a qubit in the Z or Y basis; see `measure_pauli`.
 
         A deterministic outcome is read from the qubit's columns; only a
         random one builds the n-qubit Pauli.
         """
+        b = _check_basis(basis)
+        _check_targets(self.n, (qubit,))
         _check_force(force)
-        b, anti = self._qubit_rows(qubit, basis)
+        anti = self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
         if anti[self.n:].any():
             return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), force)
         return self._deterministic(anti[:self.n], 1 if b == "Y" else 0, force)
 
-    def branch_probabilities(self, qubit: int, basis: str = "Z") -> tuple[float, float]:
-        """(p0, p1) for measuring `qubit` in `basis`: both 1/2, or one of them 1."""
-        b, anti = self._qubit_rows(qubit, basis)
-        if anti[self.n:].any():
-            return 0.5, 0.5
-        one = self._product_sign(anti[:self.n], 1 if b == "Y" else 0)
-        return (0.0, 1.0) if one else (1.0, 0.0)
-
-    def _qubit_rows(self, qubit: int, basis: str) -> tuple[str, np.ndarray]:
-        """The checked basis, and which rows anticommute with it on `qubit`."""
-        b = _check_basis(basis)
-        _check_targets(self.n, (qubit,))
-        return b, self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
-
     def measure_pauli(self, pauli: PauliString,
-                      force: Optional[int] = None) -> tuple[int, bool]:
+                      force: Optional[int] = None) -> tuple[int, float]:
         """Measure a Hermitian Pauli P directly on the rows (Aaronson-Gottesman).
 
-        Returns (outcome, deterministic); outcome 0 is the +1 eigenvalue of P.
+        Returns (outcome, its probability): 1.0 for a deterministic outcome,
+        0.5 for a random one; outcome 0 is the +1 eigenvalue of P.
         `force` (0 or 1) selects the branch of a random outcome, and a random
         outcome without it raises `RandomOutcomeError`; a forced branch that
         disagrees with a deterministic outcome raises
@@ -217,7 +212,7 @@ class StabilizerState:
         if stab.size == 0:
             return self._deterministic(anti[:n], pauli.phase, force)
         if force is None:
-            raise RandomOutcomeError("random measurement needs a forced branch")
+            raise RandomOutcomeError(0.5)
         outcome = int(force)
         # multiply the first anticommuting stabilizer p into every other
         # anticommuting row: in the explicit-i convention P_p * P_h has phase
@@ -236,7 +231,7 @@ class StabilizerState:
         for a in (self.x, self.z, self.r):
             a[p - n] = a[p]
         self.x[p], self.z[p], self.r[p] = pauli.x, pauli.z, outcome ^ sign
-        return outcome, False
+        return outcome, 0.5
 
     def _anticommuting(self, pauli: PauliString) -> tuple[np.ndarray, int]:
         """Which of the 2n rows anticommute with `pauli`, and its sign bit."""
@@ -252,12 +247,12 @@ class StabilizerState:
         return anti.astype(bool), sign
 
     def _deterministic(self, destabilizers: np.ndarray, phase: int,
-                       force: Optional[int]) -> tuple[int, bool]:
-        """(outcome, True) for a Pauli of explicit-i phase `phase` in the group."""
+                       force: Optional[int]) -> tuple[int, float]:
+        """(outcome, 1.0) for a Pauli of explicit-i phase `phase` in the group."""
         outcome = self._product_sign(destabilizers, phase)
         if force is not None and int(force) != outcome:
             raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
-        return outcome, True
+        return outcome, 1.0
 
     def _product_sign(self, destabilizers: np.ndarray, phase: int) -> int:
         """Sign bit of +-P = product of the stabilizers paired with the marked destabilizers.
@@ -330,7 +325,6 @@ class DenseState:
         self._idx = np.zeros(1, dtype=np.intp)
         self._amp = np.ones(1, dtype=complex)
         self._slots = None   # the scratch map of `_find`, made on first use, shared by copies
-        self._split = None   # ((qubit, basis), branches) of the last `_branches`, until a write
 
     @property
     def vec(self) -> np.ndarray:
@@ -361,7 +355,6 @@ class DenseState:
         if not np.count_nonzero(nonzero):
             raise ValueError("the zero vector is not a state")
         self._idx, self._amp = idx[nonzero], amp[nonzero]   # copies
-        self._split = None
         return self
 
     def amplitudes(self, indices) -> np.ndarray:
@@ -409,7 +402,6 @@ class DenseState:
         return 1 << (self.n - 1 - q)
 
     def _apply(self, g: str, bits: list[int]) -> None:
-        self._split = None
         idx, amp = self._idx, self._amp
         if g in self._PHASES:
             amp *= np.where(idx & bits[0], self._PHASES[g], 1)
@@ -467,7 +459,6 @@ class DenseState:
             keep = amp != 0
             idx, amp = idx[keep], amp[keep]
         self._idx, self._amp = idx, amp
-        self._split = None
 
     def _branches(self, qubit: int, basis: str) -> list[tuple[np.ndarray, np.ndarray]]:
         """Both outcomes of a measurement: (indices, amplitudes c).
@@ -476,61 +467,47 @@ class DenseState:
         pair's amplitudes (a0, a1) to (c, +-i c)/sqrt(2) with c = (a0 -+ i a1)/sqrt(2),
         given per pair with the index whose bit is clear; the pairs are found
         once for both outcomes.  In both cases the probability is |c|^2.
-        The result is kept until the state is next written, because
-        `walk_outcomes` reads `branch_probabilities` and then measures.
         """
-        if self._split is not None and self._split[0] == (qubit, basis):
-            return self._split[1]
         bit = self._bit(qubit)
         if basis == "Z":
             one = (self._idx & bit).astype(bool)
-            branches = [(self._idx[m], self._amp[m]) for m in (~one, one)]
-        else:
-            base, zero, one = self._pairs(bit)
-            c = (zero + one * _MINUS_PLUS_I) * _SQRT1_2   # one row per outcome
-            branches = [(base, c[0]), (base, c[1])]
-        self._split = ((qubit, basis), branches)
-        return branches
+            return [(self._idx[m], self._amp[m]) for m in (~one, one)]
+        base, zero, one = self._pairs(bit)
+        c = (zero + one * _MINUS_PLUS_I) * _SQRT1_2   # one row per outcome
+        return [(base, c[0]), (base, c[1])]
 
     def measure(self, qubit: int, basis: str = "Z",
-                force: Optional[int] = None) -> tuple[int, bool]:
-        """Project `qubit` onto a Z or Y eigenstate; (outcome, deterministic).
+                force: Optional[int] = None) -> tuple[int, float]:
+        """Project `qubit` onto a Z or Y eigenstate; (outcome, its probability).
 
         Outcome 0 is the +1 eigenvalue.  A random outcome is taken from
-        `force`, and raises `RandomOutcomeError` without it.  A forced branch
-        of zero probability raises `ImpossibleOutcomeError`, and a `force`
-        other than 0 or 1 `ValueError`, before the state is written.
+        `force`, and raises `RandomOutcomeError` (carrying p0) without it.  A
+        forced branch below ZERO_PROBABILITY raises `ImpossibleOutcomeError`,
+        and a `force` other than 0 or 1 `ValueError`, before the state is
+        written.
         """
         b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
         _check_force(force)
         branches = self._branches(qubit, b)
         p0 = _probability(branches[0][1])
-        deterministic = p0 < ZERO_PROBABILITY or p0 > 1 - ZERO_PROBABILITY
         if force is not None:
             outcome = int(force)
-        elif deterministic:
+        elif p0 < ZERO_PROBABILITY or p0 > 1 - ZERO_PROBABILITY:
             outcome = 0 if p0 > 0.5 else 1
         else:
-            raise RandomOutcomeError("random measurement needs a forced branch")
+            raise RandomOutcomeError(p0)
         idx, c = branches[outcome]
         prob = _probability(c) if outcome else p0
         if prob < ZERO_PROBABILITY:
             raise ImpossibleOutcomeError("forced branch has zero amplitude")
         if b == "Z":
             self._idx, self._amp = idx, c / math.sqrt(prob)
-            self._split = None
         else:
             zero = c * (_SQRT1_2 / math.sqrt(prob))
             self._keep_nonzero(np.concatenate((idx, idx | self._bit(qubit))),
                                np.concatenate((zero, zero * (-1j if outcome else 1j))))
-        return outcome, deterministic
-
-    def branch_probabilities(self, qubit: int, basis: str = "Z") -> tuple[float, float]:
-        """(p0, p1) for measuring `qubit` in `basis`."""
-        _check_targets(self.n, (qubit,))
-        (_, c0), (_, c1) = self._branches(qubit, _check_basis(basis))
-        return _probability(c0), _probability(c1)
+        return outcome, prob
 
     def norm(self) -> float:
         return float(np.linalg.norm(self._amp))
@@ -540,7 +517,6 @@ class DenseState:
         d.n = self.n
         d._idx, d._amp = self._idx.copy(), self._amp.copy()
         d._slots = self._slots   # scratch that every use leaves as it found it
-        d._split = None
         return d
 
 

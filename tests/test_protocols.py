@@ -173,7 +173,7 @@ def test_s_teleport_logical_composition():
         run_on_state(transversal_two_qubit(emb, 0, 1, "CNOT", [a, b]), prepared)
         for out in (0, 1):   # the logical Y outcome is random: check both branches
             st = prepared.copy()
-            assert st.measure_pauli(ylog, force=out) == (out, False)
+            assert st.measure_pauli(ylog, force=out) == (out, 0.5)
             if out == 0:
                 for q in support(stack.logical_pauli(0, "Z")):
                     st.apply_gate("Z", (q,))

@@ -125,7 +125,7 @@ class ref_DenseState:
         elif deterministic:
             outcome = 0 if p0 > 0.5 else 1
         else:
-            raise RandomOutcomeError("random measurement needs a forced branch")
+            raise RandomOutcomeError(p0)
         prob = p0
         if outcome:
             prob, c = self._branch(qubit, b, 1)
@@ -138,7 +138,7 @@ class ref_DenseState:
         else:
             np.multiply(c, self._SQRT1_2 / np.sqrt(prob), out=zero)
             np.multiply(zero, -1j if outcome else 1j, out=one)
-        return outcome, deterministic
+        return outcome, prob
 
     def branch_probabilities(self, qubit, basis="Z"):
         b = _check_basis(basis)
@@ -164,8 +164,11 @@ def to_dense(tab: StabilizerState) -> np.ndarray:
     probe = tab.copy()
     idx = 0
     for q in range(tab.n):
-        bit = int(probe.branch_probabilities(q)[0] == 0)
-        idx = (idx << 1) | probe.measure(q, "Z", force=bit)[0]
+        try:
+            bit, _ = probe.measure(q, "Z")
+        except RandomOutcomeError:
+            bit, _ = probe.measure(q, "Z", force=0)
+        idx = (idx << 1) | bit
     vec = np.zeros(2**tab.n, dtype=complex)
     vec[idx] = 1.0
     for g in tab.stabilizer_generators():
@@ -234,11 +237,12 @@ def test_engines_agree_including_measurements():
         q = int(rng.integers(n))
         basis = "Y" if rng.random() < 0.3 else "Z"
         bit = int(rng.integers(2))
-        if tab.branch_probabilities(q, basis)[bit] == 0:
-            bit = 1 - bit
-        out, det = tab.measure(q, basis, force=bit)
-        out2, det2 = den.measure(q, basis, force=out)
-        assert (out, det) == (out2, det2)
+        try:
+            out, prob = tab.measure(q, basis, force=bit)
+        except ImpossibleOutcomeError:
+            out, prob = tab.measure(q, basis, force=1 - bit)
+        out2, prob2 = den.measure(q, basis, force=out)
+        assert out2 == out and abs(prob2 - prob) < 1e-12
         assert abs(fidelity(tab, den.vec) - 1) < 1e-9
 
 
@@ -256,8 +260,8 @@ def test_twelve_qubit_agreement_spot_check():
 def test_h_involution_and_s_definition():
     st1 = StabilizerState(1)
     st1.apply_gate("H", (0,)).apply_gate("H", (0,))
-    out, det = st1.measure(0, "Z")
-    assert (out, det) == (0, True)
+    out, prob = st1.measure(0, "Z")
+    assert (out, prob) == (0, 1.0)
 
     den = DenseState(1)
     den.apply_gate("H", (0,)).apply_gate("S", (0,))
@@ -314,7 +318,7 @@ def test_measure_pauli_agrees_with_dense_projector(params):
     if deterministic and branch != outcome:
         with pytest.raises(ImpossibleOutcomeError):
             tab.measure_pauli(pauli, force=branch)
-    assert tab.measure_pauli(pauli, force=outcome) == (outcome, deterministic)
+    assert tab.measure_pauli(pauli, force=outcome) == (outcome, 1.0 if deterministic else 0.5)
     want = DenseState(n)
     want.vec = projected[outcome] / np.sqrt(probs[outcome])
     assert abs(fidelity(tab, want.vec) - 1) < 1e-9
@@ -353,15 +357,15 @@ def test_t_gate_rejected_on_tableau_supported_on_dense():
 
 def test_z_measure_of_zero_state_deterministic():
     tab = StabilizerState(3)
-    out, det = tab.measure(1, "Z")
-    assert (out, det) == (0, True)
+    out, prob = tab.measure(1, "Z")
+    assert (out, prob) == (0, 1.0)
 
 
 def test_y_measure_of_plus_i_eigenstate():
     tab = StabilizerState(1)
     tab.apply_gate("H", (0,)).apply_gate("S", (0,))   # |i>
-    out, det = tab.measure(0, "Y")
-    assert (out, det) == (0, True)
+    out, prob = tab.measure(0, "Y")
+    assert (out, prob) == (0, 1.0)
 
 
 def test_gate_application_preserves_tableau_rank():
@@ -501,9 +505,11 @@ def test_one_zero_probability_threshold(p1, live):
     assert sorted(rec["m"] for rec, _, _ in walk_outcomes(circ, start.copy())) == \
         ([0, 1] if live else [0])
     if live:
-        assert start.copy().measure(0, force=1) == (1, False)
-        with pytest.raises(RandomOutcomeError):
+        out, prob = start.copy().measure(0, force=1)
+        assert out == 1 and prob == pytest.approx(p1)
+        with pytest.raises(RandomOutcomeError) as exc:
             run_on_state(circ, start.copy())
+        assert exc.value.p0 == pytest.approx(1 - p1)
     else:
         with pytest.raises(ImpossibleOutcomeError):
             start.copy().measure(0, force=1)
@@ -576,20 +582,20 @@ def test_dense_measurement_matches_projector(params, eigen):
                 start = start / np.linalg.norm(start)
             projected = [(start + pauli @ start) / 2, (start - pauli @ start) / 2]
             probs = [float(np.vdot(v, v).real) for v in projected]
-            deterministic = min(probs) < 1e-12
             for branch in (0, 1):
                 den = DenseState(n)
                 den.vec = start.copy()
-                assert abs(den.branch_probabilities(q, basis)[branch] - probs[branch]) < 1e-12
                 if probs[branch] < 1e-12:
                     with pytest.raises(ImpossibleOutcomeError):
                         den.measure(q, basis, force=branch)
                     assert np.array_equal(den.vec, start)
                     continue
-                assert den.measure(q, basis, force=branch) == (branch, deterministic)
+                out, prob = den.measure(q, basis, force=branch)
+                assert out == branch and abs(prob - probs[branch]) < 1e-12
                 assert np.allclose(den.vec, projected[branch] / np.sqrt(probs[branch]),
                                    atol=1e-12)
-                assert abs(den.branch_probabilities(q, basis)[branch] - 1) < 1e-12
+                out, prob = den.measure(q, basis)    # now deterministic
+                assert out == branch and abs(prob - 1) < 1e-12
 
 
 @pytest.mark.parametrize("basis, prepare", [("Z", []), ("Y", ["H", "S"])])
@@ -617,9 +623,9 @@ def engine_snapshot(state):
     lambda s: s.apply_gate("H", (-1,)),
     lambda s: s.measure(3, force=0),
     lambda s: s.measure(-1, force=0),
-    lambda s: s.branch_probabilities(3),
+    lambda s: s.measure(3, "Y"),
 ], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1",
-        "branch-probability-3"])
+        "unforced-measure-y-3"])
 def test_bad_targets_rejected_before_the_state_changes(engine, call):
     state = engine(3)
     state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("CNOT", (1, 2))
@@ -813,7 +819,7 @@ def test_single_qubit_measure_matches_measure_pauli():
 def dense_programs(draw):
     """1-6 qubits and a random program from |0...0>: disjoint layers of every
     gate, T included; Z and Y measurements, forced to either outcome or left to
-    a deterministic one; copies; and branch-probability reads."""
+    a deterministic one; copies; and probes, which measure a copy."""
     n = draw(st.integers(1, 6))
     gates = [g for g in CLIFFORD_GATES + ("T",) if _ARITY[g] <= n]
     steps = []
@@ -837,11 +843,19 @@ def dense_programs(draw):
 
 
 def measured(state, qubit, basis, force):
-    """(outcome, deterministic), or the type of the error the measurement raised."""
+    """(outcome, its probability), or the type of the error the measurement raised."""
     try:
         return state.measure(qubit, basis, force=force)
     except ValueError as err:
         return type(err)
+
+
+def assert_same_measurement(got, want):
+    """Equal errors, or equal outcomes with probabilities within 1e-12."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got[0] == want[0] and abs(got[1] - want[1]) < 1e-12
+    else:
+        assert got is want
 
 
 def assert_matches_reference(den, ref):
@@ -863,16 +877,64 @@ def test_support_engine_matches_the_full_vector_reference(program):
             den.apply_layer(*step[1:])
             ref.apply_layer(*step[1:])
         elif kind == "measure":
-            assert measured(den, *step[1:]) == measured(ref, *step[1:])
-        elif kind == "probe":
-            got, want = den.branch_probabilities(*step[1:]), ref.branch_probabilities(*step[1:])
-            assert np.abs(np.subtract(got, want)).max() < 1e-12
+            assert_same_measurement(measured(den, *step[1:]), measured(ref, *step[1:]))
+        elif kind == "probe":   # each outcome forced on a copy, against the reference's p
+            for branch, p in enumerate(ref.branch_probabilities(*step[1:])):
+                assert_same_measurement(measured(den.copy(), *step[1:], branch),
+                                        (branch, p) if p >= ZERO_PROBABILITY
+                                        else ImpossibleOutcomeError)
         else:
             frozen.append((den, den.vec))
             den, ref = den.copy(), ref.copy()
         assert_matches_reference(den, ref)
     for state, vec in frozen:    # later steps ran on the copies only
         assert np.array_equal(state.vec, vec)
+
+
+@st.composite
+def clifford_programs(draw):
+    """1-6 qubits of random Clifford gates and 1-4 keyed Z or Y measurements,
+    with the bit to force at each measurement whose outcome is random."""
+    n = draw(st.integers(1, 6))
+    gates = [g for g in CLIFFORD_GATES if _ARITY[g] <= n]
+    circ, bits = ScheduledCircuit(n), {}
+    for m in range(draw(st.integers(1, 4))):
+        for _ in range(draw(st.integers(0, 8))):
+            gate = draw(st.sampled_from(gates))
+            circ.add(len(circ.events), gate, draw(st.permutations(range(n)))[:_ARITY[gate]])
+        circ.add(len(circ.events), "MEASURE", (draw(st.integers(0, n - 1)),),
+                 basis=draw(st.sampled_from("ZY")), key=f"k{m}")
+        bits[f"k{m}"] = draw(st.integers(0, 1))
+    return circ, bits
+
+
+@given(clifford_programs())
+@settings(max_examples=100, deadline=None)
+def test_measure_returns_the_probability_of_its_outcome(program):
+    """One measurement call per outcome: the dense engine's probability is the
+    full-vector reference's, the tableau's is exactly 1.0 or 0.5, and the
+    walker's leaves sum to 1 on both engines."""
+    circ, bits = program
+    n = circ.num_qubits
+    tab, den, ref = StabilizerState(n), DenseState(n), ref_DenseState(n)
+    for e in circ.sorted_events():
+        if e.action != "MEASURE":
+            for state in (tab, den, ref):
+                state.apply_gate(e.action, e.targets)
+            continue
+        (q,) = e.targets
+        try:
+            out, p_tab = tab.measure(q, e.basis)
+        except RandomOutcomeError as exc:
+            assert exc.p0 == 0.5
+            out, p_tab = tab.measure(q, e.basis, force=bits[e.key])
+        want = ref.branch_probabilities(q, e.basis)[out]
+        ref.measure(q, e.basis, force=out)
+        _, p_den = den.measure(q, e.basis, force=out)
+        assert type(p_tab) is float and p_tab in (1.0, 0.5)
+        assert abs(p_den - want) < 1e-12 and abs(p_den - p_tab) < 1e-12
+    for engine in (StabilizerState, DenseState):
+        assert abs(sum(p for _, p, _ in walk_outcomes(circ, engine(n))) - 1) < 1e-12
 
 
 def test_vec_is_built_on_read_and_not_writeable():
@@ -898,17 +960,17 @@ def test_amplitudes_are_written_and_read_at_basis_indices():
     for outside in (8, -1):
         with pytest.raises(ValueError, match="out of range"):
             den.amplitudes([outside])
-    assert den.branch_probabilities(0) == (0.0, 1.0)
-    den.set_amplitudes([1], [1.0])                     # a write after a read-out
-    assert den.branch_probabilities(0) == (1.0, 0.0)
+    assert den.copy().measure(0) == (1, pytest.approx(1.0))
 
 
 @pytest.mark.parametrize("basis", ["Z", "Y"])
 def test_copies_measured_alike_stay_independent(basis):
-    """The walker's order: read both outcomes, copy, measure the copy and the
-    original; later gates on one must not reach the other."""
+    """The walker's order: an unforced measurement that raises, a copy, then
+    the copy and the original measured; later gates on one must not reach the
+    other."""
     den = DenseState(2).apply_gate("H", (0,)).apply_gate("CNOT", (0, 1))
-    den.branch_probabilities(1, basis)
+    with pytest.raises(RandomOutcomeError):
+        den.measure(1, basis)
     twin = den.copy()
     assert twin.measure(1, basis, force=0) == den.measure(1, basis, force=0)
     before = den.vec
