@@ -20,7 +20,7 @@ from .costs import (CYCLE_N2_EXPR, CYCLE_N2_TERMS, OPERATING_N, STEADY_STATE_EXP
                     T_CYC_STAR_EXPR, cycle_time_n2, effective_cycle_time, gate_cells,
                     pipeline_steady_state, table1)
 from .factory import ccz_factory_spec, factory_runtime, verify_factory
-from .layout import (MergeRequest, fig10a_fixture, fig10b_fixture,
+from .layout import (MergeRequest, check_requests, fig10a_fixture, fig10b_fixture,
                      layout_from_doc, plan_with_swaps, routable)
 from .loopsim import (LoopState, TimingParams, pipeline_model, rearrange,
                       search_lattice, simulate_cycle, swap_protocol,
@@ -285,9 +285,7 @@ def cmd_layout(args, params) -> int:
             requests = [MergeRequest(r["patch_a"], r["operator_a"],
                                      r["patch_b"], r["operator_b"], r.get("layer"))
                         for r in doc.get("requests", [])]
-            for req in requests:
-                for pid in (req.patch_a, req.patch_b):
-                    layout.find(pid)    # KeyError on an unknown patch
+            check_requests(layout, requests)
         except (OSError, KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
             print(f"fixture error: {exc}", file=sys.stderr)
             return 5

@@ -104,6 +104,8 @@ class MergeRequest:
         _check_operator(self.operator_b)
         if self.layer is not None and type(self.layer) is not int:
             raise ValueError(f"a request's layer must be an integer, not {self.layer!r}")
+        if self.patch_a == self.patch_b:
+            raise ValueError(f"request {self} merges patch {self.patch_a!r} with itself")
 
     def __str__(self) -> str:
         return f"{self.operator_a}({self.patch_a})*{self.operator_b}({self.patch_b})"
@@ -193,10 +195,7 @@ class _Placement:
         self.cells = [cell for layer in layout.layers for cell in layer]
         self.patches = [patch for layer in layout.layers for patch in layer.values()]
         index = {p.patch_id: i for i, p in enumerate(self.patches)}
-        for req in requests:
-            for pid in (req.patch_a, req.patch_b):
-                if pid not in index:
-                    raise KeyError(f"no patch {pid!r} in the layout")
+        check_requests(layout, requests)
         self.ends = [(index[r.patch_a], index[r.patch_b], r) for r in requests]
         self.routed: dict[tuple, RoutingResult] = {}
 
@@ -229,10 +228,24 @@ class _Placement:
         return result
 
 
+def check_requests(layout: LayerStackLayout, requests: Sequence[MergeRequest]) -> None:
+    """Raise KeyError for a request naming a patch not in the layout, and
+    ValueError for one pinned to a layer outside its stack."""
+    ids = {p.patch_id for layer in layout.layers for p in layer.values()}
+    for req in requests:
+        for pid in (req.patch_a, req.patch_b):
+            if pid not in ids:
+                raise KeyError(f"no patch {pid!r} in the layout")
+        if req.layer is not None and not 0 <= req.layer < layout.num_layers:
+            raise ValueError(f"request {req} is pinned to layer {req.layer} "
+                             f"of a {layout.num_layers}-layer stack")
+
+
 def routable(layout: LayerStackLayout, requests: Sequence[MergeRequest]) -> RoutingResult:
     """Decide simultaneous feasibility by exhaustive disjoint-path search.
 
-    Unknown patch ids raise `KeyError`.
+    Unknown patch ids raise `KeyError`, and a layer pin outside the stack
+    `ValueError`.
     """
     placement = _Placement(layout, requests)
     return placement.route(placement.start)
@@ -298,7 +311,8 @@ def plan_with_swaps(layout: LayerStackLayout, requests: Sequence[MergeRequest],
     every patch's layer (see `_Placement`), and each distinct layer is routed
     once per call.  Successors come in the expanded state's (layer, cell)
     order, the move to layer - 1 before the move to layer + 1.  Unknown patch
-    ids raise `KeyError` before the search.
+    ids raise `KeyError`, and a layer pin outside the stack `ValueError`,
+    before the search.
     """
     if max_swaps > 8:
         raise ValueError("swap budget capped at 8 (exhaustive search)")
@@ -382,8 +396,15 @@ def fig10b_fixture() -> tuple[LayerStackLayout, list[MergeRequest]]:
 # -- fixture files -------------------------------------------------------------------
 
 def layout_from_doc(doc: dict) -> LayerStackLayout:
+    """The layout a fixture document describes; two patches on one cell of a
+    layer raise ValueError."""
     layers = []
-    for layer in doc["layers"]:
-        layers.append({tuple(rec["cell"]): PatchCell(rec["patch"], rec["ns"])
-                       for rec in layer})
+    for li, records in enumerate(doc["layers"]):
+        layer: dict[Cell, PatchCell] = {}
+        for rec in records:
+            cell = tuple(rec["cell"])
+            if cell in layer:
+                raise ValueError(f"two patches on cell {list(cell)} of layer {li}")
+            layer[cell] = PatchCell(rec["patch"], rec["ns"])
+        layers.append(layer)
     return LayerStackLayout(doc["rows"], doc["cols"], layers, list(doc["layer_roles"]))

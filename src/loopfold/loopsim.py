@@ -454,7 +454,7 @@ def pipeline_model(n: int, params: TimingParams, rounds: int) -> list[Fraction]:
 
     compute = cycle_time_n2(params) - params.t_meas
     tm = params.t_meas
-    m = params.meas_devices
+    m = min(params.meas_devices, n)   # n tokens never keep more than n devices busy
     device_free = [Fraction(0)] * m
     done = [Fraction(0)] * n
     averages: list[Fraction] = []
@@ -579,10 +579,10 @@ def _search_cnot_stack(n: int, gamma: Fraction, params: TimingParams) -> SearchR
     pair trails the first by half a lap.  Sweeps the published worst-case
     geometry on the lattice of lcm(1/gamma, n) points: both pairs share the
     same slot separation g, and the junction offset of the leading qubit
-    ranges over the 1/gamma lattice up to g/2 (the pre-alignment rotation of
-    the synchronized pipeline removes larger offsets, modulo the pair
-    pattern).  The two episodes run back to back; only the lead-in of the
-    first moves the second pair.
+    ranges over the 1/gamma lattice up to g/2.  That cap is an assumption:
+    no event models a rotation that would remove larger offsets, and the
+    maximum is taken over this family only.  The two episodes run back to
+    back; only the lead-in of the first moves the second pair.
     """
     gate_ns = 2 * params.t_2q
     if n == 2:

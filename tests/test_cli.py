@@ -256,12 +256,25 @@ def _integer_patch(doc):
     doc["layers"][0][0]["patch"] = 7
 
 
+def _shared_cell(doc):
+    doc["layers"][0][1]["cell"] = doc["layers"][0][0]["cell"]
+
+
+def _self_merge(doc):
+    doc["requests"][0]["patch_b"] = doc["requests"][0]["patch_a"]
+
+
+def _layer_outside(doc):
+    doc["requests"][0]["layer"] = 5
+
+
 @pytest.mark.parametrize("spoil, names", [
     (_unknown_patch, "'9'"), (_y_boundary, "'Y'"), (_y_operator, "'Y'"),
     (_scalar_cell, "int"), (_missing_role, "1 layer roles for 2 layers"),
-    (_text_layer, "'0'"), (_integer_patch, "not 7"),
+    (_text_layer, "'0'"), (_integer_patch, "not 7"), (_shared_cell, "cell [0, 1] of layer 0"),
+    (_self_merge, "'1' with itself"), (_layer_outside, "layer 5 of a 2-layer stack"),
 ], ids=["unknown-patch", "y-boundary", "y-operator", "scalar-cell", "missing-role",
-        "text-layer", "integer-patch"])
+        "text-layer", "integer-patch", "shared-cell", "self-merge", "layer-outside"])
 @pytest.mark.parametrize("plan", [(), ("--plan",)], ids=["route", "plan"])
 def test_bad_fixture_exits_5_without_traceback(spoil, names, plan, tmp_path, capsys):
     doc = _fig10a_doc()

@@ -136,9 +136,20 @@ def test_malformed_layouts_and_requests_rejected():
     with pytest.raises(ValueError, match="integer"):
         MergeRequest("1", "Z", "2", "X", layer="0")
     assert MergeRequest("1", "Z", "2", "X", layer=1).layer == 1
+    with pytest.raises(ValueError, match="with itself"):
+        MergeRequest("1", "Z", "1", "X")
     for patch_id in (7, None, ("1",)):
         with pytest.raises(ValueError, match="patch id must be a string"):
             PatchCell(patch_id)
+
+
+@pytest.mark.parametrize("layer", [-1, 2, 5])
+def test_request_pinned_outside_the_stack_rejected(layer):
+    layout, _ = fig10a_fixture()    # two layers
+    req = [MergeRequest("1", "Z", "4", "X", layer)]
+    for call in (lambda: routable(layout, req), lambda: plan_with_swaps(layout, req)):
+        with pytest.raises(ValueError, match=f"layer {layer} of a 2-layer stack"):
+            call()
 
 
 def test_split_pair_is_unroutable():

@@ -254,6 +254,13 @@ def test_pipeline_no_contention():
     assert all(a == cycle_time_n2(P) for a in avgs)
 
 
+@pytest.mark.parametrize("n", [2, 5, 16])
+def test_pipeline_devices_beyond_the_token_count_change_nothing(n):
+    """n tokens keep at most n devices busy, so a million devices run as n."""
+    many = TimingParams(meas_devices=10**6)
+    assert pipeline_model(n, many, 12) == pipeline_model(n, TimingParams(meas_devices=n), 12)
+
+
 def test_schedule_text_uses_rationals():
     loop = LoopState({0: F(1, 3), 1: F(2, 3)})
     text = swap_protocol(loop, 0, 1, P).to_text()
