@@ -140,10 +140,11 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
         st.apply_gate("H", (plus,))
         try:
             st.measure(plus, "Z", force=0)
-            out = _reduced_triple(st, circuit.meta["outputs"])
-            fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
         except ImpossibleOutcomeError:   # the postselection on <+| is impossible
             fid = 0.0
+        else:
+            out = _reduced_triple(st, circuit.meta["outputs"])
+            fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
         branches.append(BranchResult(record, prob, fid))
     min_fid = min((b.fidelity for b in branches), default=0.0)
     total = sum(b.probability for b in branches)

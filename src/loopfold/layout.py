@@ -396,8 +396,7 @@ def fig10b_fixture() -> tuple[LayerStackLayout, list[MergeRequest]]:
 # -- fixture files -------------------------------------------------------------------
 
 def layout_from_doc(doc: dict) -> LayerStackLayout:
-    """The layout a fixture document describes; two patches on one cell of a
-    layer raise ValueError."""
+    """The layout of a fixture document; ValueError if two patches share a cell."""
     layers = []
     for li, records in enumerate(doc["layers"]):
         layer: dict[Cell, PatchCell] = {}

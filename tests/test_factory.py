@@ -91,10 +91,11 @@ def ref_verify_factory(circuit, inputs):
         st.apply_gate("H", (plus,))
         try:
             st.measure(plus, "Z", force=0)
-            out = _reduced_triple(st, circuit.meta["outputs"])
-            fid = float(abs(np.vdot(_ccz_state(), out)) ** 2) if out is not None else 0.0
         except ImpossibleOutcomeError:
             fid = 0.0
+        else:
+            out = _reduced_triple(st, circuit.meta["outputs"])
+            fid = float(abs(np.vdot(_ccz_state(), out)) ** 2) if out is not None else 0.0
         pairs.append((record, fid))
     return pairs
 

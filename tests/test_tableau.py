@@ -625,7 +625,7 @@ def engine_snapshot(state):
     lambda s: s.measure(-1, force=0),
     lambda s: s.measure(3, "Y"),
 ], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1",
-        "unforced-measure-y-3"])
+        "measure-y-3"])
 def test_bad_targets_rejected_before_the_state_changes(engine, call):
     state = engine(3)
     state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("CNOT", (1, 2))
