@@ -23,6 +23,7 @@ from .costs import (NS_PER_US, OPERATING_N, SPACE, cnot_time, effective_cycle_ti
                     gate_time)
 from .loopsim import SILICON, TimingParams
 from .tableau import DenseState, ImpossibleOutcomeError
+from .verify import FIDELITY_TOL
 
 OMEGA = np.exp(1j * np.pi / 4)
 
@@ -114,25 +115,25 @@ class FactoryVerification:
     passed: bool
 
 
-def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
-                   tol: float = 1e-9) -> FactoryVerification:
+def verify_factory(circuit: ScheduledCircuit, inputs: str = "T") -> FactoryVerification:
     """Walk every live measurement branch and compare the output with |CCZ>.
 
     One dense qubit per logical qubit; T inputs on q0..q7 (zero ancillae
-    beyond).  `walk_outcomes` yields each branch of nonzero probability
-    once.  q3 is postselected on <+| before comparing (q0, q1, q2) against
-    CCZ|+++>.  The check passes when every branch has fidelity 1 and the
-    branch probabilities sum to 1, both within `tol`.  Passing `inputs="0"`
+    beyond), written with `set_amplitudes` at the 2^8 indices whose ancilla
+    bits are 0, and each output read back with `amplitudes`.
+    `walk_outcomes` yields each branch of nonzero probability once.  q3 is
+    postselected on <+| before comparing (q0, q1, q2) against CCZ|+++>.  The
+    check passes when every branch has fidelity 1 and the branch
+    probabilities sum to 1, both within FIDELITY_TOL.  Passing `inputs="0"`
     exercises the failure path: computational-basis resources cannot
     distill a CCZ state.  Any other `inputs` raises `ValueError`.
     """
     if inputs not in ("T", "0"):
         raise ValueError(f"inputs must be 'T' or '0', not {inputs!r}")
     n = circuit.num_qubits
-    zero = np.array([1.0, 0.0], dtype=complex)
-    resource = _t_state() if inputs == "T" else zero
-    start = DenseState(n)
-    start.vec = reduce(np.kron, [resource if q < T_INPUTS else zero for q in range(n)])
+    resource = _t_state() if inputs == "T" else np.array([1.0, 0.0], dtype=complex)
+    start = DenseState(n).set_amplitudes(np.arange(1 << T_INPUTS) << (n - T_INPUTS),
+                                         reduce(np.kron, [resource] * T_INPUTS))
     plus = circuit.meta["postselect_plus"]
     want = _ccz_state()
     branches: list[BranchResult] = []
@@ -149,7 +150,7 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T",
     min_fid = min((b.fidelity for b in branches), default=0.0)
     total = sum(b.probability for b in branches)
     return FactoryVerification(circuit.meta["variant"], branches, min_fid, total,
-                               min_fid >= 1 - tol and abs(total - 1) <= tol)
+                               min_fid >= 1 - FIDELITY_TOL and abs(total - 1) <= FIDELITY_TOL)
 
 
 def _reduced_triple(st, outputs) -> Optional[np.ndarray]:
@@ -157,11 +158,11 @@ def _reduced_triple(st, outputs) -> Optional[np.ndarray]:
     with anything left over."""
     n = st.n
     others = [q for q in range(n) if q not in outputs]
-    v = st.vec.reshape([2] * n)
-    perm = list(outputs) + others
-    v = np.transpose(v, perm).reshape(8, -1)
-    # the leftover register is collapsed; take the dominant column space
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
+    v = st.amplitudes(np.arange(1 << n)).reshape([2] * n)
+    v = np.transpose(v, list(outputs) + others).reshape(8, -1)
+    # the leftover register is collapsed onto a few live columns; zero
+    # columns add nothing to the dominant column space
+    u, s, _ = np.linalg.svd(v[:, v.any(axis=0)], full_matrices=False)
     if s[0] < 1e-12:
         return None
     if len(s) > 1 and s[1] > 1e-9:

@@ -44,6 +44,9 @@ class LayerStackLayout:
     layer_roles: list[str] = field(default_factory=list)
 
     def __post_init__(self):
+        for name, size in (("rows", self.rows), ("cols", self.cols)):
+            if isinstance(size, bool) or not isinstance(size, int) or size < 1:
+                raise ValueError(f"{name} must be an integer >= 1, not {size!r}")
         if not self.layer_roles:
             self.layer_roles = ["mid_range"] * len(self.layers)
         if len(self.layer_roles) != len(self.layers):

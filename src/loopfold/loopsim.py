@@ -134,7 +134,7 @@ class TimedSchedule:
             for t in e.tokens:
                 by_token.setdefault((e.loop, t), []).append(e)
         for t, evs in by_token.items():
-            evs.sort(key=lambda e: (e.start, e.end))
+            evs.sort(key=lambda e: (e.start, e.duration))   # (start, end) order, no sum
             for a, b in zip(evs, evs[1:]):
                 if b.start < a.end:
                     raise AssertionError(f"token {t} double-booked: {a} vs {b}")

@@ -308,12 +308,13 @@ class DenseState:
     nonzero amplitude (`_idx`, in no particular order) and those amplitudes
     (`_amp`); no exact zero is stored.  X, Y, CNOT and SWAP move indices by
     bit operations, Z, S, SDG, T and CZ scale the amplitudes whose bits are
-    set, H and a Y measurement pair each index i with i ^ bit, and a Z
-    measurement keeps one half.  `vec` is the full vector of 2^n amplitudes,
-    built on each read and not writeable; assigning it stores its nonzero
-    entries.  `set_amplitudes` and `amplitudes` write and read the state at
-    given basis indices without a full vector.
+    set, H and a Y measurement pair each index i with i ^ bit (`_pairs`), and
+    a Z measurement keeps one half.  The state is written only through
+    `set_amplitudes` and read only through `amplitudes`, both at given basis
+    indices; `amplitudes(range(2 ** n))` is the full vector.
     """
+
+    __slots__ = ("n", "_idx", "_amp", "_slots")
 
     # diagonal gates scale the amplitudes whose bit is set
     _PHASES = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4)}
@@ -325,21 +326,6 @@ class DenseState:
         self._idx = np.zeros(1, dtype=np.intp)
         self._amp = np.ones(1, dtype=complex)
         self._slots = None   # the scratch map of `_find`, made on first use, shared by copies
-
-    @property
-    def vec(self) -> np.ndarray:
-        v = np.zeros(1 << self.n, dtype=complex)
-        v[self._idx] = self._amp
-        v.flags.writeable = False   # a write to a vector built on read would be lost
-        return v
-
-    @vec.setter
-    def vec(self, value) -> None:
-        value = np.asarray(value, dtype=complex).reshape(-1)
-        if value.size != 1 << self.n:
-            raise ValueError(f"{value.size} amplitudes for {self.n} qubits")
-        idx = np.flatnonzero(value)
-        self.set_amplitudes(idx, value[idx])
 
     def set_amplitudes(self, indices, amplitudes) -> "DenseState":
         """Make the state the sum of amplitudes[k] |indices[k]>, from copies of
@@ -411,7 +397,7 @@ class DenseState:
             amp *= np.where(idx & bits[0], -1j, 1j)
             idx ^= bits[0]
         elif g == "H":
-            self._hadamard(bits[0])
+            self._keep_nonzero(*self._hadamard(bits[0]))
         elif g == "CNOT":
             control, target = bits
             idx ^= np.where(idx & control, target, 0)
@@ -422,35 +408,27 @@ class DenseState:
             a, b = bits
             idx ^= np.where(((idx & a) == 0) != ((idx & b) == 0), a | b, 0)
 
-    def _hadamard(self, bit: int) -> None:
-        """H on the qubit of `bit`: (a0 + a1)/sqrt(2) at i and (a0 - a1)/sqrt(2) at
-        i | bit, for each pair {i, i | bit} that meets the support.
-
-        Each stored entry gets its new amplitude from its own and its
-        partner's (0 if the partner is not stored), and the partner of a lone
-        entry is appended with (a0 or a1)/sqrt(2).
-        """
-        idx, amp = self._idx, self._amp
-        partner = self._find(idx, idx ^ bit)
-        here = self._at(partner)
-        here += amp * np.where(idx & bit, -1.0, 1.0)
-        lone = (partner < 0).nonzero()[0]
-        if lone.size:
-            idx = np.concatenate((idx, idx[lone] ^ bit))
-            here = np.concatenate((here, amp[lone]))
-        here *= _SQRT1_2
-        self._keep_nonzero(idx, here)
+    def _hadamard(self, bit: int) -> tuple[np.ndarray, np.ndarray]:
+        """H on the qubit of `bit` as (indices, amplitudes): each pair (a0, a1)
+        goes to (a0 + a1, a0 - a1)/sqrt(2).  Returned, not stored, so that the
+        pairs are freed before `_keep_nonzero` filters the result."""
+        base, a0, a1 = self._pairs(bit)
+        amp = np.concatenate((a0 + a1, np.subtract(a0, a1, out=a1)))   # a1 is a fresh row
+        amp *= _SQRT1_2
+        return np.concatenate((base, base | bit)), amp
 
     def _pairs(self, bit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The pairs {i, i | bit} that meet the support: (i, a_i, a_(i|bit)),
-        with i's bit clear and a missing member's amplitude 0."""
+        with i's bit clear and a missing member's amplitude 0; the amplitude
+        rows are fresh, not views of the state."""
         idx = self._idx
         partner = self._find(idx, idx ^ bit)
         one = (idx & bit).astype(bool)
         lead = (~one | (partner < 0)).nonzero()[0]   # each pair once: its 0-member if stored
-        members = np.array((lead, partner[lead]))      # slots of the entry and its partner
-        # a lone 1-member leads its pair, so its slot goes in the 1 row
-        a0, a1 = self._at(np.where(one[lead], members[::-1], members))
+        slots = np.array((lead, partner[lead]))        # slots of the entry and its partner
+        flip = one[lead]   # a lone 1-member leads its pair, so its slot goes in the 1 row
+        slots[:, flip] = slots[::-1, flip]
+        a0, a1 = self._at(slots)
         return idx[lead] & ~bit, a0, a1
 
     def _keep_nonzero(self, idx: np.ndarray, amp: np.ndarray) -> None:
@@ -508,9 +486,6 @@ class DenseState:
             self._keep_nonzero(np.concatenate((idx, idx | self._bit(qubit))),
                                np.concatenate((zero, zero * (-1j if outcome else 1j))))
         return outcome, prob
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amp))
 
     def copy(self) -> "DenseState":
         d = DenseState.__new__(DenseState)

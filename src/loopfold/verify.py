@@ -190,14 +190,14 @@ def verify_s_teleport(seeds: Sequence[int] = range(50),
         for rec, _, leaf in leaves:
             # ancilla collapsed to |+i> or |-i>; contract it out
             anc = minus_i if rec["y"] else plus_i
-            data = leaf.vec.reshape(2, 2) @ anc.conj()
+            data = leaf.amplitudes(range(4)).reshape(2, 2) @ anc.conj()
             worst_y = min(worst_y, abs(np.vdot(want, data / np.linalg.norm(data))) ** 2)
 
         st = DenseState(2).set_amplitudes(_DATA_ONLY, v)
         run_on_state(i_state, st)
         # expected output: S|psi> on the data, Z|i> = |-i> on the resource
         expect = np.outer(s_mat @ v, minus_i).ravel()
-        worst_i = min(worst_i, abs(np.vdot(expect, st.vec)) ** 2)
+        worst_i = min(worst_i, abs(np.vdot(expect, st.amplitudes(range(4)))) ** 2)
     return [
         CheckResult("s-teleport y_measure dense", 1 - worst_y < tol and worst_sum < tol,
                     f"min fidelity {worst_y:.12f}"),

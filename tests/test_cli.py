@@ -268,13 +268,27 @@ def _layer_outside(doc):
     doc["requests"][0]["layer"] = 5
 
 
+def _fractional_rows(doc):
+    doc["rows"] = 2.5
+
+
+def _text_rows(doc):   # with no patches, nothing else compares the text with a cell
+    doc.update(rows="2", layers=[[], []], requests=[])
+
+
+def _boolean_rows(doc):
+    doc["rows"] = True
+
+
 @pytest.mark.parametrize("spoil, names", [
     (_unknown_patch, "'9'"), (_y_boundary, "'Y'"), (_y_operator, "'Y'"),
     (_scalar_cell, "int"), (_missing_role, "1 layer roles for 2 layers"),
     (_text_layer, "'0'"), (_integer_patch, "not 7"), (_shared_cell, "cell [0, 1] of layer 0"),
     (_self_merge, "'1' with itself"), (_layer_outside, "layer 5 of a 2-layer stack"),
+    (_fractional_rows, "not 2.5"), (_text_rows, "not '2'"), (_boolean_rows, "not True"),
 ], ids=["unknown-patch", "y-boundary", "y-operator", "scalar-cell", "missing-role",
-        "text-layer", "integer-patch", "shared-cell", "self-merge", "layer-outside"])
+        "text-layer", "integer-patch", "shared-cell", "self-merge", "layer-outside",
+        "fractional-rows", "text-rows", "boolean-rows"])
 @pytest.mark.parametrize("plan", [(), ("--plan",)], ids=["route", "plan"])
 def test_bad_fixture_exits_5_without_traceback(spoil, names, plan, tmp_path, capsys):
     doc = _fig10a_doc()

@@ -157,6 +157,19 @@ def _exchange(a, b):
     b[...] = old_a
 
 
+def full_vector(state: DenseState) -> np.ndarray:
+    """All 2^n amplitudes of a DenseState, read through `amplitudes`."""
+    return state.amplitudes(np.arange(1 << state.n))
+
+
+def write_vector(state: DenseState, vec) -> DenseState:
+    """Make `state` the full vector `vec`: `set_amplitudes` on its nonzero entries."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    assert vec.size == 1 << state.n
+    idx = np.flatnonzero(vec)
+    return state.set_amplitudes(idx, vec[idx])
+
+
 def to_dense(tab: StabilizerState) -> np.ndarray:
     """Dense amplitudes of a stabilizer state: a basis state in its support,
     found by measuring a copy (each qubit on its first live outcome),
@@ -220,8 +233,8 @@ def test_engines_agree_on_random_circuits(params):
     for g, tg in ops:
         tab.apply_gate(g, tg)
         den.apply_gate(g, tg)
-    assert abs(fidelity(tab, den.vec) - 1) < 1e-9
-    assert abs(den.norm() - 1) < 1e-12
+    assert abs(fidelity(tab, full_vector(den)) - 1) < 1e-9
+    assert abs(np.linalg.norm(full_vector(den)) - 1) < 1e-12
 
 
 def test_engines_agree_including_measurements():
@@ -243,7 +256,7 @@ def test_engines_agree_including_measurements():
             out, prob = tab.measure(q, basis, force=1 - bit)
         out2, prob2 = den.measure(q, basis, force=out)
         assert out2 == out and abs(prob2 - prob) < 1e-12
-        assert abs(fidelity(tab, den.vec) - 1) < 1e-9
+        assert abs(fidelity(tab, full_vector(den)) - 1) < 1e-9
 
 
 def test_twelve_qubit_agreement_spot_check():
@@ -254,7 +267,7 @@ def test_twelve_qubit_agreement_spot_check():
     for g, tg in random_circuit(rng, n, 60):
         tab.apply_gate(g, tg)
         den.apply_gate(g, tg)
-    assert abs(fidelity(tab, den.vec) - 1) < 1e-9
+    assert abs(fidelity(tab, full_vector(den)) - 1) < 1e-9
 
 
 def test_h_involution_and_s_definition():
@@ -265,7 +278,7 @@ def test_h_involution_and_s_definition():
 
     den = DenseState(1)
     den.apply_gate("H", (0,)).apply_gate("S", (0,))
-    assert np.allclose(den.vec, np.array([1, 1j]) / np.sqrt(2))
+    assert np.allclose(full_vector(den), np.array([1, 1j]) / np.sqrt(2))
 
 
 def test_cnot_conjugates_x_to_xx():
@@ -310,8 +323,9 @@ def test_measure_pauli_agrees_with_dense_projector(params):
         for g in picked:
             product = product * g
         pauli = product
-    pv = apply_pauli_dense(den.vec, pauli, n)
-    projected = [(den.vec + pv) / 2, (den.vec - pv) / 2]    # (I + P)/2, (I - P)/2
+    vec = full_vector(den)
+    pv = apply_pauli_dense(vec, pauli, n)
+    projected = [(vec + pv) / 2, (vec - pv) / 2]    # (I + P)/2, (I - P)/2
     probs = [float(np.vdot(v, v).real) for v in projected]
     deterministic = min(probs) < 1e-9
     outcome = int(probs[1] > probs[0]) if deterministic else branch
@@ -319,9 +333,8 @@ def test_measure_pauli_agrees_with_dense_projector(params):
         with pytest.raises(ImpossibleOutcomeError):
             tab.measure_pauli(pauli, force=branch)
     assert tab.measure_pauli(pauli, force=outcome) == (outcome, 1.0 if deterministic else 0.5)
-    want = DenseState(n)
-    want.vec = projected[outcome] / np.sqrt(probs[outcome])
-    assert abs(fidelity(tab, want.vec) - 1) < 1e-9
+    want = write_vector(DenseState(n), projected[outcome] / np.sqrt(probs[outcome]))
+    assert abs(fidelity(tab, full_vector(want)) - 1) < 1e-9
 
 
 def test_expectation_sign_leaves_the_tableau_unchanged():
@@ -352,7 +365,7 @@ def test_t_gate_rejected_on_tableau_supported_on_dense():
         tab.apply_gate("T", (0,))
     den = DenseState(1)
     den.apply_gate("H", (0,)).apply_gate("T", (0,))
-    assert np.allclose(den.vec, np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
+    assert np.allclose(full_vector(den), np.array([1, np.exp(1j * np.pi / 4)]) / np.sqrt(2))
 
 
 def test_z_measure_of_zero_state_deterministic():
@@ -383,7 +396,7 @@ def test_dense_norm_stays_unit_after_long_circuits():
     den = DenseState(5)
     for g, tg in random_circuit(rng, 5, 300):
         den.apply_gate(g, tg)
-    assert abs(den.norm() - 1) < 1e-12
+    assert abs(np.linalg.norm(full_vector(den)) - 1) < 1e-12
 
 
 def test_measure_pauli_bell_pair():
@@ -499,8 +512,7 @@ def test_one_zero_probability_threshold(p1, live):
     """An outcome below ZERO_PROBABILITY is impossible to the walker, to the
     sampler and to a forced measurement alike."""
     circ = measure_circuit(1, 0)
-    start = DenseState(1)
-    start.vec = np.array([np.sqrt(1 - p1), np.sqrt(p1)])
+    start = write_vector(DenseState(1), [np.sqrt(1 - p1), np.sqrt(p1)])
     assert (ZERO_PROBABILITY <= p1) == live
     assert sorted(rec["m"] for rec, _, _ in walk_outcomes(circ, start.copy())) == \
         ([0, 1] if live else [0])
@@ -583,16 +595,15 @@ def test_dense_measurement_matches_projector(params, eigen):
             projected = [(start + pauli @ start) / 2, (start - pauli @ start) / 2]
             probs = [float(np.vdot(v, v).real) for v in projected]
             for branch in (0, 1):
-                den = DenseState(n)
-                den.vec = start.copy()
+                den = write_vector(DenseState(n), start)
                 if probs[branch] < 1e-12:
                     with pytest.raises(ImpossibleOutcomeError):
                         den.measure(q, basis, force=branch)
-                    assert np.array_equal(den.vec, start)
+                    assert np.array_equal(full_vector(den), start)
                     continue
                 out, prob = den.measure(q, basis, force=branch)
                 assert out == branch and abs(prob - probs[branch]) < 1e-12
-                assert np.allclose(den.vec, projected[branch] / np.sqrt(probs[branch]),
+                assert np.allclose(full_vector(den), projected[branch] / np.sqrt(probs[branch]),
                                    atol=1e-12)
                 out, prob = den.measure(q, basis)    # now deterministic
                 assert out == branch and abs(prob - 1) < 1e-12
@@ -603,15 +614,15 @@ def test_failed_forced_measurement_leaves_the_dense_state_unchanged(basis, prepa
     den = DenseState(1)
     for g in prepare:   # |0> or |+i>, each the +1 eigenstate of the measured Pauli
         den.apply_gate(g, (0,))
-    before = den.vec.copy()
+    before = full_vector(den)
     with pytest.raises(ImpossibleOutcomeError):
         den.measure(0, basis, force=1)
-    assert np.array_equal(den.vec, before)
+    assert np.array_equal(full_vector(den), before)
 
 
 def engine_snapshot(state):
     if isinstance(state, DenseState):
-        return (state.vec.copy(),)
+        return (full_vector(state),)
     return (state.x.copy(), state.z.copy(), state.r.copy())
 
 
@@ -753,13 +764,15 @@ def test_bad_layer_rejected_before_the_state_changes(engine, gate, targets):
 def test_dense_layer_applies_its_gates_in_turn():
     rng = np.random.default_rng(3)
     one, layer = DenseState(4), DenseState(4)
-    one.vec = layer.vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+    start = rng.normal(size=16) + 1j * rng.normal(size=16)
+    write_vector(one, start)
+    write_vector(layer, start)
     for gate, targets in (("H", [(0,), (2,), (3,)]), ("CNOT", [(1, 0), (3, 2)]),
                           ("SWAP", [(0, 3)]), ("SDG", [(1,), (2,)])):
         layer.apply_layer(gate, targets)
         for t in targets:
             one.apply_gate(gate, t)
-    assert np.array_equal(one.vec, layer.vec)
+    assert np.array_equal(full_vector(one), full_vector(layer))
 
 
 def test_run_on_state_groups_disjoint_runs_into_layers():
@@ -859,10 +872,11 @@ def assert_same_measurement(got, want):
 
 
 def assert_matches_reference(den, ref):
-    assert np.abs(den.vec - ref.vec).max() < 1e-12
+    vec = full_vector(den)
+    assert np.abs(vec - ref.vec).max() < 1e-12
     assert den._amp.all(), "an exact zero is stored"
     assert len(set(den._idx.tolist())) == den._idx.size
-    assert abs(den.norm() - np.linalg.norm(ref.vec)) < 1e-12
+    assert abs(np.linalg.norm(vec) - np.linalg.norm(ref.vec)) < 1e-12
 
 
 @given(dense_programs())
@@ -884,11 +898,11 @@ def test_support_engine_matches_the_full_vector_reference(program):
                                         (branch, p) if p >= ZERO_PROBABILITY
                                         else ImpossibleOutcomeError)
         else:
-            frozen.append((den, den.vec))
+            frozen.append((den, full_vector(den)))
             den, ref = den.copy(), ref.copy()
         assert_matches_reference(den, ref)
     for state, vec in frozen:    # later steps ran on the copies only
-        assert np.array_equal(state.vec, vec)
+        assert np.array_equal(full_vector(state), vec)
 
 
 @st.composite
@@ -937,15 +951,13 @@ def test_measure_returns_the_probability_of_its_outcome(program):
         assert abs(sum(p for _, p, _ in walk_outcomes(circ, engine(n))) - 1) < 1e-12
 
 
-def test_vec_is_built_on_read_and_not_writeable():
+def test_dense_state_has_one_read_and_one_write_path():
     den = DenseState(2).apply_gate("H", (0,))
-    with pytest.raises(ValueError):
-        den.vec[1] = 1.0
-    with pytest.raises(ValueError):
-        den.vec *= 2
-    assert np.allclose(den.vec, np.array([1, 0, 1, 0]) / np.sqrt(2))
-    den.vec = np.array([0, 0, 0, 1j])    # assigning stores the nonzero entries
-    assert den._idx.tolist() == [3] and np.allclose(den.vec, [0, 0, 0, 1j])
+    assert np.allclose(full_vector(den), np.array([1, 0, 1, 0]) / np.sqrt(2))
+    assert not hasattr(den, "vec") and not hasattr(den, "norm")
+    with pytest.raises(AttributeError):   # slots: a stray attribute is not a silent no-op
+        den.vec = np.array([0, 0, 0, 1j])
+    assert np.allclose(full_vector(den), np.array([1, 0, 1, 0]) / np.sqrt(2))
 
 
 def test_amplitudes_are_written_and_read_at_basis_indices():
@@ -956,7 +968,7 @@ def test_amplitudes_are_written_and_read_at_basis_indices():
     assert np.array_equal(den.amplitudes([6, 2, 5, 0]), [0.8j, 0, 0.6, 0])
     want = np.zeros(8, dtype=complex)
     want[5], want[6] = 0.6, 0.8j
-    assert np.array_equal(den.vec, want)
+    assert np.array_equal(full_vector(den), want)
     for outside in (8, -1):
         with pytest.raises(ValueError, match="out of range"):
             den.amplitudes([outside])
@@ -973,9 +985,9 @@ def test_copies_measured_alike_stay_independent(basis):
         den.measure(1, basis)
     twin = den.copy()
     assert twin.measure(1, basis, force=0) == den.measure(1, basis, force=0)
-    before = den.vec
+    before = full_vector(den)
     twin.apply_gate("X", (0,)).apply_gate("S", (1,))
-    assert np.array_equal(den.vec, before)
+    assert np.array_equal(full_vector(den), before)
 
 
 @pytest.mark.parametrize("indices, amps", [
@@ -987,10 +999,10 @@ def test_copies_measured_alike_stay_independent(basis):
 ], ids=["repeated", "too-large", "negative", "length", "zero-vector"])
 def test_bad_amplitudes_rejected_before_the_state_changes(indices, amps):
     den = DenseState(3).apply_gate("H", (1,))
-    before = den.vec
+    before = full_vector(den)
     with pytest.raises(ValueError):
         den.set_amplitudes(indices, amps)
-    assert np.array_equal(den.vec, before)
+    assert np.array_equal(full_vector(den), before)
 
 
 def test_dense_state_keeps_its_qubit_cap():
