@@ -119,8 +119,7 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T") -> FactoryVerif
     """Walk every live measurement branch and compare the output with |CCZ>.
 
     One dense qubit per logical qubit; T inputs on q0..q7 (zero ancillae
-    beyond), written with `set_amplitudes` at the 2^8 indices whose ancilla
-    bits are 0, and each output read back with `amplitudes`.
+    beyond), written with `set_amplitudes`, outputs read with `amplitudes`.
     `walk_outcomes` yields each branch of nonzero probability once.  q3 is
     postselected on <+| before comparing (q0, q1, q2) against CCZ|+++>.  The
     check passes when every branch has fidelity 1 and the branch

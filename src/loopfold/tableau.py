@@ -418,9 +418,8 @@ class DenseState:
         return np.concatenate((base, base | bit)), amp
 
     def _pairs(self, bit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs {i, i | bit} that meet the support: (i, a_i, a_(i|bit)),
-        with i's bit clear and a missing member's amplitude 0; the amplitude
-        rows are fresh, not views of the state."""
+        """The pairs {i, i | bit} that meet the support: (i, a_i, a_(i|bit)) in
+        fresh arrays, with i's bit clear and a missing member's amplitude 0."""
         idx = self._idx
         partner = self._find(idx, idx ^ bit)
         one = (idx & bit).astype(bool)
