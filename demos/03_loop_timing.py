@@ -41,7 +41,7 @@ print(f"\nstabilizer round event trace: makespan {cycle.makespan} ns "
       f"(closed form {cycle_time_n2(P)} ns)")
 print("  first events:")
 for e in sorted(cycle.events, key=lambda e: (e.start, e.loop))[:6]:
-    print(f"    t={str(e.start):>6} +{str(e.duration):<6} {e.action:<16} {e.loop}")
+    print(f"    t={str(cycle.ns(e.start)):>6} +{str(cycle.ns(e.duration)):<6} {e.action:<16} {e.loop}")
 
 # --- transversal-CNOT worst case and the measurement pipeline --------------
 for n in (4, 16):

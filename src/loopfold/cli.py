@@ -220,7 +220,7 @@ def cmd_simulate(args, params) -> int:
         _emit(doc, args.json, human)
         return 0
     doc = {"protocol": args.protocol, "makespan_ns": str(sched.makespan),
-           "events": [{"start": str(e.start), "duration": str(e.duration),
+           "events": [{"start": str(sched.ns(e.start)), "duration": str(sched.ns(e.duration)),
                        "action": e.action, "loop": e.loop,
                        "tokens": list(e.tokens)} for e in sched.events]}
     _emit(doc, args.json, sched.to_text() + f"makespan = {sched.makespan} ns\n")

@@ -2,14 +2,20 @@
 
 Positions live on the unit circle as Fractions (fractions of the loop
 perimeter); the port junction sits at position 0 and a token's position is
-its forward distance to the junction.  Times are Fractions of a nanosecond.
-All closed-form comparisons in the tests are exact equalities.  Costs are
-evaluated on integer lattice positions: one kernel, `_plan_lattice`, plans
-every pair-gate episode (for `run_episode` and the swap and CNOT-stack
-searches), and the rearrangement rules `_arc`, `_lead` and `_park` serve
-both `rearrange` and its search; the event paths convert back to Fractions
-for their traces.  A LoopState laps in t_loop; `simulate_cycle` reads a
-diagonal loop's double speed from the embedding's LoopRecord.
+its forward distance to the junction.  Parameters and every reported time
+are Fractions of a nanosecond, and all closed-form comparisons in the tests
+are exact equalities.  Inside, everything runs on integers: each protocol
+puts its positions on a lattice of `points` per lap and its times on ticks
+of one `TimedSchedule.scale` (ns per tick, 1 over the lcm of the
+denominators of t_loop / points and of the timing parameters it uses), so
+the event path, its overlap check and the pipeline model add and compare
+ints, and times become Fractions once, at output (`makespan`,
+`shuttle_time`, `to_text`, `TimedSchedule.ns`).  One kernel,
+`_plan_lattice`, plans every pair-gate episode (for `run_episode` and the
+swap and CNOT-stack searches), and the rearrangement rules `_arc`, `_lead`
+and `_park` serve both `rearrange` and its search.  A LoopState laps in
+t_loop; `simulate_cycle` reads a diagonal loop's double speed from the
+embedding's LoopRecord.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -31,6 +37,7 @@ from fractions import Fraction
 from itertools import permutations
 from math import factorial, lcm
 from numbers import Integral
+from operator import attrgetter
 from typing import Optional, Sequence
 
 
@@ -88,62 +95,95 @@ class LoopState:
             raise ValueError("token positions must be distinct")
 
     @classmethod
+    def _trusted(cls, positions: dict[int, Fraction], port: Sequence[int] = ()) -> "LoopState":
+        """A state from positions that are already distinct Fractions in [0, 1)
+        (a copy, or a protocol's lattice integers over its points), built
+        without `__post_init__`'s normalization and check."""
+        state = cls.__new__(cls)
+        state.positions, state.port = positions, list(port)
+        return state
+
+    @classmethod
     def evenly_spaced(cls, n: int, phase: Fraction = Fraction(0)) -> "LoopState":
         """Tokens 0..n-1 at phase + k/n, in ring order."""
-        return cls({k: (_frac(phase) + Fraction(k, n)) % 1 for k in range(n)})
+        phase = _frac(phase)
+        points = lcm(n, phase.denominator)
+        base = phase.numerator * (points // phase.denominator)
+        return cls._trusted({k: Fraction((base + k * (points // n)) % points, points)
+                             for k in range(n)})
 
     def copy(self) -> "LoopState":
-        return LoopState(dict(self.positions), list(self.port))
+        return LoopState._trusted(dict(self.positions), self.port)
 
 
 @dataclass(frozen=True)
 class TimedEvent:
-    start: Fraction
-    duration: Fraction
+    """One event, its start and duration in ticks of its schedule's scale."""
+
+    start: int
+    duration: int
     action: str
     tokens: tuple[int, ...]
     loop: str = "loop"
 
     @property
-    def end(self) -> Fraction:
+    def end(self) -> int:
         return self.start + self.duration
+
+
+def _tick_scale(*times: Fraction) -> Fraction:
+    """The ns per tick that makes each of `times` (ns) a whole number of ticks:
+    1 over the lcm of their denominators."""
+    return Fraction(1, lcm(*(t.denominator for t in times)))
 
 
 @dataclass
 class TimedSchedule:
+    """Events on integer ticks; `scale` is the Fraction of a ns per tick."""
+
     events: list[TimedEvent] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
+    scale: Fraction = Fraction(1)
+
+    def ns(self, ticks: int) -> Fraction:
+        """`ticks` of this schedule as a Fraction of a ns."""
+        return ticks * self.scale
+
+    def ticks(self, ns: Fraction) -> int:
+        """`ns` in ticks; ValueError if it is not a whole number of them."""
+        q = ns / self.scale
+        if q.denominator != 1:
+            raise ValueError(f"{ns} ns is not a whole number of {self.scale} ns ticks")
+        return q.numerator
 
     @property
     def makespan(self) -> Fraction:
-        return max((e.end for e in self.events), default=Fraction(0))
+        return self.ns(max((e.end for e in self.events), default=0))
 
-    def append(self, start, duration, action, tokens, loop="loop") -> TimedEvent:
-        ev = TimedEvent(_frac(start), _frac(duration), action, tuple(tokens), loop)
+    def append(self, start: int, duration: int, action, tokens, loop="loop") -> TimedEvent:
+        ev = TimedEvent(start, duration, action, tuple(tokens), loop)
         self.events.append(ev)
         return ev
 
     def shuttle_time(self) -> Fraction:
-        return sum((e.duration for e in self.events if e.action.startswith("shuttle")),
-                   Fraction(0))
+        return self.ns(sum(e.duration for e in self.events if e.action.startswith("shuttle")))
 
     def check_no_token_overlap(self) -> None:
         """No token participates in two events at once (ids are per loop)."""
-        by_token: dict[tuple, list[TimedEvent]] = {}
-        for e in self.events:
-            for t in e.tokens:
-                by_token.setdefault((e.loop, t), []).append(e)
-        for t, evs in by_token.items():
-            evs.sort(key=lambda e: (e.start, e.duration))   # (start, end) order, no sum
-            for a, b in zip(evs, evs[1:]):
-                if b.start < a.end:
-                    raise AssertionError(f"token {t} double-booked: {a} vs {b}")
+        last: dict[tuple, TimedEvent] = {}   # each token's latest event so far
+        for b in sorted(self.events, key=attrgetter("start", "duration")):   # (start, end) order
+            for t in b.tokens:
+                a = last.get((b.loop, t))
+                if a is not None and b.start < a.end:
+                    raise AssertionError(f"token {(b.loop, t)} double-booked: {a} vs {b} "
+                                         f"(ticks of {self.scale} ns)")
+                last[b.loop, t] = b
 
     def to_text(self) -> str:
-        """Columnar dump with rational times rendered p/q."""
+        """Columnar dump with rational times in ns rendered p/q."""
         rows = [("start", "duration", "action", "loop", "tokens")]
         for e in sorted(self.events, key=lambda e: (e.start, e.action)):
-            rows.append((str(e.start), str(e.duration), e.action, e.loop,
+            rows.append((str(self.ns(e.start)), str(self.ns(e.duration)), e.action, e.loop,
                          ",".join(map(str, e.tokens))))
         widths = [max(len(r[i]) for r in rows) for i in range(5)]
         return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in rows) + "\n"
@@ -193,22 +233,24 @@ def _on_lattice(positions: dict[int, Fraction], n: int = 1) -> tuple[int, dict[i
 
 def run_episode(loop: LoopState, a: int, b: int, gate_time: Fraction,
                 params: TimingParams, schedule: TimedSchedule,
-                t0: Fraction, gate_label: str = "gate") -> Fraction:
-    """Execute one pair-gate episode in place; returns the end time.
+                t0: int, gate_label: str = "gate") -> int:
+    """Execute one pair-gate episode in place from tick t0; returns the end tick.
 
     The episode is planned by `_plan_lattice` on the lattice of the whole
     ring.  Leaves `first` parked in the port and `second` in first's slot,
-    with the ring net-rotated by the lead-in.
+    with the ring net-rotated by the lead-in.  One lattice step, t_loop /
+    points, and the gate time must be whole ticks of the schedule's scale
+    (ValueError otherwise).
     """
     points, pos = _on_lattice(loop.positions)
     first, second, direction, lead, gap, exit_, _ = _plan_lattice(pos[a], pos[b], points, a, b)
-    unit = params.t_loop / points
+    unit = schedule.ticks(params.t_loop / points)
     ring = tuple(sorted(loop.positions))
     t = t0
     for duration, action, tokens in (
             (lead * unit, "shuttle_in", ring),
             (gap * unit, "shuttle_in", tuple(x for x in ring if x != first)),
-            (gate_time, gate_label, (a, b)),
+            (schedule.ticks(gate_time), gate_label, (a, b)),
             # exit: the ring sweeps first's emptied slot back onto the junction
             # (the short way around) while `second` rides out into it
             (exit_ * unit, "shuttle_out", tuple(x for x in ring if x not in (a, b)) + (second,))):
@@ -230,8 +272,10 @@ def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams) -> Time
     if loop.port:
         raise OccupiedPortError("port must be empty at the start of the protocol")
     work = loop.copy()
-    sched = TimedSchedule(meta={"gate": "SWAP"})
-    run_episode(work, a, b, params.t_2q, params, sched, Fraction(0), gate_label="SWAP")
+    points = _on_lattice(loop.positions)[0]
+    sched = TimedSchedule(meta={"gate": "SWAP"},
+                          scale=_tick_scale(params.t_loop / points, params.t_2q))
+    run_episode(work, a, b, params.t_2q, params, sched, 0, gate_label="SWAP")
     sched.meta["final"] = work
     sched.meta["shuttle"] = sched.shuttle_time()
     sched.check_no_token_overlap()
@@ -281,7 +325,7 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
     n = 2 maximum of a quarter lap.
 
     The walk runs on the lattice of lcm(n, position denominators) points with
-    one rotation offset; event times and the final positions are Fractions.
+    one rotation offset, and its events on ticks of t_loop / points.
     """
     n = len(loop.positions)
     if sorted(target_order) != sorted(loop.positions):
@@ -293,9 +337,10 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
     if target == sorted(ring, key=ring.get):
         return TimedSchedule(meta={"final": loop.copy(), "identity": True})
 
-    lap = params.t_loop
+    step = params.t_loop / points
+    sched = TimedSchedule(meta={"target": tuple(target)}, scale=_tick_scale(step))
+    unit = sched.ticks(step)
     slot = points // n
-    sched = TimedSchedule(meta={"target": tuple(target)})
     i = target.index(_lead(ring, points))
     order = target[i:] + target[:i]
     offset = clock = 0        # a token's position is (ring[t] + offset) % points
@@ -303,8 +348,7 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
     def shuttle(units: int, direction: str, action: str, tokens: tuple) -> None:
         nonlocal offset, clock
         if units:
-            sched.append(Fraction(clock, points) * lap, Fraction(units, points) * lap,
-                         action, tokens)
+            sched.append(clock * unit, units * unit, action, tokens)
             clock += units
         offset += -units if direction == "fwd" else units
 
@@ -327,7 +371,7 @@ def rearrange(loop: LoopState, target_order: Sequence[int],
             shuttle(slot, "bwd" if side == "before" else "fwd", "shuttle_out",
                     tuple(sorted(ring)))
     sched.meta["traversal_reversed"] = side == "past"
-    sched.meta["final"] = LoopState(
+    sched.meta["final"] = LoopState._trusted(
         {t: Fraction((p + offset) % points, points) for t, p in ring.items()})
     sched.check_no_token_overlap()
     return sched
@@ -373,13 +417,14 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
     last two layers mirror this in the late-boundary loops; entering the port
     costs 7/8 of a lap in the limiting loop; measurement runs once on the
     loop's devices.  Basis-change single-qubit gates bookend the round.
-    The makespan equals 27/8 t_loop + 2 t_1q + 4 t_2q + t_meas exactly.
+    The makespan equals 27/8 t_loop + 2 t_1q + 4 t_2q + t_meas exactly while
+    t_2q <= t_loop / 2; above that a bulk loop's three CNOTs limit each half.
     """
     if embedding.patch_kind != "folded" or embedding.num_patches != 1:
         raise ValueError("cycle tracing supports a single folded patch (n = 2)")
-    t_loop, t1, t2, tm = params.t_loop, params.t_1q, params.t_2q, params.t_meas
-
-    sched = TimedSchedule(meta={"kind": "cycle", "n": 2})
+    times = (params.t_loop / 8, params.t_1q, params.t_2q, params.t_meas)
+    sched = TimedSchedule(meta={"kind": "cycle", "n": 2}, scale=_tick_scale(*times))
+    eighth, t1, t2, tm = map(sched.ticks, times)      # an eighth of a lap, then the gates
     loops = sorted(embedding.loops.values(), key=lambda l: l.coord)
 
     def classify(loop) -> str:
@@ -396,32 +441,32 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
 
     kinds = {l.coord: classify(l) for l in loops}
 
-    t = Fraction(0)
+    t = 0
     sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
     t += t1
 
-    def half_round(start: Fraction, which: str) -> Fraction:
+    def half_round(start: int, which: str) -> int:
         """One pair of CNOT layers across all loops; returns the phase makespan."""
         boundary_kind = "boundary_early" if which == "first" else "boundary_late"
         end = start
         for loop in loops:
             name = f"{loop.coord}"
             kind = kinds[loop.coord]
-            lap = t_loop / 2 if loop.speed_class == "double" else t_loop
+            quarter = eighth if loop.speed_class == "double" else 2 * eighth
             toks = tuple(range(len(loop.slots)))
             tt = start
-            if kind == "bulk":
-                legs = [Fraction(0), Fraction(1, 2), Fraction(1, 4)]
+            if kind == "bulk":          # legs in quarter laps
+                legs = [0, 2, 1]
             elif kind == "diagonal":
-                legs = [Fraction(0), Fraction(1, 2)]
+                legs = [0, 2]
             elif kind == boundary_kind:
-                legs = [Fraction(1, 2), Fraction(3, 4)]
+                legs = [2, 3]
             else:
                 continue  # idle this half
             for leg in legs:
                 if leg:
-                    sched.append(tt, leg * lap, "shuttle", toks, name)
-                    tt += leg * lap
+                    sched.append(tt, leg * quarter, "shuttle", toks, name)
+                    tt += leg * quarter
                 sched.append(tt, t2, "cnot", toks, name)
                 tt += t2
             end = max(end, tt)
@@ -431,10 +476,9 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
     t = half_round(t, "second")
     sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
     t += t1
-    sched.append(t, Fraction(7, 8) * t_loop, "shuttle_to_port", (), "limiting late loop")
-    t += Fraction(7, 8) * t_loop
+    sched.append(t, 7 * eighth, "shuttle_to_port", (), "limiting late loop")
+    t += 7 * eighth
     sched.append(t, tm, "measure", (), "all ancilla loops")
-    t += tm
     return sched
 
 
@@ -447,25 +491,25 @@ def pipeline_model(n: int, params: TimingParams, rounds: int) -> list[Fraction]:
     t_meas service at one of m devices; tokens queue in ready order.  Returns
     the running average cycle time (mean over tokens of completion/rounds)
     after each round.  Long-run average -> max(t_cyc(2), (n/m) t_meas).
+    The queues run on integer ticks; each average is one Fraction.
     """
     if n < 2 or rounds < 1:
         raise ValueError("need n >= 2 and rounds >= 1")
     from .costs import cycle_time_n2
 
-    compute = cycle_time_n2(params) - params.t_meas
-    tm = params.t_meas
+    phases = (cycle_time_n2(params) - params.t_meas, params.t_meas)
+    per_ns = _tick_scale(*phases).denominator       # ticks per ns
+    compute, tm = (int(x * per_ns) for x in phases)
     m = min(params.meas_devices, n)   # n tokens never keep more than n devices busy
-    device_free = [Fraction(0)] * m
-    done = [Fraction(0)] * n
+    device_free = [0] * m
+    done = [0] * n
     averages: list[Fraction] = []
     for r in range(1, rounds + 1):
         ready = sorted(((done[k] + compute, k) for k in range(n)))
         for ready_t, k in ready:
-            i = min(range(m), key=lambda j: device_free[j])
-            start = max(ready_t, device_free[i])
-            device_free[i] = start + tm
-            done[k] = start + tm
-        averages.append(sum(done, Fraction(0)) / (n * r))
+            i = device_free.index(min(device_free))    # the first free device
+            done[k] = device_free[i] = max(ready_t, device_free[i]) + tm
+        averages.append(Fraction(sum(done), n * r * per_ns))
     return averages
 
 

@@ -361,8 +361,11 @@ class DenseState:
         return found
 
     def _at(self, slots: np.ndarray) -> np.ndarray:
-        """The stored amplitudes at `slots`, 0 at a slot of -1."""
-        return np.concatenate((self._amp, _NO_AMPLITUDE))[slots]
+        """The stored amplitudes at `slots`, 0 at a slot of -1 (a fresh array;
+        the support is never empty, so -1 indexes a stored entry until zeroed)."""
+        amp = self._amp[slots]
+        amp[slots < 0] = 0
+        return amp
 
     def _basis_indices(self, idx: np.ndarray) -> np.ndarray:
         """`idx` flattened, after checking that each lies in range(2^n)."""
@@ -495,7 +498,6 @@ class DenseState:
 
 
 _SQRT1_2 = 1 / np.sqrt(2)
-_NO_AMPLITUDE = np.zeros(1, dtype=complex)   # what slot -1 reads
 _MINUS_PLUS_I = np.array([[-1j], [1j]])   # c = (a0 -+ i a1)/sqrt(2) for Y outcomes 0, 1
 _ARITY = {g: 2 if g in ("CNOT", "CZ", "SWAP") else 1 for g in CLIFFORD_GATES + ("T",)}
 

@@ -309,6 +309,36 @@ def test_config_file_applies(tmp_path, capsys):
     assert "= 4500 ns" in out   # 27/8*800 + 2*200 + 4*100 + 1000
 
 
+@pytest.mark.parametrize("protocol", ["swap", "rearrange", "cycle", "pipeline"])
+def test_simulate_json_at_a_rational_config_equals_the_fraction_reference(
+        protocol, tmp_path, capsys):
+    from fractions import Fraction as F
+
+    from loopfold.cli import load_config
+    from loopfold.loopsim import LoopState
+    from loopfold.patches import build_patch, embed_stack
+    from test_loopsim import (in_ns, ref_pipeline_model, ref_rearrange,
+                              ref_simulate_cycle, ref_swap_protocol)
+    cfg = tmp_path / "rational.cfg"
+    cfg.write_text("t_loop_ns = 1/3\nt_2q_ns = 2/7\nt_1q_ns = 0.1\n")
+    code, out, _ = run_cli("--config", str(cfg), "--json", "simulate", "--protocol", protocol,
+                           capsys=capsys)
+    doc, params = json.loads(out), load_config(str(cfg))
+    assert code == 0 and (params.t_loop, params.t_2q, params.t_1q) == (F(1, 3), F(2, 7), F(1, 10))
+    if protocol == "pipeline":
+        assert [F(a) for a in doc["running_average_ns"]] == ref_pipeline_model(16, params, 50)
+        return
+    if protocol == "swap":
+        ref = ref_swap_protocol(LoopState({0: F(1, 4), 1: F(3, 4)}), 0, 1, params)
+    elif protocol == "rearrange":
+        ref = ref_rearrange(LoopState.evenly_spaced(8, F(1, 16)), list(range(1, 8)) + [0], params)
+    else:
+        ref = ref_simulate_cycle(embed_stack([build_patch(3, "folded")]), params)
+    assert F(doc["makespan_ns"]) == ref.makespan
+    assert [(F(e["start"]), F(e["duration"]), e["action"], tuple(e["tokens"]), e["loop"])
+            for e in doc["events"]] == in_ns(ref)
+
+
 def test_malformed_config_exit_code(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("t_loop_ns = -5\n")

@@ -1,7 +1,7 @@
 """Exact-rational loop simulation: closed-form anchors, searches, traces."""
 
 import random
-from fractions import Fraction as F
+from fractions import Fraction, Fraction as F
 from itertools import permutations
 from math import factorial
 from typing import NamedTuple
@@ -12,12 +12,20 @@ from hypothesis import given, settings, strategies as st
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
 from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError,
                               TimedSchedule, TimingParams, _arc, _arc_tables, _lattice_cost,
-                              _lead, _on_lattice, _plan_lattice, pipeline_model,
+                              _lead, _on_lattice, _plan_lattice, _tick_scale, pipeline_model,
                               rearrange, run_episode,
                               simulate_cycle, swap_protocol, worst_case_search)
 from loopfold.patches import build_patch, embed_stack
 
 P = SILICON
+OTHER = TimingParams(t_loop=1600, t_2q=F(7, 3))
+ODD = TimingParams(t_loop=F(1, 3), t_2q=F(2, 7), t_1q=F(1, 10))   # the rational CLI config
+
+
+def in_ns(sched):
+    """Every event with its start and duration as Fractions of a ns."""
+    return [(sched.ns(e.start), sched.ns(e.duration), e.action, e.tokens, e.loop)
+            for e in sched.events]
 
 
 def rearrange_makespan(n, target, phase, params):
@@ -280,6 +288,18 @@ def test_no_simultaneous_same_position():
 rationals = st.fractions(min_value=-1, max_value=2, max_denominator=48)
 
 
+def _ns(min_value):
+    return st.fractions(min_value=min_value, max_value=2000, max_denominator=60)
+
+
+# the published points, a zero gate time, the rational CLI config, and random
+# rational timings, so that the tick scale is rarely 1 ns
+timings = st.one_of(
+    st.sampled_from([P, OTHER, TimingParams(t_2q=0), ODD]),
+    st.builds(TimingParams, t_loop=_ns(F(1, 60)), t_1q=_ns(0), t_2q=_ns(0), t_meas=_ns(0),
+              meas_devices=st.integers(1, 6)))
+
+
 @st.composite
 def rearrangements(draw):
     n = draw(st.integers(min_value=2, max_value=10))
@@ -447,9 +467,6 @@ def ref_search_cnot_stack(n, gamma, params):
     return mx, shuttle, witness
 
 
-OTHER = TimingParams(t_loop=1600, t_2q=F(7, 3))
-
-
 def _summary(res):
     return res.maximum, res.shuttle_maximum, res.witness
 
@@ -481,8 +498,7 @@ def episodes(draw):
     a, b = draw(st.lists(st.integers(0, len(positions) - 1), min_size=2, max_size=2,
                          unique=True))
     loop = LoopState(dict(enumerate(positions)))
-    params = draw(st.sampled_from([P, OTHER, TimingParams(t_2q=0)]))
-    return loop, a, b, params
+    return loop, a, b, draw(timings)
 
 
 @given(episodes())
@@ -494,7 +510,7 @@ def test_episode_matches_the_fraction_reference(episode):
     assert (first, second, direction, *(F(u, points) for u in units)) == \
         ref_plan_episode(loop, a, b)
     sched, ref = swap_protocol(loop, a, b, params), ref_swap_protocol(loop, a, b, params)
-    assert sched.events == ref.events
+    assert in_ns(sched) == in_ns(ref)
     assert sched.makespan == ref.makespan
     assert sched.meta["shuttle"] == ref.meta["shuttle"]
     assert sched.meta["final"] == ref.meta["final"]
@@ -568,7 +584,7 @@ def rearrange_loops(draw):
     loop = LoopState(dict(zip(tokens, positions)))
     ring = sorted(tokens, key=loop.positions.get)
     target = draw(st.one_of(st.just(ring), st.permutations(tokens)))
-    return loop, target, draw(st.sampled_from([P, OTHER]))
+    return loop, target, draw(timings)
 
 
 @given(rearrange_loops())
@@ -576,7 +592,7 @@ def rearrange_loops(draw):
 def test_rearrange_matches_the_fraction_reference(instance):
     loop, target, params = instance
     sched, ref = rearrange(loop, target, params), ref_rearrange(loop, target, params)
-    assert sched.events == ref.events
+    assert in_ns(sched) == in_ns(ref)
     assert sched.makespan == ref.makespan
     assert sched.meta.get("traversal_reversed") == ref.meta.get("traversal_reversed")
     assert sched.meta["final"] == ref.meta["final"]
@@ -589,11 +605,20 @@ def test_rearrange_matches_the_fraction_reference(instance):
 def test_cnot_stack_witness_resimulates_to_the_maximum(n, params):
     res = worst_case_search("cnot_stack", n, F(1, 8 * n), params)
     loop = ref_fig13_config(n, F(res.witness["lead_offset"]), F(res.witness["pair_gap"]))
-    sched = TimedSchedule()
-    t = run_episode(loop, 0, 1, params.t_2q, params, sched, F(0), gate_label="cnot")
+    # both episodes run on the search's lattice of 8n points or a coarser one
+    sched = TimedSchedule(scale=_tick_scale(params.t_loop / (8 * n), params.t_2q))
+    t = run_episode(loop, 0, 1, params.t_2q, params, sched, 0, gate_label="cnot")
     t = run_episode(loop, 2, 3, params.t_2q, params, sched, t, gate_label="cnot")
-    assert (t, sched.makespan, sched.shuttle_time()) == \
+    assert (sched.ns(t), sched.makespan, sched.shuttle_time()) == \
         (res.maximum, res.maximum, res.shuttle_maximum)
+
+
+def test_run_episode_needs_whole_ticks():
+    """A lattice step of 400/3 ns is no whole number of 1 ns ticks."""
+    loop = LoopState({0: F(1, 3), 1: F(2, 3)})
+    with pytest.raises(ValueError, match="whole number"):
+        run_episode(loop, 0, 1, P.t_2q, P, TimedSchedule(), 0)
+    assert loop.positions == {0: F(1, 3), 1: F(2, 3)} and not loop.port
 
 
 @pytest.mark.parametrize("protocol, n, points, expected", [
@@ -620,3 +645,170 @@ def test_plan_lattice_least_shuttle_and_direction_is_unique():
                 assert keys[0] != keys[1]
                 _, _, direction, lead, gap, _, _ = _plan_lattice(pa, pb, points, 0, 1)
                 assert (lead + gap, direction) == keys[0]
+
+
+# -- the Fraction cycle trace and pipeline that the tick versions replaced -------
+#
+# Kept verbatim as oracles (the pipeline's import of cycle_time_n2 moved to
+# the top of this module): every event, makespan and running average of the
+# integer-tick versions must equal theirs as Fractions.
+
+def ref_simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
+    """Event trace of one stabilizer round of a single folded patch.
+
+    Reproduces the published per-loop itineraries: the first two CNOT layers
+    are limited by a boundary-ancilla loop finishing both its checks early
+    (a half lap to its first corner, then three quarters to the second); the
+    last two layers mirror this in the late-boundary loops; entering the port
+    costs 7/8 of a lap in the limiting loop; measurement runs once on the
+    loop's devices.  Basis-change single-qubit gates bookend the round.
+    The makespan equals 27/8 t_loop + 2 t_1q + 4 t_2q + t_meas exactly.
+    """
+    if embedding.patch_kind != "folded" or embedding.num_patches != 1:
+        raise ValueError("cycle tracing supports a single folded patch (n = 2)")
+    t_loop, t1, t2, tm = params.t_loop, params.t_1q, params.t_2q, params.t_meas
+
+    sched = TimedSchedule(meta={"kind": "cycle", "n": 2})
+    loops = sorted(embedding.loops.values(), key=lambda l: l.coord)
+
+    def classify(loop) -> str:
+        if loop.coord[0] == loop.coord[1]:
+            return "diagonal"
+        if len(loop.slots) == 2:
+            return "bulk"
+        # single-occupant off-diagonal loop: a boundary ancilla; early if its
+        # two CNOTs fall in the first half (bottom-X / right-Z halves fold to
+        # the bottom layer), late otherwise
+        pid, layer, coord = loop.slots[0]
+        return "boundary_early" if layer == 1 or coord[1] == 2 * embedding.distance - 1 \
+            else "boundary_late"
+
+    kinds = {l.coord: classify(l) for l in loops}
+
+    t = Fraction(0)
+    sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
+    t += t1
+
+    def half_round(start: Fraction, which: str) -> Fraction:
+        """One pair of CNOT layers across all loops; returns the phase makespan."""
+        boundary_kind = "boundary_early" if which == "first" else "boundary_late"
+        end = start
+        for loop in loops:
+            name = f"{loop.coord}"
+            kind = kinds[loop.coord]
+            lap = t_loop / 2 if loop.speed_class == "double" else t_loop
+            toks = tuple(range(len(loop.slots)))
+            tt = start
+            if kind == "bulk":
+                legs = [Fraction(0), Fraction(1, 2), Fraction(1, 4)]
+            elif kind == "diagonal":
+                legs = [Fraction(0), Fraction(1, 2)]
+            elif kind == boundary_kind:
+                legs = [Fraction(1, 2), Fraction(3, 4)]
+            else:
+                continue  # idle this half
+            for leg in legs:
+                if leg:
+                    sched.append(tt, leg * lap, "shuttle", toks, name)
+                    tt += leg * lap
+                sched.append(tt, t2, "cnot", toks, name)
+                tt += t2
+            end = max(end, tt)
+        return end
+
+    t = half_round(t, "first")
+    t = half_round(t, "second")
+    sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
+    t += t1
+    sched.append(t, Fraction(7, 8) * t_loop, "shuttle_to_port", (), "limiting late loop")
+    t += Fraction(7, 8) * t_loop
+    sched.append(t, tm, "measure", (), "all ancilla loops")
+    t += tm
+    return sched
+
+
+def ref_pipeline_model(n: int, params: TimingParams, rounds: int) -> list[Fraction]:
+    """Running-average cycle time under measurement-device contention.
+
+    Each token's round is a compute phase (t_cyc(2) - t_meas) followed by a
+    t_meas service at one of m devices; tokens queue in ready order.  Returns
+    the running average cycle time (mean over tokens of completion/rounds)
+    after each round.  Long-run average -> max(t_cyc(2), (n/m) t_meas).
+    """
+    if n < 2 or rounds < 1:
+        raise ValueError("need n >= 2 and rounds >= 1")
+    compute = cycle_time_n2(params) - params.t_meas
+    tm = params.t_meas
+    m = min(params.meas_devices, n)   # n tokens never keep more than n devices busy
+    device_free = [Fraction(0)] * m
+    done = [Fraction(0)] * n
+    averages: list[Fraction] = []
+    for r in range(1, rounds + 1):
+        ready = sorted(((done[k] + compute, k) for k in range(n)))
+        for ready_t, k in ready:
+            i = min(range(m), key=lambda j: device_free[j])
+            start = max(ready_t, device_free[i])
+            device_free[i] = start + tm
+            done[k] = start + tm
+        averages.append(sum(done, Fraction(0)) / (n * r))
+    return averages
+
+
+@given(timings, st.sampled_from([3, 5]))
+@settings(max_examples=40, deadline=None)
+def test_simulate_cycle_matches_the_fraction_reference(params, d):
+    emb = embed_stack([build_patch(d, "folded")])
+    sched, ref = simulate_cycle(emb, params), ref_simulate_cycle(emb, params)
+    assert in_ns(sched) == in_ns(ref)
+    assert sched.makespan == ref.makespan
+    assert sched.meta == ref.meta
+    # the closed form assumes the boundary loops limit each half round,
+    # which holds while a CNOT takes at most half a lap
+    assert (sched.makespan == cycle_time_n2(params)) == (2 * params.t_2q <= params.t_loop)
+
+
+@given(timings, st.integers(2, 20), st.integers(1, 30))
+@settings(max_examples=80, deadline=None)
+def test_pipeline_model_matches_the_fraction_reference(params, n, rounds):
+    assert pipeline_model(n, params, rounds) == ref_pipeline_model(n, params, rounds)
+
+
+@pytest.mark.parametrize("params", [P, OTHER, ODD], ids=["silicon", "t_loop-1600", "rational"])
+def test_pipeline_model_matches_the_fraction_reference_at_the_published_sizes(params):
+    for n, rounds in ((16, 50), (12, 80), (2, 10)):
+        avgs = pipeline_model(n, params, rounds)
+        assert avgs == ref_pipeline_model(n, params, rounds)
+        assert all(type(a) is Fraction for a in avgs)
+
+
+@given(st.integers(-2, 24), rationals)
+@settings(max_examples=100, deadline=None)
+def test_evenly_spaced_equals_the_fraction_ring(n, phase):
+    ring = LoopState.evenly_spaced(n, phase)
+    want = {k: (phase + F(k, n)) % 1 for k in range(n)}
+    assert ring.positions == want and list(ring.positions) == list(want)
+    assert all(type(p) is Fraction for p in ring.positions.values()) and ring.port == []
+
+
+# -- the overlap check on integer ticks --------------------------------------------
+
+def test_overlap_check_catches_one_tick_and_accepts_touching_events():
+    sched = TimedSchedule(scale=F(1, 7))
+    sched.append(0, 5, "shuttle_in", (0, 1))
+    sched.append(5, 3, "gate", (1, 2))          # starts where the shuttle ends
+    sched.append(2, 6, "shuttle_in", (0,), "other loop")   # token ids are per loop
+    sched.check_no_token_overlap()
+    sched.append(7, 4, "gate", (2,))             # one tick (1/7 ns) into the gate
+    with pytest.raises(AssertionError, match=r"token \('loop', 2\) double-booked"):
+        sched.check_no_token_overlap()
+
+
+def test_schedule_reports_ticks_as_fractions_of_a_ns():
+    sched = TimedSchedule(scale=F(2, 21))
+    sched.append(3, 4, "shuttle_in", (0,))
+    sched.append(7, 14, "gate", (0,))
+    assert (sched.makespan, sched.shuttle_time()) == (2, F(8, 21))
+    assert type(sched.makespan) is Fraction and sched.ticks(F(2, 3)) == 7
+    with pytest.raises(ValueError, match="whole number"):
+        sched.ticks(F(1, 21))
+    assert sched.to_text().splitlines()[1].split()[:2] == ["2/7", "8/21"]
