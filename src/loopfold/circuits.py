@@ -2,7 +2,9 @@
 
 A ScheduledCircuit is the common currency of the code layer: the tableau and
 dense engines replay its events in slot order, one layer of same-kind gates on
-disjoint qubits at a time.  Each measurement is one engine `measure` call per
+disjoint qubits at a time.  The engines measure in Z only, and `_compile` is
+the one reader of a measurement basis: a Y measurement becomes a basis change
+around a Z measurement.  Each measurement is one engine `measure` call per
 outcome, which projects and returns the outcome's probability.  `run_on_state`
 follows one path and is the one place that samples a random outcome, and
 `walk_outcomes` walks the measurement-outcome tree depth first and yields each
@@ -12,7 +14,7 @@ timed events live in loopsim.TimedSchedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterator, Optional, Sequence
 
 from .tableau import RandomOutcomeError
@@ -52,11 +54,8 @@ class ScheduledCircuit:
         return sorted({e.slot for e in self.events})
 
     def extended(self, other: "ScheduledCircuit", slot_offset: int) -> "ScheduledCircuit":
-        out = ScheduledCircuit(self.num_qubits, list(self.events), dict(self.meta))
-        for e in other.events:
-            out.events.append(CircuitEvent(e.slot + slot_offset, e.action, e.targets,
-                                           e.basis, e.key, e.condition))
-        return out
+        shifted = [replace(e, slot=e.slot + slot_offset) for e in other.events]
+        return ScheduledCircuit(self.num_qubits, self.events + shifted, dict(self.meta))
 
 
 def _condition_holds(condition: str, record: dict[str, int]) -> bool:
@@ -65,31 +64,54 @@ def _condition_holds(condition: str, record: dict[str, int]) -> bool:
                for lit in condition.split("&"))
 
 
+# Y = (S H) Z (S H)^dagger: each basis as the gates around a Z measurement
+_IN_Z = {"Z": ("MEASURE",), "Y": ("SDG", "H", "MEASURE", "H", "S")}
+
+
 def _compile(circuit: ScheduledCircuit) -> list[tuple]:
-    """The sorted events as (condition, action, args) ops; RESETs drop out.
+    """The sorted events as (condition, action, args) ops, measured in Z only.
 
     A maximal run of consecutive unconditioned gates of one kind on disjoint
     qubits is one op, its args the layer for `apply_layer`; a repeated qubit
     starts a new op, so the layers keep the event order.  A measurement is
-    one op per qubit with args (qubit, basis, key): an unnamed one records
-    m<qubit>, a keyed one on several targets <key><qubit>.
+    one MEASURE op per qubit with args (qubit, key): an unnamed one records
+    m<qubit>, a keyed one on several targets <key><qubit>.  A Y measurement
+    is SDG and H, the Z measurement, then H and S, all under its condition;
+    a basis other than Z and Y raises ValueError.  A RESET is a MEASURE op
+    with key None, unrecorded and undone by an X where it reads 1, once an
+    earlier event has acted on its qubit; before that it is dropped, since
+    every run starts its qubits in |0>.
     """
     ops: list[tuple] = []
     busy: set[int] = set()
+    touched: set[int] = set()
+
+    def add(condition, action, args):
+        nonlocal busy
+        if action == "MEASURE":
+            ops.append((condition, action, args))
+        elif (condition is None and ops and ops[-1][:2] == (None, action)
+              and busy.isdisjoint(args)):
+            ops[-1][2].append(args)
+            busy.update(args)
+        else:
+            ops.append((condition, action, [args]))
+            busy = set(args)
+
     for e in circuit.sorted_events():
-        if e.action == "MEASURE":
+        if e.action == "RESET":
+            ops.extend((e.condition, "MEASURE", (q, None)) for q in e.targets if q in touched)
+            continue
+        touched.update(e.targets)
+        if e.action != "MEASURE":
+            add(e.condition, e.action, e.targets)
+        elif (steps := _IN_Z.get(e.basis.upper())) is None:
+            raise ValueError(f"unsupported measurement basis {e.basis!r}")
+        else:
             for q in e.targets:
                 key = e.key if e.key and len(e.targets) == 1 else f"{e.key or 'm'}{q}"
-                ops.append((e.condition, e.action, (q, e.basis, key)))
-        elif e.action == "RESET":
-            continue   # states start in |0>; explicit resets are layout markers
-        elif (e.condition is None and ops and ops[-1][:2] == (None, e.action)
-              and busy.isdisjoint(e.targets)):
-            ops[-1][2].append(e.targets)
-            busy.update(e.targets)
-        else:
-            ops.append((e.condition, e.action, [e.targets]))
-            busy = set(e.targets)
+                for action in steps:
+                    add(e.condition, action, (q, key) if action == "MEASURE" else (q,))
     return ops
 
 
@@ -106,6 +128,14 @@ def _advance(ops: list[tuple], i: int, state, record: dict[str, int]) -> int:
     return i
 
 
+def _settle(state, qubit: int, key: Optional[str], outcome: int, record: dict[str, int]) -> None:
+    """Record an outcome under its key, or undo a reset's (key None) 1 with an X."""
+    if key is not None:
+        record[key] = outcome
+    elif outcome:
+        state.apply_gate("X", (qubit,))
+
+
 def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
     """Replay a circuit on a tableau or dense state along one path; returns the record.
 
@@ -114,14 +144,15 @@ def run_on_state(circuit: ScheduledCircuit, state, rng=None) -> dict[str, int]:
     is then forced; without an rng the error propagates."""
     ops, record, i = _compile(circuit), {}, -1
     while (i := _advance(ops, i + 1, state, record)) < len(ops):
-        q, basis, key = ops[i][2]
+        q, key = ops[i][2]
         try:
-            record[key], _ = state.measure(q, basis)
+            outcome, _ = state.measure(q)
         except RandomOutcomeError as exc:
             if rng is None:
                 raise
-            record[key] = int(rng.random() >= exc.p0)
-            state.measure(q, basis, force=record[key])
+            outcome = int(rng.random() >= exc.p0)
+            state.measure(q, force=outcome)
+        _settle(state, q, key, outcome, record)
     return record
 
 
@@ -131,7 +162,8 @@ def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, 
     Yields (record, probability, state) per leaf.  A measurement is first
     made unforced: a deterministic outcome projects `state` in place.  A
     random one copies the state once, forces 1 on the copy and 0 on the
-    state, so `state` itself is advanced along one path.
+    state, so `state` itself is advanced along one path.  A mid-circuit
+    reset branches the same way, so two leaves may share a record.
     """
     ops = _compile(circuit)
     stack = [(0, {}, 1.0, state)]
@@ -141,13 +173,13 @@ def walk_outcomes(circuit: ScheduledCircuit, state) -> Iterator[tuple[dict[str, 
         if i == len(ops):
             yield record, prob, st
             continue
-        q, basis, key = ops[i][2]
+        q, key = ops[i][2]
         try:
-            outcomes = [(st.measure(q, basis), st, record)]
+            outcomes = [(st.measure(q), st, record)]
         except RandomOutcomeError:
             one = st.copy()
-            outcomes = [(one.measure(q, basis, force=1), one, dict(record)),
-                        (st.measure(q, basis, force=0), st, record)]
+            outcomes = [(one.measure(q, force=1), one, dict(record)),
+                        (st.measure(q, force=0), st, record)]
         for (b, p), branch, rec in outcomes:
-            rec[key] = b
+            _settle(branch, q, key, b, rec)
             stack.append((i + 1, rec, prob * p, branch))

@@ -10,6 +10,7 @@ Exit status 0 iff every check in the invocation passed; 2 argument errors,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -308,6 +309,7 @@ def cmd_layout(args, params) -> int:
     return 0
 
 
+@functools.cache   # built once per process; each parse returns a fresh namespace
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="loopfold",
                                  description="looped-pipeline folded-surface-code toolkit")

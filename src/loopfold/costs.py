@@ -100,6 +100,8 @@ def gate_cells(arch: str, d: int, params: TimingParams = SILICON
     474.67 us; at silicon and d = 9 they give 216 and 199 us against 983.56
     and 623.72 us, because the forms do not grow with the cultivation time.
     """
+    if d < 3 or d % 2 == 0:
+        raise ValueError("distance must be an odd integer >= 3")
     if arch == "interloop":
         t_int = params.t_int
         return {"H": ("(d-1)*t_int", (d - 1) * t_int), "SWAP": ("d*t_int", d * t_int),
@@ -252,8 +254,6 @@ def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     pipelined CNOTs count 1 us, and surgery H and S count 3d and 1.5d rounds
     against the transversal gate's one.
     """
-    if d % 2 == 0:
-        raise ValueError("d must be odd")
     cells = {}
     for a, spaces in SPACE.items():
         arch_cells = gate_cells(a, d, params)

@@ -139,7 +139,7 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T") -> FactoryVerif
     for record, prob, st in walk_outcomes(circuit, start):
         st.apply_gate("H", (plus,))
         try:
-            st.measure(plus, "Z", force=0)
+            st.measure(plus, force=0)
         except ImpossibleOutcomeError:   # the postselection on <+| is impossible
             fid = 0.0
         else:
@@ -231,8 +231,6 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
     output Z measurements batch into rounds on the m measurement devices.
     Classical decode time is not charged.
     """
-    if d % 2 == 0 or d < 3:
-        raise ValueError("d must be an odd integer >= 3")
     circ = ccz_factory_spec(variant)
     cnots = circ.gate_count("CNOT")
     check_rounds = len(circ.slots())

@@ -174,8 +174,7 @@ def check_circuit(patch: PatchSpec) -> ScheduledCircuit:
     for s in x_anc:
         circ.add(6, "H", (patch.index[s.center],))
     for s in patch.stabilizers:
-        circ.add(7, "MEASURE", (patch.index[s.center],), basis="Z",
-                 key=f"s{s.center[0]}_{s.center[1]}")
+        circ.add(7, "MEASURE", (patch.index[s.center],), key=f"s{s.center[0]}_{s.center[1]}")
     return circ
 
 

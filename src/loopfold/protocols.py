@@ -104,6 +104,7 @@ def transversal_two_qubit(stack: LoopEmbedding, i: int, j: int, gate: str,
     Emits one physical gate per data site, pairing matching sites of the two
     patches; for folded patches the per-loop schedule runs in two passes (top
     layers, then bottom layers), which is what the timing model charges for.
+    `patches` must match the stack in number, distance and kind.
     """
     gate = gate.upper()
     if gate not in ("CNOT", "SWAP"):
@@ -113,6 +114,9 @@ def transversal_two_qubit(stack: LoopEmbedding, i: int, j: int, gate: str,
     k = stack.num_patches
     if not (0 <= i < k and 0 <= j < k):
         raise ValueError("patch index out of range")
+    if len(patches) != k or any((p.distance, p.kind) != (stack.distance, stack.patch_kind)
+                                for p in patches):
+        raise ValueError("patches do not match the stack's count, distance and kind")
 
     encoded = encode_stack(patches)
     circ = ScheduledCircuit(encoded.num_qubits)

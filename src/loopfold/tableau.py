@@ -11,20 +11,19 @@ protocol claims on small instances; it supports the non-Clifford T gate.
 It stores a state on its support, the basis indices with a nonzero
 amplitude, so a codeword of 17 qubits costs its 32 amplitudes, not 2^17:
 X, Y, CNOT and SWAP move indices with bit operations, the diagonal gates
-scale amplitudes, and H and a Y measurement pair each index with its
-partner across the qubit's bit through a map from basis index to support
-slot (no sort).  A Z or Y measurement projects with (I +- P)/2 directly.
+scale amplitudes, and H pairs each index with its partner across the
+qubit's bit through a map from basis index to support slot (no sort).
 Both engines validate gate and measurement targets through one shared check.
 
 Gates come in layers: `apply_layer` applies one gate kind to pairwise
 disjoint target tuples.  The tableau does a whole layer with one
 fancy-indexed update of each column array (a SWAP layer is a plain column
-exchange); the dense engine applies the layer's gates one by one.  A Z or Y
-measurement with a deterministic outcome is read from the qubit's columns.
+exchange); the dense engine applies the layer's gates one by one.
 
-Neither engine draws random numbers.  One `measure` call per outcome is the
-whole measurement contract: it projects and returns (outcome, probability of
-that outcome).  A deterministic outcome is read; a random one is taken from
+`measure` measures a qubit in Z only, as in Aaronson-Gottesman; `circuits`
+reaches a Y measurement by conjugating with gates.  Neither engine draws
+random numbers.  One `measure` call per outcome is the whole measurement
+contract: it projects and returns (outcome, probability of that outcome).  A deterministic outcome is read; a random one is taken from
 `force`, and without it `RandomOutcomeError` carries p0, from which
 `circuits.run_on_state` samples and on which `circuits.walk_outcomes`
 branches.  An outcome below ZERO_PROBABILITY is impossible: forcing it raises
@@ -178,20 +177,18 @@ class StabilizerState:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure(self, qubit: int, basis: str = "Z",
-                force: Optional[int] = None) -> tuple[int, float]:
-        """Measure a qubit in the Z or Y basis; see `measure_pauli`.
+    def measure(self, qubit: int, force: Optional[int] = None) -> tuple[int, float]:
+        """Measure a qubit in the Z basis; see `measure_pauli`.
 
-        A deterministic outcome is read from the qubit's columns; only a
+        A deterministic outcome is read from the qubit's X column; only a
         random one builds the n-qubit Pauli.
         """
-        b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
         _check_force(force)
-        anti = self.x[:, qubit] if b == "Z" else self.x[:, qubit] ^ self.z[:, qubit]
+        anti = self.x[:, qubit]
         if anti[self.n:].any():
-            return self.measure_pauli(PauliString.from_label(b, self.n, [qubit]), force)
-        return self._deterministic(anti[:self.n], 1 if b == "Y" else 0, force)
+            return self.measure_pauli(PauliString.from_label("Z", self.n, [qubit]), force)
+        return self._deterministic(anti[:self.n], 0, force)
 
     def measure_pauli(self, pauli: PauliString,
                       force: Optional[int] = None) -> tuple[int, float]:
@@ -308,8 +305,8 @@ class DenseState:
     nonzero amplitude (`_idx`, in no particular order) and those amplitudes
     (`_amp`); no exact zero is stored.  X, Y, CNOT and SWAP move indices by
     bit operations, Z, S, SDG, T and CZ scale the amplitudes whose bits are
-    set, H and a Y measurement pair each index i with i ^ bit (`_pairs`), and
-    a Z measurement keeps one half.  The state is written only through
+    set, H pairs each index i with i ^ bit (`_pairs`), and a measurement,
+    in Z only, keeps one half.  The state is written only through
     `set_amplitudes` and read only through `amplitudes`, both at given basis
     indices; `amplitudes(range(2 ** n))` is the full vector.
     """
@@ -399,8 +396,12 @@ class DenseState:
         elif g == "Y":   # Y|0> = i|1>, Y|1> = -i|0>
             amp *= np.where(idx & bits[0], -1j, 1j)
             idx ^= bits[0]
-        elif g == "H":
-            self._keep_nonzero(*self._hadamard(bits[0]))
+        elif g == "H":   # stores the result's entries that are not exactly 0
+            idx, amp = self._hadamard(bits[0])
+            if not amp.all():
+                keep = amp != 0
+                idx, amp = idx[keep], amp[keep]
+            self._idx, self._amp = idx, amp
         elif g == "CNOT":
             control, target = bits
             idx ^= np.where(idx & control, target, 0)
@@ -414,7 +415,7 @@ class DenseState:
     def _hadamard(self, bit: int) -> tuple[np.ndarray, np.ndarray]:
         """H on the qubit of `bit` as (indices, amplitudes): each pair (a0, a1)
         goes to (a0 + a1, a0 - a1)/sqrt(2).  Returned, not stored, so that the
-        pairs are freed before `_keep_nonzero` filters the result."""
+        pairs are freed before the result is filtered."""
         base, a0, a1 = self._pairs(bit)
         amp = np.concatenate((a0 + a1, np.subtract(a0, a1, out=a1)))   # a1 is a fresh row
         amp *= _SQRT1_2
@@ -433,32 +434,8 @@ class DenseState:
         a0, a1 = self._at(slots)
         return idx[lead] & ~bit, a0, a1
 
-    def _keep_nonzero(self, idx: np.ndarray, amp: np.ndarray) -> None:
-        """Store the entries of (idx, amp) whose amplitude is not exactly 0."""
-        if not amp.all():
-            keep = amp != 0
-            idx, amp = idx[keep], amp[keep]
-        self._idx, self._amp = idx, amp
-
-    def _branches(self, qubit: int, basis: str) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Both outcomes of a measurement: (indices, amplitudes c).
-
-        Z: the stored entries whose bit is the outcome.  Y: (I +- Y)/2 maps a
-        pair's amplitudes (a0, a1) to (c, +-i c)/sqrt(2) with c = (a0 -+ i a1)/sqrt(2),
-        given per pair with the index whose bit is clear; the pairs are found
-        once for both outcomes.  In both cases the probability is |c|^2.
-        """
-        bit = self._bit(qubit)
-        if basis == "Z":
-            one = (self._idx & bit).astype(bool)
-            return [(self._idx[m], self._amp[m]) for m in (~one, one)]
-        base, zero, one = self._pairs(bit)
-        c = (zero + one * _MINUS_PLUS_I) * _SQRT1_2   # one row per outcome
-        return [(base, c[0]), (base, c[1])]
-
-    def measure(self, qubit: int, basis: str = "Z",
-                force: Optional[int] = None) -> tuple[int, float]:
-        """Project `qubit` onto a Z or Y eigenstate; (outcome, its probability).
+    def measure(self, qubit: int, force: Optional[int] = None) -> tuple[int, float]:
+        """Project `qubit` onto a Z eigenstate; (outcome, its probability).
 
         Outcome 0 is the +1 eigenvalue.  A random outcome is taken from
         `force`, and raises `RandomOutcomeError` (carrying p0) without it.  A
@@ -466,27 +443,21 @@ class DenseState:
         and a `force` other than 0 or 1 `ValueError`, before the state is
         written.
         """
-        b = _check_basis(basis)
         _check_targets(self.n, (qubit,))
         _check_force(force)
-        branches = self._branches(qubit, b)
-        p0 = _probability(branches[0][1])
+        one = (self._idx & self._bit(qubit)).astype(bool)
+        p0 = _probability(self._amp[~one])
         if force is not None:
             outcome = int(force)
         elif p0 < ZERO_PROBABILITY or p0 > 1 - ZERO_PROBABILITY:
             outcome = 0 if p0 > 0.5 else 1
         else:
             raise RandomOutcomeError(p0)
-        idx, c = branches[outcome]
-        prob = _probability(c) if outcome else p0
+        keep = one if outcome else ~one
+        prob = _probability(self._amp[keep]) if outcome else p0
         if prob < ZERO_PROBABILITY:
             raise ImpossibleOutcomeError("forced branch has zero amplitude")
-        if b == "Z":
-            self._idx, self._amp = idx, c / math.sqrt(prob)
-        else:
-            zero = c * (_SQRT1_2 / math.sqrt(prob))
-            self._keep_nonzero(np.concatenate((idx, idx | self._bit(qubit))),
-                               np.concatenate((zero, zero * (-1j if outcome else 1j))))
+        self._idx, self._amp = self._idx[keep], self._amp[keep] / math.sqrt(prob)
         return outcome, prob
 
     def copy(self) -> "DenseState":
@@ -498,7 +469,6 @@ class DenseState:
 
 
 _SQRT1_2 = 1 / np.sqrt(2)
-_MINUS_PLUS_I = np.array([[-1j], [1j]])   # c = (a0 -+ i a1)/sqrt(2) for Y outcomes 0, 1
 _ARITY = {g: 2 if g in ("CNOT", "CZ", "SWAP") else 1 for g in CLIFFORD_GATES + ("T",)}
 
 
@@ -527,13 +497,6 @@ def _check_layer(n: int, targets: Sequence[Sequence[int]], arity: int) -> None:
 def _parity(bits: np.ndarray) -> np.ndarray:
     """XOR of each row of a (rows, gates) bit array."""
     return np.bitwise_xor.reduce(bits, axis=1)
-
-
-def _check_basis(basis: str) -> str:
-    b = basis.upper()
-    if b not in ("Z", "Y"):
-        raise ValueError(f"unsupported measurement basis {basis!r}")
-    return b
 
 
 def _check_force(force: Optional[int]) -> None:

@@ -3,10 +3,13 @@
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
-from loopfold.cli import main
+import loopfold
+from loopfold.cli import build_parser, main
 
 
 def run_cli(*argv, capsys):
@@ -386,6 +389,43 @@ def test_byte_identical_invocations(capsys):
     a = run_cli("--json", "factory", "--variant", "rotated", capsys=capsys)[1]
     b = run_cli("--json", "factory", "--variant", "rotated", capsys=capsys)[1]
     assert a == b
+
+
+BACK_TO_BACK = [
+    ("--json", "cycle-time", "--n", "16"),
+    ("gate-times", "--d", "9"),
+    ("--json", "simulate", "--protocol", "swap"),
+    ("table1", "--d", "9"),
+    ("--json", "layout", "--fixture", "fig10b", "--plan"),
+    ("factory", "--variant", "folded"),
+]
+
+
+def separate_process(argv) -> tuple[int, str]:
+    """(exit code, stdout) of `python -m loopfold.cli argv` in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(loopfold.__file__))
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    done = subprocess.run([sys.executable, "-m", "loopfold.cli", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout
+
+
+def test_back_to_back_calls_print_what_separate_processes_print(capsys):
+    """`main` builds its parser once per process; calls on different
+    subcommands, one after another, still each print what a fresh process
+    prints."""
+    assert build_parser() is build_parser()
+    in_process = [run_cli(*argv, capsys=capsys)[:2] for argv in BACK_TO_BACK]
+    assert in_process == [separate_process(argv) for argv in BACK_TO_BACK]
+
+
+def test_a_call_after_an_argument_error_still_works(capsys):
+    for argv in BACK_TO_BACK[:2]:
+        with pytest.raises(SystemExit) as exc:
+            main(["factory", "--d", "4"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run_cli(*argv, capsys=capsys)[:2] == separate_process(argv)
 
 
 def test_verify_subcommand_small(capsys):

@@ -81,6 +81,18 @@ def test_gate_cells_key_sets():
         gate_time("FACTORY", "nowhere", 25, P)
 
 
+@pytest.mark.parametrize("d", [1, -3, 4])
+def test_distance_must_be_an_odd_integer_of_at_least_3(d):
+    """gate_cells checks d, for every architecture; gate_time and table1 read it."""
+    for arch in ("standard", "pipelined_rotated", "pipelined_folded", "interloop"):
+        with pytest.raises(ValueError, match="odd integer >= 3"):
+            gate_cells(arch, d, P)
+    with pytest.raises(ValueError, match="odd integer >= 3"):
+        gate_time("H", "standard", d, P)
+    with pytest.raises(ValueError, match="odd integer >= 3"):
+        table1(P, d)
+
+
 def test_rearrange_worst_values():
     assert rearrange_worst(8, P) == F(61, 16) * 400 == 1525
     assert rearrange_worst(7, P) == (F(7, 2) - F(2, 7)) * 400

@@ -112,7 +112,7 @@ def ref_verify_factory(circuit, inputs):
             continue
         st.apply_gate("H", (plus,))
         try:
-            st.measure(plus, "Z", force=0)
+            st.measure(plus, force=0)
         except ImpossibleOutcomeError:
             fid = 0.0
         else:
@@ -152,7 +152,7 @@ def test_live_column_read_out_matches_the_full_matrix_reference(variant, inputs)
     for _, _, st in walk_outcomes(circuit, start):
         st.apply_gate("H", (plus,))
         try:
-            st.measure(plus, "Z", force=0)
+            st.measure(plus, force=0)
         except ImpossibleOutcomeError:
             continue
         got, want = _reduced_triple(st, outputs), ref_reduced_triple(st, outputs)
@@ -238,6 +238,13 @@ def test_measurement_rounds_follow_meas_devices(variant, m, meas_ns):
         assert terms == {"cultivation": 15 * t_star, "check_rounds": 8 * t_star,
                          "cnots": 17 * cnot_time(12, params),
                          "y_basis_measurements": 2 * (F(25, 2) + 2) * t_star}
+
+
+@pytest.mark.parametrize("variant", ["folded", "rotated"])
+@pytest.mark.parametrize("d", [1, -3, 4])
+def test_factory_runtime_rejects_a_bad_distance(variant, d):
+    with pytest.raises(ValueError, match="odd integer >= 3"):
+        factory_runtime(variant, P, d)
 
 
 def test_unknown_variant_rejected():

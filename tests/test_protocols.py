@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as hst
 
-from loopfold.circuits import ScheduledCircuit, run_on_state
+from loopfold.circuits import ScheduledCircuit, _compile, run_on_state
 from loopfold.logical import (_ONE_QUBIT_NAMES, CodespaceViolationError, LogicalAction,
                               _fmt, _frame_note, _project, _two_qubit_name, encode_stack,
                               logical_action)
@@ -140,6 +140,30 @@ def test_two_qubit_rejects_same_patch():
     emb = embed_stack([a, b])
     with pytest.raises(ValueError):
         transversal_two_qubit(emb, 1, 1, "CNOT", [a, b])
+
+
+def test_two_qubit_rejects_patches_that_are_not_the_stack():
+    a, b = build_patch(3, "folded"), build_patch(3, "folded")
+    emb = embed_stack([a, b])
+    with pytest.raises(ValueError, match="patches do not match"):
+        transversal_two_qubit(emb, 0, 1, "CNOT", [a])           # one patch too few
+    big = [build_patch(5, "folded"), build_patch(5, "folded")]
+    with pytest.raises(ValueError, match="patches do not match"):
+        transversal_two_qubit(emb, 0, 1, "CNOT", big)           # d = 5 on a d = 3 stack
+    with pytest.raises(ValueError, match="patches do not match"):
+        transversal_two_qubit(emb, 0, 1, "SWAP", [a, build_patch(3, "rotated")])
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 9])
+def test_transversal_h_twice_is_the_identity_with_its_resets_measured(d):
+    """The second run's d^2 - 1 ancilla resets follow the first run's
+    measurements, so each is a measured reset; the first run's are no ops."""
+    patch = build_patch(d, "folded")
+    circ = transversal_h_circuit(patch)
+    twice = circ.extended(circ, slot_offset=max(circ.slots()) + 1)
+    resets = [op for op in _compile(twice) if op[1] == "MEASURE" and op[2][1] is None]
+    assert len(resets) == d * d - 1
+    assert logical_action(twice, patch).name == "I"
 
 
 def test_stack_gate_touches_two_qubits_per_loop_per_pass():

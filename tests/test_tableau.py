@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopfold.circuits import ScheduledCircuit, run_on_state, walk_outcomes
+from loopfold.circuits import ScheduledCircuit, _compile, run_on_state, walk_outcomes
 from loopfold.pauli import PauliString, gf2_rank
 from loopfold.tableau import (_ARITY, CLIFFORD_GATES, ZERO_PROBABILITY, DenseState,
                               ImpossibleOutcomeError, RandomOutcomeError, StabilizerState,
-                              UnsupportedGateError, _check_basis, _check_force, _check_layer,
-                              _check_targets)
+                              UnsupportedGateError, _check_force, _check_layer, _check_targets)
 
 GATES_1Q = ["H", "S", "SDG", "X", "Y", "Z"]
 GATES_2Q = ["CNOT", "CZ", "SWAP"]
@@ -34,7 +33,9 @@ class ref_DenseState:
 
     Every gate updates `vec`, all 2^n amplitudes, in place: a one-qubit gate
     acts on the two halves `vec.reshape(1 << q, 2, -1)[:, 0]` and `[:, 1]`
-    of its qubit, a two-qubit gate on quarter-blocks of its pair.
+    of its qubit, a two-qubit gate on quarter-blocks of its pair.  It keeps
+    its own Y projector, so it checks the circuit layer's Y measurement,
+    which the engines see as a basis change around a Z measurement.
     """
 
     _PHASES = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4)}
@@ -115,7 +116,7 @@ class ref_DenseState:
         return float(np.linalg.norm(c) ** 2), c
 
     def measure(self, qubit, basis="Z", force=None):
-        b = _check_basis(basis)
+        b = _ref_basis(basis)
         _check_targets(self.n, (qubit,))
         _check_force(force)
         p0, c = self._branch(qubit, b, 0)
@@ -141,13 +142,19 @@ class ref_DenseState:
         return outcome, prob
 
     def branch_probabilities(self, qubit, basis="Z"):
-        b = _check_basis(basis)
+        b = _ref_basis(basis)
         return self._branch(qubit, b, 0)[0], self._branch(qubit, b, 1)[0]
 
     def copy(self):
         d = ref_DenseState(self.n)
         d.vec = self._vec.copy()
         return d
+
+
+def _ref_basis(basis):
+    if basis not in ("Z", "Y"):
+        raise ValueError(f"unsupported measurement basis {basis!r}")
+    return basis
 
 
 def _exchange(a, b):
@@ -178,9 +185,9 @@ def to_dense(tab: StabilizerState) -> np.ndarray:
     idx = 0
     for q in range(tab.n):
         try:
-            bit, _ = probe.measure(q, "Z")
+            bit, _ = probe.measure(q)
         except RandomOutcomeError:
-            bit, _ = probe.measure(q, "Z", force=0)
+            bit, _ = probe.measure(q, force=0)
         idx = (idx << 1) | bit
     vec = np.zeros(2**tab.n, dtype=complex)
     vec[idx] = 1.0
@@ -194,10 +201,10 @@ def fidelity(tab: StabilizerState, vec: np.ndarray) -> float:
     return float(np.abs(np.vdot(to_dense(tab), vec)) ** 2)
 
 
-def measure_circuit(n, q):
-    """One Z measurement of qubit q, recorded under "m"."""
+def measure_circuit(n, q, basis="Z"):
+    """One measurement of qubit q, recorded under "m"."""
     circ = ScheduledCircuit(n)
-    circ.add(0, "MEASURE", (q,), key="m")
+    circ.add(0, "MEASURE", (q,), basis=basis, key="m")
     return circ
 
 
@@ -238,25 +245,22 @@ def test_engines_agree_on_random_circuits(params):
 
 
 def test_engines_agree_including_measurements():
+    """A random circuit ending in a Z or Y measurement, walked on both
+    engines: the same records, the same probabilities and the same states."""
     rng = np.random.default_rng(11)
     for _ in range(40):
         n = int(rng.integers(2, 7))
-        ops = random_circuit(rng, n, 20)
-        tab = StabilizerState(n)
-        den = DenseState(n)
-        for g, tg in ops:
-            tab.apply_gate(g, tg)
-            den.apply_gate(g, tg)
-        q = int(rng.integers(n))
+        circ = ScheduledCircuit(n)
+        for slot, (g, tg) in enumerate(random_circuit(rng, n, 20)):
+            circ.add(slot, g, tg)
         basis = "Y" if rng.random() < 0.3 else "Z"
-        bit = int(rng.integers(2))
-        try:
-            out, prob = tab.measure(q, basis, force=bit)
-        except ImpossibleOutcomeError:
-            out, prob = tab.measure(q, basis, force=1 - bit)
-        out2, prob2 = den.measure(q, basis, force=out)
-        assert out2 == out and abs(prob2 - prob) < 1e-12
-        assert abs(fidelity(tab, full_vector(den)) - 1) < 1e-9
+        circ.add(20, "MEASURE", (int(rng.integers(n)),), basis=basis, key="m")
+        tab = sorted(walk_outcomes(circ, StabilizerState(n)), key=lambda leaf: leaf[0]["m"])
+        den = sorted(walk_outcomes(circ, DenseState(n)), key=lambda leaf: leaf[0]["m"])
+        assert [rec for rec, _, _ in tab] == [rec for rec, _, _ in den]
+        for (_, p_tab, t), (_, p_den, v) in zip(tab, den):
+            assert abs(p_den - p_tab) < 1e-12
+            assert abs(fidelity(t, full_vector(v)) - 1) < 1e-9
 
 
 def test_twelve_qubit_agreement_spot_check():
@@ -273,7 +277,7 @@ def test_twelve_qubit_agreement_spot_check():
 def test_h_involution_and_s_definition():
     st1 = StabilizerState(1)
     st1.apply_gate("H", (0,)).apply_gate("H", (0,))
-    out, prob = st1.measure(0, "Z")
+    out, prob = st1.measure(0)
     assert (out, prob) == (0, 1.0)
 
     den = DenseState(1)
@@ -314,7 +318,7 @@ def test_measure_pauli_agrees_with_dense_projector(params):
         den.apply_gate(g, tg)
         if rng.random() < 0.2:   # mid-circuit Z measurements mix the tableau rows
             q = int(rng.integers(n))
-            den.measure(q, "Z", force=run_on_state(measure_circuit(n, q), tab, rng)["m"])
+            den.measure(q, force=run_on_state(measure_circuit(n, q), tab, rng)["m"])
     if in_group:   # a signed product of the stabilizers picked by pauli.z, never I
         gens = tab.stabilizer_generators()
         picked = [g for g, bit in zip(gens, pauli.z) if bit] or gens[:1]
@@ -370,15 +374,23 @@ def test_t_gate_rejected_on_tableau_supported_on_dense():
 
 def test_z_measure_of_zero_state_deterministic():
     tab = StabilizerState(3)
-    out, prob = tab.measure(1, "Z")
+    out, prob = tab.measure(1)
     assert (out, prob) == (0, 1.0)
 
 
 def test_y_measure_of_plus_i_eigenstate():
-    tab = StabilizerState(1)
-    tab.apply_gate("H", (0,)).apply_gate("S", (0,))   # |i>
-    out, prob = tab.measure(0, "Y")
-    assert (out, prob) == (0, 1.0)
+    circ = ScheduledCircuit(1)
+    circ.add(0, "H", (0,))
+    circ.add(1, "S", (0,))                  # |i>
+    circ.add(2, "MEASURE", (0,), basis="Y", key="y")
+    for engine in (StabilizerState, DenseState):
+        ((record, prob, leaf),) = walk_outcomes(circ, engine(1))
+        assert record == {"y": 0} and abs(prob - 1) < 1e-12
+        if engine is DenseState:   # the basis change and its inverse, to rounding
+            assert np.allclose(full_vector(leaf), np.array([1, 1j]) / np.sqrt(2), atol=1e-15)
+        else:
+            assert prob == 1.0
+            assert leaf.expectation_sign(PauliString.from_label("Y", 1, [0])) == 1
 
 
 def test_gate_application_preserves_tableau_rank():
@@ -424,23 +436,39 @@ def test_conjunctive_condition_on_both_engines(engine, a, b):
     assert leaves[a, b][0] == {"a": a, "b": b, "c": int(a == 1 and b == 0)}
 
 
+# the reference's basis change for each measured basis: the gates before and
+# after the Z measurement
+REF_TO_Z = {"Z": ((), ()), "Y": (("SDG", "H"), ("H", "S"))}
+
+
 def forced_replay(circuit, state, forced):
     """Reference: replay event by event, each measurement forced to its bit in
-    `forced`; returns the record.  An impossible forced outcome raises."""
+    `forced`; returns the record.  A Y measurement is SDG and H, the forced Z
+    measurement, then H and S.  A RESET is skipped, so it must precede every
+    other event on its qubits.  An impossible forced outcome raises."""
     def holds(condition, record):
         return all(record.get(lit.lstrip("!"), 0) == (0 if lit.startswith("!") else 1)
                    for lit in condition.split("&"))
 
-    record = {}
+    record, touched = {}, set()
     for e in circuit.sorted_events():
-        if e.action == "RESET" or (e.condition is not None and not holds(e.condition, record)):
+        if e.action == "RESET":
+            assert touched.isdisjoint(e.targets), "a mid-circuit reset has no forced bit"
+            continue
+        touched.update(e.targets)
+        if e.condition is not None and not holds(e.condition, record):
             continue
         if e.action != "MEASURE":
             state.apply_gate(e.action, e.targets)
             continue
+        before, after = REF_TO_Z[e.basis]
         for q in e.targets:
             key = e.key if e.key and len(e.targets) == 1 else f"{e.key or 'm'}{q}"
-            record[key], _ = state.measure(q, e.basis, force=forced[key])
+            for g in before:
+                state.apply_gate(g, (q,))
+            record[key], _ = state.measure(q, force=forced[key])
+            for g in after:
+                state.apply_gate(g, (q,))
     return record
 
 
@@ -505,6 +533,157 @@ def test_run_on_state_ends_on_a_live_leaf_of_the_walk(circ, seed):
         leaf = leaves[tuple(sorted(record.items()))]
         assert all(np.array_equal(a, b)
                    for a, b in zip(engine_snapshot(state), engine_snapshot(leaf)))
+
+
+@st.composite
+def y_measured_prefixes(draw):
+    """A random Clifford prefix on 1-5 qubits, then a Y measurement of one qubit."""
+    n = draw(st.integers(1, 5))
+    gates = [g for g in CLIFFORD_GATES if _ARITY[g] <= n]
+    circ = ScheduledCircuit(n)
+    for slot in range(draw(st.integers(0, 12))):
+        gate = draw(st.sampled_from(gates))
+        circ.add(slot, gate, draw(st.permutations(range(n)))[:_ARITY[gate]])
+    q = draw(st.integers(0, n - 1))
+    circ.add(len(circ.events), "MEASURE", (q,), basis="Y", key="y")
+    return circ, q
+
+
+@given(y_measured_prefixes())
+@settings(max_examples=100, deadline=None)
+def test_y_measurement_walks_to_the_projected_states_on_both_engines(params):
+    """Each leaf's probability is that of (I +- Y)/2 on the prefix's state; a
+    dense leaf is the projected state, and a tableau leaf has the stabilizer
+    group that `measure_pauli` of Y gives."""
+    circ, q = params
+    n = circ.num_qubits
+    prefix = ScheduledCircuit(n, [e for e in circ.events if e.action != "MEASURE"])
+    tab, den = StabilizerState(n), DenseState(n)
+    run_on_state(prefix, tab)
+    run_on_state(prefix, den)
+    vec = full_vector(den)
+    y = single_site(n, q, "Y")
+    projected = [(vec + y @ vec) / 2, (vec - y @ vec) / 2]
+    probs = [float(np.vdot(v, v).real) for v in projected]
+    live = [b for b in (0, 1) if probs[b] >= ZERO_PROBABILITY]
+    for rec, prob, leaf in walk_outcomes(circ, DenseState(n)):
+        b = rec["y"]
+        assert abs(prob - probs[b]) < 1e-12
+        assert np.allclose(full_vector(leaf), projected[b] / np.sqrt(probs[b]), atol=1e-12)
+    tab_leaves = list(walk_outcomes(circ, StabilizerState(n)))
+    assert sorted(rec["y"] for rec, _, _ in tab_leaves) == live
+    for rec, prob, leaf in tab_leaves:
+        b = rec["y"]
+        assert abs(prob - probs[b]) < 1e-12
+        want = tab.copy()
+        want.measure_pauli(PauliString.from_label("Y", n, [q]), force=b)
+        assert all(leaf.expectation_sign(g) == 1 for g in want.stabilizer_generators())
+
+
+class RecordingTableau(StabilizerState):
+    """A tableau that logs each `apply_layer` call as (gate, targets) in `calls`."""
+
+    def __init__(self, num_qubits):
+        super().__init__(num_qubits)
+        self.calls = []
+
+    def apply_layer(self, gate, targets):
+        self.calls.append((gate, [tuple(t) for t in targets]))
+        return super().apply_layer(gate, targets)
+
+
+def test_s_after_a_y_measurement_is_a_layer_of_its_own():
+    """The S that ends a Y measurement's basis change and an S on the same
+    qubit right after it are two layers, not one with a repeated qubit."""
+    circ = ScheduledCircuit(2)
+    circ.add(0, "H", (0,))
+    circ.add(0, "H", (1,))
+    circ.add(1, "MEASURE", (0,), basis="Y", key="y")
+    circ.add(2, "S", (0,))
+    circ.add(2, "S", (1,))
+    for engine in (StabilizerState, DenseState):
+        leaves = list(walk_outcomes(circ, engine(2)))
+        assert sorted(rec["y"] for rec, _, _ in leaves) == [0, 1]
+    tab = RecordingTableau(2)
+    run_on_state(circ, tab, np.random.default_rng(0))
+    assert tab.calls == [("H", [(0,), (1,)]), ("SDG", [(0,)]), ("H", [(0,)]),
+                         ("H", [(0,)]), ("S", [(0,)]), ("S", [(0,), (1,)])]
+
+
+@given(y_measured_prefixes(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_sampled_y_measurement_equals_forcing_its_outcome(params, seed):
+    """`run_on_state` with an rng leaves the state that forcing the outcome it
+    sampled leaves, bit for bit, on both engines."""
+    circ, _ = params
+    n = circ.num_qubits
+    for engine in (StabilizerState, DenseState):
+        sampled = engine(n)
+        record = run_on_state(circ, sampled, np.random.default_rng(seed))
+        forced = engine(n)
+        assert forced_replay(circ, forced, record) == record
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(engine_snapshot(sampled), engine_snapshot(forced)))
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+def test_unknown_measurement_basis_rejected_before_the_state_changes(engine):
+    circ = ScheduledCircuit(2)
+    circ.add(0, "H", (0,))
+    circ.add(1, "MEASURE", (1,), key="z")
+    circ.add(2, "MEASURE", (0,), basis="X", key="x")
+    state = engine(2)
+    before = engine_snapshot(state)
+    with pytest.raises(ValueError, match="basis 'X'"):
+        run_on_state(circ, state)
+    with pytest.raises(ValueError, match="basis 'X'"):
+        next(walk_outcomes(circ, state))
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
+
+
+# -- resets ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+def test_reset_after_a_gate_returns_the_qubit_to_zero(engine):
+    circ = ScheduledCircuit(1)
+    circ.add(0, "X", (0,))
+    circ.add(1, "RESET", (0,))
+    circ.add(2, "MEASURE", (0,))
+    assert run_on_state(circ, engine(1)) == {"m0": 0}
+    assert [(rec, prob) for rec, prob, _ in walk_outcomes(circ, engine(1))] == [({"m0": 0}, 1.0)]
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+def test_resetting_half_a_bell_pair_branches_and_leaves_zero(engine):
+    """Two leaves, each of probability 1/2, with qubit 1 in |0> and nothing
+    recorded; the sampler lands on one of them."""
+    circ = ScheduledCircuit(2)
+    circ.add(0, "H", (0,))
+    circ.add(1, "CNOT", (0, 1))
+    circ.add(2, "RESET", (1,))
+    leaves = list(walk_outcomes(circ, engine(2)))
+    assert len(leaves) == 2
+    z1 = PauliString.from_label("Z", 2, [1])
+    for rec, prob, leaf in leaves:
+        assert rec == {} and abs(prob - 0.5) < 1e-12
+        if engine is DenseState:
+            assert np.allclose(np.abs(full_vector(leaf)), [1, 0, 0, 0]) or \
+                np.allclose(np.abs(full_vector(leaf)), [0, 0, 1, 0])
+        else:
+            assert leaf.expectation_sign(z1) == 1
+    with pytest.raises(RandomOutcomeError):
+        run_on_state(circ, engine(2))
+    assert run_on_state(circ, engine(2), np.random.default_rng(1)) == {}
+
+
+def test_leading_resets_are_dropped_and_later_ones_measured():
+    """A RESET before any other event on its qubit is no op; a later one is
+    an unrecorded measurement."""
+    circ = ScheduledCircuit(3)
+    circ.add(0, "RESET", (0, 1))
+    circ.add(1, "H", (1,))
+    circ.add(2, "RESET", (0, 1, 2))
+    assert [op[1:] for op in _compile(circ)] == [("H", [(1,)]), ("MEASURE", (1, None))]
 
 
 @pytest.mark.parametrize("p1, live", [(1e-13, False), (1e-11, True)])
@@ -577,7 +756,8 @@ def test_pauli_kernel_matches_kronecker_product(params, data):
 @given(dense_vectors(normalized=True), st.sampled_from([None, 0, 1]))
 @settings(max_examples=80, deadline=None)
 def test_dense_measurement_matches_projector(params, eigen):
-    """Every qubit, Z and Y, both forced branches, against (I +- P)/2.
+    """Every qubit against (I +- P)/2: Z on the engine, both forced branches,
+    and Y through the circuit layer, every leaf of its walk.
 
     With `eigen` set, the state is first projected onto that eigenspace of
     the measured Pauli, so the other branch has zero probability.
@@ -594,30 +774,47 @@ def test_dense_measurement_matches_projector(params, eigen):
                 start = start / np.linalg.norm(start)
             projected = [(start + pauli @ start) / 2, (start - pauli @ start) / 2]
             probs = [float(np.vdot(v, v).real) for v in projected]
+            if basis == "Y":
+                circ = measure_circuit(n, q, "Y")
+                leaves = list(walk_outcomes(circ, write_vector(DenseState(n), start)))
+                assert sorted(rec["m"] for rec, _, _ in leaves) == \
+                    [b for b in (0, 1) if probs[b] >= ZERO_PROBABILITY]
+                for rec, prob, den in leaves:
+                    b = rec["m"]
+                    assert abs(prob - probs[b]) < 1e-12
+                    assert np.allclose(full_vector(den), projected[b] / np.sqrt(probs[b]),
+                                       atol=1e-12)
+                    ((again, prob, _),) = walk_outcomes(circ, den)    # now deterministic
+                    assert again == rec and abs(prob - 1) < 1e-12
+                continue
             for branch in (0, 1):
                 den = write_vector(DenseState(n), start)
                 if probs[branch] < 1e-12:
                     with pytest.raises(ImpossibleOutcomeError):
-                        den.measure(q, basis, force=branch)
+                        den.measure(q, force=branch)
                     assert np.array_equal(full_vector(den), start)
                     continue
-                out, prob = den.measure(q, basis, force=branch)
+                out, prob = den.measure(q, force=branch)
                 assert out == branch and abs(prob - probs[branch]) < 1e-12
                 assert np.allclose(full_vector(den), projected[branch] / np.sqrt(probs[branch]),
                                    atol=1e-12)
-                out, prob = den.measure(q, basis)    # now deterministic
+                out, prob = den.measure(q)    # now deterministic
                 assert out == branch and abs(prob - 1) < 1e-12
 
 
 @pytest.mark.parametrize("basis, prepare", [("Z", []), ("Y", ["H", "S"])])
 def test_failed_forced_measurement_leaves_the_dense_state_unchanged(basis, prepare):
+    """An impossible forced outcome raises before the engine writes the state;
+    a Y measurement's engine call sees the state its basis change made."""
     den = DenseState(1)
     for g in prepare:   # |0> or |+i>, each the +1 eigenstate of the measured Pauli
         den.apply_gate(g, (0,))
-    before = full_vector(den)
+    changed = den.copy()
+    for g in REF_TO_Z[basis][0]:
+        changed.apply_gate(g, (0,))
     with pytest.raises(ImpossibleOutcomeError):
-        den.measure(0, basis, force=1)
-    assert np.array_equal(full_vector(den), before)
+        forced_replay(measure_circuit(1, 0, basis), den, {"m": 1})
+    assert np.array_equal(full_vector(den), full_vector(changed))
 
 
 def engine_snapshot(state):
@@ -634,7 +831,7 @@ def engine_snapshot(state):
     lambda s: s.apply_gate("H", (-1,)),
     lambda s: s.measure(3, force=0),
     lambda s: s.measure(-1, force=0),
-    lambda s: s.measure(3, "Y"),
+    lambda s: run_on_state(measure_circuit(3, 3, "Y"), s),
 ], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1",
         "measure-y-3"])
 def test_bad_targets_rejected_before_the_state_changes(engine, call):
@@ -657,7 +854,7 @@ def test_forced_outcome_other_than_0_or_1_rejected_before_the_state_changes(
     state.apply_gate("CNOT", (0, 1))
     before = engine_snapshot(state)
     with pytest.raises(ValueError, match="forced outcome"):
-        state.measure(0, "Z", force=force)
+        state.measure(0, force=force)
     assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(state), before))
 
 
@@ -704,8 +901,8 @@ def ref_apply_gate(state, gate, targets):
 
 @st.composite
 def layered_states(draw):
-    """A random stabilizer state (gates and forced Z/Y measurements) and random
-    disjoint layers of every Clifford gate."""
+    """A random stabilizer state (gates and forced single-qubit Z or Y Pauli
+    measurements) and random disjoint layers of every Clifford gate."""
     n = draw(st.integers(min_value=2, max_value=8))
     seed = draw(st.integers(min_value=0, max_value=2**31))
     rng = np.random.default_rng(seed)
@@ -714,10 +911,11 @@ def layered_states(draw):
         tab.apply_gate(g, tg)
         if rng.random() < 0.25:
             q, basis, bit = int(rng.integers(n)), "ZY"[int(rng.integers(2))], int(rng.integers(2))
+            pauli = PauliString.from_label(basis, n, [q])
             try:
-                tab.measure(q, basis, force=bit)
+                tab.measure_pauli(pauli, force=bit)
             except ImpossibleOutcomeError:
-                tab.measure(q, basis, force=1 - bit)
+                tab.measure_pauli(pauli, force=1 - bit)
     layers = []
     for _ in range(draw(st.integers(1, 12))):
         gate = draw(st.sampled_from(CLIFFORD_GATES))
@@ -778,24 +976,18 @@ def test_dense_layer_applies_its_gates_in_turn():
 def test_run_on_state_groups_disjoint_runs_into_layers():
     circ = ScheduledCircuit(4)
     circ.add(0, "H", (0,))
+    circ.add(0, "RESET", (3,))      # before any event on qubit 3: no op, no split
     circ.add(0, "H", (1,))
     circ.add(0, "H", (0,))          # qubit 0 repeats: a new layer
     circ.add(1, "CNOT", (0, 2))
     circ.add(1, "CNOT", (1, 3))
-    circ.add(1, "RESET", (3,))      # a layout marker does not split the run
     circ.add(1, "CNOT", (3, 1), condition="!m0")   # conditioned: on its own
     circ.add(2, "MEASURE", (2,))
     circ.add(2, "X", (2,))
 
-    class Recording(StabilizerState):
-        def apply_layer(self, gate, targets):
-            calls.append((gate, [tuple(t) for t in targets]))
-            return super().apply_layer(gate, targets)
-
-    calls = []
-    tab = Recording(4)
+    tab = RecordingTableau(4)
     record = run_on_state(circ, tab, rng=np.random.default_rng(0))
-    assert calls == [("H", [(0,), (1,)]), ("H", [(0,)]), ("CNOT", [(0, 2), (1, 3)]),
+    assert tab.calls == [("H", [(0,), (1,)]), ("H", [(0,)]), ("CNOT", [(0, 2), (1, 3)]),
                      ("CNOT", [(3, 1)]), ("X", [(2,)])]
     ref = StabilizerState(4)
     for g, tg in (("H", (0,)), ("H", (1,)), ("H", (0,)), ("CNOT", (0, 2)), ("CNOT", (1, 3)),
@@ -807,21 +999,22 @@ def test_run_on_state_groups_disjoint_runs_into_layers():
 
 
 def test_single_qubit_measure_matches_measure_pauli():
+    """`measure` is `measure_pauli` of Z on one qubit, row for row."""
     rng = np.random.default_rng(8)
     for _ in range(60):
         n = int(rng.integers(2, 7))
         tab = StabilizerState(n)
         for g, tg in random_circuit(rng, n, 20):
             tab.apply_gate(g, tg)
-        q, basis = int(rng.integers(n)), "ZY"[int(rng.integers(2))]
-        pauli = PauliString.from_label(basis, n, [q])
+        q = int(rng.integers(n))
+        pauli = PauliString.from_label("Z", n, [q])
         sign = tab.expectation_sign(pauli)
         if sign is not None:     # deterministic: the other branch is impossible
             with pytest.raises(ImpossibleOutcomeError):
-                tab.measure(q, basis, force=int(sign == 1))
+                tab.measure(q, force=int(sign == 1))
         force = None if sign is not None else int(rng.integers(2))
         ref = tab.copy()
-        assert tab.measure(q, basis, force=force) == ref.measure_pauli(pauli, force=force)
+        assert tab.measure(q, force=force) == ref.measure_pauli(pauli, force=force)
         assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(tab),
                                                            engine_snapshot(ref)))
 
@@ -831,13 +1024,15 @@ def test_single_qubit_measure_matches_measure_pauli():
 @st.composite
 def dense_programs(draw):
     """1-6 qubits and a random program from |0...0>: disjoint layers of every
-    gate, T included; Z and Y measurements, forced to either outcome or left to
-    a deterministic one; copies; and probes, which measure a copy."""
+    gate, T included; Z measurements, forced to either outcome or left to a
+    deterministic one; Y measurements through the circuit layer, continued on
+    a drawn live leaf; copies; and probes, which measure a copy."""
     n = draw(st.integers(1, 6))
     gates = [g for g in CLIFFORD_GATES + ("T",) if _ARITY[g] <= n]
     steps = []
     for _ in range(draw(st.integers(1, 30))):
-        kind = draw(st.sampled_from(["layer", "layer", "layer", "measure", "copy", "probe"]))
+        kind = draw(st.sampled_from(["layer", "layer", "layer", "measure", "ymeasure",
+                                     "copy", "probe"]))
         if kind == "layer":
             gate = draw(st.sampled_from(gates))
             arity = _ARITY[gate]
@@ -846,19 +1041,20 @@ def dense_programs(draw):
             steps.append((kind, gate, [tuple(qubits[arity * i:arity * (i + 1)])
                                        for i in range(count)]))
         elif kind == "measure":
-            steps.append((kind, draw(st.integers(0, n - 1)), draw(st.sampled_from("ZY")),
-                          draw(st.sampled_from([None, 0, 1]))))
+            steps.append((kind, draw(st.integers(0, n - 1)), draw(st.sampled_from([None, 0, 1]))))
+        elif kind == "ymeasure":
+            steps.append((kind, draw(st.integers(0, n - 1)), draw(st.integers(0, 1))))
         elif kind == "probe":
-            steps.append((kind, draw(st.integers(0, n - 1)), draw(st.sampled_from("ZY"))))
+            steps.append((kind, draw(st.integers(0, n - 1))))
         else:
             steps.append((kind,))
     return n, steps
 
 
-def measured(state, qubit, basis, force):
+def measured(call):
     """(outcome, its probability), or the type of the error the measurement raised."""
     try:
-        return state.measure(qubit, basis, force=force)
+        return call()
     except ValueError as err:
         return type(err)
 
@@ -891,10 +1087,23 @@ def test_support_engine_matches_the_full_vector_reference(program):
             den.apply_layer(*step[1:])
             ref.apply_layer(*step[1:])
         elif kind == "measure":
-            assert_same_measurement(measured(den, *step[1:]), measured(ref, *step[1:]))
+            q, force = step[1:]
+            assert_same_measurement(measured(lambda: den.measure(q, force=force)),
+                                    measured(lambda: ref.measure(q, force=force)))
+        elif kind == "ymeasure":   # every leaf against the reference's Y projector
+            q, bit = step[1:]
+            probs = ref.branch_probabilities(q, "Y")
+            leaves = {rec["m"]: (prob, leaf)
+                      for rec, prob, leaf in walk_outcomes(measure_circuit(n, q, "Y"), den)}
+            assert sorted(leaves) == [b for b in (0, 1) if probs[b] >= ZERO_PROBABILITY]
+            assert all(abs(prob - probs[b]) < 1e-12 for b, (prob, _) in leaves.items())
+            out = bit if bit in leaves else 1 - bit
+            den = leaves[out][1]
+            ref.measure(q, "Y", force=out)
         elif kind == "probe":   # each outcome forced on a copy, against the reference's p
-            for branch, p in enumerate(ref.branch_probabilities(*step[1:])):
-                assert_same_measurement(measured(den.copy(), *step[1:], branch),
+            q = step[1]
+            for branch, p in enumerate(ref.branch_probabilities(q)):
+                assert_same_measurement(measured(lambda: den.copy().measure(q, force=branch)),
                                         (branch, p) if p >= ZERO_PROBABILITY
                                         else ImpossibleOutcomeError)
         else:
@@ -927,7 +1136,8 @@ def clifford_programs(draw):
 def test_measure_returns_the_probability_of_its_outcome(program):
     """One measurement call per outcome: the dense engine's probability is the
     full-vector reference's, the tableau's is exactly 1.0 or 0.5, and the
-    walker's leaves sum to 1 on both engines."""
+    walker's leaves sum to 1 on both engines.  The engines measure a Y event
+    in Z between the reference's basis change; the reference projects onto Y."""
     circ, bits = program
     n = circ.num_qubits
     tab, den, ref = StabilizerState(n), DenseState(n), ref_DenseState(n)
@@ -937,16 +1147,25 @@ def test_measure_returns_the_probability_of_its_outcome(program):
                 state.apply_gate(e.action, e.targets)
             continue
         (q,) = e.targets
+        before, after = REF_TO_Z[e.basis]
+        for g in before:
+            tab.apply_gate(g, (q,))
+            den.apply_gate(g, (q,))
         try:
-            out, p_tab = tab.measure(q, e.basis)
+            out, p_tab = tab.measure(q)
         except RandomOutcomeError as exc:
             assert exc.p0 == 0.5
-            out, p_tab = tab.measure(q, e.basis, force=bits[e.key])
+            out, p_tab = tab.measure(q, force=bits[e.key])
         want = ref.branch_probabilities(q, e.basis)[out]
         ref.measure(q, e.basis, force=out)
-        _, p_den = den.measure(q, e.basis, force=out)
+        _, p_den = den.measure(q, force=out)
+        for g in after:
+            tab.apply_gate(g, (q,))
+            den.apply_gate(g, (q,))
         assert type(p_tab) is float and p_tab in (1.0, 0.5)
         assert abs(p_den - want) < 1e-12 and abs(p_den - p_tab) < 1e-12
+    assert abs(fidelity(tab, ref.vec) - 1) < 1e-9
+    assert np.abs(full_vector(den) - ref.vec).max() < 1e-12
     for engine in (StabilizerState, DenseState):
         assert abs(sum(p for _, p, _ in walk_outcomes(circ, engine(n))) - 1) < 1e-12
 
@@ -977,17 +1196,24 @@ def test_amplitudes_are_written_and_read_at_basis_indices():
 
 @pytest.mark.parametrize("basis", ["Z", "Y"])
 def test_copies_measured_alike_stay_independent(basis):
-    """The walker's order: an unforced measurement that raises, a copy, then
-    the copy and the original measured; later gates on one must not reach the
+    """The walker's order on a random outcome: an unforced measurement that
+    raises, a copy, then the copy and the original measured.  A state and its
+    copy walked alike give equal leaves, and later gates on one leaf reach no
     other."""
     den = DenseState(2).apply_gate("H", (0,)).apply_gate("CNOT", (0, 1))
-    with pytest.raises(RandomOutcomeError):
-        den.measure(1, basis)
     twin = den.copy()
-    assert twin.measure(1, basis, force=0) == den.measure(1, basis, force=0)
-    before = full_vector(den)
-    twin.apply_gate("X", (0,)).apply_gate("S", (1,))
-    assert np.array_equal(full_vector(den), before)
+    circ = measure_circuit(2, 1, basis)
+    leaves, twins = list(walk_outcomes(circ, den)), list(walk_outcomes(circ, twin))
+    assert len(leaves) == len(twins) == 2
+    for (rec, prob, a), (rec2, prob2, b) in zip(leaves, twins):
+        assert (rec, prob) == (rec2, prob2) and np.array_equal(full_vector(a), full_vector(b))
+    before = [full_vector(leaf) for _, _, leaf in leaves]
+    for _, _, leaf in twins:
+        leaf.apply_gate("X", (0,)).apply_gate("S", (1,))
+    leaves[0][2].apply_gate("H", (1,))
+    assert np.array_equal(full_vector(leaves[1][2]), before[1])
+    assert np.array_equal(full_vector(leaves[0][2]),
+                          full_vector(write_vector(DenseState(2), before[0]).apply_gate("H", (1,))))
 
 
 @pytest.mark.parametrize("indices, amps", [
