@@ -14,7 +14,7 @@ timed events live in loopsim.TimedSchedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Sequence
 
 from .tableau import RandomOutcomeError
@@ -54,7 +54,8 @@ class ScheduledCircuit:
         return sorted({e.slot for e in self.events})
 
     def extended(self, other: "ScheduledCircuit", slot_offset: int) -> "ScheduledCircuit":
-        shifted = [replace(e, slot=e.slot + slot_offset) for e in other.events]
+        shifted = [CircuitEvent(e.slot + slot_offset, e.action, e.targets, e.basis, e.key,
+                                e.condition) for e in other.events]
         return ScheduledCircuit(self.num_qubits, self.events + shifted, dict(self.meta))
 
 

@@ -3,9 +3,12 @@
 The engine writes down one codespace tableau in which each logical qubit is
 maximally entangled with a bare reference qubit, straight from the code's
 generators and the reference pairs (`StabilizerState.from_css`, with no
-measurement).  It replays the circuit once (measurements must come out
-deterministic on the codespace, or a CodespaceViolationError is raised),
-and reads the image of each logical generator G of patch i as the signed
+measurement): the patches' stabilizer supports and the pins become the rows
+of one 0/1 matrix in one fancy-indexed write.  Nothing is cached between
+calls.  It replays the circuit once (measurements must come out
+deterministic on the codespace, or a CodespaceViolationError is raised;
+each deterministic outcome is read from a few packed tableau rows), and
+reads the image of each logical generator G of patch i as the signed
 logical Pauli P for which P (x) G on reference i lies in the output
 stabilizer group.  The images come from one GF(2) row reduction on the 2k
 reference columns and one sign read-out per generator, so any number k of
@@ -75,13 +78,6 @@ class EncodedStack:
         out.phase = p.phase
         return out
 
-    def all_stabilizers(self) -> list[PauliString]:
-        out = []
-        for idx, patch in enumerate(self.patches):
-            for s in patch.stabilizers:
-                out.append(self._lift(patch.stabilizer_pauli(s), idx))
-        return out
-
 
 def encode_stack(patches: Sequence[PatchSpec]) -> EncodedStack:
     offsets = []
@@ -93,8 +89,36 @@ def encode_stack(patches: Sequence[PatchSpec]) -> EncodedStack:
 
 
 def _project(stack: EncodedStack, pins: Sequence[PauliString]) -> StabilizerState:
-    """The +1 eigenstate of every stabilizer and each pin, built from them directly."""
-    return StabilizerState.from_css(stack.num_qubits, stack.all_stabilizers() + list(pins))
+    """The +1 eigenstate of every stabilizer and each pin, built from them directly.
+
+    The stabilizers and pins become the rows of one 0/1 support matrix,
+    written with one fancy-indexed assignment; `from_css` takes its X-type
+    and Z-type rows.  Each pin must be a +1-signed pure X or Z Pauli on the
+    stack's qubits, else ValueError.
+    """
+    n = stack.num_qubits
+    gen: list[int] = []       # row of each support entry
+    qubits: list[int] = []    # qubit of each support entry
+    is_x: list[bool] = []     # whether each row is X-type
+    for patch, off in zip(stack.patches, stack.offsets):
+        for s in patch.stabilizers:
+            gen += [len(is_x)] * len(s.support)
+            qubits += [off + patch.index[c] for c in s.support]
+            is_x.append(s.kind == "X")
+    for g in pins:
+        if g.n != n:
+            raise ValueError(f"{g.n}-qubit generator for {n} qubits")
+        has_x, has_z = g.x.any(), g.z.any()
+        if g.phase != 0 or has_x == has_z:
+            raise ValueError(f"{g!r} is not a +1-signed pure X or Z Pauli")
+        support = np.flatnonzero(g.x if has_x else g.z).tolist()
+        gen += [len(is_x)] * len(support)
+        qubits += support
+        is_x.append(bool(has_x))
+    rows = np.zeros((len(is_x), n), dtype=np.uint8)
+    rows[gen, qubits] = 1
+    x_type = np.array(is_x, dtype=bool)
+    return StabilizerState.from_css(n, rows[x_type], rows[~x_type])
 
 
 def _run_protocol(circuit: ScheduledCircuit, st: StabilizerState) -> dict[str, int]:
@@ -120,9 +144,9 @@ def _read_images(st: StabilizerState, paired: EncodedStack,
     k = len(paired.patches)
     n = paired.num_qubits - k
     sx, sz = st.x[st.n:], st.z[st.n:]
-    logicals = [paired.logical_pauli(j, p) for j in range(k) for p in "ZX"]
-    lx, lz = np.array([p.x for p in logicals]), np.array([p.z for p in logicals])
-    anti = (sx @ lz.T + sz @ lx.T) & 1     # uint8 sums wrap mod 256, keeping parity
+    # read on each logical's support: a dense uint8 product with sx runs no BLAS
+    anti = np.array([st._anticommuting(paired.logical_pauli(j, p))[0][st.n:]
+                     for j in range(k) for p in "ZX"]).T
     ref = np.concatenate([sx[:, n:], sz[:, n:]], axis=1)
     basis = xor_basis(zip(pack_rows(ref), pack_rows(anti)))
     images = {}

@@ -181,26 +181,27 @@ def check_circuit(patch: PatchSpec) -> ScheduledCircuit:
 def _layer_partner(stab: Stabilizer, layer: int) -> Optional[Coord]:
     """Data coordinate a stabilizer's ancilla touches in CNOT layer 0..3."""
     order = X_ORDER if stab.kind == "X" else Z_ORDER
-    name = order[layer]
-    R, C = (stab.center[0] - 1) // 2, (stab.center[1] - 1) // 2
-    off = _CORNER_OFFSET[name]
-    coord = (2 * (R + (off[0] + 1) // 2), 2 * (C + (off[1] + 1) // 2))
+    dr, dc = _CORNER_OFFSET[order[layer]]
+    coord = (stab.center[0] + dr, stab.center[1] + dc)
     return coord if coord in stab.support else None
 
 
-def _check_half(patch: PatchSpec, kind: str, second: bool) -> ScheduledCircuit:
-    events = [e for e in check_circuit(patch).sorted_events() if (e.slot >= 4) == second]
-    return ScheduledCircuit(patch.num_qubits, events, {"kind": kind})
+def check_halves(patch: PatchSpec) -> tuple[ScheduledCircuit, ScheduledCircuit]:
+    """`first_half_circuit` and `second_half_circuit`, split from one check round."""
+    events = check_circuit(patch).sorted_events()
+    first = [e for e in events if e.slot < 4]
+    return (ScheduledCircuit(patch.num_qubits, first, {"kind": "check-first-half"}),
+            ScheduledCircuit(patch.num_qubits, events[len(first):], {"kind": "check-second-half"}))
 
 
 def first_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """Resets, opening H layer, and CNOT layers 1-2 (slots 0..3)."""
-    return _check_half(patch, "check-first-half", second=False)
+    return check_halves(patch)[0]
 
 
 def second_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """CNOT layers 3-4, closing H layer, and measurements (slots 4..7)."""
-    return _check_half(patch, "check-second-half", second=True)
+    return check_halves(patch)[1]
 
 
 # -- mid-cycle structure -------------------------------------------------------
@@ -247,11 +248,16 @@ def midcycle_expected(patch: PatchSpec) -> MidcycleGroup:
             generators.append(PauliString.from_label(
                 "Z" * len(sites), n, [patch.index[s] for s in sites]))
 
-    active = list(patch.data_coords) + sorted(bulk)
+    active = midcycle_active(patch)
     profile: dict[int, int] = {}
     for g in generators:
         profile[g.weight()] = profile.get(g.weight(), 0) + 1
     return MidcycleGroup(active, boundary, generators, len(generators), profile)
+
+
+def midcycle_active(patch: PatchSpec) -> list[Coord]:
+    """The qubits the mid-cycle code acts on: data, then the bulk ancillas in order."""
+    return list(patch.data_coords) + sorted(s.center for s in patch.bulk_ancillas())
 
 
 def midcycle_fold_pairs(patch: PatchSpec) -> list[tuple[Coord, Coord]]:

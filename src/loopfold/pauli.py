@@ -86,7 +86,10 @@ def pack_rows(rows: np.ndarray) -> list[int]:
     """Each row of a 0/1 matrix as one int; column j is bit (columns - 1 - j)."""
     bits = np.asarray(rows, dtype=np.uint8)
     pad = -bits.shape[1] % 8
-    return [int.from_bytes(b, "big") >> pad for b in np.packbits(bits, axis=1).tolist()]
+    packed = np.packbits(bits, axis=1)
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad
+            for i in range(len(packed))]
 
 
 def unpack_rows(vecs: Sequence[int], columns: int) -> np.ndarray:

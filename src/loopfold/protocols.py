@@ -15,11 +15,10 @@ from .logical import encode_stack
 from .patches import (
     PatchSpec,
     LoopEmbedding,
-    first_half_circuit,
-    second_half_circuit,
+    check_halves,
     midcycle_diagonal,
     midcycle_fold_pairs,
-    midcycle_expected,
+    midcycle_active,
 )
 
 # Crease phase assignment discovered by the one-time d=3 dense-oracle search
@@ -61,7 +60,7 @@ def transversal_s_circuit(patch: PatchSpec, alternation: Sequence[str] | None = 
         if g not in ("S", "SDG"):
             raise ValueError(f"alternation entries must be S or SDG, got {g!r}")
 
-    circ = first_half_circuit(patch)
+    circ, closing = check_halves(patch)
     circ.meta["kind"] = "transversal-S"
     slot = 4
     inv = {"S": "SDG", "SDG": "S"}
@@ -74,7 +73,7 @@ def transversal_s_circuit(patch: PatchSpec, alternation: Sequence[str] | None = 
         circ.add(slot, gate, (q,))
     for a, b in midcycle_fold_pairs(patch):
         circ.add(slot, "CZ", (patch.index[a], patch.index[b]))
-    return circ.extended(second_half_circuit(patch), slot_offset=1)
+    return circ.extended(closing, slot_offset=1)
 
 
 def transversal_h_circuit(patch: PatchSpec) -> ScheduledCircuit:
@@ -86,15 +85,14 @@ def transversal_h_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """
     if patch.kind != "folded":
         raise ValueError("transversal H needs a folded patch")
-    circ = first_half_circuit(patch)
+    circ, closing = check_halves(patch)
     circ.meta["kind"] = "transversal-H"
     slot = 4
-    active = midcycle_expected(patch).active_coords
-    for coord in active:
+    for coord in midcycle_active(patch):
         circ.add(slot, "H", (patch.index[coord],))
     for a, b in midcycle_fold_pairs(patch):
         circ.add(slot + 1, "SWAP", (patch.index[a], patch.index[b]))
-    return circ.extended(second_half_circuit(patch), slot_offset=2)
+    return circ.extended(closing, slot_offset=2)
 
 
 def transversal_two_qubit(stack: LoopEmbedding, i: int, j: int, gate: str,

@@ -3,9 +3,13 @@
 The tableau follows the Aaronson-Gottesman layout: 2n rows of (x | z) bits
 with a sign bit per row, rows 0..n-1 destabilizers, rows n..2n-1 stabilizers.
 Any Hermitian Pauli is measured directly on the rows, with the row phases
-taken in the explicit-i convention of `PauliString`.  `from_css` writes a
-CSS codespace state down from its generators, with its destabilizers, from
-one reduced row-echelon form instead of one measurement per generator.
+taken in the explicit-i convention of `PauliString`.  A deterministic
+outcome is the sign of the product of the stabilizer rows that the
+destabilizers mark, read from those rows packed into Python ints (as Stim
+packs rows into words); almost every read marks a handful of rows.
+`from_css` writes a CSS codespace state down from the 0/1 support matrices
+of its X-type and Z-type generators, with its destabilizers, from one
+reduced row-echelon form instead of one measurement per generator.
 The dense engine is the independent brute-force reference used to certify
 protocol claims on small instances; it supports the non-Clifford T gate.
 It stores a state on its support, the basis indices with a nonzero
@@ -13,7 +17,8 @@ amplitude, so a codeword of 17 qubits costs its 32 amplitudes, not 2^17:
 X, Y, CNOT and SWAP move indices with bit operations, the diagonal gates
 scale amplitudes, and H pairs each index with its partner across the
 qubit's bit through a map from basis index to support slot (no sort).
-Both engines validate gate and measurement targets through one shared check.
+Both engines validate gate and measurement targets through one shared check,
+which accepts only integer qubit indices (NumPy integers too, bools not).
 
 Gates come in layers: `apply_layer` applies one gate kind to pairwise
 disjoint target tuples.  The tableau does a whole layer with one
@@ -72,43 +77,42 @@ class StabilizerState:
         self.r = np.zeros(2 * n, dtype=np.uint8)  # sign bit: 0 -> +, 1 -> -
 
     @classmethod
-    def from_css(cls, num_qubits: int, generators: Sequence[PauliString]) -> "StabilizerState":
+    def from_css(cls, num_qubits: int, x_rows, z_rows) -> "StabilizerState":
         """|0...0> projected onto the +1 eigenspace of every generator, written down.
 
-        Each generator must be a +1-signed pure X or pure Z Pauli; the X-type
-        ones independent, the Z-type ones independent and commuting with the
-        X-type ones, else ValueError.  |0...0> is already a +1 eigenstate of
-        the Z-type ones, so they are checked, not applied.  From the reduced
-        row-echelon form R_1..R_r of the X-type generators, with pivot qubits
-        p_i: each R_i is a stabilizer with destabilizer Z_(p_i), and each other
-        qubit q gives the stabilizer Z_q prod_(R_i[q] = 1) Z_(p_i) with
-        destabilizer X_q.  Every sign is +.  This is the state that measuring
-        the generators in turn with `measure_pauli(g, force=0)` reaches.
+        `x_rows` and `z_rows` are 0/1 matrices with `num_qubits` columns: row
+        i of `x_rows` is the support of the i-th +1-signed X-type generator,
+        and likewise for `z_rows`.  The X-type ones must be independent, the
+        Z-type ones independent and commuting with the X-type ones, else
+        ValueError.  |0...0> is already a +1 eigenstate of the Z-type ones, so
+        they are checked, not applied.  From the reduced row-echelon form
+        R_1..R_r of the X-type generators, with pivot qubits p_i: each R_i is
+        a stabilizer with destabilizer Z_(p_i), and each other qubit q gives
+        the stabilizer Z_q prod_(R_i[q] = 1) Z_(p_i) with destabilizer X_q.
+        Every sign is +.  This is the state that measuring the generators in
+        turn with `measure_pauli(g, force=0)` reaches.
         """
         n = num_qubits
-        xs, zs = [], []
-        for g in generators:
-            if g.n != n:
-                raise ValueError(f"{g.n}-qubit generator for {n} qubits")
-            has_x, has_z = g.x.any(), g.z.any()
-            if g.phase != 0 or has_x == has_z:
-                raise ValueError(f"{g!r} is not a +1-signed pure X or Z Pauli")
-            (xs if has_x else zs).append(g.x if has_x else g.z)
-        x_rows = reduced_echelon(pack_rows(np.reshape(xs, (-1, n))))
-        z_gens = np.reshape(zs, (-1, n)).astype(np.uint8)
-        if len(xor_basis((v, 0) for v in pack_rows(z_gens))) < len(zs):
+        x_rows, z_rows = np.asarray(x_rows, dtype=np.uint8), np.asarray(z_rows, dtype=np.uint8)
+        for rows in (x_rows, z_rows):
+            if rows.ndim != 2 or rows.shape[1] != n:
+                raise ValueError(f"{rows.shape[-1]}-qubit generator for {n} qubits")
+        x_basis = reduced_echelon(pack_rows(x_rows))
+        if len(xor_basis((v, 0) for v in pack_rows(z_rows))) < len(z_rows):
             raise ValueError("dependent generators")
-        red = unpack_rows(x_rows, n)
+        red = unpack_rows(x_basis, n)
         # a Z generator's overlap parities with every R_i: the XOR of R's columns
         # on its support (generators are sparse, so no dense product)
-        gen, qubit = np.nonzero(z_gens)
+        gen, qubit = np.nonzero(z_rows)
         starts = np.flatnonzero(np.diff(gen, prepend=-1))
         if len(qubit) and np.bitwise_xor.reduceat(red.T[qubit], starts).any():
             raise ValueError("anticommuting generators")
 
-        r = len(x_rows)
-        pivots = np.array([n - bits.bit_length() for bits in x_rows], dtype=np.intp)
-        free = np.setdiff1d(np.arange(n), pivots)
+        r = len(x_basis)
+        pivots = np.array([n - bits.bit_length() for bits in x_basis], dtype=np.intp)
+        is_free = np.ones(n, dtype=bool)
+        is_free[pivots] = False
+        free = np.flatnonzero(is_free)
         st = cls.__new__(cls)
         st.n = n
         st.x = np.zeros((2 * n, n), dtype=np.uint8)
@@ -180,15 +184,17 @@ class StabilizerState:
     def measure(self, qubit: int, force: Optional[int] = None) -> tuple[int, float]:
         """Measure a qubit in the Z basis; see `measure_pauli`.
 
-        A deterministic outcome is read from the qubit's X column; only a
-        random one builds the n-qubit Pauli.
+        The rows that anticommute with Z are those with X on the qubit, found
+        with one `nonzero` over its X column: if they are all
+        destabilizers the outcome is deterministic and read from the
+        stabilizers they mark; only a random one builds the n-qubit Pauli.
         """
         _check_targets(self.n, (qubit,))
         _check_force(force)
-        anti = self.x[:, qubit]
-        if anti[self.n:].any():
+        marked = self.x[:, qubit].nonzero()[0]
+        if marked.size and marked[-1] >= self.n:
             return self.measure_pauli(PauliString.from_label("Z", self.n, [qubit]), force)
-        return self._deterministic(anti[:self.n], 0, force)
+        return self._deterministic(marked, 0, force)
 
     def measure_pauli(self, pauli: PauliString,
                       force: Optional[int] = None) -> tuple[int, float]:
@@ -207,7 +213,7 @@ class StabilizerState:
         anti, sign = self._anticommuting(pauli)
         stab = np.flatnonzero(anti[n:])
         if stab.size == 0:
-            return self._deterministic(anti[:n], pauli.phase, force)
+            return self._deterministic(np.flatnonzero(anti[:n]), pauli.phase, force)
         if force is None:
             raise RandomOutcomeError(0.5)
         outcome = int(force)
@@ -243,27 +249,30 @@ class StabilizerState:
                 + self.z[:, support] @ pauli.x[support]) & 1
         return anti.astype(bool), sign
 
-    def _deterministic(self, destabilizers: np.ndarray, phase: int,
+    def _deterministic(self, marked: np.ndarray, phase: int,
                        force: Optional[int]) -> tuple[int, float]:
         """(outcome, 1.0) for a Pauli of explicit-i phase `phase` in the group."""
-        outcome = self._product_sign(destabilizers, phase)
+        outcome = self._product_sign(marked, phase)
         if force is not None and int(force) != outcome:
             raise ImpossibleOutcomeError("forced branch contradicts deterministic outcome")
         return outcome, 1.0
 
-    def _product_sign(self, destabilizers: np.ndarray, phase: int) -> int:
-        """Sign bit of +-P = product of the stabilizers paired with the marked destabilizers.
+    def _product_sign(self, marked: np.ndarray, phase: int) -> int:
+        """Sign bit of +-P = product of the stabilizers paired with the marked
+        destabilizers, given by their indices in increasing order.
 
-        `phase` is P's explicit-i phase exponent.
-
-        In row order, moving each row's X part left past the Z parts of the
-        earlier rows costs (-1)^(sum over a < b of z_a.x_b).
+        `phase` is P's explicit-i phase exponent.  Each marked row is packed
+        into one Python int per half.  In row order, moving each row's X part
+        left past the Z parts of the earlier rows costs (-1)^(z_<b . x_b),
+        with z_<b the XOR of the earlier rows' Z parts.
         """
-        rows = self.n + np.flatnonzero(destabilizers)
-        x, z = self.x[rows], self.z[rows]
-        earlier_z = (np.cumsum(z, axis=0, dtype=np.uint8) - z) & 1
-        product = int(np.sum(_phase(x, z, self.r[rows]))) + 2 * np.count_nonzero(x & earlier_z)
-        return (int(product - phase) & 3) >> 1
+        rows = self.n + marked
+        packed = pack_rows(np.concatenate((self.x.take(rows, 0), self.z.take(rows, 0))))
+        total, earlier_z = -phase, 0
+        for x, z, r in zip(packed[:len(rows)], packed[len(rows):], self.r[rows].tolist()):
+            total += 2 * r + (x & z).bit_count() + 2 * (earlier_z & x).bit_count()
+            earlier_z ^= z
+        return (total & 3) >> 1
 
     # -- inspection -------------------------------------------------------------
 
@@ -286,7 +295,7 @@ class StabilizerState:
             return None
         if anti[self.n:].any():
             return None
-        return 1 - 2 * self._product_sign(anti[:self.n], pauli.phase)
+        return 1 - 2 * self._product_sign(np.flatnonzero(anti[:self.n]), pauli.phase)
 
     def copy(self) -> "StabilizerState":
         st = StabilizerState.__new__(StabilizerState)
@@ -473,14 +482,19 @@ _ARITY = {g: 2 if g in ("CNOT", "CZ", "SWAP") else 1 for g in CLIFFORD_GATES + (
 
 
 def _check_targets(n: int, targets: Sequence[int], arity: int = 1) -> None:
-    """Raise ValueError unless `targets` are `arity` distinct qubits of range(n)."""
+    """Raise ValueError unless `targets` are `arity` distinct qubits of range(n).
+
+    A qubit is an int or a NumPy integer, not a bool."""
     if len(targets) != arity:
         raise ValueError(f"expected {arity} target(s), got {len(targets)}")
-    if len(set(targets)) != arity:
-        raise ValueError("duplicate targets")
     for q in targets:
+        if type(q) is not int and (isinstance(q, bool)
+                                   or not isinstance(q, (int, np.integer))):
+            raise ValueError(f"target {q!r} is not an integer qubit index")
         if not 0 <= q < n:
             raise ValueError(f"target {q} out of range for {n} qubits")
+    if len(set(targets)) != arity:
+        raise ValueError("duplicate targets")
 
 
 def _check_layer(n: int, targets: Sequence[Sequence[int]], arity: int) -> None:

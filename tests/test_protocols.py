@@ -1,7 +1,11 @@
 """Transversal protocol circuits and their verified logical actions."""
 
 import itertools
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,11 +32,23 @@ def prepare_logical_state(stack, bases):
     return _project(stack, [stack.logical_pauli(i, b) for i, b in enumerate(bases)])
 
 
+def all_stabilizers(stack):
+    """Every patch's stabilizers as Pauli strings on the stack's qubits."""
+    out = []
+    for off, patch in zip(stack.offsets, stack.patches):
+        for s in patch.stabilizers:
+            p = patch.stabilizer_pauli(s)
+            lifted = PauliString(stack.num_qubits)
+            lifted.x[off:off + p.n], lifted.z[off:off + p.n] = p.x, p.z
+            out.append(lifted)
+    return out
+
+
 def ref_project(stack, pins):
     """Reference: the codespace tableau reached by measuring every stabilizer,
     then each pin, at +1 from |0...0>."""
     st = StabilizerState(stack.num_qubits)
-    for g in stack.all_stabilizers() + list(pins):
+    for g in all_stabilizers(stack) + list(pins):
         st.measure_pauli(g, force=0)
     return st
 
@@ -470,7 +486,7 @@ def test_built_codespace_rejects_what_is_not_a_css_codespace():
     n = stack.num_qubits
     minus_z = stack.logical_pauli(0, "Z")
     minus_z.phase = 2
-    x_stab = next(g for g in stack.all_stabilizers() if g.x.any())
+    x_stab = next(g for g in all_stabilizers(stack) if g.x.any())
     for pins, message in [
             ([stack.logical_pauli(0, "Y")], "pure X or Z"),
             ([minus_z], "pure X or Z"),
@@ -480,5 +496,25 @@ def test_built_codespace_rejects_what_is_not_a_css_codespace():
             ([stack.logical_pauli(0, "X"), stack.logical_pauli(0, "Z")], "anticommuting")]:
         with pytest.raises(ValueError, match=message):
             _project(stack, pins)
-    with pytest.raises(ValueError, match="qubit generator"):
-        StabilizerState.from_css(n + 1, stack.all_stabilizers())
+    with pytest.raises(ValueError, match=f"{n + 1}-qubit generator for {n} qubits"):
+        _project(stack, [PauliString.from_label("Z", n + 1, [0])])
+    rows = np.array([g.z for g in all_stabilizers(stack) if g.z.any()])
+    with pytest.raises(ValueError, match=f"{n}-qubit generator for {n + 1} qubits"):
+        StabilizerState.from_css(n + 1, np.zeros((0, n + 1)), rows)
+
+
+def test_the_tableau_path_does_not_import_numpy_ma():
+    # np.setdiff1d's np.unique imports numpy.ma, 17 ms and about 0.7 MiB per process
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    code = ("import sys\n"
+            "from loopfold.logical import logical_action\n"
+            "from loopfold.patches import build_patch\n"
+            "from loopfold.protocols import transversal_s_circuit\n"
+            "patch = build_patch(3, 'folded')\n"
+            "assert logical_action(transversal_s_circuit(patch), patch).name == 'S'\n"
+            "assert 'numpy.ma' not in sys.modules\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -832,8 +832,16 @@ def engine_snapshot(state):
     lambda s: s.measure(3, force=0),
     lambda s: s.measure(-1, force=0),
     lambda s: run_on_state(measure_circuit(3, 3, "Y"), s),
+    lambda s: s.apply_gate("CNOT", (0, 1.5)),
+    lambda s: s.apply_gate("H", (True,)),
+    lambda s: s.apply_layer("X", [(0,), (np.bool_(True),)]),
+    lambda s: s.apply_gate("SWAP", (0, "1")),
+    lambda s: s.measure(True),
+    lambda s: s.measure(1.0),
+    lambda s: s.measure(np.float64(2.0), force=0),
 ], ids=["cnot-1-1", "swap-0-0", "cz-2-2", "h-minus-1", "measure-3", "measure-minus-1",
-        "measure-y-3"])
+        "measure-y-3", "cnot-float", "h-bool", "layer-numpy-bool", "swap-str",
+        "measure-bool", "measure-float", "measure-numpy-float"])
 def test_bad_targets_rejected_before_the_state_changes(engine, call):
     state = engine(3)
     state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 1)).apply_gate("CNOT", (1, 2))
@@ -1236,3 +1244,105 @@ def test_dense_state_keeps_its_qubit_cap():
         with pytest.raises(ValueError, match="1..20"):
             DenseState(n)
     assert DenseState(20).amplitudes([0, (1 << 20) - 1]).tolist() == [1, 0]
+
+
+# -- integer targets ------------------------------------------------------------
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+def test_a_fractional_cnot_target_stops_the_circuit(engine):
+    """X 0; CNOT (0, 1.5); MEASURE 1 used to record m1 = 1 on the tableau, as
+    if CNOT(0, 1) had run; now both engines refuse the CNOT."""
+    circ = ScheduledCircuit(2)
+    circ.add(0, "X", (0,))
+    circ.add(1, "CNOT", (0, 1.5))
+    circ.add(2, "MEASURE", (1,))
+    with pytest.raises(ValueError, match="not an integer"):
+        run_on_state(circ, engine(2))
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+def test_numpy_integer_targets_are_qubits(engine):
+    plain, typed = engine(3), engine(3)
+    plain.apply_gate("H", (0,)).apply_gate("CNOT", (0, 2))
+    typed.apply_gate("H", (np.int64(0),)).apply_layer("CNOT", [(np.intp(0), np.uint8(2))])
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(typed),
+                                                       engine_snapshot(plain)))
+    assert typed.measure(np.int32(1)) == plain.measure(1)
+
+
+# -- the packed product sign against the cumulative-sum formula -----------------
+
+def ref_product_sign(state, destabilizers, phase):
+    """Reference: the sign bit of the product of the stabilizers paired with the
+    marked destabilizers (a boolean mask), summed over full rows: in row order,
+    moving each row's X part left past the Z parts of the earlier rows costs
+    (-1)^(sum over a < b of z_a.x_b)."""
+    rows = state.n + np.flatnonzero(destabilizers)
+    x, z = state.x[rows], state.z[rows]
+    earlier_z = (np.cumsum(z, axis=0, dtype=np.uint8) - z) & 1
+    row_phases = (2 * state.r[rows] + np.count_nonzero(x & z, axis=-1)) & 3
+    product = int(np.sum(row_phases)) + 2 * np.count_nonzero(x & earlier_z)
+    return (int(product - phase) & 3) >> 1
+
+
+def random_layers(state, rng, gates, depth):
+    """`depth` layers, each one random gate kind on random disjoint targets."""
+    n = state.n
+    for _ in range(depth):
+        gate = gates[rng.integers(len(gates))]
+        arity = _ARITY[gate]
+        qubits = rng.permutation(n).tolist()
+        count = int(rng.integers(n // arity + 1))
+        state.apply_layer(gate, [tuple(qubits[arity * i:arity * (i + 1)]) for i in range(count)])
+
+
+def assert_measures_like_the_reference(tab, rng):
+    """Measure every qubit in random order; a deterministic outcome must be
+    the reference sign, a random one is forced.  Returns the marked counts."""
+    n, marked = tab.n, []
+    for q in rng.permutation(n).tolist():
+        destabilizers = tab.x[:n, q].astype(bool)
+        if tab.x[n:, q].any():
+            tab.measure(q, force=int(rng.integers(2)))
+            continue
+        want = ref_product_sign(tab, destabilizers, 0)
+        assert tab.measure(q) == (want, 1.0)
+        marked.append(int(np.count_nonzero(destabilizers)))
+    return marked
+
+
+@given(st.sampled_from([3, 9, 70, 130]), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_packed_product_sign_matches_the_cumulative_sum(n, seed):
+    """Sizes that are not multiples of 8, two wider than 64 bits: every
+    deterministic `measure` and every `expectation_sign` equals the reference."""
+    rng = np.random.default_rng(seed)
+    tab = StabilizerState(n)
+    random_layers(tab, rng, CLIFFORD_GATES, int(rng.integers(1, 6)))
+    assert_measures_like_the_reference(tab, rng)
+    # every qubit now has a Z stabilizer; Z-preserving layers mix the rows, so a
+    # qubit's Z becomes a product of several of them, all deterministic
+    random_layers(tab, rng, ("CNOT", "SWAP", "X", "Z", "S", "SDG", "CZ"), 6)
+    assert all(tab.x[n:].sum(axis=0) == 0)
+    assert_measures_like_the_reference(tab, rng)
+
+    random_layers(tab, rng, CLIFFORD_GATES, 4)
+    stabilizers = tab.stabilizer_generators()
+    empty = np.zeros(n, dtype=bool)
+    for phase in (0, 2):   # no marked row: the product is the identity
+        assert tab._product_sign(np.flatnonzero(empty), phase) == ref_product_sign(tab, empty, phase)
+    for size in {1, min(n, 8), n // 2 or 1, n}:
+        chosen = np.sort(rng.choice(n, size=size, replace=False))
+        product = stabilizers[chosen[0]].copy()
+        for i in chosen[1:]:
+            product = product * stabilizers[i]
+        flip = int(rng.integers(2))
+        product.phase = (product.phase + 2 * flip) % 4
+        mask = np.zeros(n, dtype=bool)
+        mask[chosen] = True
+        want = 1 - 2 * ref_product_sign(tab, mask, product.phase)
+        assert tab.expectation_sign(product) == want == 1 - 2 * flip
+        before = tab.copy()
+        assert tab.measure_pauli(product) == (flip, 1.0)
+        assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(tab),
+                                                           engine_snapshot(before)))
