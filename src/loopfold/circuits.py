@@ -15,13 +15,14 @@ timed events live in loopsim.TimedSchedule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .tableau import RandomOutcomeError
 
 
-@dataclass(frozen=True)
-class CircuitEvent:
+class CircuitEvent(NamedTuple):
+    """One event; a tuple, so immutable, hashable and cheap to build."""
+
     slot: int
     action: str                      # gate name, RESET, MEASURE
     targets: tuple[int, ...]

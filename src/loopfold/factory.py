@@ -154,14 +154,29 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T") -> FactoryVerif
 
 def _reduced_triple(st, outputs) -> Optional[np.ndarray]:
     """Amplitudes on the three output qubits; None if they are entangled
-    with anything left over."""
+    with anything left over.
+
+    The 8 x k matrix is built from the support: an entry's output bits give
+    its row and its leftover bits its column.  Its k columns are the live
+    ones, in ascending leftover index, so it is the full 8 x 2^(n-3) matrix
+    without its zero columns, which add nothing to the dominant column space.
+    """
     n = st.n
-    others = [q for q in range(n) if q not in outputs]
-    v = st.amplitudes(np.arange(1 << n)).reshape([2] * n)
-    v = np.transpose(v, list(outputs) + others).reshape(8, -1)
-    # the leftover register is collapsed onto a few live columns; zero
-    # columns add nothing to the dominant column space
-    u, s, _ = np.linalg.svd(v[:, v.any(axis=0)], full_matrices=False)
+    idx, amp = st.support()
+    row = 0
+    for q in outputs:
+        row = (row << 1) | ((idx >> (n - 1 - q)) & 1)
+    # the leftover bits in place, with the output bits cleared: ascending in
+    # this key is ascending in the leftover index
+    rest = idx & ~sum(1 << (n - 1 - q) for q in outputs)
+    live = np.zeros(1 << n, dtype=bool)
+    live[rest] = True
+    cols = live.nonzero()[0]
+    rank = np.zeros(1 << n, dtype=np.intp)
+    rank[cols] = np.arange(cols.size)
+    v = np.zeros((1 << len(outputs), cols.size), dtype=complex)
+    v[row, rank[rest]] = amp
+    u, s, _ = np.linalg.svd(v, full_matrices=False)
     if s[0] < 1e-12:
         return None
     if len(s) > 1 and s[1] > 1e-9:

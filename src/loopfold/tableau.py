@@ -16,14 +16,19 @@ It stores a state on its support, the basis indices with a nonzero
 amplitude, so a codeword of 17 qubits costs its 32 amplitudes, not 2^17:
 X, Y, CNOT and SWAP move indices with bit operations, the diagonal gates
 scale amplitudes, and H pairs each index with its partner across the
-qubit's bit through a map from basis index to support slot (no sort).
+qubit's bit through a map from basis index to support slot (no sort), or,
+where no partner is stored, splits each entry in two.
 Both engines validate gate and measurement targets through one shared check,
-which accepts only integer qubit indices (NumPy integers too, bools not).
+which accepts only integer qubit indices (NumPy integers too, bools not),
+and take only an integer qubit count of at least 1.
 
 Gates come in layers: `apply_layer` applies one gate kind to pairwise
 disjoint target tuples.  The tableau does a whole layer with one
 fancy-indexed update of each column array (a SWAP layer is a plain column
-exchange); the dense engine applies the layer's gates one by one.
+exchange); the dense engine applies the layer's gates one by one, an H
+layer pairs first: the gates commute, and taking first a Hadamard whose
+partners are stored keeps the support small (4,096 entries at most inside
+the d = 3 transversal H, against 32,768 in circuit order).
 
 `measure` measures a qubit in Z only, as in Aaronson-Gottesman; `circuits`
 reaches a Y measurement by conjugating with gates.  Neither engine draws
@@ -69,9 +74,8 @@ class StabilizerState:
     """n-qubit stabilizer state, initialized to |0...0>."""
 
     def __init__(self, num_qubits: int):
-        if num_qubits < 1:
-            raise ValueError("need at least one qubit")
-        n = self.n = num_qubits
+        _check_num_qubits(num_qubits)
+        n = self.n = int(num_qubits)
         self.x = np.eye(2 * n, n, dtype=np.uint8)          # destabilizer X_i
         self.z = np.eye(2 * n, n, k=-n, dtype=np.uint8)    # stabilizer Z_i
         self.r = np.zeros(2 * n, dtype=np.uint8)  # sign bit: 0 -> +, 1 -> -
@@ -92,7 +96,8 @@ class StabilizerState:
         Every sign is +.  This is the state that measuring the generators in
         turn with `measure_pauli(g, force=0)` reaches.
         """
-        n = num_qubits
+        _check_num_qubits(num_qubits)
+        n = int(num_qubits)
         x_rows, z_rows = np.asarray(x_rows, dtype=np.uint8), np.asarray(z_rows, dtype=np.uint8)
         for rows in (x_rows, z_rows):
             if rows.ndim != 2 or rows.shape[1] != n:
@@ -314,10 +319,11 @@ class DenseState:
     nonzero amplitude (`_idx`, in no particular order) and those amplitudes
     (`_amp`); no exact zero is stored.  X, Y, CNOT and SWAP move indices by
     bit operations, Z, S, SDG, T and CZ scale the amplitudes whose bits are
-    set, H pairs each index i with i ^ bit (`_pairs`), and a measurement,
-    in Z only, keeps one half.  The state is written only through
-    `set_amplitudes` and read only through `amplitudes`, both at given basis
-    indices; `amplitudes(range(2 ** n))` is the full vector.
+    set, H pairs each index i with i ^ bit (`_pairs`) or splits each entry
+    when no partner is stored, and a measurement, in Z only, keeps one half.
+    The state is written only through `set_amplitudes` and read through
+    `amplitudes`, both at given basis indices (`amplitudes(range(2 ** n))`
+    is the full vector), or whole through `support`.
     """
 
     __slots__ = ("n", "_idx", "_amp", "_slots")
@@ -326,9 +332,8 @@ class DenseState:
     _PHASES = {"Z": -1.0, "S": 1j, "SDG": -1j, "T": np.exp(1j * np.pi / 4)}
 
     def __init__(self, num_qubits: int):
-        if not 1 <= num_qubits <= 20:
-            raise ValueError("DenseState supports 1..20 qubits")
-        self.n = num_qubits
+        _check_num_qubits(num_qubits, cap=20)
+        self.n = int(num_qubits)
         self._idx = np.zeros(1, dtype=np.intp)
         self._amp = np.ones(1, dtype=complex)
         self._slots = None   # the scratch map of `_find`, made on first use, shared by copies
@@ -337,7 +342,7 @@ class DenseState:
         """Make the state the sum of amplitudes[k] |indices[k]>, from copies of
         both; the indices must be distinct basis indices and some amplitude
         nonzero, else ValueError."""
-        idx = self._basis_indices(np.asarray(indices, dtype=np.intp))
+        idx = self._basis_indices(indices)
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amp.shape != idx.shape:
             raise ValueError(f"{amp.size} amplitudes for {idx.size} indices")
@@ -351,8 +356,11 @@ class DenseState:
 
     def amplitudes(self, indices) -> np.ndarray:
         """The amplitudes at the given basis indices, 0 off the support."""
-        return self._at(self._find(self._idx,
-                                   self._basis_indices(np.asarray(indices, dtype=np.intp))))
+        return self._at(self._find(self._idx, self._basis_indices(indices)))
+
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the stored basis indices and their amplitudes, in no order."""
+        return self._idx.copy(), self._amp.copy()
 
     def _find(self, support: np.ndarray, keys: np.ndarray) -> np.ndarray:
         """Where each of `keys` sits in `support` (its position, or -1), for
@@ -373,9 +381,13 @@ class DenseState:
         amp[slots < 0] = 0
         return amp
 
-    def _basis_indices(self, idx: np.ndarray) -> np.ndarray:
-        """`idx` flattened, after checking that each lies in range(2^n)."""
-        idx = idx.reshape(-1)
+    def _basis_indices(self, indices) -> np.ndarray:
+        """`indices` as a flat intp array, after checking that each is an
+        integer (a NumPy integer too, not a bool) in range(2^n)."""
+        idx = np.asarray(indices)
+        if idx.size and idx.dtype.kind not in "iu":   # a bool is kind "b"
+            raise ValueError(f"basis indices of dtype {idx.dtype} are not integers")
+        idx = idx.astype(np.intp, copy=False).reshape(-1)
         if np.count_nonzero(idx >> self.n):   # nonzero for a negative index or one >= 2^n
             raise ValueError(f"basis index out of range for {self.n} qubits")
         return idx
@@ -384,11 +396,19 @@ class DenseState:
         return self.apply_layer(gate, [targets])
 
     def apply_layer(self, gate: str, targets: Sequence[Sequence[int]]) -> "DenseState":
-        """Apply `gate` to each of the disjoint target tuples in turn."""
+        """Apply `gate` to each of the disjoint target tuples.
+
+        The gates act on disjoint qubits and commute.  A layer of any gate
+        but H runs in the given order; an H layer runs pairs first
+        (`_hadamard_layer`), which gives the same state up to rounding.
+        """
         g = gate.upper()
         if g not in _ARITY:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
         _check_layer(self.n, targets, _ARITY[g])
+        if g == "H":
+            self._hadamard_layer([self._bit(q) for (q,) in targets])
+            return self
         for t in targets:
             self._apply(g, [self._bit(q) for q in t])
         return self
@@ -405,12 +425,6 @@ class DenseState:
         elif g == "Y":   # Y|0> = i|1>, Y|1> = -i|0>
             amp *= np.where(idx & bits[0], -1j, 1j)
             idx ^= bits[0]
-        elif g == "H":   # stores the result's entries that are not exactly 0
-            idx, amp = self._hadamard(bits[0])
-            if not amp.all():
-                keep = amp != 0
-                idx, amp = idx[keep], amp[keep]
-            self._idx, self._amp = idx, amp
         elif g == "CNOT":
             control, target = bits
             idx ^= np.where(idx & control, target, 0)
@@ -421,20 +435,59 @@ class DenseState:
             a, b = bits
             idx ^= np.where(((idx & a) == 0) != ((idx & b) == 0), a | b, 0)
 
-    def _hadamard(self, bit: int) -> tuple[np.ndarray, np.ndarray]:
-        """H on the qubit of `bit` as (indices, amplitudes): each pair (a0, a1)
-        goes to (a0 + a1, a0 - a1)/sqrt(2).  Returned, not stored, so that the
-        pairs are freed before the result is filtered."""
-        base, a0, a1 = self._pairs(bit)
-        amp = np.concatenate((a0 + a1, np.subtract(a0, a1, out=a1)))   # a1 is a fresh row
-        amp *= _SQRT1_2
-        return np.concatenate((base, base | bit)), amp
+    def _hadamard_layer(self, bits: list[int]) -> None:
+        """H on the qubit of each of `bits` (a list it empties), pairs first.
 
-    def _pairs(self, bit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The pairs {i, i | bit} that meet the support: (i, a_i, a_(i|bit)) in
-        fresh arrays, with i's bit clear and a missing member's amplitude 0."""
+        Each round takes the first remaining Hadamard whose partners i ^ bit
+        meet the support and hands its `_find` probe to `_hadamard`; only
+        when no remaining one has a partner does it take the first, which
+        splits every entry.  A bit that is the same on the whole support
+        has no partner and is not probed.  On a full support every Hadamard
+        is paired, and on |0...0> none is, so both keep the given order.
+        """
+        # only routines the engine already calls: a NumPy routine's first
+        # call pages its code in and raises the process's peak memory
+        while bits:
+            idx = self._idx
+            pick, partner = 0, None
+            for k, bit in enumerate(bits):
+                if 0 < np.count_nonzero(idx & bit) < idx.size:
+                    found = self._find(idx, idx ^ bit)
+                    if np.count_nonzero(found < 0) < idx.size:
+                        pick, partner = k, found
+                        break
+            self._hadamard(bits.pop(pick), partner)
+
+    def _hadamard(self, bit: int, partner: Optional[np.ndarray]) -> None:
+        """H on the qubit of `bit`, given each entry's partner slot from
+        `_find(idx, idx ^ bit)`, or None when no partner is stored.
+
+        Each pair (a0, a1) goes to (a0 + a1, a0 - a1)/sqrt(2), and the
+        result's entries that are exactly 0 are not stored.  Without
+        partners each entry a|i> splits into a|i & ~bit>/sqrt(2) and
+        +-a|i | bit>/sqrt(2), minus where i has the bit, and no pairs are
+        built.
+        """
+        idx, amp = self._idx, self._amp
+        if partner is None:   # the |i | bit> half: a, negated where i has the bit (Z's factor)
+            amp = np.concatenate((amp, amp * np.where(idx & bit, -1.0, 1)))
+            idx = np.concatenate((idx & ~bit, idx | bit))
+        else:
+            base, a0, a1 = self._pairs(bit, partner)
+            idx = np.concatenate((base, base | bit))
+            amp = np.concatenate((a0 + a1, np.subtract(a0, a1, out=a1)))   # a1 is a fresh row
+            del base, a0, a1   # freed before the result is filtered
+        amp *= _SQRT1_2
+        if not amp.all():
+            keep = amp != 0
+            idx, amp = idx[keep], amp[keep]
+        self._idx, self._amp = idx, amp
+
+    def _pairs(self, bit: int, partner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs {i, i | bit} that meet the support, from each entry's
+        partner slot: (i, a_i, a_(i|bit)) in fresh arrays, with i's bit clear
+        and a missing member's amplitude 0."""
         idx = self._idx
-        partner = self._find(idx, idx ^ bit)
         one = (idx & bit).astype(bool)
         lead = (~one | (partner < 0)).nonzero()[0]   # each pair once: its 0-member if stored
         slots = np.array((lead, partner[lead]))        # slots of the entry and its partner
@@ -481,6 +534,18 @@ _SQRT1_2 = 1 / np.sqrt(2)
 _ARITY = {g: 2 if g in ("CNOT", "CZ", "SWAP") else 1 for g in CLIFFORD_GATES + ("T",)}
 
 
+def _is_integer(q) -> bool:
+    """An int or a NumPy integer, not a bool."""
+    return type(q) is int or (not isinstance(q, bool) and isinstance(q, (int, np.integer)))
+
+
+def _check_num_qubits(num_qubits, cap: Optional[int] = None) -> None:
+    """Raise ValueError unless `num_qubits` is an integer >= 1 (and <= `cap`)."""
+    if not _is_integer(num_qubits) or num_qubits < 1 or (cap is not None and num_qubits > cap):
+        span = f"1..{cap}" if cap is not None else "at least 1"
+        raise ValueError(f"the qubit count must be an integer in {span}, not {num_qubits!r}")
+
+
 def _check_targets(n: int, targets: Sequence[int], arity: int = 1) -> None:
     """Raise ValueError unless `targets` are `arity` distinct qubits of range(n).
 
@@ -488,8 +553,7 @@ def _check_targets(n: int, targets: Sequence[int], arity: int = 1) -> None:
     if len(targets) != arity:
         raise ValueError(f"expected {arity} target(s), got {len(targets)}")
     for q in targets:
-        if type(q) is not int and (isinstance(q, bool)
-                                   or not isinstance(q, (int, np.integer))):
+        if not _is_integer(q):
             raise ValueError(f"target {q!r} is not an integer qubit index")
         if not 0 <= q < n:
             raise ValueError(f"target {q} out of range for {n} qubits")

@@ -1230,7 +1230,9 @@ def test_copies_measured_alike_stay_independent(basis):
     ([-1], [1.0]),
     ([0, 1], [1.0]),             # one amplitude per index
     ([0, 1], [0.0, 0.0]),        # the zero vector
-], ids=["repeated", "too-large", "negative", "length", "zero-vector"])
+    ([1.7], [1.0]),              # a fractional index, once truncated to 1
+    ([True], [1.0]),             # a bool, once index 1
+], ids=["repeated", "too-large", "negative", "length", "zero-vector", "fractional", "bool"])
 def test_bad_amplitudes_rejected_before_the_state_changes(indices, amps):
     den = DenseState(3).apply_gate("H", (1,))
     before = full_vector(den)
@@ -1239,11 +1241,85 @@ def test_bad_amplitudes_rejected_before_the_state_changes(indices, amps):
     assert np.array_equal(full_vector(den), before)
 
 
+def test_basis_indices_are_integers():
+    """A fractional or bool index is refused on read too (1.2 once read index
+    1); integer arrays of any width, NumPy integers and a range are indices."""
+    den = DenseState(3).set_amplitudes(range(1, 7, 5), [0.6, 0.8])
+    for bad in ([1.2], [True], np.array([1.0]), [1, 2.5], np.array([True, False])):
+        with pytest.raises(ValueError, match="not integers"):
+            den.amplitudes(bad)
+    for good in ([1, 6, 0], np.array([1, 6, 0], dtype=np.uint8),
+                 [np.int64(1), np.intp(6), np.int8(0)]):
+        assert den.amplitudes(good).tolist() == [0.6, 0.8, 0]
+    assert den.amplitudes(range(1, 7, 5)).tolist() == [0.6, 0.8]
+
+
 def test_dense_state_keeps_its_qubit_cap():
     for n in (0, 21):
         with pytest.raises(ValueError, match="1..20"):
             DenseState(n)
     assert DenseState(20).amplitudes([0, (1 << 20) - 1]).tolist() == [1, 0]
+
+
+# -- the pairs-first H layer ----------------------------------------------------
+
+@st.composite
+def sparse_h_layers(draw):
+    """A sparse state on 1-8 qubits and an H layer: a random support with
+    random amplitudes (from a drawn seed), a T layer on some qubits, then
+    Hadamards on a random ordered set of qubits."""
+    n = draw(st.integers(1, 8))
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                            max_size=min(1 << n, 24), unique=True))
+    seed = draw(st.integers(0, 2**32 - 1))
+    t_qubits = draw(st.lists(st.integers(0, n - 1), max_size=n, unique=True))
+    h_qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, support, seed, t_qubits, h_qubits
+
+
+@given(sparse_h_layers())
+@settings(max_examples=200, deadline=None)
+def test_pairs_first_h_layer_matches_the_given_order(case):
+    """The layer may apply its Hadamards in any order: it gives the support of
+    the gates applied one by one in the given order, amplitudes within 1e-12
+    of theirs, and the full-vector reference's state."""
+    n, support, seed, t_qubits, h_qubits = case
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    layer, turn, ref = DenseState(n), DenseState(n), ref_DenseState(n)
+    for state in (layer, turn):
+        state.set_amplitudes(support, amps)
+    vec = np.zeros(1 << n, dtype=complex)
+    vec[support] = amps
+    ref.vec = vec
+    for state in (layer, turn, ref):
+        state.apply_layer("T", [(q,) for q in t_qubits])
+    layer.apply_layer("H", [(q,) for q in h_qubits])
+    ref.apply_layer("H", [(q,) for q in h_qubits])
+    for q in h_qubits:
+        turn.apply_gate("H", (q,))
+    assert sorted(layer._idx.tolist()) == sorted(turn._idx.tolist())
+    assert np.abs(full_vector(layer) - full_vector(turn)).max() < 1e-12
+    assert_matches_reference(layer, ref)
+
+
+def test_an_h_layer_takes_a_paired_hadamard_first(monkeypatch):
+    """(|00> + |01>)/sqrt(2): H on qubit 0 splits every entry, H on qubit 1
+    pairs them.  The layer [0, 1] applies qubit 1's first, on the probe that
+    found its partners, and never stores more than the two entries it ends
+    with; in the given order it would hold four."""
+    calls = []
+    hadamard = DenseState._hadamard
+
+    def recorded(self, bit, partner):
+        hadamard(self, bit, partner)
+        calls.append((bit, partner is not None, self._idx.size))
+
+    monkeypatch.setattr(DenseState, "_hadamard", recorded)
+    half = np.sqrt(0.5)
+    layer = DenseState(2).set_amplitudes([0, 1], [half, half]).apply_layer("H", [(0,), (1,)])
+    assert calls == [(0b01, True, 1), (0b10, False, 2)]
+    assert np.allclose(full_vector(layer), [half, 0, half, 0])
 
 
 # -- integer targets ------------------------------------------------------------
@@ -1268,6 +1344,30 @@ def test_numpy_integer_targets_are_qubits(engine):
     assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(typed),
                                                        engine_snapshot(plain)))
     assert typed.measure(np.int32(1)) == plain.measure(1)
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+@pytest.mark.parametrize("count", [2.0, 2.5, np.float64(3.0), True, np.bool_(True), 0, -1,
+                                   "2", None])
+def test_the_qubit_count_is_an_integer_of_at_least_one(engine, count):
+    """Once DenseState(2.0) failed at its first gate, DenseState(True) had one
+    qubit, and StabilizerState(2.5) raised NumPy's TypeError."""
+    with pytest.raises(ValueError, match="qubit count"):
+        engine(count)
+
+
+@pytest.mark.parametrize("engine", [StabilizerState, DenseState])
+def test_a_numpy_integer_qubit_count_is_a_count(engine):
+    plain, typed = engine(3), engine(np.int64(3))
+    for state in (plain, typed):
+        state.apply_gate("H", (0,)).apply_gate("CNOT", (0, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(typed),
+                                                       engine_snapshot(plain)))
+
+
+def test_from_css_checks_its_qubit_count():
+    with pytest.raises(ValueError, match="qubit count"):
+        StabilizerState.from_css(2.0, np.zeros((0, 2)), np.zeros((0, 2)))
 
 
 # -- the packed product sign against the cumulative-sum formula -----------------

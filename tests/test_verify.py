@@ -12,6 +12,7 @@ import pytest
 from loopfold.circuits import run_on_state
 from loopfold.patches import build_patch
 from loopfold.protocols import transversal_h_circuit, transversal_s_circuit
+from loopfold.tableau import DenseState
 from loopfold.verify import (_LOGICAL_1Q, _TEST_STATES, FIDELITY_TOL, _logical_basis,
                              dense_protocol_fidelity)
 
@@ -30,9 +31,10 @@ def ref_logical_basis(patch):
     return vec, apply_pauli_dense(vec, patch.logical_x_pauli(), n)
 
 
-def ref_fidelity(patch, circuit, gate, alpha, beta):
-    """Reference: encode, replay and compare on full vectors from the projector
-    basis, on the full-vector engine."""
+def ref_fidelities(patch, circuit, gates, alpha, beta):
+    """Reference: encode, replay once and compare on full vectors from the
+    projector basis, on the full-vector engine; the output's fidelity with
+    the encoding of each of `gates` applied to the input."""
     zero, one = ref_logical_basis(patch)
 
     def encode(a, b):
@@ -41,8 +43,8 @@ def ref_fidelity(patch, circuit, gate, alpha, beta):
     st = ref_DenseState(patch.num_qubits)
     st.vec = encode(alpha, beta)
     run_on_state(circuit, st)
-    a2, b2 = _LOGICAL_1Q[gate] @ np.array([alpha, beta])
-    return float(abs(np.vdot(st.vec, encode(a2, b2))) ** 2)
+    return [float(abs(np.vdot(st.vec, encode(*(_LOGICAL_1Q[g] @ np.array([alpha, beta]))))) ** 2)
+            for g in gates]
 
 
 def _full(support, n):
@@ -63,14 +65,37 @@ def test_logical_basis_matches_the_projector_construction(kind):
 
 @pytest.mark.parametrize("gate", ["S", "H"])
 def test_dense_fidelity_matches_the_full_vector_reference(gate):
+    """At the oracle's test states and 50 seeded unnormalized random ones,
+    against the right gate and a wrong one; the pairs-first H layer changes
+    only the rounding."""
     patch = build_patch(3, "folded")
     circ = (transversal_s_circuit if gate == "S" else transversal_h_circuit)(patch)
     rng = np.random.default_rng(7)
-    unnormalized = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
-    for alpha, beta in list(_TEST_STATES) + [unnormalized]:
-        for want_gate in (gate, "SDG"):
-            got = dense_protocol_fidelity(patch, circ, want_gate, alpha, beta)
-            assert abs(got - ref_fidelity(patch, circ, want_gate, alpha, beta)) < 1e-12
+    random_states = [tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for _ in range(50)]
+    for alpha, beta in list(_TEST_STATES) + random_states:
+        want = ref_fidelities(patch, circ, (gate, "SDG"), alpha, beta)
+        got = [dense_protocol_fidelity(patch, circ, g, alpha, beta) for g in (gate, "SDG")]
+        assert np.abs(np.subtract(got, want)).max() < 1e-12
+
+
+@pytest.mark.parametrize("gate, most", [("S", 512), ("H", 4096)])
+def test_the_oracle_support_peaks_where_the_pairs_first_order_keeps_it(monkeypatch, gate, most):
+    """The largest support the d = 3 oracle stores, read after every Hadamard,
+    the only gate that grows it.  In circuit order the transversal H layer
+    reached 32,768 of the 2^17 amplitudes; pairs first it stays at 4,096."""
+    sizes = []
+    hadamard = DenseState._hadamard
+
+    def recorded(self, bit, partner):
+        hadamard(self, bit, partner)
+        sizes.append(self._idx.size)
+
+    monkeypatch.setattr(DenseState, "_hadamard", recorded)
+    patch = build_patch(3, "folded")
+    circ = (transversal_s_circuit if gate == "S" else transversal_h_circuit)(patch)
+    for alpha, beta in _TEST_STATES:
+        assert 1 - dense_protocol_fidelity(patch, circ, gate, alpha, beta) < FIDELITY_TOL
+    assert max(sizes) <= most
 
 
 def _worst(patch, circuit, gate):
