@@ -25,8 +25,8 @@ and take only an integer qubit count of at least 1.
 Gates come in layers: `apply_layer` applies one gate kind to pairwise
 disjoint target tuples.  The tableau does a whole layer with one
 fancy-indexed update of each column array (a SWAP layer is a plain column
-exchange); the dense engine applies the layer's gates one by one, an H
-layer pairs first: the gates commute, and taking first a Hadamard whose
+exchange); the dense engine applies the layer's gates one by one, and an
+H layer pairs first: the gates commute, and taking first a Hadamard whose
 partners are stored keeps the support small (4,096 entries at most inside
 the d = 3 transversal H, against 32,768 in circuit order).
 
