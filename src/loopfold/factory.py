@@ -5,8 +5,9 @@ corrections on 8 logical qubits over 7 stabilizer-round slots; the rotated
 variant replaces each conditional S with a measurement gadget (CNOT onto a
 fresh ancilla, Y measurement, conditional Z), growing to 12 logical qubits
 and 8 slots.  verify_factory walks every live measurement branch at the
-logical level (one dense qubit per logical qubit) and demands the |CCZ>
-output exactly; factory_runtime counts its cost terms from the same circuit.
+logical level (one dense qubit per logical qubit) and demands fidelity 1
+with |CCZ> on every one; factory_runtime counts its cost terms from the same
+circuit.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from typing import Optional
 
 import numpy as np
 
@@ -119,9 +119,11 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T") -> FactoryVerif
     """Walk every live measurement branch and compare the output with |CCZ>.
 
     One dense qubit per logical qubit; T inputs on q0..q7 (zero ancillae
-    beyond), written with `set_amplitudes`, outputs read with `amplitudes`.
-    `walk_outcomes` yields each branch of nonzero probability once.  q3 is
-    postselected on <+| before comparing (q0, q1, q2) against CCZ|+++>.  The
+    beyond), written with `set_amplitudes`.  `walk_outcomes` yields each
+    branch of nonzero probability once.  q3 is postselected on <+|, and the
+    branch's fidelity is <CCZ|rho|CCZ> for the reduced state rho of
+    (q0, q1, q2), read with `DenseState.fidelity`; an output entangled with
+    the leftover qubits scores at most its largest Schmidt weight.  The
     check passes when every branch has fidelity 1 and the branch
     probabilities sum to 1, both within FIDELITY_TOL.  Passing `inputs="0"`
     exercises the failure path: computational-basis resources cannot
@@ -143,45 +145,12 @@ def verify_factory(circuit: ScheduledCircuit, inputs: str = "T") -> FactoryVerif
         except ImpossibleOutcomeError:   # the postselection on <+| is impossible
             fid = 0.0
         else:
-            out = _reduced_triple(st, circuit.meta["outputs"])
-            fid = float(abs(np.vdot(want, out)) ** 2) if out is not None else 0.0
+            fid = st.fidelity(circuit.meta["outputs"], want)
         branches.append(BranchResult(record, prob, fid))
     min_fid = min((b.fidelity for b in branches), default=0.0)
     total = sum(b.probability for b in branches)
     return FactoryVerification(circuit.meta["variant"], branches, min_fid, total,
                                min_fid >= 1 - FIDELITY_TOL and abs(total - 1) <= FIDELITY_TOL)
-
-
-def _reduced_triple(st, outputs) -> Optional[np.ndarray]:
-    """Amplitudes on the three output qubits; None if they are entangled
-    with anything left over.
-
-    The 8 x k matrix is built from the support: an entry's output bits give
-    its row and its leftover bits its column.  Its k columns are the live
-    ones, in ascending leftover index, so it is the full 8 x 2^(n-3) matrix
-    without its zero columns, which add nothing to the dominant column space.
-    """
-    n = st.n
-    idx, amp = st.support()
-    row = 0
-    for q in outputs:
-        row = (row << 1) | ((idx >> (n - 1 - q)) & 1)
-    # the leftover bits in place, with the output bits cleared: ascending in
-    # this key is ascending in the leftover index
-    rest = idx & ~sum(1 << (n - 1 - q) for q in outputs)
-    live = np.zeros(1 << n, dtype=bool)
-    live[rest] = True
-    cols = live.nonzero()[0]
-    rank = np.zeros(1 << n, dtype=np.intp)
-    rank[cols] = np.arange(cols.size)
-    v = np.zeros((1 << len(outputs), cols.size), dtype=complex)
-    v[row, rank[rest]] = amp
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s[0] < 1e-12:
-        return None
-    if len(s) > 1 and s[1] > 1e-9:
-        return None   # residual entanglement: not a valid distillation output
-    return u[:, 0] * np.sign(s[0])
 
 
 # -- cultivation and runtime --------------------------------------------------------

@@ -39,7 +39,6 @@ class LogicalAction:
 
     name: str                       # e.g. "S", "SDG", "H", "CNOT", "I"
     images: dict[str, tuple[str, int]]   # generator -> (pauli label, sign)
-    frame: str = ""                 # human-readable Pauli frame note
 
     def __str__(self) -> str:
         return self.name
@@ -215,7 +214,7 @@ def logical_action(circuit: ScheduledCircuit,
         name = _two_qubit_name(images)
     else:
         name = _image_list(images)
-    return LogicalAction(name, images, frame=_frame_note(images))
+    return LogicalAction(name, images)
 
 
 def _two_qubit_name(images: dict[str, tuple[str, int]]) -> str:
@@ -238,8 +237,3 @@ def _image_list(images: dict[str, tuple[str, int]]) -> str:
 
 def _fmt(img: tuple[str, int]) -> str:
     return ("+" if img[1] == 1 else "-") + img[0]
-
-
-def _frame_note(images: dict[str, tuple[str, int]]) -> str:
-    flips = [k for k, v in images.items() if v[1] == -1]
-    return "" if not flips else "sign flips on " + ",".join(sorted(flips))

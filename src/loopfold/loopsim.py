@@ -433,10 +433,11 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
         if len(loop.slots) == 2:
             return "bulk"
         # single-occupant off-diagonal loop: a boundary ancilla; early if its
-        # two CNOTs fall in the first half (bottom-X / right-Z halves fold to
-        # the bottom layer), late otherwise
-        pid, layer, coord = loop.slots[0]
-        return "boundary_early" if layer == 1 or coord[1] == 2 * embedding.distance - 1 \
+        # two CNOTs fall in the first half, late otherwise.  The early ones sit
+        # on the right column's loops: the right-column Z ancillas unfolded,
+        # the bottom-row X ancillas folded onto them (the left-column Z
+        # ancillas fold onto the top row's loops, and run late)
+        return "boundary_early" if loop.coord[1] == 2 * embedding.distance - 1 \
             else "boundary_late"
 
     kinds = {l.coord: classify(l) for l in loops}

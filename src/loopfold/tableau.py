@@ -17,7 +17,8 @@ amplitude, so a codeword of 17 qubits costs its 32 amplitudes, not 2^17:
 X, Y, CNOT and SWAP move indices with bit operations, the diagonal gates
 scale amplitudes, and H pairs each index with its partner across the
 qubit's bit through a map from basis index to support slot (no sort), or,
-where no partner is stored, splits each entry in two.
+where no partner is stored, splits each entry in two.  A traced-out check
+reads <want|rho|want> on some qubits (`fidelity`) from the same support.
 Both engines validate gate and measurement targets through one shared check,
 which accepts only integer qubit indices (NumPy integers too, bools not),
 and take only an integer qubit count of at least 1.
@@ -87,18 +88,19 @@ class StabilizerState:
         `x_rows` and `z_rows` are 0/1 matrices with `num_qubits` columns: row
         i of `x_rows` is the support of the i-th +1-signed X-type generator,
         and likewise for `z_rows`.  The X-type ones must be independent, the
-        Z-type ones independent and commuting with the X-type ones, else
-        ValueError.  |0...0> is already a +1 eigenstate of the Z-type ones, so
-        they are checked, not applied.  From the reduced row-echelon form
-        R_1..R_r of the X-type generators, with pivot qubits p_i: each R_i is
-        a stabilizer with destabilizer Z_(p_i), and each other qubit q gives
-        the stabilizer Z_q prod_(R_i[q] = 1) Z_(p_i) with destabilizer X_q.
+        Z-type ones independent and commuting with the X-type ones, and every
+        entry 0 or 1, else ValueError.  |0...0> is already a +1 eigenstate of
+        the Z-type ones, so they are checked, not applied.  From the reduced
+        row-echelon form R_1..R_r of the X-type generators, with pivot qubits
+        p_i: each R_i is a stabilizer with destabilizer Z_(p_i), and each other
+        qubit q gives the stabilizer Z_q prod_(R_i[q] = 1) Z_(p_i) with
+        destabilizer X_q.
         Every sign is +.  This is the state that measuring the generators in
         turn with `measure_pauli(g, force=0)` reaches.
         """
         _check_num_qubits(num_qubits)
         n = int(num_qubits)
-        x_rows, z_rows = np.asarray(x_rows, dtype=np.uint8), np.asarray(z_rows, dtype=np.uint8)
+        x_rows, z_rows = _zero_one(x_rows), _zero_one(z_rows)
         for rows in (x_rows, z_rows):
             if rows.ndim != 2 or rows.shape[1] != n:
                 raise ValueError(f"{rows.shape[-1]}-qubit generator for {n} qubits")
@@ -323,7 +325,8 @@ class DenseState:
     when no partner is stored, and a measurement, in Z only, keeps one half.
     The state is written only through `set_amplitudes` and read through
     `amplitudes`, both at given basis indices (`amplitudes(range(2 ** n))`
-    is the full vector), or whole through `support`.
+    is the full vector), or through `fidelity`, the overlap of a pure state
+    with the reduced state of some qubits.
     """
 
     __slots__ = ("n", "_idx", "_amp", "_slots")
@@ -358,15 +361,35 @@ class DenseState:
         """The amplitudes at the given basis indices, 0 off the support."""
         return self._at(self._find(self._idx, self._basis_indices(indices)))
 
-    def support(self) -> tuple[np.ndarray, np.ndarray]:
-        """Copies of the stored basis indices and their amplitudes, in no order."""
-        return self._idx.copy(), self._amp.copy()
+    def fidelity(self, qubits: Sequence[int], want) -> float:
+        """<want|rho|want> for the reduced state rho of `qubits` (qubits[0]
+        the top bit of `want`'s index), from the stored amplitudes as they are.
+
+        The entries, grouped by their bits off `qubits`, fill the m live
+        columns of a 2^k x m matrix V (at most 2^n entries), so rho = V V^+
+        and the result is |V^+ want|^2.  Column order does not matter: the
+        one entry of each group that `_find` maps to itself leads a column.
+        """
+        _check_targets(self.n, qubits, len(qubits))
+        want = np.asarray(want, dtype=complex).reshape(-1)
+        if want.size != 1 << len(qubits):
+            raise ValueError(f"{want.size} amplitudes for {len(qubits)} qubits")
+        idx = rest = self._idx
+        row = 0
+        for q in qubits:
+            bit = self._bit(q)
+            row, rest = (row << 1) | ((idx & bit) >> (self.n - 1 - q)), rest & ~bit
+        lead = (self._find(rest, rest) == np.arange(idx.size)).nonzero()[0]
+        v = np.zeros((want.size, lead.size), dtype=complex)
+        v[row, self._find(rest[lead], rest)] = self._amp
+        return _probability(want.conj() @ v)
 
     def _find(self, support: np.ndarray, keys: np.ndarray) -> np.ndarray:
-        """Where each of `keys` sits in `support` (its position, or -1), for
-        distinct basis indices, through a map of all 2^n basis indices and no
-        sort.  The map reads -1 between calls; int32 holds any of the 2^20
-        positions in half the memory of intp."""
+        """Where each of `keys` sits in `support` (its position, or -1),
+        through a map of all 2^n basis indices and no sort; a key repeated in
+        `support` gets the position of one of its copies.  The map reads -1
+        between calls; int32 holds any of the 2^20 positions in half the
+        memory of intp."""
         if self._slots is None:
             self._slots = np.full(1 << self.n, -1, dtype=np.int32)
         self._slots[support] = np.arange(support.size, dtype=np.int32)
@@ -570,6 +593,18 @@ def _check_layer(n: int, targets: Sequence[Sequence[int]], arity: int) -> None:
         seen.update(t)
     if len(seen) != arity * len(targets):
         raise ValueError("targets of one layer overlap")
+
+
+def _zero_one(rows) -> np.ndarray:
+    """`rows` as uint8 after checking that every entry is 0 or 1.  A uint8
+    array (what `logical._project` passes) is only masked, so that path
+    calls no NumPy routine the tableau did not already call: a routine's
+    first call pages its code in and raises the process's peak memory."""
+    a = np.asarray(rows)
+    bad = (a & 0xFE).any() if a.dtype == np.uint8 else np.count_nonzero((a != 0) & (a != 1))
+    if bad:
+        raise ValueError("generator entries must be 0 or 1")
+    return a.astype(np.uint8, copy=False)
 
 
 def _parity(bits: np.ndarray) -> np.ndarray:

@@ -53,21 +53,19 @@ def _logical_basis(patch: PatchSpec) -> tuple[tuple[np.ndarray, np.ndarray], ...
     Data qubits occupy the low indices (patch.index order), ancillas follow,
     qubit 0 the top index bit.  |0>_L is |0...0> projected onto the r X-type
     generators: 2^(-r/2) times the sum of g|0...0> over the 2^r elements g of
-    their group, and a pure X element g sends |0...0> to the basis state of
-    its bit mask with g's phase.  |1>_L = X_L |0>_L shifts every mask by X_L's.
+    their group, and g, a product of all-X generators, sends |0...0> to the
+    basis state of its bit mask with phase 1.  |1>_L = X_L |0>_L, with X_L
+    all-X too, shifts every mask by X_L's and keeps every amplitude 2^(-r/2).
     """
     n = patch.num_qubits
     if n > 20:
         raise ValueError("patch too large for dense encoding")
     place = 1 << np.arange(n - 1, -1, -1)
-    masks, phases = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int64)
     for s in patch.x_stabilizers():
-        g = patch.stabilizer_pauli(s)
-        masks = np.concatenate([masks, masks ^ int(g.x @ place)])
-        phases = np.concatenate([phases, phases + g.phase])
-    amps = 1j ** (phases % 4) / np.sqrt(len(masks))
-    x_l = patch.logical_x_pauli()
-    return (masks, amps), (masks ^ int(x_l.x @ place), amps * 1j ** x_l.phase)
+        masks = np.concatenate([masks, masks ^ int(patch.stabilizer_pauli(s).x @ place)])
+    amps = np.full(len(masks), 1 / np.sqrt(len(masks)), dtype=complex)
+    return (masks, amps), (masks ^ int(patch.logical_x_pauli().x @ place), amps)
 
 
 _LOGICAL_1Q = {
@@ -176,7 +174,7 @@ def verify_s_teleport(seeds: Sequence[int] = range(50),
     """Both S gadgets on random states, dense; y_measure on both outcomes, which sum to 1."""
     s_mat = _LOGICAL_1Q["S"]
     y_measure, i_state = s_teleport_circuit("y_measure"), s_teleport_circuit("i_state")
-    plus_i, minus_i = np.array([[1.0, 1j], [1.0, -1j]]) / np.sqrt(2)
+    minus_i = np.array([1.0, -1j]) / np.sqrt(2)
     worst_y, worst_i, worst_sum = 1.0, 1.0, 0.0
     for seed in seeds:
         rng = random.Random(seed)   # the stdlib draw; numpy.random costs megabytes to import
@@ -187,17 +185,14 @@ def verify_s_teleport(seeds: Sequence[int] = range(50),
         want = s_mat @ v
         leaves = list(walk_outcomes(y_measure, st))
         worst_sum = max(worst_sum, abs(sum(prob for _, prob, _ in leaves) - 1))
-        for rec, _, leaf in leaves:
-            # ancilla collapsed to |+i> or |-i>; contract it out
-            anc = minus_i if rec["y"] else plus_i
-            data = leaf.amplitudes(range(4)).reshape(2, 2) @ anc.conj()
-            worst_y = min(worst_y, abs(np.vdot(want, data / np.linalg.norm(data))) ** 2)
+        for _, _, leaf in leaves:   # the ancilla is traced out
+            worst_y = min(worst_y, leaf.fidelity((0,), want))
 
         st = DenseState(2).set_amplitudes(_DATA_ONLY, v)
         run_on_state(i_state, st)
         # expected output: S|psi> on the data, Z|i> = |-i> on the resource
-        expect = np.outer(s_mat @ v, minus_i).ravel()
-        worst_i = min(worst_i, abs(np.vdot(expect, st.amplitudes(range(4)))) ** 2)
+        expect = np.outer(want, minus_i).ravel()
+        worst_i = min(worst_i, st.fidelity((0, 1), expect))
     return [
         CheckResult("s-teleport y_measure dense", 1 - worst_y < tol and worst_sum < tol,
                     f"min fidelity {worst_y:.12f}"),

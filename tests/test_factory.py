@@ -6,14 +6,13 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from loopfold.circuits import walk_outcomes
 from loopfold.costs import cnot_time, effective_cycle_time, gate_time
-from loopfold.factory import (T_INPUTS, _ccz_state, _reduced_triple, _t_state,
-                              ccz_factory_spec, cultivation_cycles, factory_runtime,
-                              output_error, verify_factory)
+from loopfold.factory import (T_INPUTS, _ccz_state, _t_state, ccz_factory_spec,
+                              cultivation_cycles, factory_runtime, output_error,
+                              verify_factory)
 from loopfold.loopsim import SILICON
 from loopfold.tableau import DenseState, ImpossibleOutcomeError
-from test_tableau import forced_replay, full_vector, write_vector
+from test_tableau import forced_replay, write_vector
 
 P = SILICON
 
@@ -79,21 +78,6 @@ def start_vector(circuit, inputs):
     return start
 
 
-def ref_reduced_triple(st, outputs):
-    """Reference: the SVD of the full 8 x 2^(n-3) matrix, zero columns included."""
-    n = st.n
-    others = [q for q in range(n) if q not in outputs]
-    v = full_vector(st).reshape([2] * n)
-    perm = list(outputs) + others
-    v = np.transpose(v, perm).reshape(8, -1)
-    u, s, _ = np.linalg.svd(v, full_matrices=False)
-    if s[0] < 1e-12:
-        return None
-    if len(s) > 1 and s[1] > 1e-9:
-        return None
-    return u[:, 0] * np.sign(s[0])
-
-
 def ref_verify_factory(circuit, inputs):
     """Reference: one forced replay of the whole circuit per outcome mask.
 
@@ -116,8 +100,7 @@ def ref_verify_factory(circuit, inputs):
         except ImpossibleOutcomeError:
             fid = 0.0
         else:
-            out = _reduced_triple(st, circuit.meta["outputs"])
-            fid = float(abs(np.vdot(_ccz_state(), out)) ** 2) if out is not None else 0.0
+            fid = st.fidelity(circuit.meta["outputs"], _ccz_state())
         pairs.append((record, fid))
     return pairs
 
@@ -136,32 +119,6 @@ def test_walked_branches_match_the_mask_replay(variant, inputs, count):
     assert abs(ver.probability_sum - 1) < 1e-9
     assert ver.probability_sum == sum(b.probability for b in ver.branches)
     assert ver.passed == (inputs == "T")
-
-
-@pytest.mark.parametrize("variant", ["folded", "rotated"])
-@pytest.mark.parametrize("inputs", ["T", "0"])
-def test_live_column_read_out_matches_the_full_matrix_reference(variant, inputs):
-    """On every walked branch, the SVD over live columns gives the reference's
-    output triple within 1e-12, and None in the same cases.  A singular vector
-    is fixed only up to a global phase, which the SVD picks per matrix, so the
-    phase is aligned first; the fidelity does not see it."""
-    circuit = ccz_factory_spec(variant)
-    plus, outputs = circuit.meta["postselect_plus"], circuit.meta["outputs"]
-    start = write_vector(DenseState(circuit.num_qubits), start_vector(circuit, inputs))
-    compared = 0
-    for _, _, st in walk_outcomes(circuit, start):
-        st.apply_gate("H", (plus,))
-        try:
-            st.measure(plus, force=0)
-        except ImpossibleOutcomeError:
-            continue
-        got, want = _reduced_triple(st, outputs), ref_reduced_triple(st, outputs)
-        assert (got is None) == (want is None)
-        if want is not None:
-            overlap = np.vdot(got, want)
-            assert np.abs(got * (overlap / abs(overlap)) - want).max() < 1e-12
-        compared += 1
-    assert compared
 
 
 @pytest.mark.parametrize("inputs", ["t", "plus", "", "1"])

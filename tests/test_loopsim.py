@@ -15,7 +15,7 @@ from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError,
                               _lead, _on_lattice, _plan_lattice, _tick_scale, pipeline_model,
                               rearrange, run_episode,
                               simulate_cycle, swap_protocol, worst_case_search)
-from loopfold.patches import build_patch, embed_stack
+from loopfold.patches import build_patch, check_circuit, embed_stack
 
 P = SILICON
 OTHER = TimingParams(t_loop=1600, t_2q=F(7, 3))
@@ -236,6 +236,41 @@ def test_simulate_cycle_linearity_in_t_loop():
     doubled = TimingParams(t_loop=800)
     assert simulate_cycle(emb, doubled).makespan == \
         F(27, 8) * 800 + 2 * P.t_1q + 4 * P.t_2q + P.t_meas
+
+
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_boundary_loops_run_in_the_half_of_their_check_cnots(d):
+    """Each boundary loop holds one ancilla, and its events lie in the half
+    round where `check_circuit` puts that ancilla's two CNOTs: layers 1-2
+    (slots 2, 3) or layers 3-4 (slots 4, 5).  The second half starts at a
+    diagonal loop's third CNOT, since a diagonal loop runs two in each half.
+    The left-column Z ancillas fold onto the top row's loops and run late."""
+    patch = build_patch(d, "folded")
+    emb = embed_stack([patch])
+    sched = simulate_cycle(emb, P)
+    diagonal = next(l for l in emb.loops.values() if l.coord[0] == l.coord[1])
+    middle = sorted(e.start for e in sched.events
+                    if e.loop == f"{diagonal.coord}" and e.action == "cnot")[2]
+    cnot_slots: dict[int, set[int]] = {}
+    for e in check_circuit(patch).events:
+        if e.action == "CNOT":
+            for q in e.targets:
+                cnot_slots.setdefault(q, set()).add(e.slot)
+    halves = {"first": 0, "second": 0}
+    for loop in emb.loops.values():
+        if loop.coord[0] == loop.coord[1] or len(loop.slots) == 2:
+            continue
+        (_, _, coord), = loop.slots
+        events = [e for e in sched.events if e.loop == f"{loop.coord}"]
+        assert len(events) == 4   # two shuttles, two CNOTs
+        if cnot_slots[patch.index[coord]] == {2, 3}:
+            assert max(e.end for e in events) <= middle, loop.coord
+            halves["first"] += 1
+        else:
+            assert cnot_slots[patch.index[coord]] == {4, 5}
+            assert min(e.start for e in events) >= middle, loop.coord
+            halves["second"] += 1
+    assert halves == {"first": d - 1, "second": d - 1}
 
 
 def test_simulate_cycle_rejects_multi_patch():
@@ -677,10 +712,11 @@ def ref_simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
         if len(loop.slots) == 2:
             return "bulk"
         # single-occupant off-diagonal loop: a boundary ancilla; early if its
-        # two CNOTs fall in the first half (bottom-X / right-Z halves fold to
-        # the bottom layer), late otherwise
-        pid, layer, coord = loop.slots[0]
-        return "boundary_early" if layer == 1 or coord[1] == 2 * embedding.distance - 1 \
+        # two CNOTs fall in the first half, late otherwise.  The early ones sit
+        # on the right column's loops: the right-column Z ancillas unfolded,
+        # the bottom-row X ancillas folded onto them (the left-column Z
+        # ancillas fold onto the top row's loops, and run late)
+        return "boundary_early" if loop.coord[1] == 2 * embedding.distance - 1 \
             else "boundary_late"
 
     kinds = {l.coord: classify(l) for l in loops}

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as hst
 
 from loopfold.circuits import ScheduledCircuit, _compile, run_on_state
 from loopfold.logical import (_ONE_QUBIT_NAMES, CodespaceViolationError, LogicalAction,
-                              _fmt, _frame_note, _project, _two_qubit_name, encode_stack,
+                              _fmt, _project, _two_qubit_name, encode_stack,
                               logical_action)
 from loopfold.pauli import PauliString, gf2_rank
 from loopfold.tableau import StabilizerState
@@ -255,7 +255,8 @@ def test_pauli_frame_after_protocol(gate, idx, kind, name, images, frame):
     act = logical_action(_then_logical_pauli(circ, patches, idx, kind), patches)
     assert act.name == name
     assert act.images == images
-    assert act.frame == frame
+    flips = sorted(g for g, (_, sign) in act.images.items() if sign == -1)
+    assert frame == "sign flips on " + ",".join(flips)
 
 
 def test_logical_action_replays_the_circuit_once(monkeypatch):
@@ -327,7 +328,7 @@ def ref_logical_action(circuit, patches):
                                     f"X->{_fmt(images['X'])},Z->{_fmt(images['Z'])}")
     else:
         name = _two_qubit_name(images)
-    return LogicalAction(name, images, frame=_frame_note(images))
+    return LogicalAction(name, images)
 
 
 def _protocol_circuits(d):
@@ -354,7 +355,7 @@ def _then(first, second):
 def test_logical_action_matches_the_enumerated_read_out(d):
     for circ, ps in _protocol_circuits(d):
         act, want = logical_action(circ, ps), ref_logical_action(circ, ps)
-        assert (act.name, act.images, act.frame) == (want.name, want.images, want.frame)
+        assert (act.name, act.images) == (want.name, want.images)
 
 
 @hst.composite
@@ -384,7 +385,7 @@ def test_logical_action_on_stray_gates_matches_the_reference(params):
             logical_action(circ, ps)
         return
     act = logical_action(circ, ps)
-    assert (act.name, act.images, act.frame) == (want.name, want.images, want.frame)
+    assert (act.name, act.images) == (want.name, want.images)
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -423,7 +424,7 @@ def test_transversal_gates_across_a_stack_of_many_patches(k, i, j, gate):
     act = logical_action(transversal_two_qubit(embed_stack(ps), i, j, gate, ps), ps)
     want = _stack_images(k, i, j, gate)
     assert act.images == want
-    assert act.frame == ""
+    assert all(sign == 1 for _, sign in act.images.values())
     assert act.name == ",".join(f"{g}->+{label}" for g, (label, _) in sorted(want.items()))
 
 

@@ -1322,6 +1322,66 @@ def test_an_h_layer_takes_a_paired_hadamard_first(monkeypatch):
     assert np.allclose(full_vector(layer), [half, 0, half, 0])
 
 
+# -- the traced-out fidelity -----------------------------------------------------
+
+def ref_fidelity(vec, n, qubits, want):
+    """Reference: <want|rho|want>, with rho the reduced density matrix of
+    `qubits` from the full vector, their axes moved to the front in order."""
+    others = [q for q in range(n) if q not in qubits]
+    m = np.transpose(vec.reshape([2] * n), list(qubits) + others).reshape(1 << len(qubits), -1)
+    rho = m @ m.conj().T
+    return float(np.vdot(want, rho @ want).real)
+
+
+@st.composite
+def traced_reads(draw):
+    """A sparse normalized state on 1-8 qubits, a random ordered set of qubits
+    (ascending or not) and a random normalized target on them, from a seed."""
+    n = draw(st.integers(1, 8))
+    support = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1,
+                            max_size=min(1 << n, 40), unique=True))
+    qubits = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    return n, support, qubits, draw(st.integers(0, 2**32 - 1))
+
+
+@given(traced_reads())
+@settings(max_examples=200, deadline=None)
+def test_fidelity_matches_the_reduced_density_matrix_reference(case):
+    n, support, qubits, seed = case
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=len(support)) + 1j * rng.normal(size=len(support))
+    want = rng.normal(size=1 << len(qubits)) + 1j * rng.normal(size=1 << len(qubits))
+    amps, want = amps / np.linalg.norm(amps), want / np.linalg.norm(want)
+    den = DenseState(n).set_amplitudes(support, amps)
+    got = den.fidelity(qubits, want)
+    assert abs(got - ref_fidelity(full_vector(den), n, qubits, want)) < 1e-12
+    assert np.array_equal(den.amplitudes(support), amps)   # a read: the state is unchanged
+
+
+def test_fidelity_traces_out_the_other_qubits():
+    """Half a Bell pair against |0> is 1/2; the pair against itself is 1;
+    qubits[0] is the top bit of the target's index."""
+    half = np.sqrt(0.5)
+    bell = DenseState(2).set_amplitudes([0, 3], [half, half])
+    assert bell.fidelity((0,), [1, 0]) == pytest.approx(0.5, abs=1e-15)
+    assert bell.fidelity((1,), [0, 1]) == pytest.approx(0.5, abs=1e-15)
+    assert bell.fidelity((1, 0), [half, 0, 0, half]) == pytest.approx(1, abs=1e-15)
+    one_zero = DenseState(3).set_amplitudes([0b010], [1.0])   # |010>
+    assert one_zero.fidelity((1, 2), [0, 0, 1, 0]) == 1.0      # qubit 1 is the top bit
+    assert one_zero.fidelity((2, 1), [0, 1, 0, 0]) == 1.0
+    assert one_zero.fidelity((2, 1), [0, 0, 1, 0]) == 0.0
+
+
+@pytest.mark.parametrize("qubits, want", [
+    ((3,), [1, 0]), ((-1,), [1, 0]), ((0, 0), [1, 0, 0, 0]), ((0.0,), [1, 0]),
+    ((True,), [1, 0]), ((0,), [1, 0, 0, 0]), ((0, 1), [1, 0]),
+], ids=["out-of-range", "negative", "duplicate", "float", "bool", "long-target", "short-target"])
+def test_bad_fidelity_arguments_rejected(qubits, want):
+    den = DenseState(3).apply_gate("H", (1,))
+    with pytest.raises(ValueError):
+        den.fidelity(qubits, want)
+
+
 # -- integer targets ------------------------------------------------------------
 
 @pytest.mark.parametrize("engine", [StabilizerState, DenseState])
@@ -1368,6 +1428,30 @@ def test_a_numpy_integer_qubit_count_is_a_count(engine):
 def test_from_css_checks_its_qubit_count():
     with pytest.raises(ValueError, match="qubit count"):
         StabilizerState.from_css(2.0, np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("x_rows, z_rows", [
+    ([[0.5, 1]], np.zeros((0, 2))),              # once truncated to +IX
+    ([[2, 1]], np.zeros((0, 2))),                # once +XX
+    (np.array([[1, 3]], dtype=np.uint8), np.zeros((0, 2))),
+    ([[-1, 1]], np.zeros((0, 2))),
+    ([[1, 1]], [[1, 256]]),                      # once +ZI, which anticommutes
+    ([[1, 1]], [[np.nan, 0]]),
+])
+def test_from_css_takes_only_0_1_entries(x_rows, z_rows):
+    with pytest.raises(ValueError, match="0 or 1"):
+        StabilizerState.from_css(2, x_rows, z_rows)
+
+
+def test_from_css_reads_any_0_1_matrix_alike():
+    """Bool, float, int and uint8 0/1 matrices give the same state."""
+    states = [StabilizerState.from_css(3, np.array([[1, 1, 0]], dtype=t),
+                                       np.array([[1, 1, 0], [0, 0, 1]], dtype=t))
+              for t in (bool, float, int, np.uint8)]
+    for st_ in states[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(engine_snapshot(st_),
+                                                           engine_snapshot(states[0])))
+    assert [str(g) for g in states[0].stabilizer_generators()] == ["+XXI", "+ZZI", "+IIZ"]
 
 
 # -- the packed product sign against the cumulative-sum formula -----------------
