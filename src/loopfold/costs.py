@@ -3,9 +3,9 @@
 gate_cells is the one source of every closed-form gate cell: for each
 architecture at its loop occupancy OPERATING_N it gives gate -> (expression,
 runtime).  gate_time, the overhead table's runtime cells (table1) and the
-expressions `loopfold gate-times` prints all read it; its FACTORY entries are
-the published condensed forms.  CYCLE_N2_TERMS likewise holds the
-coefficients of T_cyc(2) once: cycle_time_n2 sums them, and `loopfold
+expressions `loopfold gate-times` prints all read it; table1's two pipelined
+FACTORY cells are factory.factory_runtime's.  CYCLE_N2_TERMS likewise holds
+the coefficients of T_cyc(2) once: cycle_time_n2 sums them, and `loopfold
 cycle-time` prints CYCLE_N2_EXPR, written from them, with STEADY_STATE_EXPR
 and T_CYC_STAR_EXPR, which stand next to the functions they describe.
 
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .loopsim import SILICON, TimingParams
+from .patches import check_distance
 
 NS_PER_US = Fraction(1000)
 
@@ -45,13 +46,16 @@ def pipeline_steady_state(n: int, params: TimingParams = SILICON) -> Fraction:
     return max(cycle_time_n2(params), Fraction(n, params.meas_devices) * params.t_meas)
 
 
+def ceil_us(ns: Fraction) -> Fraction:
+    """`ns` rounded up to a whole microsecond, in ns."""
+    return -(-ns // NS_PER_US) * NS_PER_US
+
+
 def effective_cycle_time(n: int, params: TimingParams = SILICON) -> Fraction:
     """T*_cyc(n): steady-state average plus slack, rounded up to a whole us."""
     if n < 2:
         raise ValueError("need n >= 2")
-    raw = pipeline_steady_state(n, params) + params.slack_ns
-    us = -(-raw // NS_PER_US)  # ceil division
-    return us * NS_PER_US
+    return ceil_us(pipeline_steady_state(n, params) + params.slack_ns)
 
 
 def rearrange_worst(n: int, params: TimingParams = SILICON) -> Fraction:
@@ -83,25 +87,16 @@ def gate_cells(arch: str, d: int, params: TimingParams = SILICON
                ) -> dict[str, tuple[str, Fraction]]:
     """Every closed-form cell of one architecture: gate -> (expression, runtime ns).
 
-    This is the one source of the gate times, the overhead table's runtime
-    cells and the expressions both print.  Each architecture runs at its loop
-    occupancy n = OPERATING_N[arch].  pipelined_folded uses the transversal
-    protocols with the effective cycle time T*_cyc(n); pipelined_rotated falls
-    back to lattice surgery for H and S; standard is plain lattice surgery with
-    a fixed cycle time, its SWAP a patch movement over two ancillas; interloop
-    is the inter-loop-shuttling variant, in hops of t_int, with H, SWAP and
-    CNOT only.
-
-    FACTORY keeps the published condensed forms, 33 T*_cyc(16) + 18 us and
-    (d + 27) T*_cyc(12) + 19 us.  The term-by-term runtime of
-    factory.factory_runtime matches them within a microsecond only at the
-    silicon defaults and d = 25 (215.56 and 278.72 us against 216 and 279).
-    At t_loop = 1600 ns the forms give 282 and 435 us against 319.25 and
-    474.67 us; at silicon and d = 9 they give 216 and 199 us against 983.56
-    and 623.72 us, because the forms do not grow with the cultivation time.
+    The one source of the gate times, the overhead table's closed-form cells
+    and the expressions both print, at loop occupancy n = OPERATING_N[arch].
+    pipelined_folded uses the transversal protocols with the effective cycle
+    time T*_cyc(n); pipelined_rotated falls back to lattice surgery for H and
+    S; standard is plain lattice surgery with a fixed cycle time, its SWAP a
+    patch movement over two ancillas, its FACTORY the lattice-surgery baseline;
+    interloop is the inter-loop-shuttling variant, in hops of t_int, with H,
+    SWAP and CNOT only.  factory.factory_runtime counts the pipelined factories.
     """
-    if d < 3 or d % 2 == 0:
-        raise ValueError("distance must be an odd integer >= 3")
+    check_distance(d)
     if arch == "interloop":
         t_int = params.t_int
         return {"H": ("(d-1)*t_int", (d - 1) * t_int), "SWAP": ("d*t_int", d * t_int),
@@ -126,9 +121,6 @@ def gate_cells(arch: str, d: int, params: TimingParams = SILICON
         cells["FACTORY"] = (f"5d*{cyc}", 5 * d * t_cyc)
     else:
         cells["CNOT"] = cells["SWAP"] = ("(9/4-7/2n)T_loop+2T_2q", cnot_time(n, params))
-        cells["FACTORY"] = ((f"33*{cyc}+18us", 33 * t_cyc + 18 * NS_PER_US)
-                            if arch == "pipelined_folded" else
-                            (f"(d+27)*{cyc}+19us", (d + 27) * t_cyc + 19 * NS_PER_US))
     return cells
 
 
@@ -249,14 +241,18 @@ def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     """Reproduce the overhead table and its savings rows from first principles.
 
     Runtime cells are the gate_cells entries, expression and nanoseconds, of
-    each architecture at its OPERATING_N.  Each savings entry is the ratio of
-    the two cells' spacetimes as _charged charges them: at silicon both
-    pipelined CNOTs count 1 us, and surgery H and S count 3d and 1.5d rounds
-    against the transversal gate's one.
+    each architecture at its OPERATING_N; the pipelined FACTORY cells are
+    factory_runtime's.  Each savings entry is the ratio of the two cells'
+    spacetimes as _charged charges them: at silicon both pipelined CNOTs count
+    1 us, and surgery H and S count 3d and 1.5d rounds against the
+    transversal gate's one.
     """
+    from .factory import factory_runtime   # it reads gate_time from here
     cells = {}
     for a, spaces in SPACE.items():
         arch_cells = gate_cells(a, d, params)
+        if a != "standard":
+            arch_cells["FACTORY"] = factory_runtime(a.removeprefix("pipelined_"), params, d).cell
         cells.update({(g, a): TableCell(*arch_cells[g], space) for g, space in spaces.items()})
 
     def savings(other: str) -> dict[str, Fraction]:

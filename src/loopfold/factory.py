@@ -19,9 +19,10 @@ from functools import reduce
 import numpy as np
 
 from .circuits import ScheduledCircuit, walk_outcomes
-from .costs import (NS_PER_US, OPERATING_N, SPACE, cnot_time, effective_cycle_time,
+from .costs import (NS_PER_US, OPERATING_N, SPACE, ceil_us, cnot_time, effective_cycle_time,
                     gate_time)
 from .loopsim import SILICON, TimingParams
+from .patches import check_distance
 from .tableau import DenseState, ImpossibleOutcomeError
 from .verify import FIDELITY_TOL
 
@@ -163,8 +164,7 @@ def cultivation_cycles(d: int, num_qubits: int) -> int:
     rounded to the nearest cycle, which reproduces both published counts
     (22 on 8 qubits, 15 on 12, at d = 25).
     """
-    if d < 3 or d % 2 == 0:
-        raise ValueError("d must be an odd integer >= 3")
+    check_distance(d)
     raw = Fraction(T_INPUTS * CULTIVATION_VOLUME, num_qubits * 2 * (d + 1) ** 2)
     return int(raw + Fraction(1, 2))
 
@@ -178,6 +178,7 @@ class FactoryReport:
     space: Fraction
     cultivation_cycles: int
     output_error: Fraction
+    cell: tuple[str, Fraction]    # the overhead table's (expression, runtime ns)
 
     @property
     def spacetime_ns(self) -> Fraction:
@@ -204,7 +205,7 @@ def output_error() -> Fraction:
 
 def factory_runtime(variant: str, params: TimingParams = SILICON,
                     d: int = 25) -> FactoryReport:
-    """Runtime, footprint, and error of one factory run.
+    """Runtime, footprint, and error of one factory run, and its table cell.
 
     folded: T_cul + #CNOT T_CNOT(16) + #slots T*_cyc(16)
     + ceil(#MZ/m) T_meas + #S T_S, on half a patch footprint.
@@ -213,7 +214,8 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
     Every count is read off ccz_factory_spec: the same-loop S gates (or
     Y-basis measurements) are serialized through the single port, and the
     output Z measurements batch into rounds on the m measurement devices.
-    Classical decode time is not charged.
+    Classical decode time is not charged.  The table cell is the runtime rounded
+    up to a whole us, written N T*_cyc(n) + M us over the N whole rounds.
     """
     circ = ccz_factory_spec(variant)
     cnots = circ.gate_count("CNOT")
@@ -233,14 +235,20 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
             "s_gates": circ.gate_count("S") * t_s,
         }
     else:
+        y_rounds = 2 * (Fraction(d, 2) + 2)
         terms = {
             "cultivation": cul * t_star,
             "check_rounds": check_rounds * t_star,
             "measurements": rounds * params.t_meas,
             "cnots": cnots * cnot_time(n, params),
             # the published coefficient; not derived from the Y-measurement count
-            "y_basis_measurements": 2 * (Fraction(d, 2) + 2) * t_star,
+            "y_basis_measurements": y_rounds * t_star,
         }
     space = SPACE[arch]["FACTORY"]
     runtime = sum(terms.values(), Fraction(0))
-    return FactoryReport(variant, d, runtime, terms, space, cul, output_error())
+    cell_ns = ceil_us(runtime)
+    # whole rounds: cultivation, checks, and the Y rounds or one per S (it ends in its round)
+    whole = cul + check_rounds + (y_rounds if variant == "rotated" else circ.gate_count("S"))
+    whole_expr = f"(d+{whole - d})" if variant == "rotated" else whole
+    cell = (f"{whole_expr}*T_cyc*({n})+{(cell_ns - whole * t_star) / NS_PER_US}us", cell_ns)
+    return FactoryReport(variant, d, runtime, terms, space, cul, output_error(), cell)

@@ -102,14 +102,19 @@ def _plaquette_type(R: int, C: int) -> str:
     return "X" if (R + C) % 2 else "Z"
 
 
+def check_distance(d: int) -> None:
+    """Raise ValueError unless d is an odd int >= 3; a bool, float or str is not one."""
+    if isinstance(d, bool) or not isinstance(d, int) or d < 3 or d % 2 == 0:
+        raise ValueError("distance must be an odd integer >= 3")
+
+
 def build_patch(d: int, kind: str = "rotated") -> PatchSpec:
     """Construct a distance-d rotated (or folded rotated) surface-code patch.
 
     Folding changes the geometry only: the stabilizer group of the folded
     patch is identical to the rotated one; loop_of gives the pairing.
     """
-    if d < 3 or d % 2 == 0:
-        raise ValueError("distance must be an odd integer >= 3")
+    check_distance(d)
     if kind not in ("rotated", "folded"):
         raise ValueError(f"unknown patch kind {kind!r}")
 

@@ -150,10 +150,6 @@ class StabilizerState:
         if g not in CLIFFORD_GATES:
             raise UnsupportedGateError(f"unknown gate {gate!r}")
         _check_layer(self.n, targets, _ARITY[g])
-        if g == "CZ":
-            self.apply_layer("H", [(t,) for _, t in targets])
-            self.apply_layer("CNOT", targets)
-            return self.apply_layer("H", [(t,) for _, t in targets])
         cols = np.array(targets, dtype=np.intp).reshape(-1, _ARITY[g]).T   # one row per position
         x, z = self.x, self.z
         if g == "SWAP":
@@ -166,6 +162,13 @@ class StabilizerState:
             self.r ^= _parity(xc & zt & (xt ^ zc ^ 1))
             x[:, t] = xt ^ xc
             z[:, c] = zc ^ zt
+            return self
+        if g == "CZ":
+            a, b = cols
+            xa, xb = x[:, a], x[:, b]
+            self.r ^= _parity(xa & xb & (z[:, a] ^ z[:, b]))
+            z[:, a] ^= xb
+            z[:, b] ^= xa
             return self
         (q,) = cols
         xq, zq = x[:, q], z[:, q]

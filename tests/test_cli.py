@@ -355,17 +355,20 @@ def test_malformed_config_exit_code(tmp_path, capsys):
 
 def test_table1_savings_follow_the_cells_under_a_config(tmp_path, capsys):
     # at t_loop = 1600 ns the folded CNOT cell is 3450 ns, so the CNOT is charged
-    # 3 us and its saving against standard is 12d, not the silicon 36d
+    # 3 us and its saving against standard is 12d, not the silicon 36d; the
+    # factory cells are the counted runtimes 319.25 and 474.67 us rounded up
     cfg = tmp_path / "slow_loop.cfg"
     cfg.write_text("t_loop_ns = 1600\n")
     code, out, _ = run_cli("--json", "--config", str(cfg), "table1", capsys=capsys)
     doc = json.loads(out)
     assert code == 0
     assert doc["cells"]["CNOT/pipelined_folded"]["runtime_ns"] == "3450"
+    assert doc["cells"]["FACTORY/pipelined_folded"]["runtime_ns"] == "320000"
+    assert doc["cells"]["FACTORY/pipelined_rotated"]["runtime_ns"] == "475000"
     assert doc["savings_vs_standard"] == {"H": "300", "S": "150", "CNOT": "300",
-                                          "FACTORY": "1500/47"}
+                                          "FACTORY": "225/8"}
     assert doc["savings_vs_pipelined_rotated"] == {"H": "300", "S": "75", "CNOT": "2",
-                                                   "FACTORY": "145/47"}
+                                                   "FACTORY": "95/32"}
 
 
 def test_seed_is_not_a_config_key(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Closed-form calculators and the overhead-table reproduction."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from loopfold.costs import (SPACE, cnot_time, cycle_time_n2, effective_cycle_time,
                             gate_cells, gate_time, pipeline_steady_state,
                             rearrange_worst, table1)
+from loopfold.factory import factory_runtime
 from loopfold.loopsim import SILICON, TimingParams
 
 P = SILICON
@@ -68,9 +70,14 @@ def test_undefined_combinations_rejected():
 
 
 def test_gate_cells_key_sets():
-    every = {"CYCLE", "H", "S", "CNOT", "SWAP", "FACTORY"}
-    for arch in ("standard", "pipelined_rotated", "pipelined_folded"):
-        assert set(gate_cells(arch, 25, P)) == every, arch
+    """Only standard's lattice-surgery factory is a closed form; factory_runtime
+    counts the pipelined ones."""
+    closed = {"CYCLE", "H", "S", "CNOT", "SWAP"}
+    assert set(gate_cells("standard", 25, P)) == closed | {"FACTORY"}
+    for arch in ("pipelined_rotated", "pipelined_folded"):
+        assert set(gate_cells(arch, 25, P)) == closed, arch
+        with pytest.raises(ValueError):
+            gate_time("FACTORY", arch, 25, P)
     assert set(gate_cells("interloop", 25, P)) == {"H", "SWAP", "CNOT"}
     for gate in ("S", "FACTORY", "CYCLE"):
         with pytest.raises(ValueError):
@@ -81,7 +88,7 @@ def test_gate_cells_key_sets():
         gate_time("FACTORY", "nowhere", 25, P)
 
 
-@pytest.mark.parametrize("d", [1, -3, 4])
+@pytest.mark.parametrize("d", [1, -3, 4, 25.0, 3.0, True, "25"])
 def test_distance_must_be_an_odd_integer_of_at_least_3(d):
     """gate_cells checks d, for every architecture; gate_time and table1 read it."""
     for arch in ("standard", "pipelined_rotated", "pipelined_folded", "interloop"):
@@ -143,13 +150,21 @@ def test_table1_cells_and_savings():
 
 
 def test_table1_savings_are_functions_of_d():
+    """H, S and CNOT keep their published functions of d at every d; the
+    FACTORY savings follow the counted cells, which give 5d/3 and
+    (5d+154)/108 at d = 25 only."""
     for d in (3, 9, 17, 25, 51):
         rep = table1(P, d)
-        assert rep.savings_vs_standard == {"H": 12 * d, "S": 6 * d, "CNOT": 36 * d,
-                                           "FACTORY": F(5, 3) * d}
-        assert rep.savings_vs_pipelined_rotated == {"H": 12 * d, "S": 3 * d, "CNOT": 2,
-                                                    "FACTORY": F(5 * d + 154, 108)}
+        std, rot = dict(rep.savings_vs_standard), dict(rep.savings_vs_pipelined_rotated)
+        del std["FACTORY"], rot["FACTORY"]
+        assert std == {"H": 12 * d, "S": 6 * d, "CNOT": 36 * d}
+        assert rot == {"H": 12 * d, "S": 3 * d, "CNOT": 2}
         assert_savings_follow_the_rule(P, d)
+    assert table1(P, 25).savings_vs_standard["FACTORY"] == F(5, 3) * 25
+    assert table1(P, 25).savings_vs_pipelined_rotated["FACTORY"] == F(5 * 25 + 154, 108)
+    # at d = 9 cultivation takes 139 of the folded factory's 161 rounds
+    assert table1(P, 9).savings_vs_standard["FACTORY"] == F(135, 41)
+    assert table1(P, 9).savings_vs_pipelined_rotated["FACTORY"] == F(52, 41)
 
 
 def test_factory_row_evaluates_to_published_value():
@@ -158,10 +173,16 @@ def test_factory_row_evaluates_to_published_value():
 
 
 def test_factory_cell_expressions():
-    assert gate_time("FACTORY", "pipelined_folded", 25, P) == (33 * 6 + 18) * 1000 == 216000
-    assert gate_time("FACTORY", "pipelined_rotated", 25, P) == (52 * 5 + 19) * 1000 == 279000
-    assert gate_cells("pipelined_folded", 25, P)["FACTORY"][0] == "33*T_cyc*(16)+18us"
-    assert gate_cells("pipelined_rotated", 25, P)["FACTORY"][0] == "(d+27)*T_cyc*(12)+19us"
+    """The published condensed forms at silicon and d = 25, and their d = 9 values."""
+    for d, folded, rotated in ((25, ("33*T_cyc*(16)+18us", (33 * 6 + 18) * 1000),
+                                ("(d+27)*T_cyc*(12)+19us", (52 * 5 + 19) * 1000)),
+                               (9, ("161*T_cyc*(16)+18us", (161 * 6 + 18) * 1000),
+                                ("(d+112)*T_cyc*(12)+19us", (121 * 5 + 19) * 1000))):
+        cells = table1(P, d).cells
+        assert (cells[("FACTORY", "pipelined_folded")].runtime_expr,
+                cells[("FACTORY", "pipelined_folded")].runtime_ns) == folded
+        assert (cells[("FACTORY", "pipelined_rotated")].runtime_expr,
+                cells[("FACTORY", "pipelined_rotated")].runtime_ns) == rotated
 
 
 def test_table1_text_and_doc():
@@ -178,11 +199,19 @@ def test_table1_text_and_doc():
 _N = {"standard": 2, "pipelined_rotated": 12, "pipelined_folded": 16}
 
 
+def cell_of(gate, arch, params, d):
+    """A table cell's (expression, runtime ns): factory_runtime's for a
+    pipelined factory, gate_cells' otherwise."""
+    if gate == "FACTORY" and arch != "standard":
+        return factory_runtime(arch.removeprefix("pipelined_"), params, d).cell
+    return gate_cells(arch, d, params)[gate]
+
+
 def charged_spacetime(gate, arch, params, d):
     """H and S in stabilizer rounds (the folded transversal gate is one round),
     a CNOT in whole us rounded half up and at least 1, a factory at its cell."""
     space = SPACE[arch][gate]
-    runtime = gate_time(gate, arch, d, params)
+    runtime = cell_of(gate, arch, params, d)[1]
     if gate == "FACTORY":
         return runtime * space
     if gate == "CNOT":
@@ -207,23 +236,43 @@ def assert_savings_follow_the_rule(params, d):
             assert saving == want, (other, g)
     assert set(rep.cells) == {(g, a) for a in SPACE for g in ("H", "S", "CNOT", "FACTORY")}
     for (g, a), cell in rep.cells.items():
-        assert (cell.runtime_expr, cell.runtime_ns) == gate_cells(a, d, params)[g]
-        assert cell.runtime_ns == gate_time(g, a, d, params)
+        assert (cell.runtime_expr, cell.runtime_ns) == cell_of(g, a, params, d)
     for a in ("pipelined_rotated", "pipelined_folded"):   # each at its operating point
         assert gate_time("CYCLE", a, d, params) == effective_cycle_time(_N[a], params)
         assert rep.cells[("CNOT", a)].runtime_ns == cnot_time(_N[a], params)
 
 
 times = st.fractions(min_value=0, max_value=6000, max_denominator=48)
+timings = st.builds(TimingParams, t_loop=times.filter(lambda t: t > 0), t_1q=times,
+                    t_2q=times, t_meas=times, meas_devices=st.integers(1, 6), slack_ns=times)
+distances = st.integers(1, 25).map(lambda k: 2 * k + 1)
 
 
 @settings(max_examples=150, deadline=None)
-@given(t_loop=times.filter(lambda t: t > 0), t_1q=times, t_2q=times, t_meas=times,
-       slack_ns=times, m=st.integers(1, 6), d=st.integers(1, 25).map(lambda k: 2 * k + 1))
-def test_savings_are_charged_spacetime_ratios(t_loop, t_1q, t_2q, t_meas, slack_ns, m, d):
-    params = TimingParams(t_loop=t_loop, t_1q=t_1q, t_2q=t_2q, t_meas=t_meas,
-                          meas_devices=m, slack_ns=slack_ns)
+@given(params=timings, d=distances)
+def test_savings_are_charged_spacetime_ratios(params, d):
     assert_savings_follow_the_rule(params, d)
+
+
+def factory_cell_value(expr, params, d):
+    """A factory cell's N*T_cyc*(n)+Mus, with N a count or (d+k), evaluated exactly."""
+    m = re.fullmatch(r"(\d+|\(d\+\d+\))\*T_cyc\*\((\d+)\)\+(\d+)us", expr)
+    assert m, expr
+    rounds = int(m[1]) if m[1].isdigit() else d + int(m[1][3:-1])
+    return rounds * effective_cycle_time(int(m[2]), params) + int(m[3]) * 1000
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=timings, d=distances)
+def test_factory_cells_are_the_counted_runtime_rounded_up_to_a_us(params, d):
+    """Each pipelined FACTORY cell is factory_runtime's runtime rounded up to a
+    whole us, and its expression evaluates to it."""
+    rep = table1(params, d)
+    for variant in ("folded", "rotated"):
+        cell = rep.cells[("FACTORY", f"pipelined_{variant}")]
+        runtime = factory_runtime(variant, params, d).runtime_ns
+        assert runtime <= cell.runtime_ns < runtime + 1000
+        assert factory_cell_value(cell.runtime_expr, params, d) == cell.runtime_ns
 
 
 def test_cnot_charge_rounds_half_up():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from loopfold.costs import cnot_time, effective_cycle_time, gate_time
+from loopfold.costs import cnot_time, effective_cycle_time, gate_time, table1
 from loopfold.factory import (T_INPUTS, _ccz_state, _t_state, ccz_factory_spec,
                               cultivation_cycles, factory_runtime, output_error,
                               verify_factory)
@@ -136,7 +136,7 @@ def test_cultivation_cycles():
 
 
 def test_cultivation_rejects_a_bad_distance():
-    for d in (24, 1):
+    for d in (24, 1, 25.0, True, "25"):
         with pytest.raises(ValueError):
             cultivation_cycles(d, 8)
 
@@ -172,10 +172,13 @@ def test_output_error_exact():
 
 
 def test_runtime_matches_table_expression_within_1us():
-    for variant in ("folded", "rotated"):
-        exact_ns = factory_runtime(variant, P, 25).runtime_ns
-        cell_ns = gate_time("FACTORY", f"pipelined_{variant}", 25, P)
-        assert abs(exact_ns - cell_ns) <= 1000
+    """The table's factory cell is the counted runtime rounded up, at every d."""
+    for d in range(3, 53, 2):
+        cells = table1(P, d).cells
+        for variant in ("folded", "rotated"):
+            exact_ns = factory_runtime(variant, P, d).runtime_ns
+            cell_ns = cells[("FACTORY", f"pipelined_{variant}")].runtime_ns
+            assert 0 <= cell_ns - exact_ns < 1000, (d, variant)
 
 
 @pytest.mark.parametrize("variant", ["folded", "rotated"])
@@ -198,7 +201,7 @@ def test_measurement_rounds_follow_meas_devices(variant, m, meas_ns):
 
 
 @pytest.mark.parametrize("variant", ["folded", "rotated"])
-@pytest.mark.parametrize("d", [1, -3, 4])
+@pytest.mark.parametrize("d", [1, -3, 4, 25.0, True, "25"])
 def test_factory_runtime_rejects_a_bad_distance(variant, d):
     with pytest.raises(ValueError, match="odd integer >= 3"):
         factory_runtime(variant, P, d)

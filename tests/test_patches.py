@@ -67,6 +67,9 @@ def test_bad_distance_rejected():
         build_patch(4)
     with pytest.raises(ValueError):
         build_patch(1)
+    for d in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="odd integer >= 3"):
+            build_patch(d)
     with pytest.raises(ValueError):
         build_patch(3, "weird")
 
