@@ -235,13 +235,12 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
             "s_gates": circ.gate_count("S") * t_s,
         }
     else:
-        y_rounds = 2 * (Fraction(d, 2) + 2)
+        y_rounds = 2 * (Fraction(d, 2) + 2)   # published; not derived from the Y-measurement count
         terms = {
             "cultivation": cul * t_star,
             "check_rounds": check_rounds * t_star,
             "measurements": rounds * params.t_meas,
             "cnots": cnots * cnot_time(n, params),
-            # the published coefficient; not derived from the Y-measurement count
             "y_basis_measurements": y_rounds * t_star,
         }
     space = SPACE[arch]["FACTORY"]
