@@ -31,8 +31,10 @@ from .verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
 
 SCHEMA_VERSION = 1
 
-CONFIG_KEYS = ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns", "t_int_ns",
-               "meas_devices", "slack_us")
+# config key -> (the TimingParams field it sets, that field's units per config unit)
+CONFIG_KEYS = {"t_loop_ns": ("t_loop", 1), "t_1q_ns": ("t_1q", 1), "t_2q_ns": ("t_2q", 1),
+               "t_meas_ns": ("t_meas", 1), "t_int_ns": ("t_int", 1),
+               "meas_devices": ("meas_devices", 1), "slack_us": ("slack_ns", 1000)}
 
 
 class ConfigError(ValueError):
@@ -40,12 +42,12 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | None) -> TimingParams:
-    """Flat key = value text config; silicon defaults when absent."""
+    """Flat key = value text config; TimingParams' defaults for the keys it leaves out."""
     values = {}
     if path is not None:
         try:
             text = Path(path).read_text()
-        except OSError as exc:
+        except (OSError, UnicodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
             line = line.split("#", 1)[0].strip()
@@ -60,26 +62,19 @@ def load_config(path: str | None) -> TimingParams:
                 values[key] = Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"line {lineno}: bad value {raw!r}") from exc
-    def get(key, default):
-        return values.get(key, Fraction(default))
     for key in ("t_loop_ns", "t_1q_ns", "t_2q_ns", "t_meas_ns", "t_int_ns"):
         if key in values and values[key] <= 0:
             raise ConfigError(f"{key} must be positive")
     if values.get("slack_us", 0) < 0:
         raise ConfigError("slack_us must be nonnegative")
-    meas_devices = get("meas_devices", 3)
-    if meas_devices.denominator != 1 or meas_devices < 1:
-        raise ConfigError(f"meas_devices must be an integer >= 1, got {meas_devices}")
+    if "meas_devices" in values:
+        m = values["meas_devices"]
+        if m.denominator != 1 or m < 1:
+            raise ConfigError(f"meas_devices must be an integer >= 1, got {m}")
+        values["meas_devices"] = int(m)
     try:
-        return TimingParams(
-            t_loop=get("t_loop_ns", 400),
-            t_1q=get("t_1q_ns", 200),
-            t_2q=get("t_2q_ns", 100),
-            t_meas=get("t_meas_ns", 1000),
-            meas_devices=int(meas_devices),
-            t_int=values.get("t_int_ns"),
-            slack_ns=get("slack_us", Fraction(1, 2)) * 1000,
-        )
+        return TimingParams(**{CONFIG_KEYS[k][0]: v * CONFIG_KEYS[k][1]
+                               for k, v in values.items()})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

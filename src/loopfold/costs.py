@@ -247,7 +247,7 @@ def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     1 us, and surgery H and S count 3d and 1.5d rounds against the
     transversal gate's one.
     """
-    from .factory import factory_runtime   # it reads gate_time from here
+    from .factory import factory_runtime   # it reads gate_cells from here
     cells = {}
     for a, spaces in SPACE.items():
         arch_cells = gate_cells(a, d, params)

@@ -19,8 +19,7 @@ from functools import reduce
 import numpy as np
 
 from .circuits import ScheduledCircuit, walk_outcomes
-from .costs import (NS_PER_US, OPERATING_N, SPACE, ceil_us, cnot_time, effective_cycle_time,
-                    gate_time)
+from .costs import NS_PER_US, OPERATING_N, SPACE, ceil_us, gate_cells
 from .loopsim import SILICON, TimingParams
 from .patches import check_distance
 from .tableau import DenseState, ImpossibleOutcomeError
@@ -211,7 +210,8 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
     + ceil(#MZ/m) T_meas + #S T_S, on half a patch footprint.
     rotated: T'_cul + #slots T*_cyc(12) + ceil(#MZ/m) T_meas
     + #CNOT T_CNOT(12) + 2 (0.5 d + 2) T*_cyc(12), on one patch footprint.
-    Every count is read off ccz_factory_spec: the same-loop S gates (or
+    T*_cyc, T_CNOT and T_S are one gate_cells call's cells, and every count
+    is read off ccz_factory_spec: the same-loop S gates (or
     Y-basis measurements) are serialized through the single port, and the
     output Z measurements batch into rounds on the m measurement devices.
     Classical decode time is not charged.  The table cell is the runtime rounded
@@ -223,16 +223,16 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
     rounds = -(-_measure_count(circ, "Z") // params.meas_devices)
     arch = f"pipelined_{variant}"
     n = OPERATING_N[arch]
-    t_star = effective_cycle_time(n, params)
+    cells = gate_cells(arch, d, params)
+    t_star, t_cnot = cells["CYCLE"][1], cells["CNOT"][1]
     cul = cultivation_cycles(d, circ.num_qubits)
     if variant == "folded":
-        t_s = gate_time("S", "pipelined_folded", d, params)
         terms = {
             "cultivation": cul * t_star,
-            "cnots": cnots * cnot_time(n, params),
+            "cnots": cnots * t_cnot,
             "check_rounds": check_rounds * t_star,
             "measurements": rounds * params.t_meas,
-            "s_gates": circ.gate_count("S") * t_s,
+            "s_gates": circ.gate_count("S") * cells["S"][1],
         }
     else:
         y_rounds = 2 * (Fraction(d, 2) + 2)   # published; not derived from the Y-measurement count
@@ -240,7 +240,7 @@ def factory_runtime(variant: str, params: TimingParams = SILICON,
             "cultivation": cul * t_star,
             "check_rounds": check_rounds * t_star,
             "measurements": rounds * params.t_meas,
-            "cnots": cnots * cnot_time(n, params),
+            "cnots": cnots * t_cnot,
             "y_basis_measurements": y_rounds * t_star,
         }
     space = SPACE[arch]["FACTORY"]

@@ -55,6 +55,9 @@ class LayerStackLayout:
         for li, layer in enumerate(self.layers):
             for cell, patch in layer.items():
                 r, c = cell
+                if any(isinstance(x, bool) or not isinstance(x, int) for x in cell):
+                    raise ValueError(f"patch {patch.patch_id} cell must be two integers, "
+                                     f"not {list(cell)}")
                 if not (0 <= r < self.rows and 0 <= c < self.cols):
                     raise ValueError(f"patch {patch.patch_id} outside the grid")
                 if patch.patch_id in seen:

@@ -15,7 +15,8 @@ ints, and times become Fractions once, at output (`makespan`,
 swap and CNOT-stack searches), and the rearrangement rules `_arc`, `_lead`
 and `_park` serve both `rearrange` and its search.  A LoopState laps in
 t_loop; `simulate_cycle` reads a diagonal loop's double speed from the
-embedding's LoopRecord.
+embedding's LoopRecord and the half rounds in which each loop works from
+`patches.check_circuit`.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -39,6 +40,8 @@ from math import factorial, lcm
 from numbers import Integral
 from operator import attrgetter
 from typing import Optional, Sequence
+
+from .patches import build_patch, check_circuit
 
 
 def _frac(x) -> Fraction:
@@ -411,70 +414,52 @@ def _lattice_cost(target: tuple[int, ...], lead: int, base: int,
 def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
     """Event trace of one stabilizer round of a single folded patch.
 
-    Reproduces the published per-loop itineraries: the first two CNOT layers
-    are limited by a boundary-ancilla loop finishing both its checks early
-    (a half lap to its first corner, then three quarters to the second); the
-    last two layers mirror this in the late-boundary loops; entering the port
-    costs 7/8 of a lap in the limiting loop; measurement runs once on the
-    loop's devices.  Basis-change single-qubit gates bookend the round.
+    Reproduces the published per-loop itineraries, in quarter laps: a
+    diagonal loop runs legs [0, 2], a two-token loop [0, 2, 1] and a
+    one-token (boundary-ancilla) loop [2, 3], each leg ending in a CNOT.  A
+    loop runs its legs in a half round (CNOT layers 1-2, then 3-4) exactly
+    when `check_circuit` gives one of its qubits a CNOT in that half, so the
+    CNOT order of `patches` alone places the boundary loops.  Entering the
+    port costs 7/8 of a lap in the limiting loop; measurement runs once on
+    the loop's devices.  Basis-change single-qubit gates bookend the round.
     The makespan equals 27/8 t_loop + 2 t_1q + 4 t_2q + t_meas exactly while
-    t_2q <= t_loop / 2; above that a bulk loop's three CNOTs limit each half.
+    t_2q <= t_loop / 2; above that a two-token loop's three CNOTs limit each
+    half.
     """
     if embedding.patch_kind != "folded" or embedding.num_patches != 1:
         raise ValueError("cycle tracing supports a single folded patch (n = 2)")
     times = (params.t_loop / 8, params.t_1q, params.t_2q, params.t_meas)
     sched = TimedSchedule(meta={"kind": "cycle", "n": 2}, scale=_tick_scale(*times))
     eighth, t1, t2, tm = map(sched.ticks, times)      # an eighth of a lap, then the gates
+    patch = build_patch(embedding.distance, "folded")
+    halves: dict[int, set[int]] = {}    # qubit -> the half rounds of its CNOTs
+    for e in check_circuit(patch).events:
+        if e.action == "CNOT":
+            for q in e.targets:
+                halves.setdefault(q, set()).add((e.slot - 2) // 2)
     loops = sorted(embedding.loops.values(), key=lambda l: l.coord)
-
-    def classify(loop) -> str:
-        if loop.coord[0] == loop.coord[1]:
-            return "diagonal"
-        if len(loop.slots) == 2:
-            return "bulk"
-        # single-occupant off-diagonal loop: a boundary ancilla; early if its
-        # two CNOTs fall in the first half, late otherwise.  The early ones sit
-        # on the right column's loops: the right-column Z ancillas unfolded,
-        # the bottom-row X ancillas folded onto them (the left-column Z
-        # ancillas fold onto the top row's loops, and run late)
-        return "boundary_early" if loop.coord[1] == 2 * embedding.distance - 1 \
-            else "boundary_late"
-
-    kinds = {l.coord: classify(l) for l in loops}
 
     t = 0
     sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
     t += t1
-
-    def half_round(start: int, which: str) -> int:
-        """One pair of CNOT layers across all loops; returns the phase makespan."""
-        boundary_kind = "boundary_early" if which == "first" else "boundary_late"
-        end = start
+    for h in (0, 1):
+        end = t
         for loop in loops:
-            name = f"{loop.coord}"
-            kind = kinds[loop.coord]
+            if not any(h in halves[patch.index[c]] for _, _, c in loop.slots):
+                continue  # idle this half
+            legs = ([0, 2] if loop.coord[0] == loop.coord[1]    # in quarter laps
+                    else [0, 2, 1] if len(loop.slots) == 2 else [2, 3])
             quarter = eighth if loop.speed_class == "double" else 2 * eighth
             toks = tuple(range(len(loop.slots)))
-            tt = start
-            if kind == "bulk":          # legs in quarter laps
-                legs = [0, 2, 1]
-            elif kind == "diagonal":
-                legs = [0, 2]
-            elif kind == boundary_kind:
-                legs = [2, 3]
-            else:
-                continue  # idle this half
+            tt = t
             for leg in legs:
                 if leg:
-                    sched.append(tt, leg * quarter, "shuttle", toks, name)
+                    sched.append(tt, leg * quarter, "shuttle", toks, f"{loop.coord}")
                     tt += leg * quarter
-                sched.append(tt, t2, "cnot", toks, name)
+                sched.append(tt, t2, "cnot", toks, f"{loop.coord}")
                 tt += t2
             end = max(end, tt)
-        return end
-
-    t = half_round(t, "first")
-    t = half_round(t, "second")
+        t = end
     sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
     t += t1
     sched.append(t, 7 * eighth, "shuttle_to_port", (), "limiting late loop")

@@ -283,15 +283,24 @@ def _boolean_rows(doc):
     doc["rows"] = True
 
 
+def _fractional_cell(doc):
+    doc["layers"][0][0]["cell"] = [0.5, 0]
+
+
+def _boolean_cell(doc):   # True would otherwise place the patch on row 1
+    doc["layers"][0][0]["cell"] = [True, 0]
+
+
 @pytest.mark.parametrize("spoil, names", [
     (_unknown_patch, "'9'"), (_y_boundary, "'Y'"), (_y_operator, "'Y'"),
     (_scalar_cell, "int"), (_missing_role, "1 layer roles for 2 layers"),
     (_text_layer, "'0'"), (_integer_patch, "not 7"), (_shared_cell, "cell [0, 1] of layer 0"),
     (_self_merge, "'1' with itself"), (_layer_outside, "layer 5 of a 2-layer stack"),
     (_fractional_rows, "not 2.5"), (_text_rows, "not '2'"), (_boolean_rows, "not True"),
+    (_fractional_cell, "not [0.5, 0]"), (_boolean_cell, "not [True, 0]"),
 ], ids=["unknown-patch", "y-boundary", "y-operator", "scalar-cell", "missing-role",
         "text-layer", "integer-patch", "shared-cell", "self-merge", "layer-outside",
-        "fractional-rows", "text-rows", "boolean-rows"])
+        "fractional-rows", "text-rows", "boolean-rows", "fractional-cell", "boolean-cell"])
 @pytest.mark.parametrize("plan", [(), ("--plan",)], ids=["route", "plan"])
 def test_bad_fixture_exits_5_without_traceback(spoil, names, plan, tmp_path, capsys):
     doc = _fig10a_doc()
@@ -369,6 +378,22 @@ def test_table1_savings_follow_the_cells_under_a_config(tmp_path, capsys):
                                           "FACTORY": "225/8"}
     assert doc["savings_vs_pipelined_rotated"] == {"H": "300", "S": "75", "CNOT": "2",
                                                    "FACTORY": "95/32"}
+
+
+def test_config_that_is_not_utf8_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "utf16.cfg"
+    cfg.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
+    assert code == 4 and out == ""
+    assert err.startswith("config error: cannot read config") and err.count("\n") == 1
+
+
+def test_empty_config_gives_the_timing_defaults(tmp_path):
+    from loopfold.cli import load_config
+    from loopfold.loopsim import SILICON, TimingParams
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("# nothing set\n")
+    assert load_config(str(cfg)) == TimingParams() == SILICON
 
 
 def test_seed_is_not_a_config_key(tmp_path, capsys):

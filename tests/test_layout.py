@@ -133,6 +133,9 @@ def test_boundary_operators_other_than_x_or_z_rejected(build):
 def test_malformed_layouts_and_requests_rejected():
     with pytest.raises(ValueError, match="layer roles"):
         LayerStackLayout(2, 3, [{}, {}], ["long_range"])
+    for cell in ((0.5, 0), (True, 0), (0, False)):
+        with pytest.raises(ValueError, match="two integers"):
+            LayerStackLayout(2, 3, [{cell: PatchCell("1")}])
     with pytest.raises(ValueError, match="integer"):
         MergeRequest("1", "Z", "2", "X", layer="0")
     assert MergeRequest("1", "Z", "2", "X", layer=1).layer == 1

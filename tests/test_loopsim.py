@@ -15,6 +15,7 @@ from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError,
                               _lead, _on_lattice, _plan_lattice, _tick_scale, pipeline_model,
                               rearrange, run_episode,
                               simulate_cycle, swap_protocol, worst_case_search)
+from loopfold import patches
 from loopfold.patches import build_patch, check_circuit, embed_stack
 
 P = SILICON
@@ -238,19 +239,33 @@ def test_simulate_cycle_linearity_in_t_loop():
         F(27, 8) * 800 + 2 * P.t_1q + 4 * P.t_2q + P.t_meas
 
 
-@pytest.mark.parametrize("d", [3, 5, 7])
-def test_boundary_loops_run_in_the_half_of_their_check_cnots(d):
+# the two mirrors of the published CNOT order that keep every logical check
+MIRRORS = {"left-right": (("ur", "ul", "dr", "dl"), ("ur", "dr", "ul", "dl")),
+           "top-bottom": (("dl", "dr", "ul", "ur"), ("dl", "ul", "dr", "ur"))}
+
+
+@pytest.mark.parametrize("d, orders", [
+    *(pytest.param(d, (patches.X_ORDER, patches.Z_ORDER), id=str(d)) for d in (3, 5, 7)),
+    *(pytest.param(d, orders, id=f"{name}-{d}")
+      for name, orders in MIRRORS.items() for d in (3, 5, 7))])
+def test_boundary_loops_run_in_the_half_of_their_check_cnots(d, orders, monkeypatch):
     """Each boundary loop holds one ancilla, and its events lie in the half
     round where `check_circuit` puts that ancilla's two CNOTs: layers 1-2
-    (slots 2, 3) or layers 3-4 (slots 4, 5).  The second half starts at a
-    diagonal loop's third CNOT, since a diagonal loop runs two in each half.
-    The left-column Z ancillas fold onto the top row's loops and run late."""
+    (slots 2, 3) or layers 3-4 (slots 4, 5), under the published CNOT order
+    and under its two mirrors.  The second half starts at a two-token loop's
+    fourth CNOT, since such a loop runs three in each half (a corner
+    diagonal loop runs in one half only under a mirror)."""
+    monkeypatch.setattr(patches, "X_ORDER", orders[0])
+    monkeypatch.setattr(patches, "Z_ORDER", orders[1])
     patch = build_patch(d, "folded")
     emb = embed_stack([patch])
     sched = simulate_cycle(emb, P)
-    diagonal = next(l for l in emb.loops.values() if l.coord[0] == l.coord[1])
+    assert sched.makespan == 3150
+    sched.check_no_token_overlap()
+    pair = next(l for l in emb.loops.values()
+                if l.coord[0] != l.coord[1] and len(l.slots) == 2)
     middle = sorted(e.start for e in sched.events
-                    if e.loop == f"{diagonal.coord}" and e.action == "cnot")[2]
+                    if e.loop == f"{pair.coord}" and e.action == "cnot")[3]
     cnot_slots: dict[int, set[int]] = {}
     for e in check_circuit(patch).events:
         if e.action == "CNOT":
