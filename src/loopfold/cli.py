@@ -17,15 +17,13 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from .costs import (CYCLE_N2_EXPR, CYCLE_N2_TERMS, OPERATING_N, STEADY_STATE_EXPR,
-                    T_CYC_STAR_EXPR, cycle_time_n2, effective_cycle_time, gate_cells,
-                    pipeline_steady_state, table1)
+from .costs import (OPERATING_N, STEADY_STATE_EXPR, T_CYC_STAR_EXPR, effective_cycle_time,
+                    gate_cells, pipeline_steady_state, table1)
 from .factory import ccz_factory_spec, factory_runtime, verify_factory
 from .layout import (MergeRequest, check_requests, fig10a_fixture, fig10b_fixture,
                      layout_from_doc, plan_with_swaps, routable)
-from .loopsim import (LoopState, TimingParams, pipeline_model, rearrange,
-                      search_lattice, simulate_cycle, swap_protocol,
-                      worst_case_search)
+from .loopsim import (LoopState, TimingParams, cycle_trace_n2, pipeline_model, rearrange,
+                      search_lattice, simulate_cycle, swap_protocol, worst_case_search)
 from .patches import build_patch, embed_stack
 from .verify import verify_s_teleport, verify_single_qubit, verify_two_qubit
 
@@ -147,17 +145,15 @@ def cmd_verify(args, params) -> int:
 
 def cmd_cycle_time(args, params) -> int:
     n = args.n
-    t2 = cycle_time_n2(params)
-    doc = {
-        "t_cyc_n2": {"expr": CYCLE_N2_EXPR,
-                     "terms": {name: str(k) for name, k in CYCLE_N2_TERMS.items()},
-                     "value_ns": str(t2)},
-    }
-    steady = pipeline_steady_state(n, params)
-    star = effective_cycle_time(n, params)
-    doc["steady_state"] = {"expr": STEADY_STATE_EXPR, "n": n, "value_ns": str(steady)}
-    doc["t_cyc_star"] = {"expr": T_CYC_STAR_EXPR, "value_ns": str(star)}
-    human = (f"T_cyc(n=2) = {CYCLE_N2_EXPR.replace('t_', 'T_')} = {t2} ns\n"
+    trace = cycle_trace_n2(params)
+    t2, terms = trace.makespan, trace.meta["terms"]
+    expr = " + ".join(name if k == 1 else f"{k}*{name}" for name, k in terms.items())
+    steady, star = pipeline_steady_state(n, params), effective_cycle_time(n, params)
+    doc = {"t_cyc_n2": {"expr": expr, "terms": {name: str(k) for name, k in terms.items()},
+                        "value_ns": str(t2)},
+           "steady_state": {"expr": STEADY_STATE_EXPR, "n": n, "value_ns": str(steady)},
+           "t_cyc_star": {"expr": T_CYC_STAR_EXPR, "value_ns": str(star)}}
+    human = (f"T_cyc(n=2) = {expr.replace('t_', 'T_')} = {t2} ns\n"
              f"steady state (n={n}, m={params.meas_devices}) = {steady} ns\n"
              f"T*_cyc({n}) = {star} ns\n")
     _emit(doc, args.json, human)
@@ -196,8 +192,7 @@ def cmd_simulate(args, params) -> int:
         if getattr(args, option) is not None and args.protocol not in readers:
             return _argument_error(f"--{option} does not apply to --protocol {args.protocol}")
     if args.protocol == "cycle":
-        patch = build_patch(args.d or 3, "folded")
-        sched = simulate_cycle(embed_stack([patch]), params)
+        sched = simulate_cycle(embed_stack([build_patch(args.d or 3, "folded")]), params)
     elif args.protocol == "swap":
         loop = LoopState({0: Fraction(1, 4), 1: Fraction(3, 4)})
         sched = swap_protocol(loop, 0, 1, params)

@@ -4,10 +4,10 @@ gate_cells is the one source of every closed-form gate cell: for each
 architecture at its loop occupancy OPERATING_N it gives gate -> (expression,
 runtime).  gate_time, the overhead table's runtime cells (table1) and the
 expressions `loopfold gate-times` prints all read it; table1's two pipelined
-FACTORY cells are factory.factory_runtime's.  CYCLE_N2_TERMS likewise holds
-the coefficients of T_cyc(2) once: cycle_time_n2 sums them, and `loopfold
-cycle-time` prints CYCLE_N2_EXPR, written from them, with STEADY_STATE_EXPR
-and T_CYC_STAR_EXPR, which stand next to the functions they describe.
+FACTORY cells are factory.factory_runtime's, and T_cyc(2), cycle_time_n2,
+is loopsim's traced round.  `loopfold cycle-time` prints the round's terms
+with STEADY_STATE_EXPR and T_CYC_STAR_EXPR, which stand next to the
+functions they describe.
 
 All quantities are exact Fractions of a nanosecond; the published values are
 reproduced as equalities at the silicon defaults (t_loop 400, t_1q 200,
@@ -20,21 +20,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .loopsim import SILICON, TimingParams
+from .loopsim import SILICON, TimingParams, cycle_time_n2
 from .patches import check_distance
 
 NS_PER_US = Fraction(1000)
-
-# T_cyc(2) as timing parameter -> coefficient, and its printed form
-CYCLE_N2_TERMS = {"t_loop": Fraction(27, 8), "t_1q": Fraction(2), "t_2q": Fraction(4),
-                  "t_meas": Fraction(1)}
-CYCLE_N2_EXPR = " + ".join(name if k == 1 else f"{k}*{name}" for name, k in CYCLE_N2_TERMS.items())
-
-
-def cycle_time_n2(params: TimingParams = SILICON) -> Fraction:
-    """Stabilizer round duration for a single folded patch (two per loop)."""
-    return sum(k * getattr(params, name) for name, k in CYCLE_N2_TERMS.items())
-
 
 # the printed forms of the two functions below; m is meas_devices
 STEADY_STATE_EXPR = "max(t_cyc(2), n/m*t_meas)"
@@ -218,19 +207,18 @@ SPACE = {
 }
 
 
-def _charged(gate: str, arch: str, cell: TableCell, params: TimingParams, d: int) -> Fraction:
+def _charged(gate: str, arch: str, cell: TableCell, cycle: Fraction) -> Fraction:
     """A cell's spacetime as a savings entry charges it, in units fixed per gate.
 
-    H and S are charged in stabilizer rounds: the runtime over the
-    architecture's cycle, except that the folded transversal gate is one round
-    because it completes inside its round.  A CNOT is charged its runtime in
+    H and S are charged in rounds of `cycle`, the architecture's CYCLE cell,
+    except that the folded transversal gate is one round because it
+    completes inside its round.  A CNOT is charged its runtime in
     whole microseconds, rounded to the nearest with a half going up, and at
     least one.  A factory is charged its runtime.
     """
     if gate in ("H", "S"):
         if arch == "pipelined_folded":
             return cell.space
-        cycle = gate_time("CYCLE", arch, d, params)
         return cell.runtime_ns / cycle * cell.space
     if gate == "CNOT":
         return max(1, math.floor(cell.runtime_ns / NS_PER_US + Fraction(1, 2))) * cell.space
@@ -248,16 +236,18 @@ def table1(params: TimingParams = SILICON, d: int = 25) -> CostReport:
     transversal gate's one.
     """
     from .factory import factory_runtime   # it reads gate_cells from here
-    cells = {}
+    cells, cycles = {}, {}
     for a, spaces in SPACE.items():
         arch_cells = gate_cells(a, d, params)
+        cycles[a] = arch_cells["CYCLE"][1]
         if a != "standard":
             arch_cells["FACTORY"] = factory_runtime(a.removeprefix("pipelined_"), params, d).cell
         cells.update({(g, a): TableCell(*arch_cells[g], space) for g, space in spaces.items()})
 
     def savings(other: str) -> dict[str, Fraction]:
-        return {g: _charged(g, other, cells[(g, other)], params, d)
-                / _charged(g, "pipelined_folded", cells[(g, "pipelined_folded")], params, d)
+        return {g: _charged(g, other, cells[(g, other)], cycles[other])
+                / _charged(g, "pipelined_folded", cells[(g, "pipelined_folded")],
+                           cycles["pipelined_folded"])
                 for g in GATES}
 
     return CostReport(d, cells, savings("standard"), savings("pipelined_rotated"))

@@ -47,6 +47,9 @@ class LayerStackLayout:
         for name, size in (("rows", self.rows), ("cols", self.cols)):
             if isinstance(size, bool) or not isinstance(size, int) or size < 1:
                 raise ValueError(f"{name} must be an integer >= 1, not {size!r}")
+        if not isinstance(self.layer_roles, list) or not all(
+                isinstance(role, str) for role in self.layer_roles):
+            raise ValueError(f"layer roles must be a list of strings, not {self.layer_roles!r}")
         if not self.layer_roles:
             self.layer_roles = ["mid_range"] * len(self.layers)
         if len(self.layer_roles) != len(self.layers):
@@ -412,4 +415,4 @@ def layout_from_doc(doc: dict) -> LayerStackLayout:
                 raise ValueError(f"two patches on cell {list(cell)} of layer {li}")
             layer[cell] = PatchCell(rec["patch"], rec["ns"])
         layers.append(layer)
-    return LayerStackLayout(doc["rows"], doc["cols"], layers, list(doc["layer_roles"]))
+    return LayerStackLayout(doc["rows"], doc["cols"], layers, doc["layer_roles"])

@@ -16,7 +16,8 @@ swap and CNOT-stack searches), and the rearrangement rules `_arc`, `_lead`
 and `_park` serve both `rearrange` and its search.  A LoopState laps in
 t_loop; `simulate_cycle` reads a diagonal loop's double speed from the
 embedding's LoopRecord and the half rounds in which each loop works from
-`patches.check_circuit`.
+`patches.check_circuit` of its patch.  The traced round is the one model of
+T_cyc(2): `cycle_time_n2`, which `costs` imports, is its makespan.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -39,9 +40,9 @@ from itertools import permutations
 from math import factorial, lcm
 from numbers import Integral
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
-from .patches import build_patch, check_circuit
+from .patches import build_patch, check_circuit, embed_stack
 
 
 def _frac(x) -> Fraction:
@@ -119,8 +120,7 @@ class LoopState:
         return LoopState._trusted(dict(self.positions), self.port)
 
 
-@dataclass(frozen=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     """One event, its start and duration in ticks of its schedule's scale."""
 
     start: int
@@ -164,8 +164,7 @@ class TimedSchedule:
         return self.ns(max((e.end for e in self.events), default=0))
 
     def append(self, start: int, duration: int, action, tokens, loop="loop") -> TimedEvent:
-        ev = TimedEvent(start, duration, action, tuple(tokens), loop)
-        self.events.append(ev)
+        self.events.append(ev := TimedEvent(start, duration, action, tuple(tokens), loop))
         return ev
 
     def shuttle_time(self) -> Fraction:
@@ -416,34 +415,39 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
 
     Reproduces the published per-loop itineraries, in quarter laps: a
     diagonal loop runs legs [0, 2], a two-token loop [0, 2, 1] and a
-    one-token (boundary-ancilla) loop [2, 3], each leg ending in a CNOT.  A
-    loop runs its legs in a half round (CNOT layers 1-2, then 3-4) exactly
-    when `check_circuit` gives one of its qubits a CNOT in that half, so the
-    CNOT order of `patches` alone places the boundary loops.  Entering the
-    port costs 7/8 of a lap in the limiting loop; measurement runs once on
-    the loop's devices.  Basis-change single-qubit gates bookend the round.
-    The makespan equals 27/8 t_loop + 2 t_1q + 4 t_2q + t_meas exactly while
-    t_2q <= t_loop / 2; above that a two-token loop's three CNOTs limit each
-    half.
+    one-token (boundary-ancilla) loop [2, 3], each leg ending in a CNOT, in
+    each half round (CNOT layers 1-2, then 3-4) in which `check_circuit` of
+    the embedding's patch gives one of its qubits a CNOT.  Basis changes
+    bookend the halves; a 7/8-lap port entry and one measurement end the
+    round.  meta["terms"] (timing parameter -> coefficient) is the critical
+    path and sums to the makespan: the fixed steps plus, in each half, the
+    laps and CNOTs of the loop whose legs end last (on a tie, the one with
+    more shuttle).  That is 27/8 t_loop + 2 t_1q + 4 t_2q + t_meas, from the
+    boundary loops, while 2 t_2q <= t_loop; above, two-token loops limit.
     """
     if embedding.patch_kind != "folded" or embedding.num_patches != 1:
         raise ValueError("cycle tracing supports a single folded patch (n = 2)")
-    times = (params.t_loop / 8, params.t_1q, params.t_2q, params.t_meas)
-    sched = TimedSchedule(meta={"kind": "cycle", "n": 2}, scale=_tick_scale(*times))
-    eighth, t1, t2, tm = map(sched.ticks, times)      # an eighth of a lap, then the gates
-    patch = build_patch(embedding.distance, "folded")
+    sched = TimedSchedule(meta={"kind": "cycle", "n": 2}, scale=_tick_scale(
+        params.t_loop / 8, params.t_1q, params.t_2q, params.t_meas))
+    terms = sched.meta["terms"] = dict.fromkeys(("t_loop", "t_1q", "t_2q", "t_meas"), Fraction(0))
+    eighth, t2 = sched.ticks(params.t_loop / 8), sched.ticks(params.t_2q)
+    patch = embedding.patches[0]
     halves: dict[int, set[int]] = {}    # qubit -> the half rounds of its CNOTs
     for e in check_circuit(patch).events:
         if e.action == "CNOT":
             for q in e.targets:
                 halves.setdefault(q, set()).add((e.slot - 2) // 2)
     loops = sorted(embedding.loops.values(), key=lambda l: l.coord)
-
     t = 0
-    sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
-    t += t1
+
+    def step(term: str, k, action: str, where: str) -> None:   # k * params.<term>
+        nonlocal t
+        t = sched.append(t, sched.ticks(k * getattr(params, term)), action, (), where).end
+        terms[term] += k
+
+    step("t_1q", 1, "basis_change_H", "x-ancilla loops")
     for h in (0, 1):
-        end = t
+        limits = []     # per working loop: (end tick, laps, CNOTs)
         for loop in loops:
             if not any(h in halves[patch.index[c]] for _, _, c in loop.slots):
                 continue  # idle this half
@@ -454,18 +458,26 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
             tt = t
             for leg in legs:
                 if leg:
-                    sched.append(tt, leg * quarter, "shuttle", toks, f"{loop.coord}")
-                    tt += leg * quarter
-                sched.append(tt, t2, "cnot", toks, f"{loop.coord}")
-                tt += t2
-            end = max(end, tt)
-        t = end
-    sched.append(t, t1, "basis_change_H", (), "x-ancilla loops")
-    t += t1
-    sched.append(t, 7 * eighth, "shuttle_to_port", (), "limiting late loop")
-    t += 7 * eighth
-    sched.append(t, tm, "measure", (), "all ancilla loops")
+                    tt = sched.append(tt, leg * quarter, "shuttle", toks, f"{loop.coord}").end
+                tt = sched.append(tt, t2, "cnot", toks, f"{loop.coord}").end
+            limits.append((tt, Fraction(sum(legs) * quarter, 8 * eighth), len(legs)))
+        t, laps, cnots = max(limits)
+        terms["t_loop"] += laps
+        terms["t_2q"] += cnots
+    step("t_1q", 1, "basis_change_H", "x-ancilla loops")
+    step("t_loop", Fraction(7, 8), "shuttle_to_port", "limiting late loop")
+    step("t_meas", 1, "measure", "all ancilla loops")
     return sched
+
+
+def cycle_trace_n2(params: TimingParams = SILICON) -> TimedSchedule:
+    """The traced round of the smallest folded patch, d = 3, whose terms hold at every d."""
+    return simulate_cycle(embed_stack([build_patch(3, "folded")]), params)
+
+
+def cycle_time_n2(params: TimingParams = SILICON) -> Fraction:
+    """T_cyc(2), one folded patch's stabilizer round: its trace's makespan."""
+    return cycle_trace_n2(params).makespan
 
 
 # -- measurement-contention pipeline ---------------------------------------------
@@ -481,8 +493,6 @@ def pipeline_model(n: int, params: TimingParams, rounds: int) -> list[Fraction]:
     """
     if n < 2 or rounds < 1:
         raise ValueError("need n >= 2 and rounds >= 1")
-    from .costs import cycle_time_n2
-
     phases = (cycle_time_n2(params) - params.t_meas, params.t_meas)
     per_ns = _tick_scale(*phases).denominator       # ticks per ns
     compute, tm = (int(x * per_ns) for x in phases)

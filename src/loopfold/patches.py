@@ -301,6 +301,7 @@ class LoopEmbedding:
     num_patches: int
     patch_kind: str
     distance: int
+    patches: list[PatchSpec]  # the stacked patches, in patch-id order
 
 
 def embed_stack(patches: Sequence[PatchSpec]) -> LoopEmbedding:
@@ -333,4 +334,4 @@ def embed_stack(patches: Sequence[PatchSpec]) -> LoopEmbedding:
 
     k = len(patches)
     n = 2 * k if kind == "folded" else k
-    return LoopEmbedding(loops, n, k, kind, d)
+    return LoopEmbedding(loops, n, k, kind, d, list(patches))

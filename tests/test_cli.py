@@ -291,6 +291,14 @@ def _boolean_cell(doc):   # True would otherwise place the patch on row 1
     doc["layers"][0][0]["cell"] = [True, 0]
 
 
+def _text_roles(doc):   # list() would otherwise split it into the roles "a" and "b"
+    doc["layer_roles"] = "ab"
+
+
+def _integer_role(doc):
+    doc["layer_roles"][0] = 7
+
+
 @pytest.mark.parametrize("spoil, names", [
     (_unknown_patch, "'9'"), (_y_boundary, "'Y'"), (_y_operator, "'Y'"),
     (_scalar_cell, "int"), (_missing_role, "1 layer roles for 2 layers"),
@@ -298,9 +306,11 @@ def _boolean_cell(doc):   # True would otherwise place the patch on row 1
     (_self_merge, "'1' with itself"), (_layer_outside, "layer 5 of a 2-layer stack"),
     (_fractional_rows, "not 2.5"), (_text_rows, "not '2'"), (_boolean_rows, "not True"),
     (_fractional_cell, "not [0.5, 0]"), (_boolean_cell, "not [True, 0]"),
+    (_text_roles, "list of strings, not 'ab'"), (_integer_role, "strings, not [7, "),
 ], ids=["unknown-patch", "y-boundary", "y-operator", "scalar-cell", "missing-role",
         "text-layer", "integer-patch", "shared-cell", "self-merge", "layer-outside",
-        "fractional-rows", "text-rows", "boolean-rows", "fractional-cell", "boolean-cell"])
+        "fractional-rows", "text-rows", "boolean-rows", "fractional-cell", "boolean-cell",
+        "text-roles", "integer-role"])
 @pytest.mark.parametrize("plan", [(), ("--plan",)], ids=["route", "plan"])
 def test_bad_fixture_exits_5_without_traceback(spoil, names, plan, tmp_path, capsys):
     doc = _fig10a_doc()
@@ -319,6 +329,23 @@ def test_config_file_applies(tmp_path, capsys):
     code, out, _ = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
     assert code == 0
     assert "= 4500 ns" in out   # 27/8*800 + 2*200 + 4*100 + 1000
+
+
+@pytest.mark.parametrize("t_2q, expr, terms, value", [
+    ("300", "19/8*T_loop + 2*T_1q + 6*T_2q + T_meas", ("19/8", "2", "6", "1"), "4150"),
+    ("200", "27/8*T_loop + 2*T_1q + 4*T_2q + T_meas", ("27/8", "2", "4", "1"), "3550")],
+    ids=["cnots-limit", "tie"])
+def test_cycle_time_prints_the_traced_round(t_2q, expr, terms, value, tmp_path, capsys):
+    """Past t_2q = t_loop/2 a two-token loop's three CNOTs limit each half
+    round; at the tie the boundary loop, with more shuttle, is named."""
+    cfg = tmp_path / "params.cfg"
+    cfg.write_text(f"t_2q_ns = {t_2q}\n")
+    code, out, _ = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
+    assert code == 0 and f"T_cyc(n=2) = {expr} = {value} ns\n" in out
+    code, out, _ = run_cli("--config", str(cfg), "--json", "cycle-time", capsys=capsys)
+    t = json.loads(out)["t_cyc_n2"]
+    assert t["terms"] == dict(zip(("t_loop", "t_1q", "t_2q", "t_meas"), terms))
+    assert (t["expr"], t["value_ns"]) == (expr.replace("T_", "t_"), value)
 
 
 @pytest.mark.parametrize("protocol", ["swap", "rearrange", "cycle", "pipeline"])

@@ -133,6 +133,9 @@ def test_boundary_operators_other_than_x_or_z_rejected(build):
 def test_malformed_layouts_and_requests_rejected():
     with pytest.raises(ValueError, match="layer roles"):
         LayerStackLayout(2, 3, [{}, {}], ["long_range"])
+    for roles in ("ab", ("mid_range", "mid_range"), ["long_range", 7], ["long_range", None]):
+        with pytest.raises(ValueError, match="layer roles must be a list of strings"):
+            LayerStackLayout(2, 3, [{}, {}], roles)
     for cell in ((0.5, 0), (True, 0), (0, False)):
         with pytest.raises(ValueError, match="two integers"):
             LayerStackLayout(2, 3, [{cell: PatchCell("1")}])

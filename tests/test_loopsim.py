@@ -21,6 +21,8 @@ from loopfold.patches import build_patch, check_circuit, embed_stack
 P = SILICON
 OTHER = TimingParams(t_loop=1600, t_2q=F(7, 3))
 ODD = TimingParams(t_loop=F(1, 3), t_2q=F(2, 7), t_1q=F(1, 10))   # the rational CLI config
+# T_cyc(2)'s published coefficients, timing parameter -> coefficient
+PUBLISHED_TERMS = {"t_loop": F(27, 8), "t_1q": 2, "t_2q": 4, "t_meas": 1}
 
 
 def in_ns(sched):
@@ -310,6 +312,21 @@ def test_pipeline_n12_steady_state_exact():
 def test_pipeline_no_contention():
     avgs = pipeline_model(2, P, 10)
     assert all(a == cycle_time_n2(P) for a in avgs)
+
+
+def test_pipeline_no_contention_reads_the_traced_round_where_cnots_limit():
+    """At t_2q = 300 a two-token loop's three CNOTs outlast a boundary
+    loop's 5/4 lap, so every round averages the traced 4150 ns."""
+    assert pipeline_model(2, TimingParams(t_2q=300), 10) == [4150] * 10
+
+
+@pytest.mark.parametrize("t_2q, terms, makespan", [
+    (100, PUBLISHED_TERMS, 3150),
+    (200, PUBLISHED_TERMS, 3550),     # the tie: both loop kinds end at 900 ns
+    (300, {"t_loop": F(19, 8), "t_1q": 2, "t_2q": 6, "t_meas": 1}, 4150)])
+def test_simulate_cycle_terms_name_the_limiting_loop(t_2q, terms, makespan):
+    sched = simulate_cycle(embed_stack([build_patch(3, "folded")]), TimingParams(t_2q=t_2q))
+    assert (sched.meta["terms"], sched.makespan) == (terms, makespan)
 
 
 @pytest.mark.parametrize("n", [2, 5, 16])
@@ -805,17 +822,21 @@ def ref_pipeline_model(n: int, params: TimingParams, rounds: int) -> list[Fracti
     return averages
 
 
-@given(timings, st.sampled_from([3, 5]))
+@given(timings, st.sampled_from([3, 5, 7]))
 @settings(max_examples=40, deadline=None)
 def test_simulate_cycle_matches_the_fraction_reference(params, d):
     emb = embed_stack([build_patch(d, "folded")])
     sched, ref = simulate_cycle(emb, params), ref_simulate_cycle(emb, params)
     assert in_ns(sched) == in_ns(ref)
     assert sched.makespan == ref.makespan
+    terms = sched.meta.pop("terms")
     assert sched.meta == ref.meta
-    # the closed form assumes the boundary loops limit each half round,
-    # which holds while a CNOT takes at most half a lap
-    assert (sched.makespan == cycle_time_n2(params)) == (2 * params.t_2q <= params.t_loop)
+    # the critical path's terms sum to the makespan, which is T_cyc(2) at every d
+    assert sum(k * getattr(params, name) for name, k in terms.items()) == sched.makespan
+    assert cycle_time_n2(params) == sched.makespan
+    # the boundary loops limit each half round, giving the published terms,
+    # exactly while a CNOT takes at most half a lap
+    assert (terms == PUBLISHED_TERMS) == (2 * params.t_2q <= params.t_loop)
 
 
 @given(timings, st.integers(2, 20), st.integers(1, 30))
