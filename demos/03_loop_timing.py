@@ -10,7 +10,7 @@ from fractions import Fraction as F
 from loopfold import (SILICON, LoopState, build_patch, embed_stack,
                       pipeline_model, rearrange, simulate_cycle, swap_protocol,
                       worst_case_search)
-from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
+from loopfold.costs import cnot_time, rearrange_worst
 
 P = SILICON
 
@@ -37,8 +37,9 @@ for n in (4, 7):
 # --- one full stabilizer round ---------------------------------------------
 emb = embed_stack([build_patch(3, "folded")])
 cycle = simulate_cycle(emb, P)
+path = " + ".join(f"{k} {term}" for term, k in cycle.meta["terms"].items())
 print(f"\nstabilizer round event trace: makespan {cycle.makespan} ns "
-      f"(closed form {cycle_time_n2(P)} ns)")
+      f"(critical path {path})")
 print("  first events:")
 for e in sorted(cycle.events, key=lambda e: (e.start, e.loop))[:6]:
     print(f"    t={str(cycle.ns(e.start)):>6} +{str(cycle.ns(e.duration)):<6} {e.action:<16} {e.loop}")

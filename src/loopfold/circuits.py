@@ -8,9 +8,9 @@ around a Z measurement.  Each measurement is one engine `measure` call per
 outcome, which projects and returns the outcome's probability.  `run_on_state`
 follows one path and is the one place that samples a random outcome, and
 `walk_outcomes` walks the measurement-outcome tree depth first and yields each
-leaf with its probability.  The loop simulator reads `patches.check_circuit`
-only for the half round of each loop's CNOTs; its timed events live in
-loopsim.TimedSchedule.
+leaf with its probability.  The loop simulator reads `patches`' half-round
+builders only for the half round of each loop's CNOTs; its timed events live
+in loopsim.TimedSchedule.
 """
 
 from __future__ import annotations

@@ -40,11 +40,12 @@ class ConfigError(ValueError):
 
 
 def load_config(path: str | None) -> TimingParams:
-    """Flat key = value text config; TimingParams' defaults for the keys it leaves out."""
-    values = {}
+    """Flat key = value UTF-8 text config, each key set at most once (a leading
+    byte-order mark is allowed); TimingParams' defaults for the keys it leaves out."""
+    values, set_on = {}, {}     # key -> value, key -> the line that set it
     if path is not None:
         try:
-            text = Path(path).read_text()
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeError) as exc:
             raise ConfigError(f"cannot read config: {exc}") from exc
         for lineno, line in enumerate(text.splitlines(), 1):
@@ -56,6 +57,9 @@ def load_config(path: str | None) -> TimingParams:
             key, raw = (s.strip() for s in line.split("=", 1))
             if key not in CONFIG_KEYS:
                 raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            if key in set_on:
+                raise ConfigError(f"line {lineno}: {key} is already set on line {set_on[key]}")
+            set_on[key] = lineno
             try:
                 values[key] = Fraction(raw)
             except (ValueError, ZeroDivisionError) as exc:

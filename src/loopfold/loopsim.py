@@ -11,13 +11,14 @@ denominators of t_loop / points and of the timing parameters it uses), so
 the event path, its overlap check and the pipeline model add and compare
 ints, and times become Fractions once, at output (`makespan`,
 `shuttle_time`, `to_text`, `TimedSchedule.ns`).  One kernel,
-`_plan_lattice`, plans every pair-gate episode (for `run_episode` and the
+`_plan_lattice`, plans every pair-gate episode (for `swap_protocol` and the
 swap and CNOT-stack searches), and the rearrangement rules `_arc`, `_lead`
 and `_park` serve both `rearrange` and its search.  A LoopState laps in
 t_loop; `simulate_cycle` reads a diagonal loop's double speed from the
 embedding's LoopRecord and the half rounds in which each loop works from
-`patches.check_circuit` of its patch.  The traced round is the one model of
-T_cyc(2): `cycle_time_n2`, which `costs` imports, is its makespan.
+`patches.first_half_circuit` and `patches.second_half_circuit` of its
+patch.  The traced round is the one model of T_cyc(2): `cycle_time_n2`,
+which `costs` imports, is its makespan.
 
 Intra-loop pair-gate episode (the 4-step protocol):
   1. rotate the ring until the leading pair member peels into the port
@@ -42,7 +43,7 @@ from numbers import Integral
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .patches import build_patch, check_circuit, embed_stack
+from .patches import build_patch, embed_stack, first_half_circuit, second_half_circuit
 
 
 def _frac(x) -> Fraction:
@@ -233,52 +234,37 @@ def _on_lattice(positions: dict[int, Fraction], n: int = 1) -> tuple[int, dict[i
     return points, {t: p.numerator * (points // p.denominator) for t, p in positions.items()}
 
 
-def run_episode(loop: LoopState, a: int, b: int, gate_time: Fraction,
-                params: TimingParams, schedule: TimedSchedule,
-                t0: int, gate_label: str = "gate") -> int:
-    """Execute one pair-gate episode in place from tick t0; returns the end tick.
-
-    The episode is planned by `_plan_lattice` on the lattice of the whole
-    ring.  Leaves `first` parked in the port and `second` in first's slot,
-    with the ring net-rotated by the lead-in.  One lattice step, t_loop /
-    points, and the gate time must be whole ticks of the schedule's scale
-    (ValueError otherwise).
-    """
-    points, pos = _on_lattice(loop.positions)
-    first, second, direction, lead, gap, exit_, _ = _plan_lattice(pos[a], pos[b], points, a, b)
-    unit = schedule.ticks(params.t_loop / points)
-    ring = tuple(sorted(loop.positions))
-    t = t0
-    for duration, action, tokens in (
-            (lead * unit, "shuttle_in", ring),
-            (gap * unit, "shuttle_in", tuple(x for x in ring if x != first)),
-            (schedule.ticks(gate_time), gate_label, (a, b)),
-            # exit: the ring sweeps first's emptied slot back onto the junction
-            # (the short way around) while `second` rides out into it
-            (exit_ * unit, "shuttle_out", tuple(x for x in ring if x not in (a, b)) + (second,))):
-        if duration:
-            schedule.append(t, duration, action, tokens)
-            t += duration
-    _apply_episode(pos, loop.port, first, second, direction, lead, points)
-    loop.positions = {x: Fraction(p, points) for x, p in pos.items()}
-    return t
-
-
 def swap_protocol(loop: LoopState, a: int, b: int, params: TimingParams) -> TimedSchedule:
     """The 4-step intra-loop SWAP protocol between tokens a and b.
 
-    Returns the timed schedule; the final LoopState is in meta["final"].
+    The episode is planned by `_plan_lattice` on the lattice of the whole
+    ring and timed on ticks of one lattice step, t_loop / points, and of
+    t_2q.  Returns the timed schedule; meta["final"] is the LoopState after
+    it, `first` parked in the port and `second` in first's slot with the
+    ring net-rotated by the lead-in.  `loop` itself is left unchanged.
     """
     if a == b or a not in loop.positions or b not in loop.positions:
         raise ValueError("need two distinct tokens present in the loop")
     if loop.port:
         raise OccupiedPortError("port must be empty at the start of the protocol")
-    work = loop.copy()
-    points = _on_lattice(loop.positions)[0]
+    points, pos = _on_lattice(loop.positions)
+    first, second, direction, lead, gap, exit_, _ = _plan_lattice(pos[a], pos[b], points, a, b)
     sched = TimedSchedule(meta={"gate": "SWAP"},
                           scale=_tick_scale(params.t_loop / points, params.t_2q))
-    run_episode(work, a, b, params.t_2q, params, sched, 0, gate_label="SWAP")
-    sched.meta["final"] = work
+    unit, t = sched.ticks(params.t_loop / points), 0
+    ring = tuple(sorted(pos))
+    for duration, action, tokens in (
+            (lead * unit, "shuttle_in", ring),
+            (gap * unit, "shuttle_in", tuple(x for x in ring if x != first)),
+            (sched.ticks(params.t_2q), "SWAP", (a, b)),
+            # exit: the ring sweeps first's emptied slot back onto the junction
+            # (the short way around) while `second` rides out into it
+            (exit_ * unit, "shuttle_out", tuple(x for x in ring if x not in (a, b)) + (second,))):
+        if duration:
+            t = sched.append(t, duration, action, tokens).end
+    _apply_episode(pos, [], first, second, direction, lead, points)
+    sched.meta["final"] = LoopState._trusted(
+        {x: Fraction(p, points) for x, p in pos.items()}, [first])
     sched.meta["shuttle"] = sched.shuttle_time()
     sched.check_no_token_overlap()
     return sched
@@ -416,8 +402,9 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
     Reproduces the published per-loop itineraries, in quarter laps: a
     diagonal loop runs legs [0, 2], a two-token loop [0, 2, 1] and a
     one-token (boundary-ancilla) loop [2, 3], each leg ending in a CNOT, in
-    each half round (CNOT layers 1-2, then 3-4) in which `check_circuit` of
-    the embedding's patch gives one of its qubits a CNOT.  Basis changes
+    each half round (CNOT layers 1-2, then 3-4) in which that half's
+    builder, `first_half_circuit` or `second_half_circuit` of the
+    embedding's patch, gives one of its qubits a CNOT.  Basis changes
     bookend the halves; a 7/8-lap port entry and one measurement end the
     round.  meta["terms"] (timing parameter -> coefficient) is the critical
     path and sums to the makespan: the fixed steps plus, in each half, the
@@ -433,10 +420,11 @@ def simulate_cycle(embedding, params: TimingParams) -> TimedSchedule:
     eighth, t2 = sched.ticks(params.t_loop / 8), sched.ticks(params.t_2q)
     patch = embedding.patches[0]
     halves: dict[int, set[int]] = {}    # qubit -> the half rounds of its CNOTs
-    for e in check_circuit(patch).events:
-        if e.action == "CNOT":
-            for q in e.targets:
-                halves.setdefault(q, set()).add((e.slot - 2) // 2)
+    for h, half in enumerate((first_half_circuit(patch), second_half_circuit(patch))):
+        for e in half.events:
+            if e.action == "CNOT":
+                for q in e.targets:
+                    halves.setdefault(q, set()).add(h)
     loops = sorted(embedding.loops.values(), key=lambda l: l.coord)
     t = 0
 

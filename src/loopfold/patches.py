@@ -18,7 +18,7 @@ Conventions (fixed once for all tests):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .circuits import ScheduledCircuit
 from .pauli import PauliString
@@ -154,59 +154,47 @@ def build_patch(d: int, kind: str = "rotated") -> PatchSpec:
 # -- check circuit ------------------------------------------------------------
 
 def check_circuit(patch: PatchSpec) -> ScheduledCircuit:
-    """One full stabilizer round: resets, basis changes, 4 CNOT layers, measures.
+    """One full stabilizer round: the first half's events, then the second half's.
 
     Slots: 0 reset, 1 H on X ancillas, 2-5 the four CNOT layers, 6 closing H,
     7 ancilla measurement.
     """
+    return ScheduledCircuit(patch.num_qubits,
+                            first_half_circuit(patch).events + second_half_circuit(patch).events)
+
+
+def first_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
+    """Resets, opening H layer, and CNOT layers 1-2 (slots 0..3)."""
     circ = ScheduledCircuit(patch.num_qubits)
-    circ.meta["kind"] = "check"
-    x_anc = patch.x_stabilizers()
     circ.add(0, "RESET", [patch.index[s.center] for s in patch.stabilizers])
-    for s in x_anc:
+    for s in patch.x_stabilizers():
         circ.add(1, "H", (patch.index[s.center],))
-    for layer in range(4):
-        for s in patch.stabilizers:
-            data = _layer_partner(s, layer)
-            if data is None:
-                continue
-            a = patch.index[s.center]
-            q = patch.index[data]
-            if s.kind == "X":
-                circ.add(2 + layer, "CNOT", (a, q))
-            else:
-                circ.add(2 + layer, "CNOT", (q, a))
-    for s in x_anc:
+    _add_cnot_layers(circ, patch, (0, 1))
+    return circ
+
+
+def second_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
+    """CNOT layers 3-4, closing H layer, and measurements (slots 4..7)."""
+    circ = ScheduledCircuit(patch.num_qubits)
+    _add_cnot_layers(circ, patch, (2, 3))
+    for s in patch.x_stabilizers():
         circ.add(6, "H", (patch.index[s.center],))
     for s in patch.stabilizers:
         circ.add(7, "MEASURE", (patch.index[s.center],), key=f"s{s.center[0]}_{s.center[1]}")
     return circ
 
 
-def _layer_partner(stab: Stabilizer, layer: int) -> Optional[Coord]:
-    """Data coordinate a stabilizer's ancilla touches in CNOT layer 0..3."""
-    order = X_ORDER if stab.kind == "X" else Z_ORDER
-    dr, dc = _CORNER_OFFSET[order[layer]]
-    coord = (stab.center[0] + dr, stab.center[1] + dc)
-    return coord if coord in stab.support else None
-
-
-def check_halves(patch: PatchSpec) -> tuple[ScheduledCircuit, ScheduledCircuit]:
-    """`first_half_circuit` and `second_half_circuit`, split from one check round."""
-    events = check_circuit(patch).sorted_events()
-    first = [e for e in events if e.slot < 4]
-    return (ScheduledCircuit(patch.num_qubits, first, {"kind": "check-first-half"}),
-            ScheduledCircuit(patch.num_qubits, events[len(first):], {"kind": "check-second-half"}))
-
-
-def first_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
-    """Resets, opening H layer, and CNOT layers 1-2 (slots 0..3)."""
-    return check_halves(patch)[0]
-
-
-def second_half_circuit(patch: PatchSpec) -> ScheduledCircuit:
-    """CNOT layers 3-4, closing H layer, and measurements (slots 4..7)."""
-    return check_halves(patch)[1]
+def _add_cnot_layers(circ: ScheduledCircuit, patch: PatchSpec, layers: Sequence[int]) -> None:
+    """CNOT layers `layers` (of 0..3) of the round, layer l in slot 2 + l: each
+    check's ancilla with the data qubit at the l-th corner of its kind's order,
+    where there is one; an X check's ancilla controls, a Z check's is the target."""
+    for layer in layers:
+        for s in patch.stabilizers:
+            dr, dc = _CORNER_OFFSET[(X_ORDER if s.kind == "X" else Z_ORDER)[layer]]
+            data = (s.center[0] + dr, s.center[1] + dc)
+            if data in s.support:
+                a, q = patch.index[s.center], patch.index[data]
+                circ.add(2 + layer, "CNOT", (a, q) if s.kind == "X" else (q, a))
 
 
 # -- mid-cycle structure -------------------------------------------------------

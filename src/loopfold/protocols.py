@@ -15,10 +15,11 @@ from .logical import encode_stack
 from .patches import (
     PatchSpec,
     LoopEmbedding,
-    check_halves,
+    first_half_circuit,
     midcycle_diagonal,
     midcycle_fold_pairs,
     midcycle_active,
+    second_half_circuit,
 )
 
 # Crease phase assignment discovered by the one-time d=3 dense-oracle search
@@ -60,9 +61,8 @@ def transversal_s_circuit(patch: PatchSpec, alternation: Sequence[str] | None = 
         if g not in ("S", "SDG"):
             raise ValueError(f"alternation entries must be S or SDG, got {g!r}")
 
-    circ, closing = check_halves(patch)
-    circ.meta["kind"] = "transversal-S"
-    slot = 4
+    circ, closing = first_half_circuit(patch), second_half_circuit(patch)
+    slot = min(closing.slots())
     inv = {"S": "SDG", "SDG": "S"}
     for coord in midcycle_diagonal(patch):
         q = patch.index[coord]
@@ -85,9 +85,8 @@ def transversal_h_circuit(patch: PatchSpec) -> ScheduledCircuit:
     """
     if patch.kind != "folded":
         raise ValueError("transversal H needs a folded patch")
-    circ, closing = check_halves(patch)
-    circ.meta["kind"] = "transversal-H"
-    slot = 4
+    circ, closing = first_half_circuit(patch), second_half_circuit(patch)
+    slot = min(closing.slots())
     for coord in midcycle_active(patch):
         circ.add(slot, "H", (patch.index[coord],))
     for a, b in midcycle_fold_pairs(patch):
@@ -118,7 +117,6 @@ def transversal_two_qubit(stack: LoopEmbedding, i: int, j: int, gate: str,
 
     encoded = encode_stack(patches)
     circ = ScheduledCircuit(encoded.num_qubits)
-    circ.meta["kind"] = f"transversal-{gate}"
     pi, pj = patches[i], patches[j]
     for coord in pi.data_coords:
         _, layer = pi.loop_of(coord)
@@ -138,7 +136,6 @@ def s_teleport_circuit(variant: str) -> ScheduledCircuit:
     """
     if variant == "y_measure":
         circ = ScheduledCircuit(2)
-        circ.meta["kind"] = "s-teleport-y"
         circ.add(0, "RESET", (1,))
         circ.add(1, "CNOT", (0, 1))
         circ.add(2, "MEASURE", (1,), basis="Y", key="y")
@@ -146,7 +143,6 @@ def s_teleport_circuit(variant: str) -> ScheduledCircuit:
         return circ
     if variant == "i_state":
         circ = ScheduledCircuit(2)
-        circ.meta["kind"] = "s-teleport-i"
         # resource qubit 1 must be prepared in |i> = S H |0>
         circ.add(0, "H", (1,))
         circ.add(0, "S", (1,))

@@ -34,3 +34,11 @@ def test_one_traced_pass_of_each_workload(workload):
     assert result["checks"] > 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["layers"]) == {m["name"] for m in declared} - ADDED_BY_RUNNER
+    if workload == "search_verify":
+        # transversal S and H build their rounds from the wrapped half builders,
+        # so the traced pass counts those builds under patches.*
+        calls = {name: row["calls"] for name, row in result["span_table"].items()}
+        protocols = calls["protocols.transversal_s_circuit"] + \
+            calls["protocols.transversal_h_circuit"]
+        assert calls["patches.first_half_circuit"] >= protocols
+        assert calls["patches.second_half_circuit"] >= protocols

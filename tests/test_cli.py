@@ -415,6 +415,23 @@ def test_config_that_is_not_utf8_exits_4(tmp_path, capsys):
     assert err.startswith("config error: cannot read config") and err.count("\n") == 1
 
 
+def test_config_key_set_twice_exits_4(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("t_loop_ns = 400\nt_loop_ns = 500\n")
+    code, out, err = run_cli("--config", str(cfg), "cycle-time", capsys=capsys)
+    assert (code, out) == (4, "")
+    assert err == "config error: line 2: t_loop_ns is already set on line 1\n"
+
+
+def test_config_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "bom.cfg"
+    plain.write_text("t_loop_ns = 500\n", encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run_cli("--config", str(plain), "cycle-time", capsys=capsys)
+    assert expected[0] == 0 and "6975/2 ns" in expected[1]
+    assert run_cli("--config", str(marked), "cycle-time", capsys=capsys) == expected
+
+
 def test_empty_config_gives_the_timing_defaults(tmp_path):
     from loopfold.cli import load_config
     from loopfold.loopsim import SILICON, TimingParams

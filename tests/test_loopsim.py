@@ -12,9 +12,8 @@ from hypothesis import given, settings, strategies as st
 from loopfold.costs import cnot_time, cycle_time_n2, rearrange_worst
 from loopfold.loopsim import (SILICON, LoopState, OccupiedPortError,
                               TimedSchedule, TimingParams, _arc, _arc_tables, _lattice_cost,
-                              _lead, _on_lattice, _plan_lattice, _tick_scale, pipeline_model,
-                              rearrange, run_episode,
-                              simulate_cycle, swap_protocol, worst_case_search)
+                              _lead, _on_lattice, _plan_lattice, pipeline_model,
+                              rearrange, simulate_cycle, swap_protocol, worst_case_search)
 from loopfold import patches
 from loopfold.patches import build_patch, check_circuit, embed_stack
 
@@ -576,12 +575,17 @@ def test_episode_matches_the_fraction_reference(episode):
     first, second, direction, *units = _plan_lattice(pos[a], pos[b], points, a, b)
     assert (first, second, direction, *(F(u, points) for u in units)) == \
         ref_plan_episode(loop, a, b)
-    sched, ref = swap_protocol(loop, a, b, params), ref_swap_protocol(loop, a, b, params)
+    before = list(loop.positions.items())
+    sched = swap_protocol(loop, a, b, params)
+    # the input loop keeps its positions, their order and its empty port
+    assert list(loop.positions.items()) == before and loop.port == []
+    ref = ref_swap_protocol(loop, a, b, params)
     assert in_ns(sched) == in_ns(ref)
     assert sched.makespan == ref.makespan
     assert sched.meta["shuttle"] == ref.meta["shuttle"]
     assert sched.meta["final"] == ref.meta["final"]
     assert list(sched.meta["final"].positions) == list(ref.meta["final"].positions)
+    assert sched.meta["final"].port is not loop.port
 
 
 # -- the Fraction rearrangement that the lattice walk replaced -------------------
@@ -672,20 +676,11 @@ def test_rearrange_matches_the_fraction_reference(instance):
 def test_cnot_stack_witness_resimulates_to_the_maximum(n, params):
     res = worst_case_search("cnot_stack", n, F(1, 8 * n), params)
     loop = ref_fig13_config(n, F(res.witness["lead_offset"]), F(res.witness["pair_gap"]))
-    # both episodes run on the search's lattice of 8n points or a coarser one
-    sched = TimedSchedule(scale=_tick_scale(params.t_loop / (8 * n), params.t_2q))
-    t = run_episode(loop, 0, 1, params.t_2q, params, sched, 0, gate_label="cnot")
-    t = run_episode(loop, 2, 3, params.t_2q, params, sched, t, gate_label="cnot")
+    sched = TimedSchedule()
+    t = ref_run_episode(loop, 0, 1, params.t_2q, params, sched, F(0), gate_label="cnot")
+    t = ref_run_episode(loop, 2, 3, params.t_2q, params, sched, t, gate_label="cnot")
     assert (sched.ns(t), sched.makespan, sched.shuttle_time()) == \
         (res.maximum, res.maximum, res.shuttle_maximum)
-
-
-def test_run_episode_needs_whole_ticks():
-    """A lattice step of 400/3 ns is no whole number of 1 ns ticks."""
-    loop = LoopState({0: F(1, 3), 1: F(2, 3)})
-    with pytest.raises(ValueError, match="whole number"):
-        run_episode(loop, 0, 1, P.t_2q, P, TimedSchedule(), 0)
-    assert loop.positions == {0: F(1, 3), 1: F(2, 3)} and not loop.port
 
 
 @pytest.mark.parametrize("protocol, n, points, expected", [

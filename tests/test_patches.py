@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from loopfold.circuits import run_on_state
-from loopfold.patches import build_patch, check_circuit, embed_stack
+from loopfold.patches import (build_patch, check_circuit, embed_stack, first_half_circuit,
+                              second_half_circuit)
 from loopfold.tableau import StabilizerState
 
 
@@ -79,6 +80,15 @@ def test_check_circuit_cnot_count(d, cnots):
     p = build_patch(d, "rotated")
     circ = check_circuit(p)
     assert circ.gate_count("CNOT") == cnots == sum(s.weight() for s in p.stabilizers)
+
+
+@pytest.mark.parametrize("kind", ["rotated", "folded"])
+@pytest.mark.parametrize("d", [3, 5, 7])
+def test_check_round_is_its_two_halves(d, kind):
+    p = build_patch(d, kind)
+    first, second = first_half_circuit(p), second_half_circuit(p)
+    assert check_circuit(p).events == first.events + second.events
+    assert (first.slots(), second.slots()) == ([0, 1, 2, 3], [4, 5, 6, 7])
 
 
 def test_each_data_qubit_touched_at_most_once_per_layer():
